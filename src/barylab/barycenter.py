@@ -154,10 +154,8 @@ def bures_fixed_point(
 
 
 def best_support_init(dist: DiscreteDistribution):
-    """The support point with minimal empirical objective (descent warm start)."""
-    sq = dist.space.pairwise_sqdist(dist.batch)
-    objectives = sq @ dist.weights
-    return dist.points[int(np.argmin(objectives))]
+    """Descent warm start, chosen by the space in O(n) (``Space.warm_start``)."""
+    return dist.space.warm_start(dist.batch, dist.weights)
 
 
 def empirical_barycenter(
@@ -165,8 +163,8 @@ def empirical_barycenter(
 ) -> BarycenterResult:
     """Barycenter of the uniform distribution on ``sample``.
 
-    Dispatches to the closed-form solver where one exists and to descent from
-    the best support point otherwise.
+    Dispatches to the closed-form solver where one exists and otherwise to
+    descent from the space's ``warm_start`` (an O(n) projected extrinsic mean).
     """
     sample = list(sample)
     if not sample:

@@ -15,6 +15,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import ratelab
 from .barycenter import barycenter
 from .config import parse_config
 from .distributions import DiscreteDistribution
@@ -158,10 +159,11 @@ def _cmd_tail(args) -> int:
     profile = estimate_hugging_profile(
         config, payload["profile_points"], payload["profile_targets"]
     )
+    b_star = ratelab.population_barycenter(config)  # verified once for every delta
     results = []
     for delta in payload["deltas"]:
         results.extend(
-            run_tail_experiment(config, delta, payload["varsigma2"], profile, subg)
+            run_tail_experiment(config, delta, payload["varsigma2"], profile, subg, b_star)
         )
     out = _out_dir(args)
     csv_path = out / "tail.csv"

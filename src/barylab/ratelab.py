@@ -26,6 +26,7 @@ import numpy as np
 from .barycenter import SolverOptions, empirical_barycenter
 from .errors import (
     AnchorNotBarycenter,
+    CoincidentPoints,
     DiscardRateExceeded,
     HypothesisViolated,
     InsufficientGrid,
@@ -351,7 +352,6 @@ def estimate_hugging_profile(
     xs = family.sample(rng, n_points)
     targets = family.sample(rng, n_targets)
     k_of_x = np.empty(n_points)
-    k_floor = math.inf
     for i, x in enumerate(xs):
         best = math.inf
         for b in targets:
@@ -359,11 +359,12 @@ def estimate_hugging_profile(
                 continue
             value = hugging_value(space, family.anchor, b, x)
             best = min(best, value)
+        if math.isinf(best):
+            raise CoincidentPoints("every sampled target coincided with the anchor")
         k_of_x[i] = best
-        k_floor = min(k_floor, best)
     pk = float(k_of_x.mean())
     pk_stderr = float(k_of_x.std(ddof=1) / math.sqrt(n_points)) if n_points > 1 else 0.0
-    return HuggingProfile(pk, pk_stderr, float((k_of_x**2).mean()), float(k_floor),
+    return HuggingProfile(pk, pk_stderr, float((k_of_x**2).mean()), float(k_of_x.min()),
                           n_points, n_targets)
 
 
@@ -373,13 +374,15 @@ def run_tail_experiment(
     varsigma2: float,
     profile: HuggingProfile | None = None,
     subgaussian: SubgaussianCheck | None = None,
+    b_star=None,
 ) -> list[TailExperimentResult]:
     """High-probability bound check: one result per n in the config grid.
 
     The threshold on d^2(b_n, b*) is the proof-derived
     8 varsigma^2 log(2/delta) / (n c^2 Pk^2) with c = 1/2 and the sampled Pk
     reduced by PK_MARGIN (the sampled estimate is an upper bound on the true
-    value, so the reduction is the conservative direction).
+    value, so the reduction is the conservative direction).  Pass ``b_star``
+    from ``population_barycenter`` to verify the anchor once for many deltas.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -402,7 +405,8 @@ def run_tail_experiment(
     c2 = ((1.0 - c) * pk_used / (2.0 * kmin_abs)) * min(
         (1.0 - c) * kmin_abs * pk_used / max(profile.pk_sq, 1e-300), 1.5
     )
-    b_star = population_barycenter(config)
+    if b_star is None:
+        b_star = population_barycenter(config)
     out = []
     for n_index, n in enumerate(config.n_grid):
         threshold = c1 * math.log(2.0 / delta) / n

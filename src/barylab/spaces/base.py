@@ -9,11 +9,15 @@ tangent-cone structure, so weighted log-map averages are plain array sums.
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar
 
 import numpy as np
+
+# support points scored by the default descent warm start
+WARM_START_CANDIDATES = 32
 
 
 @dataclass(frozen=True)
@@ -151,15 +155,12 @@ class Space(abc.ABC):
     def sqdist_batch(self, p, batch) -> np.ndarray:
         return np.array([self.distance(p, x) ** 2 for x in self._iter_batch(batch)])
 
-    def pairwise_sqdist(self, batch) -> np.ndarray:
-        pts = list(self._iter_batch(batch))
-        n = len(pts)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d2 = self.distance(pts[i], pts[j]) ** 2
-                out[i, j] = out[j, i] = d2
-        return out
+    def warm_start(self, batch, weights):
+        """Descent start: the best of the first WARM_START_CANDIDATES support
+        points, O(n) each; spaces with a cheap extrinsic mean override it."""
+        candidates = list(itertools.islice(self._iter_batch(batch), WARM_START_CANDIDATES))
+        objectives = [weights @ self.sqdist_batch(x, batch) for x in candidates]
+        return candidates[int(np.argmin(objectives))]
 
     @staticmethod
     def _iter_batch(batch):

@@ -73,10 +73,3 @@ class Euclidean(Space):
     def sqdist_batch(self, p, batch) -> np.ndarray:
         diff = batch - np.asarray(p, float)
         return np.einsum("ij,ij->i", diff, diff)
-
-    def pairwise_sqdist(self, batch) -> np.ndarray:
-        sq = np.einsum("ij,ij->i", batch, batch)
-        g = batch @ batch.T
-        out = sq[:, None] + sq[None, :] - 2.0 * g
-        np.maximum(out, 0.0, out=out)
-        return out

@@ -134,10 +134,13 @@ class Hyperboloid(Space):
         q = np.maximum(np.einsum("ij,j,ij->i", diff, self._j, diff), 0.0)
         return (2.0 * np.arcsinh(np.sqrt(q) / 2.0)) ** 2
 
-    def pairwise_sqdist(self, batch) -> np.ndarray:
-        g = (batch * self._j) @ batch.T
-        q = np.maximum(-2.0 - 2.0 * g, 0.0)
-        return (2.0 * np.arcsinh(np.sqrt(q) / 2.0)) ** 2
+    def warm_start(self, batch, weights):
+        """The projected extrinsic mean: the Minkowski-normalised weighted mean
+        (timelike with x0 > 0 for any sheet points, unless rounding breaks it)."""
+        mean = weights @ batch
+        if mean[0] > 0 and self.minkowski(mean, mean) < 0:
+            return self._project(mean)
+        return super().warm_start(batch, weights)
 
     def tangent_basis(self, p) -> np.ndarray:
         """Minkowski-orthonormal basis of the tangent plane at p, rows as vectors."""

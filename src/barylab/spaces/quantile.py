@@ -109,9 +109,3 @@ class QuantileSpace(Space):
     def sqdist_batch(self, p, batch) -> np.ndarray:
         diff = batch - np.asarray(p, float)
         return np.einsum("ij,ij->i", diff, diff) / self.grid_size
-
-    def pairwise_sqdist(self, batch) -> np.ndarray:
-        sq = np.einsum("ij,ij->i", batch, batch)
-        out = sq[:, None] + sq[None, :] - 2.0 * (batch @ batch.T)
-        np.maximum(out, 0.0, out=out)
-        return out / self.grid_size

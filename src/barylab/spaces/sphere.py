@@ -138,8 +138,11 @@ class Sphere(Space):
     def sqdist_batch(self, p, batch) -> np.ndarray:
         return self._theta_batch(p, batch) ** 2
 
-    def pairwise_sqdist(self, batch) -> np.ndarray:
-        g = batch @ batch.T
-        chord_sq = np.maximum(2.0 - 2.0 * g, 0.0)
-        theta = 2.0 * np.arcsin(np.minimum(np.sqrt(chord_sq) / 2.0, 1.0))
-        return theta**2
+    def warm_start(self, batch, weights):
+        """The projected extrinsic mean, unless it is degenerate or a support
+        point lies pi/2 (the Karcher/Afsari uniqueness radius) or more away."""
+        mean = weights @ batch
+        norm = np.linalg.norm(mean)
+        if norm > 1e-8 and np.all(self._theta_batch(mean / norm, batch) < math.pi / 2):
+            return mean / norm
+        return super().warm_start(batch, weights)

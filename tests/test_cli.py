@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from barylab import ratelab
 from barylab.cli import main
 from barylab.reporting import RATES_HEADER
 
@@ -113,30 +114,43 @@ class TestBarycenter:
         assert np.allclose(doc["point"]["coords"], expected, atol=1e-6)
 
 
+TAIL_CONFIG = {
+    "experiment": "tail",
+    "family": {"kind": "euclidean_gaussian", "dim": 3, "sd": 1.0},
+    "n_grid": [50],
+    "trials": 200,
+    "delta": [0.2],
+    "varsigma2": 3.0,
+    "master_seed": 11,
+    "sigma2_draws": 20000,
+    "verify_draws": 10000,
+    "subgaussian_draws": 20000,
+    "profile_points": 20,
+    "profile_targets": 10,
+}
+
+
 class TestTailCommand:
     def test_small_tail_run(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {
-                "experiment": "tail",
-                "family": {"kind": "euclidean_gaussian", "dim": 3, "sd": 1.0},
-                "n_grid": [50],
-                "trials": 200,
-                "delta": [0.2],
-                "varsigma2": 3.0,
-                "master_seed": 11,
-                "sigma2_draws": 20000,
-                "verify_draws": 10000,
-                "subgaussian_draws": 20000,
-                "profile_points": 20,
-                "profile_targets": 10,
-            },
-        )
+        cfg = write_config(tmp_path, TAIL_CONFIG)
         out = tmp_path / "out"
         assert run(["tail", "--config", cfg, "--out", out]) == 0
         lines = (out / "tail.csv").read_text().splitlines()
         assert lines[0].startswith("space,n,trials,delta")
         assert len(lines) == 2
+
+    def test_anchor_verified_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        verify = ratelab.population_barycenter
+
+        def counting(config):
+            calls.append(config.master_seed)
+            return verify(config)
+
+        monkeypatch.setattr(ratelab, "population_barycenter", counting)
+        cfg = write_config(tmp_path, dict(TAIL_CONFIG, delta=[0.2, 0.1], trials=20))
+        assert run(["tail", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert calls == [11]
 
 
 class TestSweepCommands:

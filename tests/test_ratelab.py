@@ -3,11 +3,18 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
 import barylab as bl
-from barylab.errors import DiscardRateExceeded, HypothesisViolated, InsufficientGrid
+from barylab import ratelab
+from barylab.errors import (
+    CoincidentPoints,
+    DiscardRateExceeded,
+    HypothesisViolated,
+    InsufficientGrid,
+)
 from barylab.families import EuclideanGaussian, GaussianEnsemble, HyperbolicGaussian, SphereCap
 from barylab.ratelab import (
     RateCurve,
@@ -18,6 +25,13 @@ from barylab.ratelab import (
     run_tail_experiment,
     subgaussian_proxy_check,
 )
+
+
+class PointMass(EuclideanGaussian):
+    """Every draw is the anchor itself."""
+
+    def sample_batch(self, rng, count):
+        return np.tile(self.anchor, (count, 1))
 
 
 def make_curve(ns, means):
@@ -86,6 +100,19 @@ class TestRateExperiment:
         a = run_rate_experiment(euclid_config())
         b = run_rate_experiment(dataclasses.replace(euclid_config(), threads=4))
         assert a == b
+        # the descent path: warm start, backtracking, redraws
+        hyperbolic = bl.RateExperimentConfig(
+            family=HyperbolicGaussian(0.5),
+            theorem="negcurv",
+            n_grid=(4, 16, 64),  # three points, so the slope is a number
+            trials=20,
+            master_seed=3,
+            sigma2_draws=20_000,
+            verify_draws=20_000,
+        )
+        c = run_rate_experiment(hyperbolic)
+        d = run_rate_experiment(dataclasses.replace(hyperbolic, threads=2))
+        assert c == d
 
     def test_hyperbolic_bound_holds(self):
         config = bl.RateExperimentConfig(
@@ -269,3 +296,21 @@ class TestTailExperiment:
         profile = estimate_hugging_profile(self.config(trials=10), 50, 30)
         assert profile.pk == pytest.approx(1.0, abs=1e-9)
         assert profile.k_min == pytest.approx(1.0, abs=1e-9)
+
+    def test_profile_rejects_targets_all_at_the_anchor(self):
+        config = dataclasses.replace(self.config(trials=10), family=PointMass(dim=3))
+        with pytest.raises(CoincidentPoints):
+            estimate_hugging_profile(config, 5, 3)
+
+    def test_given_anchor_skips_the_verify_pass(self, monkeypatch):
+        config = self.config(trials=50)
+        expected = run_tail_experiment(config, delta=0.2, varsigma2=3.0)
+
+        def no_verify(config):
+            raise AssertionError("population_barycenter called despite b_star")
+
+        monkeypatch.setattr(ratelab, "population_barycenter", no_verify)
+        given_anchor = run_tail_experiment(
+            config, delta=0.2, varsigma2=3.0, b_star=config.family.anchor
+        )
+        assert given_anchor == expected

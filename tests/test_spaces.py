@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barylab as bl
 from barylab.errors import AntipodalPoints, CutLocus, NotPositiveDefinite, OutOfDomain
 from barylab.families import gaussian_quantile_grid
 
-from conftest import probe_point, separated_points
+from conftest import make_space, probe_point, separated_points
 
 
 class TestMetricAxioms:
@@ -302,3 +304,24 @@ class TestCrossSpaceOracles:
                 gaussian_quantile_grid(q, m1, s1), gaussian_quantile_grid(q, m2, s2)
             )
             assert w2 == pytest.approx(quantized, abs=1e-3)
+
+
+class TestBatchedKernelsAtShortRange:
+    @pytest.mark.parametrize("tag", ["sphere", "hyperbolic"])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        exponent=st.floats(min_value=-12.0, max_value=-8.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sqdist_batch_matches_scalar_distance(self, tag, seed, exponent):
+        """The warm-start fallback scores candidates with sqdist_batch."""
+        space = make_space(tag)
+        rng = np.random.default_rng(seed)
+        p = space.random_point(rng)
+        v = space.random_tangent(p, rng)
+        x = space.exp(p, (10.0**exponent / space.tangent_norm(p, v)) * v)
+        batched = space.sqdist_batch(p, space.stack([x, p]))
+        scalar = space.distance(p, x) ** 2
+        assert scalar > 0.0
+        assert abs(batched[0] - scalar) <= 1e-12 * scalar
+        assert batched[1] == 0.0
