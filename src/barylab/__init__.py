@@ -39,6 +39,7 @@ from .hugging import (
     exp_barycenter_residual,
     extendibility_kmin,
     hugging_value,
+    hugging_values,
     min_hugging_over_targets,
     support_extendibility,
     variance_equality_residual,

@@ -107,11 +107,9 @@ def quantile_mean(dist: DiscreteDistribution):
     """Pointwise weighted average of quantile grids: the exact barycenter."""
     if not isinstance(dist.space, QuantileSpace):
         raise SpaceMismatch("quantile_mean needs a quantile-space distribution")
-    batch = dist.batch
-    sizes = {p.shape[0] for p in dist.points}
-    if len(sizes) != 1 or sizes.pop() != dist.space.grid_size:
+    if dist.batch.shape[1] != dist.space.grid_size:
         raise GridMismatch("all quantile points must share the space grid size")
-    return dist.weights @ batch
+    return dist.weights @ dist.batch
 
 
 def bures_fixed_point(
@@ -161,17 +159,15 @@ def best_support_init(dist: DiscreteDistribution):
 def empirical_barycenter(
     space: Space, sample, opts: SolverOptions = SolverOptions()
 ) -> BarycenterResult:
-    """Barycenter of the uniform distribution on ``sample``.
+    """Barycenter of the uniform distribution on ``sample``, a point sequence
+    or a stacked batch (``Family.sample_batch``).
 
     Dispatches to the closed-form solver where one exists and otherwise to
     descent from the space's ``warm_start`` (an O(n) projected extrinsic mean).
     """
-    sample = list(sample)
-    if not sample:
-        raise ValueError("empty sample")
-    if len(sample) == 1:
-        return BarycenterResult(sample[0], 0.0, 0.0, 0, True)
     dist = DiscreteDistribution.uniform(space, sample)
+    if len(dist) == 1:
+        return BarycenterResult(dist.points[0], 0.0, 0.0, 0, True)
     return barycenter(dist, opts)
 
 
@@ -180,11 +176,10 @@ def barycenter(
 ) -> BarycenterResult:
     """Space-appropriate barycenter of a weighted distribution."""
     space = dist.space
-    if isinstance(space, Euclidean):
-        point = dist.weights @ dist.batch
-        return _closed_form_result(dist, point)
-    if isinstance(space, QuantileSpace):
+    if isinstance(space, QuantileSpace):  # before its base class, Euclidean
         return _closed_form_result(dist, quantile_mean(dist))
+    if isinstance(space, Euclidean):
+        return _closed_form_result(dist, dist.weights @ dist.batch)
     if isinstance(space, BuresWasserstein):
         return bures_fixed_point(dist, opts)
     return frechet_mean_descent(dist, best_support_init(dist), opts)

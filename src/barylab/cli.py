@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -64,8 +63,7 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True):
         "--threads",
         type=int,
         default=None,
-        help="worker threads for independent trials (0 = auto); "
-        "defaults to BARYLAB_THREADS or 1",
+        help="accepted and ignored, like BARYLAB_THREADS: trials run in one thread",
     )
     parser.add_argument(
         "--strict-bounds",
@@ -97,16 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads(args) -> int:
-    value = args.threads
-    if value is None:
-        env = os.environ.get("BARYLAB_THREADS")
-        value = int(env) if env else 1
-    if value == 0:
-        value = os.cpu_count() or 1
-    return max(value, 1)
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -124,7 +112,6 @@ def _cmd_rates(args) -> int:
     config = parsed.payload["config"]
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    config = dataclasses.replace(config, threads=_threads(args))
     curve = run_rate_experiment(config)
     out = _out_dir(args)
     csv_path = out / "rates.csv"
@@ -154,7 +141,6 @@ def _cmd_tail(args) -> int:
     config = payload["config"]
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    config = dataclasses.replace(config, threads=_threads(args))
     subg = subgaussian_proxy_check(config, payload["varsigma2"], payload["subgaussian_draws"])
     profile = estimate_hugging_profile(
         config, payload["profile_points"], payload["profile_targets"]

@@ -43,6 +43,11 @@ class ParsedConfig:
     payload: dict  # experiment-specific, validated values
 
 
+def _reject_constant(name: str):
+    # NaN and Infinity are not JSON; manifests are written strict, so reject them here
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_json(path) -> dict:
     path = Path(path)
     try:
@@ -50,9 +55,11 @@ def load_json(path) -> dict:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return obj

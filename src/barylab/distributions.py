@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import SpaceMismatch
@@ -13,39 +15,41 @@ WEIGHT_SUM_TOL = 1e-12
 class DiscreteDistribution:
     """A probability measure with finite support on one model space.
 
-    Weights must be positive and sum to 1 within tolerance.  The stacked
-    batch representation is computed once for the solvers.
+    The support is given as a point sequence or an already stacked batch and
+    kept only as the stacked batch the solvers read; ``points`` is a per-point
+    view built on demand.  Weights must be positive and sum to 1 within
+    tolerance; ``None`` means uniform.
     """
 
-    def __init__(self, space: Space, points, weights):
-        points = list(points)
-        if not points:
+    def __init__(self, space: Space, points, weights=None):
+        try:
+            batch = space.stack(points)
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise SpaceMismatch(f"support points do not fit {space!r}: {exc}") from exc
+        n = space.batch_len(batch)
+        if n == 0:
             raise ValueError("a distribution needs at least one support point")
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(points),):
+        weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+        if weights.shape != (n,):
             raise ValueError("one weight per support point required")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
         self.space = space
-        self.points = points
+        self.batch = batch
         self.weights = weights
-        try:
-            self.batch = space.stack(points)
-        except (ValueError, TypeError) as exc:
-            raise SpaceMismatch(f"support points do not fit {space!r}: {exc}") from exc
+
+    @cached_property
+    def points(self) -> list:
+        return self.space.unstack(self.batch)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.weights)
 
     def __repr__(self):
         return f"DiscreteDistribution({self.space!r}, n={len(self)})"
 
     @classmethod
     def uniform(cls, space: Space, points) -> "DiscreteDistribution":
-        points = list(points)
-        n = len(points)
-        if n == 0:
-            raise ValueError("a distribution needs at least one support point")
-        return cls(space, points, np.full(n, 1.0 / n))
+        return cls(space, points)

@@ -54,7 +54,7 @@ class Family(abc.ABC):
         """JSON-ready parameter echo."""
 
     def sample(self, rng: np.random.Generator, count: int) -> list:
-        return list(self.space._iter_batch(self.sample_batch(rng, count)))
+        return self.space.unstack(self.sample_batch(rng, count))
 
     def key(self) -> str:
         """Canonical hashable identity of the family, for caching."""

@@ -39,19 +39,24 @@ class HuggingReport:
     variance_eq_residual: float
 
 
-def hugging_value(space, b_star, b, x) -> float:
-    """Hugging coefficient at ``b_star`` of target ``b`` evaluated at ``x``.
+def hugging_values(space, b_star, b, xs) -> np.ndarray:
+    """Hugging coefficients at ``b_star`` of target ``b``, evaluated at every
+    point of the stacked batch ``xs``.
 
     1 - (||log(x) - log(b)||^2 - d^2(x, b)) / d^2(b, b_star), all log maps
     taken at ``b_star``.
     """
-    d_bb = space.distance(b, b_star)
-    if d_bb <= COINCIDENT_TOL:
+    lb, d_bb = space.log_batch(b_star, space.stack([b]))
+    if d_bb[0] <= COINCIDENT_TOL:
         raise CoincidentPoints("hugging target must differ from the base point")
-    lx = space.log(b_star, x)
-    lb = space.log(b_star, b)
-    cone_sq = space.tangent_inner(b_star, lx.payload - lb.payload, lx.payload - lb.payload)
-    return 1.0 - (cone_sq - space.distance(x, b) ** 2) / d_bb**2
+    lx, _ = space.log_batch(b_star, xs)
+    cone_sq = space.tangent_inner(b_star, lx - lb, lx - lb)
+    return 1.0 - (cone_sq - space.sqdist_batch(b, xs)) / d_bb[0] ** 2
+
+
+def hugging_value(space, b_star, b, x) -> float:
+    """``hugging_values`` at the single point ``x``."""
+    return float(hugging_values(space, b_star, b, space.stack([x]))[0])
 
 
 def variance_equality_residual(space, dist: DiscreteDistribution, b_star, b) -> float:
@@ -60,11 +65,8 @@ def variance_equality_residual(space, dist: DiscreteDistribution, b_star, b) -> 
     |d^2(b, b*) . sum_i w_i k_i  -  sum_i w_i (d^2(x_i, b) - d^2(x_i, b*))|,
     which vanishes when ``b_star`` is an exact barycenter of ``dist``.
     """
-    d_bb_sq = space.distance(b, b_star) ** 2
-    if d_bb_sq <= COINCIDENT_TOL**2:
-        raise CoincidentPoints("residual needs b != b_star")
-    k_values = np.array([hugging_value(space, b_star, b, x) for x in dist.points])
-    lhs = d_bb_sq * float(dist.weights @ k_values)
+    k_values = hugging_values(space, b_star, b, dist.batch)  # rejects b = b_star
+    lhs = space.distance(b, b_star) ** 2 * float(dist.weights @ k_values)
     gaps = space.sqdist_batch(b, dist.batch) - space.sqdist_batch(b_star, dist.batch)
     rhs = float(dist.weights @ gaps)
     return abs(lhs - rhs)
@@ -106,7 +108,7 @@ def exp_barycenter_residual(space, dist: DiscreteDistribution, b) -> float:
     """
     payloads, _ = space.log_batch(b, dist.batch)
     mean = np.tensordot(dist.weights, payloads, axes=(0, 0))
-    return space.tangent_inner(b, mean, mean)
+    return float(space.tangent_inner(b, mean, mean))
 
 
 def bures_potential_bounds(b_star: GaussianPoint, mu: GaussianPoint) -> tuple[float, float]:

@@ -34,11 +34,6 @@ def spd_eigh(m: np.ndarray):
     return w, v
 
 
-def spd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = spd_eigh(m)
-    return (v * np.sqrt(w)) @ v.T
-
-
 def spd_sqrt_inv_sqrt(m: np.ndarray):
     """Square root and inverse square root from one decomposition."""
     w, v = spd_eigh(m)

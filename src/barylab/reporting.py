@@ -114,7 +114,7 @@ def write_manifest(out_dir, config_echo: dict, master_seed, outputs, started_at,
         manifest["results"] = extra
     path = Path(out_dir) / "manifest.json"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+        json.dump(manifest, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     return path
 

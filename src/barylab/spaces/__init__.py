@@ -22,15 +22,6 @@ __all__ = [
     "point_from_payload",
 ]
 
-_SPACE_TAGS = {
-    Euclidean.tag: Euclidean,
-    Sphere.tag: Sphere,
-    Hyperboloid.tag: Hyperboloid,
-    QuantileSpace.tag: QuantileSpace,
-    BuresWasserstein.tag: BuresWasserstein,
-}
-
-
 def point_from_payload(obj: dict):
     """Reconstruct (space, point) from a tagged JSON payload."""
     tag = obj.get("space")

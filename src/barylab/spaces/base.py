@@ -9,7 +9,6 @@ tangent-cone structure, so weighted log-map averages are plain array sums.
 from __future__ import annotations
 
 import abc
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar
@@ -108,8 +107,9 @@ class Space(abc.ABC):
 
     # -- metric and geodesics ----------------------------------------------
 
-    @abc.abstractmethod
-    def distance(self, x, y) -> float: ...
+    def distance(self, x, y) -> float:
+        """Geodesic distance: ``sqdist_batch`` on a batch of one."""
+        return math.sqrt(float(self.sqdist_batch(x, self.stack([y]))[0]))
 
     @abc.abstractmethod
     def geodesic(self, x, y) -> GeodesicSegment: ...
@@ -123,48 +123,53 @@ class Space(abc.ABC):
 
     # -- tangent cone --------------------------------------------------------
 
-    @abc.abstractmethod
-    def log(self, p, x) -> TangentVector: ...
+    def log(self, p, x) -> TangentVector:
+        """Log map: ``log_batch`` on a batch of one."""
+        payloads, _ = self.log_batch(p, self.stack([x]))
+        return TangentVector(self, p, payloads[0])
 
     @abc.abstractmethod
     def exp(self, p, v): ...
 
     @abc.abstractmethod
-    def tangent_inner(self, p, u_payload, v_payload) -> float: ...
+    def tangent_inner(self, p, u_payload, v_payload):
+        """Cone inner product at ``p``, broadcast over leading payload axes."""
 
     def tangent_norm(self, p, u_payload) -> float:
-        return math.sqrt(max(self.tangent_inner(p, u_payload, u_payload), 0.0))
+        return math.sqrt(max(float(self.tangent_inner(p, u_payload, u_payload)), 0.0))
 
     @abc.abstractmethod
     def random_tangent(self, p, rng: np.random.Generator) -> np.ndarray:
         """A random tangent payload at ``p`` (isotropic, unnormalized)."""
 
-    # -- batched hooks (defaults loop; hot spaces override) -------------------
+    # -- batched kernels: the one formula for each quantity --------------------
 
     def stack(self, points):
-        """Space-native batch representation of a point list."""
-        return list(points)
+        """Stacked batch of a point sequence; a stacked batch passes through."""
+        return np.asarray(points, dtype=float)
 
+    def unstack(self, batch) -> list:
+        """Per-point view of a stacked batch."""
+        return list(batch)
+
+    def batch_len(self, batch) -> int:
+        return len(batch)
+
+    @abc.abstractmethod
     def log_batch(self, p, batch):
-        """Log payloads and magnitudes for every point in ``batch``."""
-        vecs = [self.log(p, x) for x in self._iter_batch(batch)]
-        payloads = np.stack([v.payload for v in vecs])
-        mags = np.array([v.magnitude for v in vecs])
-        return payloads, mags
+        """Log payloads and magnitudes for every point in ``batch``; a point
+        equal to ``p`` gives the exact zero payload (the cone tip)."""
 
+    @abc.abstractmethod
     def sqdist_batch(self, p, batch) -> np.ndarray:
-        return np.array([self.distance(p, x) ** 2 for x in self._iter_batch(batch)])
+        """Squared distances from ``p`` to every point in ``batch``."""
 
     def warm_start(self, batch, weights):
         """Descent start: the best of the first WARM_START_CANDIDATES support
         points, O(n) each; spaces with a cheap extrinsic mean override it."""
-        candidates = list(itertools.islice(self._iter_batch(batch), WARM_START_CANDIDATES))
+        candidates = self.unstack(batch)[:WARM_START_CANDIDATES]
         objectives = [weights @ self.sqdist_batch(x, batch) for x in candidates]
         return candidates[int(np.argmin(objectives))]
-
-    @staticmethod
-    def _iter_batch(batch):
-        return batch
 
     @staticmethod
     def _payload_of(v) -> np.ndarray:

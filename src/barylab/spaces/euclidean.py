@@ -1,4 +1,4 @@
-"""Euclidean space R^d: the flat calibration case."""
+"""Euclidean space R^d with a constant metric weight: the flat calibration case."""
 
 from __future__ import annotations
 
@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 
-from .base import Extendibility, GeodesicSegment, Space, TangentVector
+from .base import Extendibility, GeodesicSegment, Space
 
 
 class Euclidean(Space):
     tag = "euclidean"
+    # squared norms are weight * |v|^2: 1 on R^d, 1/m on the quantile grid
+    weight = 1.0
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -36,12 +38,10 @@ class Euclidean(Space):
         self.check_point(x)
         return x
 
-    def distance(self, x, y) -> float:
-        return float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-
     def geodesic(self, x, y) -> GeodesicSegment:
         x = np.asarray(x, float)
         y = np.asarray(y, float)
+        # convex combinations also keep sorted quantile grids sorted
         return GeodesicSegment(
             self, x, y, self.distance(x, y), lambda t: (1.0 - t) * x + t * y
         )
@@ -49,27 +49,21 @@ class Euclidean(Space):
     def max_extendibility(self, x, y) -> Extendibility:
         return Extendibility(math.inf, math.inf)
 
-    def log(self, p, x) -> TangentVector:
-        return TangentVector(self, np.asarray(p, float), np.asarray(x, float) - p)
-
     def exp(self, p, v):
         return np.asarray(p, float) + self._payload_of(v)
 
-    def tangent_inner(self, p, u_payload, v_payload) -> float:
-        return float(np.dot(u_payload, v_payload))
+    def tangent_inner(self, p, u_payload, v_payload):
+        return self.weight * np.einsum("...i,...i->...", u_payload, v_payload)
 
     def random_tangent(self, p, rng) -> np.ndarray:
         return rng.standard_normal(self.dim)
 
     # -- batched -------------------------------------------------------------
 
-    def stack(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float)
-
     def log_batch(self, p, batch):
         payloads = batch - np.asarray(p, float)
-        return payloads, np.linalg.norm(payloads, axis=1)
+        return payloads, np.sqrt(self.tangent_inner(p, payloads, payloads))
 
     def sqdist_batch(self, p, batch) -> np.ndarray:
         diff = batch - np.asarray(p, float)
-        return np.einsum("ij,ij->i", diff, diff)
+        return self.tangent_inner(p, diff, diff)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import OutOfDomain
-from ..linalg import SPD_EIG_FLOOR, spd_check, spd_sqrt, spd_sqrt_batch, spd_sqrt_inv_sqrt, sym
-from .base import Extendibility, GeodesicSegment, Space, TangentVector
+from ..linalg import SPD_EIG_FLOOR, spd_check, spd_eigh, spd_sqrt_batch, sym
+from .base import Extendibility, GeodesicSegment, Space
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,18 +80,25 @@ class BuresWasserstein(Space):
 
     def transport_map(self, p: GaussianPoint, x: GaussianPoint) -> np.ndarray:
         """Linear part A of the optimal map from p to x (SPD)."""
-        s, s_inv = spd_sqrt_inv_sqrt(p.cov)
-        middle = spd_sqrt(s @ x.cov @ s)
-        return sym(s_inv @ middle @ s_inv)
+        return np.eye(self.dim) + self._map_gaps(p, x.cov[None])[0]
 
-    def distance(self, x: GaussianPoint, y: GaussianPoint) -> float:
-        # evaluated through the transport map as tr((A - I) cov (A - I)):
-        # a quadratic form, so nearly-equal points do not lose precision to
-        # the cancellation of O(1) traces
-        dm = x.mean - y.mean
-        lin = self.transport_map(x, y) - np.eye(self.dim)
-        bures_sq = max(float(np.einsum("ij,jk,ki->", lin, x.cov, lin)), 0.0)
-        return math.sqrt(float(dm @ dm) + bures_sq)
+    @staticmethod
+    def _map_gaps(p: GaussianPoint, covs: np.ndarray) -> np.ndarray:
+        """L_i = A_i - I for the optimal linear maps A_i from p to covs_i.
+
+        In the eigenbasis V of p.cov = V diag(lam) V^T, with r = sqrt(lam),
+        L = X / (r_i r_j) where diag(lam) + X is the square root of
+        diag(lam^2) + D and D = r_i (V^T (C - p.cov) V)_ij r_j.  X solves
+        (lam_i + lam_j) X_ij = (D - X^2)_ij; evaluating X^2 at the eigensolver
+        root gives X to relative precision however close C is to p.cov, where
+        forming A and subtracting I would leave only rounding noise.
+        """
+        lam, v = spd_eigh(p.cov)
+        r = np.sqrt(lam)
+        d = r[:, None] * (v.T @ (covs - p.cov) @ v) * r
+        x0 = spd_sqrt_batch(np.diag(lam**2) + d) - np.diag(lam)
+        x = (d - x0 @ x0) / (lam[:, None] + lam)
+        return sym(v @ (x / np.outer(r, r)) @ v.T)
 
     def geodesic(self, x: GaussianPoint, y: GaussianPoint) -> GeodesicSegment:
         a = self.transport_map(x, y)
@@ -133,14 +140,6 @@ class BuresWasserstein(Space):
 
     # -- tangent cone ------------------------------------------------------------
 
-    def log(self, p: GaussianPoint, x: GaussianPoint) -> TangentVector:
-        payload = np.zeros((self.dim + 1, self.dim))
-        if x is p or (np.array_equal(x.mean, p.mean) and np.array_equal(x.cov, p.cov)):
-            return TangentVector(self, p, payload)  # exact cone tip
-        payload[0] = x.mean - p.mean
-        payload[1:] = self.transport_map(p, x) - np.eye(self.dim)
-        return TangentVector(self, p, payload)
-
     def exp(self, p: GaussianPoint, v):
         payload = self._payload_of(v)
         u, lin = payload[0], payload[1:]
@@ -149,10 +148,12 @@ class BuresWasserstein(Space):
             raise OutOfDomain("induced map I + L is not positive definite")
         return GaussianPoint(p.mean + u, sym(t @ p.cov @ t))
 
-    def tangent_inner(self, p: GaussianPoint, u_payload, v_payload) -> float:
-        u1, l1 = u_payload[0], u_payload[1:]
-        u2, l2 = v_payload[0], v_payload[1:]
-        return float(u1 @ u2) + float(np.einsum("ij,jk,ki->", l1, p.cov, l2))
+    def tangent_inner(self, p: GaussianPoint, u_payload, v_payload):
+        u1, l1 = u_payload[..., 0, :], u_payload[..., 1:, :]
+        u2, l2 = v_payload[..., 0, :], v_payload[..., 1:, :]
+        return np.einsum("...i,...i->...", u1, u2) + np.einsum(
+            "...ij,jk,...ki->...", l1, p.cov, l2
+        )
 
     def random_tangent(self, p: GaussianPoint, rng) -> np.ndarray:
         payload = np.empty((self.dim + 1, self.dim))
@@ -163,43 +164,33 @@ class BuresWasserstein(Space):
     # -- batched -------------------------------------------------------------
 
     def stack(self, points):
-        means = np.stack([pt.mean for pt in points])
-        covs = np.stack([pt.cov for pt in points])
+        if isinstance(points, tuple) and points and isinstance(points[0], np.ndarray):
+            return points  # already (means, covs)
+        means = np.asarray([pt.mean for pt in points], dtype=float)
+        covs = np.asarray([pt.cov for pt in points], dtype=float)
         return means, covs
 
-    @staticmethod
-    def _iter_batch(batch):
-        if isinstance(batch, tuple):
-            means, covs = batch
-            return (GaussianPoint(m, c) for m, c in zip(means, covs))
-        return batch
+    def unstack(self, batch) -> list:
+        return [GaussianPoint(m, c) for m, c in zip(*batch)]
 
-    def cross_sqrts(self, p: GaussianPoint, covs: np.ndarray) -> np.ndarray:
-        """(S covs_i S)^(1/2) for S = p.cov^(1/2), batched."""
-        s = spd_sqrt(p.cov)
-        return spd_sqrt_batch(np.einsum("ij,njk,kl->nil", s, covs, s))
+    def batch_len(self, batch) -> int:
+        return len(batch[0])
 
     def log_batch(self, p: GaussianPoint, batch):
-        means, covs = batch
-        s, s_inv = spd_sqrt_inv_sqrt(p.cov)
-        cross = spd_sqrt_batch(np.einsum("ij,njk,kl->nil", s, covs, s))
-        a = np.einsum("ij,njk,kl->nil", s_inv, cross, s_inv)
-        n = means.shape[0]
-        payloads = np.empty((n, self.dim + 1, self.dim))
-        payloads[:, 0, :] = means - p.mean
-        payloads[:, 1:, :] = sym(a) - np.eye(self.dim)
-        lin = payloads[:, 1:, :]
-        mags_sq = np.einsum("ni,ni->n", payloads[:, 0, :], payloads[:, 0, :])
-        mags_sq = mags_sq + np.einsum("nij,jk,nki->n", lin, p.cov, lin)
-        return payloads, np.sqrt(np.maximum(mags_sq, 0.0))
+        payloads, mags_sq = self._log_sq(p, batch)
+        return payloads, np.sqrt(mags_sq)
 
     def sqdist_batch(self, p: GaussianPoint, batch) -> np.ndarray:
+        # |u|^2 + tr(L C L), a quadratic form in the log payload, so nearly
+        # equal points do not lose precision to the cancellation of O(1) traces
+        return self._log_sq(p, batch)[1]
+
+    def _log_sq(self, p: GaussianPoint, batch):
+        """Log payloads [u; L] = [m_i - m; A_i - I] and their squared norms."""
         means, covs = batch
-        cross = self.cross_sqrts(p, covs)
-        dm = means - p.mean
-        bures_sq = (
-            np.trace(p.cov)
-            + np.einsum("nii->n", covs)
-            - 2.0 * np.einsum("nii->n", cross)
-        )
-        return np.einsum("ni,ni->n", dm, dm) + np.maximum(bures_sq, 0.0)
+        payloads = np.empty((len(means), self.dim + 1, self.dim))
+        payloads[:, 0, :] = means - p.mean
+        payloads[:, 1:, :] = self._map_gaps(p, covs)
+        tip = np.all(means == p.mean, axis=1) & np.all(covs == p.cov, axis=(1, 2))
+        payloads[tip] = 0.0  # exact cone tip, not the rounding of A - I
+        return payloads, np.maximum(self.tangent_inner(p, payloads, payloads), 0.0)

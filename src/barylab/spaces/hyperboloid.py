@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .base import Extendibility, GeodesicSegment, Space, TangentVector
+from .base import Extendibility, GeodesicSegment, Space
 
 MINKOWSKI_TOL = 1e-12
 
@@ -67,12 +67,6 @@ class Hyperboloid(Space):
         self.check_point(x)
         return x
 
-    def distance(self, x, y) -> float:
-        # 2 asinh(|x - y|_M / 2): avoids the acosh precision loss near 1
-        diff = np.asarray(x, float) - np.asarray(y, float)
-        q = max(self.minkowski(diff, diff), 0.0)
-        return float(2.0 * math.asinh(math.sqrt(q) / 2.0))
-
     def geodesic(self, x, y) -> GeodesicSegment:
         x = np.asarray(x, float)
         y = np.asarray(y, float)
@@ -82,17 +76,6 @@ class Hyperboloid(Space):
 
     def max_extendibility(self, x, y) -> Extendibility:
         return Extendibility(math.inf, math.inf)
-
-    def log(self, p, x) -> TangentVector:
-        p = np.asarray(p, float)
-        x = np.asarray(x, float)
-        theta = self.distance(p, x)
-        if theta < 1e-14:
-            return TangentVector(self, p, np.zeros(self.ambient))
-        c = -self.minkowski(p, x)  # cosh(theta)
-        v = x - c * p
-        s = math.sinh(theta)
-        return TangentVector(self, p, (theta / s) * v)
 
     def exp(self, p, v):
         p = np.asarray(p, float)
@@ -104,9 +87,9 @@ class Hyperboloid(Space):
         u = payload / m
         return self._project(math.cosh(m) * p + math.sinh(m) * u)
 
-    def tangent_inner(self, p, u_payload, v_payload) -> float:
+    def tangent_inner(self, p, u_payload, v_payload):
         # the Minkowski form is positive definite on tangent planes
-        return float(np.sum(self._j * u_payload * v_payload))
+        return np.sum(self._j * u_payload * v_payload, axis=-1)
 
     def random_tangent(self, p, rng) -> np.ndarray:
         p = np.asarray(p, float)
@@ -115,24 +98,26 @@ class Hyperboloid(Space):
 
     # -- batched -------------------------------------------------------------
 
-    def stack(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float)
+    def _tangent_theta(self, p, batch):
+        """Tangent parts at p of the batch, their norms, and distances to p.
 
-    def log_batch(self, p, batch):
+        The tangent part x + <x, p>_M p = sinh(theta) u is taken of x - p,
+        which is exact for nearby points, so rounding off the sheet (normal
+        to it) does not leak into short distances as it does in |x - p|_M.
+        """
         p = np.asarray(p, float)
         diff = batch - p
-        q = np.maximum(np.einsum("ij,j,ij->i", diff, self._j, diff), 0.0)
-        theta = 2.0 * np.arcsinh(np.sqrt(q) / 2.0)
-        c = -np.einsum("ij,j,j->i", batch, self._j, p)
-        v = batch - np.outer(c, p)
-        s = np.sinh(theta)
-        scale = np.where(s > 0, theta / np.where(s == 0, 1.0, s), 0.0)
+        v = diff + np.outer(np.einsum("ij,j,j->i", diff, self._j, p), p)
+        nv = np.sqrt(np.maximum(self.tangent_inner(p, v, v), 0.0))
+        return v, nv, np.arcsinh(nv)
+
+    def log_batch(self, p, batch):
+        v, nv, theta = self._tangent_theta(p, batch)
+        scale = np.where(nv > 0, theta / np.where(nv == 0, 1.0, nv), 0.0)
         return v * scale[:, None], theta
 
     def sqdist_batch(self, p, batch) -> np.ndarray:
-        diff = batch - np.asarray(p, float)
-        q = np.maximum(np.einsum("ij,j,ij->i", diff, self._j, diff), 0.0)
-        return (2.0 * np.arcsinh(np.sqrt(q) / 2.0)) ** 2
+        return self._tangent_theta(p, batch)[2] ** 2
 
     def warm_start(self, batch, weights):
         """The projected extrinsic mean: the Minkowski-normalised weighted mean

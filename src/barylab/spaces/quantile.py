@@ -2,7 +2,8 @@
 
 A point is the quantile function of a one-dimensional measure sampled on a
 fixed grid, which makes the space a convex subset of R^m carrying the
-(1/m)-scaled Euclidean metric: exactly discretized 1-D 2-Wasserstein.
+(1/m)-weighted Euclidean metric: exactly discretized 1-D 2-Wasserstein.
+Everything but the monotone cone is inherited from ``Euclidean``.
 """
 
 from __future__ import annotations
@@ -12,19 +13,21 @@ import math
 import numpy as np
 
 from ..errors import OutOfDomain
-from .base import Extendibility, GeodesicSegment, Space, TangentVector
+from .base import Extendibility
+from .euclidean import Euclidean
 
 # ulp-level order flips from float rounding are snapped, larger ones rejected
 SORT_SNAP_TOL = 1e-12
 
 
-class QuantileSpace(Space):
+class QuantileSpace(Euclidean):
     tag = "quantile"
 
     def __init__(self, grid_size: int = 256):
         if grid_size < 1:
             raise ValueError("grid_size must be >= 1")
-        self.grid_size = int(grid_size)
+        self.dim = self.grid_size = int(grid_size)
+        self.weight = 1.0 / self.grid_size
 
     def __repr__(self):
         return f"QuantileSpace(grid_size={self.grid_size})"
@@ -51,18 +54,6 @@ class QuantileSpace(Space):
         self.check_point(x)
         return x
 
-    def distance(self, x, y) -> float:
-        diff = np.asarray(x, float) - np.asarray(y, float)
-        return float(np.linalg.norm(diff) / math.sqrt(self.grid_size))
-
-    def geodesic(self, x, y) -> GeodesicSegment:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        # convex combinations of sorted grids stay sorted
-        return GeodesicSegment(
-            self, x, y, self.distance(x, y), lambda t: (1.0 - t) * x + t * y
-        )
-
     def max_extendibility(self, x, y) -> Extendibility:
         """Extension range limited by monotonicity of the extended grid."""
         dx = np.diff(np.asarray(x, float))
@@ -80,32 +71,10 @@ class QuantileSpace(Space):
         lam_in = -t_min if math.isfinite(t_min) else math.inf
         return Extendibility(max(lam_in, 0.0), max(lam_out, 0.0))
 
-    def log(self, p, x) -> TangentVector:
-        return TangentVector(self, np.asarray(p, float), np.asarray(x, float) - p)
-
     def exp(self, p, v):
-        out = np.asarray(p, float) + self._payload_of(v)
+        out = super().exp(p, v)
         diffs = np.diff(out)
         scale = max(1.0, float(np.max(np.abs(out))))
         if np.any(diffs < -SORT_SNAP_TOL * scale):
             raise OutOfDomain("exponential leaves the monotone cone")
         return np.maximum.accumulate(out)
-
-    def tangent_inner(self, p, u_payload, v_payload) -> float:
-        return float(np.dot(u_payload, v_payload) / self.grid_size)
-
-    def random_tangent(self, p, rng) -> np.ndarray:
-        return rng.standard_normal(self.grid_size)
-
-    # -- batched -------------------------------------------------------------
-
-    def stack(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float)
-
-    def log_batch(self, p, batch):
-        payloads = batch - np.asarray(p, float)
-        return payloads, np.linalg.norm(payloads, axis=1) / math.sqrt(self.grid_size)
-
-    def sqdist_batch(self, p, batch) -> np.ndarray:
-        diff = batch - np.asarray(p, float)
-        return np.einsum("ij,ij->i", diff, diff) / self.grid_size

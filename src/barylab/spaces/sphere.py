@@ -1,4 +1,4 @@
-"""Unit sphere S^d embedded in R^(d+1), with chordal-stable distances."""
+"""Unit sphere S^d embedded in R^(d+1), with angles stable on all of [0, pi]."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..errors import AntipodalPoints, CutLocus, OutOfDomain
-from .base import Extendibility, GeodesicSegment, Space, TangentVector
+from .base import Extendibility, GeodesicSegment, Space
 
 # Points this close to the cut locus are rejected rather than resolved.
 ANTIPODAL_TOL = 1e-9
@@ -50,11 +50,6 @@ class Sphere(Space):
         self.check_point(x)
         return x
 
-    def distance(self, x, y) -> float:
-        # chordal form: exact near 0 and stable everywhere on [0, pi]
-        chord = np.linalg.norm(np.asarray(x, float) - np.asarray(y, float))
-        return float(2.0 * math.asin(min(chord / 2.0, 1.0)))
-
     def geodesic(self, x, y) -> GeodesicSegment:
         x = np.asarray(x, float)
         y = np.asarray(y, float)
@@ -85,18 +80,6 @@ class Sphere(Space):
         half = budget / 2.0
         return Extendibility(half, half)
 
-    def log(self, p, x) -> TangentVector:
-        p = np.asarray(p, float)
-        x = np.asarray(x, float)
-        theta = self.distance(p, x)
-        if theta > math.pi - ANTIPODAL_TOL:
-            raise CutLocus(f"d(p, x) = {theta:.12g} reaches the cut locus")
-        if theta < 1e-14:
-            return TangentVector(self, p, np.zeros(self.ambient))
-        v = x - np.dot(x, p) * p
-        nv = np.linalg.norm(v)
-        return TangentVector(self, p, (theta / nv) * v)
-
     def exp(self, p, v):
         p = np.asarray(p, float)
         payload = self._payload_of(v)
@@ -108,8 +91,8 @@ class Sphere(Space):
         out = math.cos(m) * p + math.sin(m) * (payload / m)
         return out / np.linalg.norm(out)
 
-    def tangent_inner(self, p, u_payload, v_payload) -> float:
-        return float(np.dot(u_payload, v_payload))
+    def tangent_inner(self, p, u_payload, v_payload):
+        return np.einsum("...i,...i->...", u_payload, v_payload)
 
     def random_tangent(self, p, rng) -> np.ndarray:
         p = np.asarray(p, float)
@@ -118,31 +101,34 @@ class Sphere(Space):
 
     # -- batched -------------------------------------------------------------
 
-    def stack(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float)
+    def _tangent_theta(self, p, batch):
+        """Parts of the batch orthogonal to p, their norms, and angles to p.
 
-    def _theta_batch(self, p, batch) -> np.ndarray:
-        chord = np.linalg.norm(batch - np.asarray(p, float), axis=1)
-        return 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0))
+        The orthogonal part is taken of x - p, which is exact for nearby
+        points, and theta = atan2(|x_perp|, x . p) is stable on all of
+        [0, pi] and blind to the rounding of |x| and |p| away from 1.
+        """
+        p = np.asarray(p, float)
+        diff = batch - p
+        v = diff - np.outer(np.einsum("ij,j->i", diff, p), p)
+        nv = np.linalg.norm(v, axis=1)
+        return v, nv, np.arctan2(nv, np.einsum("ij,j->i", batch, p))
 
     def log_batch(self, p, batch):
-        p = np.asarray(p, float)
-        theta = self._theta_batch(p, batch)
+        v, nv, theta = self._tangent_theta(p, batch)
         if np.any(theta > math.pi - ANTIPODAL_TOL):
             raise CutLocus("a batch point reaches the cut locus of the base")
-        v = batch - np.outer(batch @ p, p)
-        nv = np.linalg.norm(v, axis=1)
         scale = np.where(nv > 0, theta / np.where(nv == 0, 1.0, nv), 0.0)
         return v * scale[:, None], theta
 
     def sqdist_batch(self, p, batch) -> np.ndarray:
-        return self._theta_batch(p, batch) ** 2
+        return self._tangent_theta(p, batch)[2] ** 2
 
     def warm_start(self, batch, weights):
         """The projected extrinsic mean, unless it is degenerate or a support
         point lies pi/2 (the Karcher/Afsari uniqueness radius) or more away."""
         mean = weights @ batch
         norm = np.linalg.norm(mean)
-        if norm > 1e-8 and np.all(self._theta_batch(mean / norm, batch) < math.pi / 2):
+        if norm > 1e-8 and np.all(self.sqdist_batch(mean / norm, batch) < (math.pi / 2) ** 2):
             return mean / norm
         return super().warm_start(batch, weights)

@@ -65,8 +65,9 @@ def hugging_sweep(
         "objective": result.objective,
         "iters": result.iters,
         "k_min_bound": k_min,
-        "lambda_in": ext.lambda_in,
-        "lambda_out": ext.lambda_out,
+        # strict JSON has no infinity: an unbounded extension factor is null
+        "lambda_in": ext.lambda_in if math.isfinite(ext.lambda_in) else None,
+        "lambda_out": ext.lambda_out if math.isfinite(ext.lambda_out) else None,
     }
     return reports, meta
 

@@ -214,8 +214,8 @@ class TestQuantileMean:
 
     def test_grid_mismatch(self):
         space = bl.QuantileSpace(4)
-        dist = bl.DiscreteDistribution.uniform(space, [np.zeros(4)])
-        dist.points[0] = np.zeros(3)  # simulate a foreign grid slipping in
+        # grids of 3 values on a 4-value space: the batch has the wrong width
+        dist = bl.DiscreteDistribution.uniform(space, [np.zeros(3), np.ones(3)])
         with pytest.raises(GridMismatch):
             bl.quantile_mean(dist)
 

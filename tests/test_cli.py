@@ -46,6 +46,17 @@ class TestRates:
         for listed in manifest["outputs"]:
             assert (out / listed.split("/")[-1]).exists()
 
+    def test_manifest_is_strict_json_on_a_two_point_grid(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        cfg = write_config(tmp_path, RATES_CONFIG)  # 2 grid points: no slope
+        out = tmp_path / "out"
+        assert run(["rates", "--config", cfg, "--out", out]) == 0
+        text = (out / "manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=reject)
+        assert manifest["results"]["slope"] is None
+
     def test_repeat_run_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, RATES_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -171,6 +182,23 @@ class TestSweepCommands:
         assert len(lines) == 21
         k_values = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(k <= 1.0 + 1e-9 for k in k_values)
+
+    def test_hugging_manifest_writes_unbounded_extension_as_null(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "experiment": "hugging",
+                "family": {"kind": "euclidean_gaussian", "dim": 2},
+                "n_support": 10,
+                "n_cases": 5,
+                "master_seed": 2,
+            },
+        )
+        out = tmp_path / "out"
+        assert run(["hugging", "--config", cfg, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["lambda_in"] is None
+        assert manifest["results"]["lambda_out"] is None
 
     def test_curvature_sweep(self, tmp_path):
         cfg = write_config(

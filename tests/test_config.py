@@ -38,6 +38,12 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 1"):
             parse_config(path, "rates")
 
+    def test_non_finite_constant_rejected(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(MINIMAL_RATES, trials=float("nan"))), encoding="utf-8")
+        with pytest.raises(ParseError, match="NaN"):
+            parse_config(path, "rates")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_config(tmp_path / "nope.json", "rates")

@@ -35,6 +35,19 @@ class TestHuggingValue:
         b = np.array([0.0, 1.0, 0.0])
         assert bl.hugging_value(space, b_star, b, x) == pytest.approx(0.0, abs=1e-12)
 
+    def test_scalar_is_a_batch_of_one(self, any_space, rng):
+        b_star, b = separated_points(any_space, rng, 2)
+        xs = [probe_point(any_space, rng) for _ in range(20)]
+        if any_space.tag == "sphere":  # keep clear of the cut locus of b_star
+            xs = [
+                any_space.exp(b_star, 0.5 * any_space.random_tangent(b_star, rng))
+                for _ in range(20)
+            ]
+        batched = bl.hugging_values(any_space, b_star, b, any_space.stack(xs))
+        assert batched.shape == (20,)
+        for x, value in zip(xs, batched):
+            assert bl.hugging_value(any_space, b_star, b, x) == value
+
     def test_coincident_points_rejected(self, any_space, rng):
         b_star, x = separated_points(any_space, rng, 2)
         with pytest.raises(CoincidentPoints):

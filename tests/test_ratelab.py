@@ -1,6 +1,7 @@
 """Monte Carlo harness: slopes, determinism, gates, bounds, tails."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.stats import chi2
 
 import barylab as bl
-from barylab import ratelab
+from barylab import cli, ratelab
 from barylab.errors import (
     CoincidentPoints,
     DiscardRateExceeded,
@@ -91,28 +92,38 @@ class TestRateExperiment:
         b = run_rate_experiment(euclid_config())
         assert a == b
 
+    def test_two_point_grid_compares_equal(self):
+        config = euclid_config(n_grid=(4, 16), trials=50)
+        a = run_rate_experiment(config)
+        assert a.slope is None  # a slope fit needs three grid points
+        assert a == run_rate_experiment(config)
+
     def test_seed_changes_results(self):
         a = run_rate_experiment(euclid_config())
         b = run_rate_experiment(euclid_config(master_seed=43))
         assert a != b
 
-    def test_threads_do_not_change_results(self):
-        a = run_rate_experiment(euclid_config())
-        b = run_rate_experiment(dataclasses.replace(euclid_config(), threads=4))
-        assert a == b
-        # the descent path: warm start, backtracking, redraws
-        hyperbolic = bl.RateExperimentConfig(
-            family=HyperbolicGaussian(0.5),
-            theorem="negcurv",
-            n_grid=(4, 16, 64),  # three points, so the slope is a number
-            trials=20,
-            master_seed=3,
-            sigma2_draws=20_000,
-            verify_draws=20_000,
-        )
-        c = run_rate_experiment(hyperbolic)
-        d = run_rate_experiment(dataclasses.replace(hyperbolic, threads=2))
-        assert c == d
+    def test_threads_do_not_change_results(self, tmp_path):
+        """``--threads`` is accepted and leaves the CSV bytes unchanged."""
+        configs = {
+            "euclidean": {"family": {"kind": "euclidean_gaussian", "dim": 3}},
+            # the descent path: warm start, backtracking, redraws
+            "hyperbolic": {"family": {"kind": "hyperbolic_gaussian", "scale": 0.5}},
+        }
+        for name, family in configs.items():
+            path = tmp_path / f"{name}.json"
+            config = dict(
+                family, experiment="rates", theorem="negcurv", n_grid=[4, 16, 64],
+                trials=20, master_seed=3, sigma2_draws=20_000, verify_draws=20_000,
+            )
+            path.write_text(json.dumps(config), encoding="utf-8")
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}-{threads}"
+                assert cli.main(["rates", "--config", str(path), "--out", str(out),
+                                 "--threads", threads]) == 0
+                outputs.append((out / "rates.csv").read_bytes())
+            assert outputs[0] == outputs[1]
 
     def test_hyperbolic_bound_holds(self):
         config = bl.RateExperimentConfig(
@@ -296,6 +307,15 @@ class TestTailExperiment:
         profile = estimate_hugging_profile(self.config(trials=10), 50, 30)
         assert profile.pk == pytest.approx(1.0, abs=1e-9)
         assert profile.k_min == pytest.approx(1.0, abs=1e-9)
+
+    def test_profile_matches_the_scalar_loop(self):
+        """Pinned to the per-pair scalar loop the batched profile replaced."""
+        config = dataclasses.replace(
+            self.config(trials=10), family=SphereCap(0.3), master_seed=1
+        )
+        profile = estimate_hugging_profile(config)
+        assert profile.pk == pytest.approx(0.9848823022744162, rel=1e-12)
+        assert profile.k_min == pytest.approx(0.9698929260107242, rel=1e-12)
 
     def test_profile_rejects_targets_all_at_the_anchor(self):
         config = dataclasses.replace(self.config(trials=10), family=PointMass(dim=3))

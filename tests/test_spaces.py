@@ -306,22 +306,106 @@ class TestCrossSpaceOracles:
             assert w2 == pytest.approx(quantized, abs=1e-3)
 
 
+def short_range_pair(tag, seed, exponent):
+    """(space, p, x) with x about 10**exponent from p; diagonal Gaussians,
+    whose Bures distance has a closed form."""
+    space = make_space(tag)
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    if tag == "gaussian":
+        mean = rng.standard_normal(space.dim)
+        var = rng.uniform(0.5, 2.0, space.dim)
+        p = bl.GaussianPoint(mean, np.diag(var))
+        x = bl.GaussianPoint(
+            mean + 0.5 * scale * rng.standard_normal(space.dim),
+            np.diag(var + scale * rng.standard_normal(space.dim)),
+        )
+        return space, p, x
+    p = probe_point(space, rng)
+    v = space.random_tangent(p, rng)
+    return space, p, space.exp(p, (scale / space.tangent_norm(p, v)) * v)
+
+
+def reference_sqdist(space, p, x) -> float:
+    """Squared distance by a formula that shares nothing with the kernels."""
+    if space.tag == "gaussian":
+        c1, c2 = np.diag(p.cov), np.diag(x.cov)
+        bures = ((c1 - c2) / (np.sqrt(c1) + np.sqrt(c2))) ** 2
+        return math.fsum((p.mean - x.mean) ** 2) + math.fsum(bures)
+    if space.tag == "sphere":
+        # atan2(|p x x|, p . x), with p x x = p x (x - p) free of cancellation
+        return math.atan2(np.linalg.norm(np.cross(p, x - p)), float(p @ x)) ** 2
+    if space.tag == "hyperbolic":
+        # Beltrami-Klein model, k = x[1:] / x[0]: tanh d = sqrt(|k_x - k_p|^2
+        # - (k_p ^ (k_x - k_p))^2) / (1 - k_p . k_x)
+        d = x - p
+        a = p[1:] / p[0]
+        delta = (d[1:] * p[0] - p[1:] * d[0]) / (x[0] * p[0])
+        wedge = a[0] * delta[1] - a[1] * delta[0]
+        den = (p[0] ** 2 - p[1:] @ p[1:]) / p[0] ** 2 - a @ delta
+        return math.atanh(math.sqrt(delta @ delta - wedge**2) / den) ** 2
+    # Euclidean and quantile: plain differences
+    return math.fsum((x - p) ** 2) / (len(p) if space.tag == "quantile" else 1)
+
+
+ALL_TAGS = ["euclidean", "sphere", "hyperbolic", "quantile", "gaussian"]
+
+
 class TestBatchedKernelsAtShortRange:
-    @pytest.mark.parametrize("tag", ["sphere", "hyperbolic"])
+    @pytest.mark.parametrize("tag", ALL_TAGS)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         exponent=st.floats(min_value=-12.0, max_value=-8.0),
     )
     @settings(max_examples=100, deadline=None)
     def test_sqdist_batch_matches_scalar_distance(self, tag, seed, exponent):
-        """The warm-start fallback scores candidates with sqdist_batch."""
-        space = make_space(tag)
-        rng = np.random.default_rng(seed)
-        p = space.random_point(rng)
-        v = space.random_tangent(p, rng)
-        x = space.exp(p, (10.0**exponent / space.tangent_norm(p, v)) * v)
+        """sqdist_batch and the scalar distance, its batch of one, agree with
+        each other exactly and with an independent reference to 1e-12."""
+        space, p, x = short_range_pair(tag, seed, exponent)
+        reference = reference_sqdist(space, p, x)
         batched = space.sqdist_batch(p, space.stack([x, p]))
-        scalar = space.distance(p, x) ** 2
-        assert scalar > 0.0
-        assert abs(batched[0] - scalar) <= 1e-12 * scalar
+        assert reference > 0.0
+        assert abs(batched[0] - reference) <= 1e-12 * reference
         assert batched[1] == 0.0
+        # the scalar distance is the same kernel on a batch of one
+        assert space.distance(p, x) == math.sqrt(batched[0])
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        exponent=st.floats(min_value=-12.0, max_value=-2.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_sqdist_batch_is_symmetric(self, tag, seed, exponent):
+        space, p, x = short_range_pair(tag, seed, exponent)
+        far = probe_point(space, np.random.default_rng([seed, 1]))
+        for y in (x, far):
+            there = space.sqdist_batch(p, space.stack([y]))[0]
+            back = space.sqdist_batch(y, space.stack([p]))[0]
+            assert abs(there - back) <= 1e-12 * max(there, back)
+
+
+class TestBatchedKernels:
+    def test_log_batch_row_at_base_is_exact_tip(self, any_space, rng):
+        space = any_space
+        for _ in range(20):
+            p, x = separated_points(space, rng, 2)
+            payloads, mags = space.log_batch(p, space.stack([p, x]))
+            assert np.all(payloads[0] == 0.0) and mags[0] == 0.0
+            assert mags[1] > 0.0
+
+    def test_tangent_inner_broadcasts_over_leading_axes(self, any_space, rng):
+        space = any_space
+        p = probe_point(space, rng)
+        us, vs = (
+            np.stack([space.random_tangent(p, rng) for _ in range(6)]).reshape(
+                (2, 3) + np.shape(space.random_tangent(p, rng))
+            )
+            for _ in range(2)
+        )
+        batched = space.tangent_inner(p, us, vs)
+        assert batched.shape == (2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            assert batched[i, j] == pytest.approx(
+                float(space.tangent_inner(p, us[i, j], vs[i, j])), rel=1e-14, abs=1e-14
+            )
