@@ -17,7 +17,6 @@ from .distributions import DiscreteDistribution
 from .errors import (
     CutLocus,
     CutLocusDuringIteration,
-    GridMismatch,
     OutOfDomain,
     SpaceMismatch,
 )
@@ -107,8 +106,6 @@ def quantile_mean(dist: DiscreteDistribution):
     """Pointwise weighted average of quantile grids: the exact barycenter."""
     if not isinstance(dist.space, QuantileSpace):
         raise SpaceMismatch("quantile_mean needs a quantile-space distribution")
-    if dist.batch.shape[1] != dist.space.grid_size:
-        raise GridMismatch("all quantile points must share the space grid size")
     return dist.weights @ dist.batch
 
 
@@ -134,10 +131,10 @@ def bures_fixed_point(
     iteration = 0
     for iteration in range(1, opts.max_iters + 1):
         s, s_inv = spd_sqrt_inv_sqrt(cov)
-        cross = spd_sqrt_batch(np.einsum("ij,njk,kl->nil", s, covs, s))
-        a_bar = np.einsum("ij,njk,kl->nil", s_inv, cross, s_inv)
+        cross = spd_sqrt_batch(s @ covs @ s)
+        a_bar = s_inv @ cross @ s_inv
         lin = sym(np.einsum("n,nij->ij", w, a_bar)) - eye
-        grad_norm = math.sqrt(max(float(np.einsum("ij,jk,ki->", lin, cov, lin)), 0.0))
+        grad_norm = math.sqrt(max(float(np.sum((lin @ cov) * lin)), 0.0))  # lin is symmetric
         cross_bar = np.einsum("n,nij->nij", w, cross).sum(axis=0)
         cov_next = sym(s_inv @ cross_bar @ cross_bar @ s_inv)
         fp_residual = frobenius(cov_next - cov)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import BadFamilyParams
-from .linalg import sym
+from .linalg import positive_qr_q, sym
 from .spaces import (
     BuresWasserstein,
     Euclidean,
@@ -229,23 +229,28 @@ class GaussianEnsemble(Family):
         p_lo = (self.beta - 1.0) / (self.beta - self.alpha)
         return np.where(rng.random(shape) < p_lo, lo, hi)
 
-    def draw_maps(self, rng, count) -> np.ndarray:
+    def _draw_spectra(self, rng, count):
+        """Map eigenvalues (count, d) and Haar rotations (count, d, d)."""
         d = self.space.dim
         eigs = self._draw_eigs(rng, (count, d))
-        z = rng.standard_normal((count, d, d))
-        q, r = np.linalg.qr(z)
-        q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]
-        return sym(np.einsum("nij,nj,nkj->nik", q, eigs, q))
+        return eigs, positive_qr_q(rng.standard_normal((count, d, d)))
+
+    def draw_maps(self, rng, count) -> np.ndarray:
+        eigs, q = self._draw_spectra(rng, count)
+        return sym((q * eigs[:, None, :]) @ np.swapaxes(q, -1, -2))
 
     def sample_batch(self, rng, count):
         maps = self.draw_maps(rng, count)
-        covs = sym(np.einsum("nij,jk,nkl->nil", maps, self.anchor.cov, maps))
+        covs = sym(maps @ self.anchor.cov @ maps)
         means = np.zeros((count, self.space.dim))
         return means, covs
 
     def sqdist_anchor(self, rng, count):
-        gap = self.draw_maps(rng, count) - np.eye(self.space.dim)
-        return np.einsum("nij,jk,nki->n", gap, self.anchor.cov, gap)
+        # |Q (E - I) Q^T|^2 in L2(anchor) = sum_i (e_i - 1)^2 q_i^T C q_i: no map
+        # is built and no I subtracted, so draws near e = 1 keep their precision
+        eigs, q = self._draw_spectra(rng, count)
+        spread = np.einsum("nji,nji->ni", q, self.anchor.cov @ q)
+        return np.einsum("ni,ni->n", (eigs - 1.0) ** 2, spread)
 
     def support_extendibility(self) -> Extendibility:
         # extreme admissible map realizes the support infimum exactly

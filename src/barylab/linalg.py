@@ -48,7 +48,39 @@ def spd_sqrt_batch(ms: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(
             f"eigenvalue {np.min(w):.3e} <= {SPD_EIG_FLOOR} in batched SPD sqrt"
         )
-    return np.einsum("...ij,...j,...kj->...ik", v, np.sqrt(w), v)
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def positive_qr_q(z: np.ndarray) -> np.ndarray:
+    """Q factor of z = QR with a positive diagonal in R, batched over leading axes.
+
+    Classical Gram-Schmidt over the columns with one reorthogonalisation pass
+    ("twice is enough"), so Q is orthogonal to rounding even for nearly
+    dependent columns.  On a standard Gaussian z this Q is Haar distributed on
+    O(d) (Mezzadri 2007, Notices AMS 54); for d = 1 it is sign(z).
+    """
+    z = np.asarray(z, dtype=float)
+    d = z.shape[-1]
+    # cols[j, :, n] is column j of matrix n: the batch axis is innermost
+    cols = z.reshape(-1, d, d).transpose(2, 1, 0).copy()
+    for j in range(d):
+        v = cols[j]
+        for _ in range(2 if j else 0):
+            coefs = [_column_dot(cols[k], v) for k in range(j)]
+            for k, c in enumerate(coefs):
+                v -= c * cols[k]
+        v /= np.sqrt(_column_dot(v, v))
+    # contiguous, so that the callers' matmuls run the BLAS path
+    return np.ascontiguousarray(cols.transpose(2, 1, 0)).reshape(z.shape)
+
+
+def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching columns of (d, n) arrays, summed in index
+    order so that no column's value depends on the batch around it."""
+    out = a[0] * b[0]
+    for i in range(1, len(a)):
+        out += a[i] * b[i]
+    return out
 
 
 def frobenius(m: np.ndarray) -> float:

@@ -145,8 +145,14 @@ class Space(abc.ABC):
     # -- batched kernels: the one formula for each quantity --------------------
 
     def stack(self, points):
-        """Stacked batch of a point sequence; a stacked batch passes through."""
-        return np.asarray(points, dtype=float)
+        """Stacked batch of a point sequence; a stacked batch passes through.
+
+        Raises ValueError unless every point has the ``(ambient,)`` shape.
+        """
+        batch = np.asarray(points, dtype=float)
+        if len(batch) and batch.shape[1:] != (self.ambient,):
+            raise ValueError(f"points of shape {batch.shape[1:]}, expected ({self.ambient},)")
+        return batch
 
     def unstack(self, batch) -> list:
         """Per-point view of a stacked batch."""

@@ -22,6 +22,10 @@ class Euclidean(Space):
     def __repr__(self):
         return f"Euclidean(dim={self.dim})"
 
+    @property
+    def ambient(self) -> int:
+        return self.dim
+
     def check_point(self, x) -> None:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,) or not np.all(np.isfinite(x)):

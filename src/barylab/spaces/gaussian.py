@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import OutOfDomain
-from ..linalg import SPD_EIG_FLOOR, spd_check, spd_eigh, spd_sqrt_batch, sym
+from ..linalg import (
+    SPD_EIG_FLOOR,
+    positive_qr_q,
+    spd_check,
+    spd_eigh,
+    spd_sqrt_batch,
+    sym,
+)
 from .base import Extendibility, GeodesicSegment, Space
 
 
@@ -57,9 +64,7 @@ class BuresWasserstein(Space):
         spd_check(x.cov, "covariance")
 
     def random_point(self, rng):
-        z = rng.standard_normal((self.dim, self.dim))
-        q, r = np.linalg.qr(z)
-        q = q * np.sign(np.diag(r))
+        q = positive_qr_q(rng.standard_normal((self.dim, self.dim)))
         eig = rng.uniform(0.5, 2.0, self.dim)
         cov = (q * eig) @ q.T
         return GaussianPoint(0.5 * rng.standard_normal(self.dim), sym(cov))
@@ -152,7 +157,7 @@ class BuresWasserstein(Space):
         u1, l1 = u_payload[..., 0, :], u_payload[..., 1:, :]
         u2, l2 = v_payload[..., 0, :], v_payload[..., 1:, :]
         return np.einsum("...i,...i->...", u1, u2) + np.einsum(
-            "...ij,jk,...ki->...", l1, p.cov, l2
+            "...ij,...ji->...", l1 @ p.cov, l2
         )
 
     def random_tangent(self, p: GaussianPoint, rng) -> np.ndarray:
@@ -165,9 +170,16 @@ class BuresWasserstein(Space):
 
     def stack(self, points):
         if isinstance(points, tuple) and points and isinstance(points[0], np.ndarray):
-            return points  # already (means, covs)
-        means = np.asarray([pt.mean for pt in points], dtype=float)
-        covs = np.asarray([pt.cov for pt in points], dtype=float)
+            means, covs = points  # already stacked
+        else:
+            means = np.asarray([pt.mean for pt in points], dtype=float)
+            covs = np.asarray([pt.cov for pt in points], dtype=float)
+        n, d = len(means), self.dim
+        if n and (means.shape != (n, d) or covs.shape != (n, d, d)):
+            raise ValueError(
+                f"means {means.shape} and covariances {covs.shape}, "
+                f"expected ({n}, {d}) and ({n}, {d}, {d})"
+            )
         return means, covs
 
     def unstack(self, batch) -> list:

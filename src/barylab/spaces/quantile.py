@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..errors import OutOfDomain
+from ..errors import GridMismatch, OutOfDomain
 from .base import Extendibility
 from .euclidean import Euclidean
 
@@ -35,6 +35,12 @@ class QuantileSpace(Euclidean):
     def levels(self) -> np.ndarray:
         m = self.grid_size
         return (np.arange(m) + 0.5) / m
+
+    def stack(self, points):
+        try:
+            return super().stack(points)
+        except ValueError as exc:
+            raise GridMismatch(f"quantile grids do not fit {self!r}: {exc}") from exc
 
     def check_point(self, x) -> None:
         x = np.asarray(x, dtype=float)

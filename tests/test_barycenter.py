@@ -77,6 +77,32 @@ class TestDistribution:
                 bl.Euclidean(2), [np.zeros(2), np.zeros(3)]
             )
 
+    def test_euclidean_point_shape_checked(self):
+        with pytest.raises(SpaceMismatch):
+            bl.DiscreteDistribution.uniform(bl.Euclidean(2), [np.zeros(3), np.ones(3)])
+        with pytest.raises(SpaceMismatch):
+            bl.DiscreteDistribution.uniform(bl.Euclidean(2), np.zeros((2, 2, 1)))
+
+    def test_sphere_and_hyperboloid_point_shape_checked(self):
+        space = bl.Sphere(2)
+        with pytest.raises(SpaceMismatch):
+            bl.DiscreteDistribution.uniform(space, list(np.eye(4)))
+        with pytest.raises(SpaceMismatch):
+            bl.DiscreteDistribution.uniform(bl.Hyperboloid(2), [np.array([1.0, 0.0])])
+        assert len(bl.DiscreteDistribution.uniform(space, list(np.eye(3)))) == 3
+
+    def test_bures_point_shape_checked(self):
+        space = bl.BuresWasserstein(2)
+        wrong = bl.GaussianPoint(np.zeros(3), np.eye(3))
+        with pytest.raises(SpaceMismatch):
+            bl.DiscreteDistribution.uniform(space, [wrong, wrong])
+        means, covs = np.zeros((2, 2)), np.stack([np.eye(2)] * 2)
+        for batch in ((np.zeros((2, 3)), covs), (means, np.stack([np.eye(3)] * 2)),
+                      (means, covs[:1])):
+            with pytest.raises(SpaceMismatch):
+                bl.DiscreteDistribution.uniform(space, batch)
+        assert len(bl.DiscreteDistribution.uniform(space, (means, covs))) == 2
+
 
 class TestEuclidean:
     def test_mean_is_exact_in_one_iteration(self, rng):
@@ -215,9 +241,8 @@ class TestQuantileMean:
     def test_grid_mismatch(self):
         space = bl.QuantileSpace(4)
         # grids of 3 values on a 4-value space: the batch has the wrong width
-        dist = bl.DiscreteDistribution.uniform(space, [np.zeros(3), np.ones(3)])
         with pytest.raises(GridMismatch):
-            bl.quantile_mean(dist)
+            bl.DiscreteDistribution.uniform(space, [np.zeros(3), np.ones(3)])
 
 
 class TestBuresFixedPoint:

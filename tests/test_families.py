@@ -14,13 +14,16 @@ from barylab.families import (
     SphereCap,
     family_from_config,
 )
-from barylab.ratelab import RateExperimentConfig, population_barycenter
+from barylab.ratelab import RateExperimentConfig, estimate_sigma2, population_barycenter
+
+BASE_COV = [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]]
 
 FAMILIES = {
     "euclidean_gaussian": lambda: EuclideanGaussian(dim=3, sd=1.0),
     "sphere_cap": lambda: SphereCap(0.3),
     "hyperbolic_gaussian": lambda: HyperbolicGaussian(0.5),
     "gaussian_ensemble": lambda: GaussianEnsemble(0.8, 1.6, dim=3),
+    "gaussian_ensemble_base_cov": lambda: GaussianEnsemble(0.8, 1.6, dim=3, base_cov=BASE_COV),
 }
 
 THEOREM_FOR = {
@@ -93,7 +96,27 @@ class TestGuarantees:
         fast = family.sqdist_anchor(np.random.default_rng(77), 500)
         batch = family.sample_batch(np.random.default_rng(77), 500)
         slow = family.space.sqdist_batch(family.anchor, batch)
-        assert np.allclose(fast, slow, atol=1e-9)
+        assert np.allclose(fast, slow, rtol=1e-12, atol=0)
+
+    def test_ensemble_draws_consume_the_parent_stream(self):
+        """Eigenvalues, then one (count, d, d) normal block: the next draw
+        after a batch is the one the LAPACK-QR sampler left behind."""
+        rng = np.random.default_rng(3)
+        GaussianEnsemble(0.8, 1.6, dim=3, base_cov=BASE_COV).sample_batch(rng, 10)
+        assert rng.random() == 0.15997166501999804
+
+    @pytest.mark.parametrize(
+        "base_cov, expected",
+        [(None, 0.12019349023559975), (BASE_COV, 0.14020665482113562)],
+    )
+    def test_ensemble_sigma2_pinned(self, base_cov, expected):
+        """10^6-draw sigma^2 at master seed 1, as the map-building pass gave it."""
+        family = GaussianEnsemble(0.8, 1.6, dim=3, base_cov=base_cov)
+        config = RateExperimentConfig(
+            family=family, theorem="wasserstein", n_grid=(2, 4), trials=2, master_seed=1
+        )
+        sigma2, _ = estimate_sigma2(config)
+        assert sigma2 == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 class TestAnchors:
