@@ -61,12 +61,10 @@ from .spaces import (
     Euclidean,
     Extendibility,
     GaussianPoint,
-    GeodesicSegment,
     Hyperboloid,
     QuantileSpace,
     Space,
     Sphere,
-    TangentVector,
     point_from_payload,
 )
 

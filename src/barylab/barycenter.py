@@ -173,8 +173,6 @@ def barycenter(
 ) -> BarycenterResult:
     """Space-appropriate barycenter of a weighted distribution."""
     space = dist.space
-    if isinstance(space, QuantileSpace):  # before its base class, Euclidean
-        return _closed_form_result(dist, quantile_mean(dist))
     if isinstance(space, Euclidean):
         return _closed_form_result(dist, dist.weights @ dist.batch)
     if isinstance(space, BuresWasserstein):

@@ -155,10 +155,8 @@ def angle_monotonicity_probe(space, p, x, y, kappa: float, grid) -> Monotonicity
         raise ValueError("grid values must lie in (0, 1]")
     if list(grid) != sorted(grid):
         raise ValueError("grid must be sorted ascending")
-    gx = space.geodesic(p, x)
-    gy = space.geodesic(p, y)
-    px = [gx.at(s) for s in grid]
-    py = [gy.at(t) for t in grid]
+    px = [space.geodesic_point(p, x, s) for s in grid]
+    py = [space.geodesic_point(p, y, t) for t in grid]
     m = len(grid)
     angles = np.empty((m, m))
     for i in range(m):
@@ -175,16 +173,14 @@ def angle_monotonicity_probe(space, p, x, y, kappa: float, grid) -> Monotonicity
 
 def tangent_inner(space, p, x, y) -> float:
     """Cone inner product <log_p(x), log_p(y)>_p from the space's log map."""
-    u = space.log(p, x)
-    v = space.log(p, y)
-    return space.tangent_inner(p, u.payload, v.payload)
+    return space.tangent_inner(p, space.log(p, x), space.log(p, y))
 
 
 def cone_distance(space, p, x, y) -> float:
     """Cone-metric distance ||log_p(x) - log_p(y)||_p via polarization."""
     u = space.log(p, x)
     v = space.log(p, y)
-    uu = space.tangent_inner(p, u.payload, u.payload)
-    vv = space.tangent_inner(p, v.payload, v.payload)
-    uv = space.tangent_inner(p, u.payload, v.payload)
+    uu = space.tangent_inner(p, u, u)
+    vv = space.tangent_inner(p, v, v)
+    uv = space.tangent_inner(p, u, v)
     return math.sqrt(max(uu + vv - 2.0 * uv, 0.0))

@@ -29,7 +29,7 @@ class CutLocus(GeometryError):
     """Log map requested at or beyond the cut locus of the base point."""
 
 
-class AntipodalPoints(GeometryError):
+class AntipodalPoints(CutLocus):
     """No unique geodesic: the endpoints are (numerically) antipodal."""
 
 

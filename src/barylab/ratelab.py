@@ -165,6 +165,29 @@ def population_barycenter(config: RateExperimentConfig):
     return family.anchor
 
 
+def _anchor_moment(family: Family, rng, draws: int, transform=None) -> tuple[float, float]:
+    """Monte Carlo mean of ``transform(d^2(x, anchor))`` over ``draws`` family
+    draws (of ``d^2`` itself without a transform), with its standard error.
+
+    Draws come in blocks of 200 000, so memory stays bounded and the sums
+    accumulate in the same order for every caller.
+    """
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < draws:
+        block = min(200_000, draws - done)
+        vals = family.sqdist_anchor(rng, block)
+        if transform is not None:
+            vals = transform(vals)
+        total += float(vals.sum())
+        total_sq += float(vals @ vals)
+        done += block
+    mean = total / draws
+    var = max(total_sq / draws - mean**2, 0.0)
+    return mean, math.sqrt(var / draws)
+
+
 _SIGMA2_CACHE: dict = {}
 
 
@@ -173,18 +196,7 @@ def estimate_sigma2(config: RateExperimentConfig) -> tuple[float, float]:
     key = (config.family.key(), config.sigma2_draws, config.master_seed)
     if key not in _SIGMA2_CACHE:
         rng = _stream(config.master_seed, _SIGMA2)
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        while done < config.sigma2_draws:
-            block = min(200_000, config.sigma2_draws - done)
-            sq = config.family.sqdist_anchor(rng, block)
-            total += float(sq.sum())
-            total_sq += float(sq @ sq)
-            done += block
-        mean = total / config.sigma2_draws
-        var = max(total_sq / config.sigma2_draws - mean**2, 0.0)
-        _SIGMA2_CACHE[key] = (mean, math.sqrt(var / config.sigma2_draws))
+        _SIGMA2_CACHE[key] = _anchor_moment(config.family, rng, config.sigma2_draws)
     return _SIGMA2_CACHE[key]
 
 
@@ -242,6 +254,17 @@ def _one_trial(config: RateExperimentConfig, b_star, n_index: int, trial: int):
             )
 
 
+def _trials_at(config: RateExperimentConfig, b_star, n_index: int):
+    """Squared distances of every trial at grid point ``n_index``, and the
+    number of redraws they took."""
+    sq = np.empty(config.trials)
+    redraws = 0
+    for trial in range(config.trials):
+        sq[trial], redraw = _one_trial(config, b_star, n_index, trial)
+        redraws += redraw
+    return sq, redraws
+
+
 def run_rate_experiment(config: RateExperimentConfig) -> RateCurve:
     """Estimate E d^2(b_n, b*) over the n grid and compare to the theorem bound."""
     k = _theorem_k(config)
@@ -250,10 +273,8 @@ def run_rate_experiment(config: RateExperimentConfig) -> RateCurve:
     points = []
     discarded = 0
     for n_index, n in enumerate(config.n_grid):
-        sq = np.empty(config.trials)
-        for t in range(config.trials):
-            sq[t], redraw = _one_trial(config, b_star, n_index, t)
-            discarded += redraw
+        sq, redraws = _trials_at(config, b_star, n_index)
+        discarded += redraws
         mean = float(sq.mean())
         stderr = float(sq.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
         bound = _theorem_bound(config.theorem, sigma2, n, k)
@@ -305,21 +326,13 @@ def subgaussian_proxy_check(
     """
     if varsigma2 <= 0:
         raise ValueError("varsigma2 must be positive")
-    rng = _stream(config.master_seed, _SUBG)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < draws:
-        block = min(200_000, draws - done)
-        sq = config.family.sqdist_anchor(rng, block)
+
+    def moment(sq):
         with np.errstate(over="ignore"):
-            vals = np.exp(sq / (2.0 * varsigma2))
-        total += float(vals.sum())
-        total_sq += float(vals @ vals)
-        done += block
-    mean = total / draws
-    var = max(total_sq / draws - mean**2, 0.0)
-    stderr = math.sqrt(var / draws)
+            return np.exp(sq / (2.0 * varsigma2))
+
+    rng = _stream(config.master_seed, _SUBG)
+    mean, stderr = _anchor_moment(config.family, rng, draws, moment)
     return SubgaussianCheck(mean, stderr, float(varsigma2), bool(mean <= 2.0))
 
 
@@ -395,12 +408,8 @@ def run_tail_experiment(
     out = []
     for n_index, n in enumerate(config.n_grid):
         threshold = c1 * math.log(2.0 / delta) / n
-        exceed = 0
-        for trial in range(config.trials):
-            sq, _ = _one_trial(config, b_star, n_index, trial)
-            if sq > threshold:
-                exceed += 1
-        rate = exceed / config.trials
+        sq, _ = _trials_at(config, b_star, n_index)
+        rate = int(np.count_nonzero(sq > threshold)) / config.trials
         out.append(
             TailExperimentResult(
                 delta=float(delta),

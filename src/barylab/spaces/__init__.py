@@ -1,6 +1,6 @@
 """Concrete geodesic model spaces and shared space machinery."""
 
-from .base import Extendibility, GeodesicSegment, Space, TangentVector, componentwise_inf
+from .base import Extendibility, Space, componentwise_inf
 from .euclidean import Euclidean
 from .gaussian import BuresWasserstein, GaussianPoint
 from .hyperboloid import Hyperboloid
@@ -9,11 +9,9 @@ from .sphere import Sphere
 
 __all__ = [
     "BuresWasserstein",
-    "TangentVector",
     "Euclidean",
     "Extendibility",
     "GaussianPoint",
-    "GeodesicSegment",
     "Hyperboloid",
     "QuantileSpace",
     "Space",

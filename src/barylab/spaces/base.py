@@ -10,47 +10,13 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 # support points scored by the default descent warm start
 WARM_START_CANDIDATES = 32
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Element of the tangent cone at ``base``: direction plus magnitude.
-
-    The payload is the full log vector (unit direction scaled by magnitude);
-    the zero payload encodes the cone tip.
-    """
-
-    space: "Space"
-    base: Any
-    payload: np.ndarray
-
-    @property
-    def magnitude(self) -> float:
-        return self.space.tangent_norm(self.base, self.payload)
-
-    def scaled(self, factor: float) -> "TangentVector":
-        return TangentVector(self.space, self.base, factor * self.payload)
-
-
-@dataclass(frozen=True)
-class GeodesicSegment:
-    """Constant-speed geodesic from ``start`` (t=0) to ``end`` (t=1)."""
-
-    space: "Space"
-    start: Any
-    end: Any
-    length: float
-    _evaluator: Callable[[float], Any] = field(repr=False)
-
-    def at(self, t: float):
-        return self._evaluator(float(t))
 
 
 @dataclass(frozen=True)
@@ -111,11 +77,11 @@ class Space(abc.ABC):
         """Geodesic distance: ``sqdist_batch`` on a batch of one."""
         return math.sqrt(float(self.sqdist_batch(x, self.stack([y]))[0]))
 
-    @abc.abstractmethod
-    def geodesic(self, x, y) -> GeodesicSegment: ...
-
     def geodesic_point(self, x, y, t: float):
-        return self.geodesic(x, y).at(t)
+        """Point at time ``t`` of the geodesic from ``x`` (t=0) to ``y`` (t=1),
+        ``exp_x(t log_x(y))``; outside [0, 1] it is the extension, and ``exp``
+        raises OutOfDomain where the extension leaves the space."""
+        return self.exp(x, t * self.log(x, y))
 
     @abc.abstractmethod
     def max_extendibility(self, x, y) -> Extendibility:
@@ -123,13 +89,14 @@ class Space(abc.ABC):
 
     # -- tangent cone --------------------------------------------------------
 
-    def log(self, p, x) -> TangentVector:
-        """Log map: ``log_batch`` on a batch of one."""
+    def log(self, p, x) -> np.ndarray:
+        """Log map, as a tangent payload: ``log_batch`` on a batch of one."""
         payloads, _ = self.log_batch(p, self.stack([x]))
-        return TangentVector(self, p, payloads[0])
+        return payloads[0]
 
     @abc.abstractmethod
-    def exp(self, p, v): ...
+    def exp(self, p, v):
+        """Exponential map of the tangent payload ``v`` at ``p``."""
 
     @abc.abstractmethod
     def tangent_inner(self, p, u_payload, v_payload):
@@ -176,7 +143,3 @@ class Space(abc.ABC):
         candidates = self.unstack(batch)[:WARM_START_CANDIDATES]
         objectives = [weights @ self.sqdist_batch(x, batch) for x in candidates]
         return candidates[int(np.argmin(objectives))]
-
-    @staticmethod
-    def _payload_of(v) -> np.ndarray:
-        return v.payload if isinstance(v, TangentVector) else np.asarray(v, dtype=float)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .base import Extendibility, GeodesicSegment, Space
+from .base import Extendibility, Space
 
 
 class Euclidean(Space):
@@ -42,19 +42,11 @@ class Euclidean(Space):
         self.check_point(x)
         return x
 
-    def geodesic(self, x, y) -> GeodesicSegment:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        # convex combinations also keep sorted quantile grids sorted
-        return GeodesicSegment(
-            self, x, y, self.distance(x, y), lambda t: (1.0 - t) * x + t * y
-        )
-
     def max_extendibility(self, x, y) -> Extendibility:
         return Extendibility(math.inf, math.inf)
 
     def exp(self, p, v):
-        return np.asarray(p, float) + self._payload_of(v)
+        return np.asarray(p, float) + np.asarray(v, dtype=float)
 
     def tangent_inner(self, p, u_payload, v_payload):
         return self.weight * np.einsum("...i,...i->...", u_payload, v_payload)

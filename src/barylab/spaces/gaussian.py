@@ -22,7 +22,7 @@ from ..linalg import (
     spd_sqrt_batch,
     sym,
 )
-from .base import Extendibility, GeodesicSegment, Space
+from .base import Extendibility, Space
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,25 +105,6 @@ class BuresWasserstein(Space):
         x = (d - x0 @ x0) / (lam[:, None] + lam)
         return sym(v @ (x / np.outer(r, r)) @ v.T)
 
-    def geodesic(self, x: GaussianPoint, y: GaussianPoint) -> GeodesicSegment:
-        a = self.transport_map(x, y)
-        eye = np.eye(self.dim)
-
-        def evaluator(t, _x=x, _y=y, _a=a, _eye=eye):
-            m_t = _eye + t * (_a - _eye)
-            # past the extension boundary the interpolated map degenerates
-            # and the path stops being a geodesic, even though squaring
-            # would still produce a covariance
-            if np.min(np.linalg.eigvalsh(sym(m_t))) <= SPD_EIG_FLOOR:
-                raise OutOfDomain(
-                    f"interpolated transport map degenerates at t = {t:.6g}"
-                )
-            return GaussianPoint(
-                (1.0 - t) * _x.mean + t * _y.mean, sym(m_t @ _x.cov @ m_t)
-            )
-
-        return GeodesicSegment(self, x, y, self.distance(x, y), evaluator)
-
     def max_extendibility(self, x: GaussianPoint, y: GaussianPoint) -> Extendibility:
         """Extension range limited by positive-definiteness of the interpolant.
 
@@ -146,7 +127,7 @@ class BuresWasserstein(Space):
     # -- tangent cone ------------------------------------------------------------
 
     def exp(self, p: GaussianPoint, v):
-        payload = self._payload_of(v)
+        payload = np.asarray(v, dtype=float)
         u, lin = payload[0], payload[1:]
         t = np.eye(self.dim) + lin
         if np.min(np.linalg.eigvalsh(sym(t))) <= SPD_EIG_FLOOR:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .base import Extendibility, GeodesicSegment, Space
+from .base import Extendibility, Space
 
 MINKOWSKI_TOL = 1e-12
 
@@ -67,19 +67,12 @@ class Hyperboloid(Space):
         self.check_point(x)
         return x
 
-    def geodesic(self, x, y) -> GeodesicSegment:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        v = self.log(x, y)
-        length = self.distance(x, y)
-        return GeodesicSegment(self, x, y, length, lambda t: self.exp(x, t * v.payload))
-
     def max_extendibility(self, x, y) -> Extendibility:
         return Extendibility(math.inf, math.inf)
 
     def exp(self, p, v):
         p = np.asarray(p, float)
-        payload = self._payload_of(v)
+        payload = np.asarray(v, dtype=float)
         q = max(self.minkowski(payload, payload), 0.0)
         m = math.sqrt(q)
         if m < 1e-300:

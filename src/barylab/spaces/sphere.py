@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from ..errors import AntipodalPoints, CutLocus, OutOfDomain
-from .base import Extendibility, GeodesicSegment, Space
+from ..errors import AntipodalPoints, OutOfDomain
+from .base import Extendibility, Space
 
 # Points this close to the cut locus are rejected rather than resolved.
 ANTIPODAL_TOL = 1e-9
@@ -50,24 +50,6 @@ class Sphere(Space):
         self.check_point(x)
         return x
 
-    def geodesic(self, x, y) -> GeodesicSegment:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        theta = self.distance(x, y)
-        if theta > math.pi - ANTIPODAL_TOL:
-            raise AntipodalPoints(f"d(x, y) = {theta:.12g} is within tolerance of pi")
-
-        if theta < 1e-14:
-            evaluator = lambda t: x.copy()
-        else:
-            sin_theta = math.sin(theta)
-
-            def evaluator(t, _x=x, _y=y, _th=theta, _s=sin_theta):
-                p = (math.sin((1.0 - t) * _th) * _x + math.sin(t * _th) * _y) / _s
-                return p / np.linalg.norm(p)
-
-        return GeodesicSegment(self, x, y, theta, evaluator)
-
     def max_extendibility(self, x, y) -> Extendibility:
         length = self.distance(x, y)
         if length < 1e-14:
@@ -82,7 +64,7 @@ class Sphere(Space):
 
     def exp(self, p, v):
         p = np.asarray(p, float)
-        payload = self._payload_of(v)
+        payload = np.asarray(v, dtype=float)
         m = np.linalg.norm(payload)
         if m >= math.pi:
             raise OutOfDomain(f"tangent magnitude {m:.12g} >= pi")
@@ -117,7 +99,7 @@ class Sphere(Space):
     def log_batch(self, p, batch):
         v, nv, theta = self._tangent_theta(p, batch)
         if np.any(theta > math.pi - ANTIPODAL_TOL):
-            raise CutLocus("a batch point reaches the cut locus of the base")
+            raise AntipodalPoints("a batch point reaches the cut locus of the base")
         scale = np.where(nv > 0, theta / np.where(nv == 0, 1.0, nv), 0.0)
         return v * scale[:, None], theta
 

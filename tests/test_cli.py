@@ -1,6 +1,10 @@
 """End-to-end CLI runs: artifacts, manifests, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,3 +257,19 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in ("--config", "--out", "--seed", "--threads", "--strict-bounds"):
             assert flag in text
+
+
+class TestBenchmarkTracer:
+    def test_tracer_installs_on_the_cli(self):
+        """Every name the benchmark's tracer patches still exists: a fresh
+        interpreter imports the CLI and installs the tracer without error."""
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+        # no bytecode written into the benchmark's directory
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+        code = "import barylab.cli, tracer; tracer.Tracer().install()"
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

@@ -114,8 +114,8 @@ class TestComparisonAngle:
             p, x, y = separated_points(space, rng, 3)
             u = space.log(p, x)
             v = space.log(p, y)
-            cos_true = space.tangent_inner(p, u.payload, v.payload) / (
-                u.magnitude * v.magnitude
+            cos_true = space.tangent_inner(p, u, v) / (
+                space.tangent_norm(p, u) * space.tangent_norm(p, v)
             )
             true_angle = math.acos(min(1.0, max(-1.0, cos_true)))
             assert comparison_angle_at(space, kappa, p, x, y) == pytest.approx(

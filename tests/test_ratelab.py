@@ -266,6 +266,16 @@ class TestSubgaussian:
         check = subgaussian_proxy_check(config, varsigma2=1.2, draws=50_000)
         assert not check.passed
 
+    def test_estimate_pinned(self):
+        """Exponential moment of SphereCap(0.3) at master seed 1 over two
+        200 000-draw blocks, summed as the sigma^2 pass sums them."""
+        config = bl.RateExperimentConfig(
+            family=SphereCap(0.3), theorem="tail", n_grid=(4,), trials=1, master_seed=1
+        )
+        check = subgaussian_proxy_check(config, varsigma2=0.1, draws=400_000)
+        assert check.estimate == pytest.approx(1.2621705652073945, rel=1e-14, abs=0)
+        assert check.stderr == pytest.approx(0.00025899853575277117, rel=1e-14, abs=0)
+
 
 class TestTailExperiment:
     def config(self, trials=2000):

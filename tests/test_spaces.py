@@ -44,47 +44,43 @@ class TestGeodesics:
     def test_endpoints(self, any_space, rng):
         for _ in range(10):
             x, y = separated_points(any_space, rng, 2)
-            seg = any_space.geodesic(x, y)
-            assert any_space.distance(seg.at(0.0), x) <= 1e-9
-            assert any_space.distance(seg.at(1.0), y) <= 1e-9
+            assert any_space.distance(any_space.geodesic_point(x, y, 0.0), x) <= 1e-9
+            assert any_space.distance(any_space.geodesic_point(x, y, 1.0), y) <= 1e-9
 
     def test_constant_speed_on_grid(self, any_space, rng):
         grid = np.linspace(0.0, 1.0, 10)
         for _ in range(20):
             x, y = separated_points(any_space, rng, 2)
-            seg = any_space.geodesic(x, y)
             length = any_space.distance(x, y)
-            pts = [seg.at(t) for t in grid]
+            pts = [any_space.geodesic_point(x, y, t) for t in grid]
             for (s, ps), (t, pt) in itertools.combinations(zip(grid, pts), 2):
                 assert any_space.distance(ps, pt) == pytest.approx(
                     (t - s) * length, abs=1e-9
                 )
 
     def test_euclidean_interpolation(self):
-        seg = bl.Euclidean(2).geodesic(np.zeros(2), np.array([2.0, 0.0]))
-        assert np.allclose(seg.at(0.25), [0.5, 0.0])
+        point = bl.Euclidean(2).geodesic_point(np.zeros(2), np.array([2.0, 0.0]), 0.25)
+        assert np.allclose(point, [0.5, 0.0])
 
     def test_gaussian_variance_interpolation(self):
         space = bl.BuresWasserstein(1)
-        seg = space.geodesic(
-            bl.GaussianPoint([0.0], [[1.0]]), bl.GaussianPoint([0.0], [[9.0]])
+        mid = space.geodesic_point(
+            bl.GaussianPoint([0.0], [[1.0]]), bl.GaussianPoint([0.0], [[9.0]]), 0.5
         )
-        mid = seg.at(0.5)
         assert mid.cov[0, 0] == pytest.approx(4.0, abs=1e-12)
 
     def test_quantile_geodesic_stays_sorted(self, rng):
         space = bl.QuantileSpace(32)
         x = np.sort(rng.standard_normal(32))
         y = np.sort(rng.standard_normal(32))
-        seg = space.geodesic(x, y)
         for t in np.linspace(0, 1, 7):
-            assert np.all(np.diff(seg.at(t)) >= 0)
+            assert np.all(np.diff(space.geodesic_point(x, y, t)) >= 0)
 
     def test_sphere_antipodal_rejected(self):
         space = bl.Sphere(2)
         p = np.array([0.0, 0.0, 1.0])
         with pytest.raises(AntipodalPoints):
-            space.geodesic(p, -p)
+            space.geodesic_point(p, -p, 0.5)
 
 
 class TestLogExp:
@@ -92,12 +88,14 @@ class TestLogExp:
         for _ in range(50):
             p, x = separated_points(any_space, rng, 2)
             v = any_space.log(p, x)
-            assert v.magnitude == pytest.approx(any_space.distance(p, x), abs=1e-12)
+            assert any_space.tangent_norm(p, v) == pytest.approx(
+                any_space.distance(p, x), abs=1e-12
+            )
 
     def test_log_at_base_is_tip(self, any_space, rng):
         p = probe_point(any_space, rng)
         v = any_space.log(p, p)
-        assert v.magnitude == 0.0
+        assert any_space.tangent_norm(p, v) == 0.0
         assert any_space.distance(any_space.exp(p, v), p) <= 1e-12
 
     def test_exp_log_round_trip(self, any_space, rng):
@@ -133,8 +131,9 @@ class TestLogExp:
         p = np.array([0.0, 0.0, 1.0])
         x = np.array([1.0, 0.0, 0.0])
         v = space.log(p, x)
-        assert v.magnitude == pytest.approx(math.pi / 2, abs=1e-12)
-        assert np.allclose(v.payload / v.magnitude, [1.0, 0.0, 0.0], atol=1e-12)
+        magnitude = space.tangent_norm(p, v)
+        assert magnitude == pytest.approx(math.pi / 2, abs=1e-12)
+        assert np.allclose(v / magnitude, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_sphere_cut_locus(self):
         space = bl.Sphere(2)
@@ -158,7 +157,7 @@ class TestLogExp:
         space = bl.BuresWasserstein(3)
         for _ in range(50):
             p, x = (space.random_point(rng) for _ in range(2))
-            assert space.log(p, x).magnitude == pytest.approx(
+            assert space.tangent_norm(p, space.log(p, x)) == pytest.approx(
                 space.distance(p, x), abs=1e-9
             )
 
@@ -209,7 +208,7 @@ class TestExtendibility:
             p, q = separated_points(space, rng, 2)
             length = space.distance(p, q)
             ext = space.max_extendibility(p, q)
-            payload = space.log(p, q).payload
+            payload = space.log(p, q)
             lam_in = 0.95 * ext.lambda_in
             lam_out = 0.95 * ext.lambda_out
             total = (lam_in + 1.0 + lam_out) * length
@@ -232,11 +231,10 @@ class TestExtendibility:
         space = bl.BuresWasserstein(1)
         a = bl.GaussianPoint([0.0], [[1.0]])
         b = bl.GaussianPoint([0.0], [[4.0]])
-        seg = space.geodesic(a, b)
-        inside = seg.at(-0.99)
+        inside = space.geodesic_point(a, b, -0.99)
         assert inside.cov[0, 0] > 0
         with pytest.raises(OutOfDomain):
-            seg.at(-1.01)
+            space.geodesic_point(a, b, -1.01)
 
     def test_quantile_monotone_budget(self):
         space = bl.QuantileSpace(2)
@@ -245,6 +243,15 @@ class TestExtendibility:
         ext = space.max_extendibility(p, x)
         assert ext.lambda_in == pytest.approx(1.0, abs=1e-12)
         assert math.isinf(ext.lambda_out)
+
+    def test_quantile_extension_past_budget_leaves_cone(self):
+        """Within the monotone budget the extension is a grid, past it exp fails."""
+        space = bl.QuantileSpace(2)
+        p = np.array([0.0, 1.0])
+        x = np.array([0.0, 2.0])
+        space.check_point(space.geodesic_point(p, x, -0.99))
+        with pytest.raises(OutOfDomain):
+            space.geodesic_point(p, x, -1.5)
 
 
 class TestValidationAndSerialization:
