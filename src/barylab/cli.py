@@ -14,7 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import ratelab
 from .barycenter import barycenter
 from .config import parse_config
 from .distributions import DiscreteDistribution
@@ -106,6 +105,14 @@ def _echo(path) -> dict:
         return json.load(handle)
 
 
+def _finish(args, out: Path, seed: int, csv_path: Path, started: str, extra: dict) -> int:
+    """Write the manifest, report its bound violations and pick the exit code."""
+    write_manifest(out, _echo(args.config), seed, [csv_path], started, extra)
+    for line in extra["bound_violations"]:
+        print(f"bound violation: {line}", file=sys.stderr)
+    return EXIT_BOUND if extra["bound_violations"] else EXIT_OK
+
+
 def _cmd_rates(args) -> int:
     started = utc_now()
     parsed = parse_config(args.config, "rates")
@@ -116,7 +123,6 @@ def _cmd_rates(args) -> int:
     out = _out_dir(args)
     csv_path = out / "rates.csv"
     write_rates_csv(csv_path, curve)
-    violations = rate_violations(curve, strict=args.strict_bounds)
     extra = {
         "theorem": curve.theorem,
         "k_used": curve.k_used,
@@ -124,14 +130,9 @@ def _cmd_rates(args) -> int:
         "sigma2": curve.sigma2,
         "sigma2_stderr": curve.sigma2_stderr,
         "discarded_trials": curve.discarded,
-        "bound_violations": violations,
+        "bound_violations": rate_violations(curve, strict=args.strict_bounds),
     }
-    write_manifest(out, _echo(args.config), config.master_seed, [csv_path], started, extra)
-    if violations:
-        for line in violations:
-            print(f"bound violation: {line}", file=sys.stderr)
-        return EXIT_BOUND
-    return EXIT_OK
+    return _finish(args, out, config.master_seed, csv_path, started, extra)
 
 
 def _cmd_tail(args) -> int:
@@ -145,30 +146,20 @@ def _cmd_tail(args) -> int:
     profile = estimate_hugging_profile(
         config, payload["profile_points"], payload["profile_targets"]
     )
-    b_star = ratelab.population_barycenter(config)  # verified once for every delta
-    results = []
-    for delta in payload["deltas"]:
-        results.extend(
-            run_tail_experiment(config, delta, payload["varsigma2"], profile, subg, b_star)
-        )
+    results = run_tail_experiment(config, payload["deltas"], payload["varsigma2"], profile, subg)
     out = _out_dir(args)
     csv_path = out / "tail.csv"
     write_tail_csv(csv_path, config.family.space.tag, results, config.master_seed)
-    violations = tail_violations(results, strict=args.strict_bounds)
     extra = {
         "subgaussian_estimate": subg.estimate,
         "subgaussian_stderr": subg.stderr,
         "pk_estimate": profile.pk,
         "pk_stderr": profile.pk_stderr,
         "kmin_estimate": profile.k_min,
-        "bound_violations": violations,
+        "discarded_trials": results[0].discarded,
+        "bound_violations": tail_violations(results, strict=args.strict_bounds),
     }
-    write_manifest(out, _echo(args.config), config.master_seed, [csv_path], started, extra)
-    if violations:
-        for line in violations:
-            print(f"bound violation: {line}", file=sys.stderr)
-        return EXIT_BOUND
-    return EXIT_OK
+    return _finish(args, out, config.master_seed, csv_path, started, extra)
 
 
 def _cmd_hugging(args) -> int:
@@ -207,15 +198,7 @@ def _cmd_curvature(args) -> int:
             bad = row["value"] < -PROBE_TOL
         if bad:
             violations.append(f"{row['probe']}[{row['index']}] = {row['value']:.3e}")
-    write_manifest(
-        out, _echo(args.config), seed, [csv_path], started,
-        {"bound_violations": violations},
-    )
-    if violations:
-        for line in violations:
-            print(f"bound violation: {line}", file=sys.stderr)
-        return EXIT_BOUND
-    return EXIT_OK
+    return _finish(args, out, seed, csv_path, started, {"bound_violations": violations})
 
 
 def _cmd_barycenter(args) -> int:

@@ -10,11 +10,10 @@ max_extendibility on extreme support points.
 from __future__ import annotations
 
 import abc
-import json
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import BadFamilyParams
 from .linalg import positive_qr_q, sym
@@ -55,10 +54,6 @@ class Family(abc.ABC):
 
     def sample(self, rng: np.random.Generator, count: int) -> list:
         return self.space.unstack(self.sample_batch(rng, count))
-
-    def key(self) -> str:
-        """Canonical hashable identity of the family, for caching."""
-        return json.dumps(self.describe(), sort_keys=True)
 
 
 def _as_unit_rows(v: np.ndarray) -> np.ndarray:
@@ -327,7 +322,8 @@ def gaussian_quantile_grid(space: QuantileSpace, mean: float, sd: float) -> np.n
     """Quantile-space discretization of a one-dimensional Gaussian."""
     if sd < 0:
         raise BadFamilyParams("sd must be nonnegative")
-    return mean + sd * ndtri(space.levels())
+    inv_cdf = NormalDist().inv_cdf
+    return mean + sd * np.array([inv_cdf(level) for level in space.levels()])
 
 
 def random_quantile_point(space: QuantileSpace, rng: np.random.Generator) -> np.ndarray:

@@ -127,6 +127,7 @@ class TailExperimentResult:
     pk_estimate: float
     pk_used: float
     kmin_estimate: float
+    discarded: int  # redraws in the run's trial table, which every row shares
 
 
 def _stream(master_seed: int, *path: int) -> np.random.Generator:
@@ -188,16 +189,10 @@ def _anchor_moment(family: Family, rng, draws: int, transform=None) -> tuple[flo
     return mean, math.sqrt(var / draws)
 
 
-_SIGMA2_CACHE: dict = {}
-
-
 def estimate_sigma2(config: RateExperimentConfig) -> tuple[float, float]:
-    """Monte Carlo variance of the family about its anchor, with stderr, cached."""
-    key = (config.family.key(), config.sigma2_draws, config.master_seed)
-    if key not in _SIGMA2_CACHE:
-        rng = _stream(config.master_seed, _SIGMA2)
-        _SIGMA2_CACHE[key] = _anchor_moment(config.family, rng, config.sigma2_draws)
-    return _SIGMA2_CACHE[key]
+    """Monte Carlo variance of the family about its anchor, with stderr."""
+    rng = _stream(config.master_seed, _SIGMA2)
+    return _anchor_moment(config.family, rng, config.sigma2_draws)
 
 
 def _theorem_k(config: RateExperimentConfig) -> float:
@@ -254,14 +249,23 @@ def _one_trial(config: RateExperimentConfig, b_star, n_index: int, trial: int):
             )
 
 
-def _trials_at(config: RateExperimentConfig, b_star, n_index: int):
-    """Squared distances of every trial at grid point ``n_index``, and the
-    number of redraws they took."""
-    sq = np.empty(config.trials)
+def _trial_table(config: RateExperimentConfig, b_star):
+    """Squared distances of every trial, shape ``(len(n_grid), trials)``, and
+    the number of redraws they took.
+
+    Raises ``DiscardRateExceeded`` when redraws exceed ``MAX_DISCARD_RATE`` of
+    all draws, for the rate and the tail experiment alike.
+    """
+    sq = np.empty((len(config.n_grid), config.trials))
     redraws = 0
-    for trial in range(config.trials):
-        sq[trial], redraw = _one_trial(config, b_star, n_index, trial)
-        redraws += redraw
+    for n_index in range(len(config.n_grid)):
+        for trial in range(config.trials):
+            sq[n_index, trial], redraw = _one_trial(config, b_star, n_index, trial)
+            redraws += redraw
+    if redraws / (sq.size + redraws) > MAX_DISCARD_RATE:
+        raise DiscardRateExceeded(
+            f"{redraws} non-converged trials out of {sq.size + redraws}"
+        )
     return sq, redraws
 
 
@@ -270,21 +274,14 @@ def run_rate_experiment(config: RateExperimentConfig) -> RateCurve:
     k = _theorem_k(config)
     b_star = population_barycenter(config)
     sigma2, sigma2_stderr = estimate_sigma2(config)
+    table, discarded = _trial_table(config, b_star)
     points = []
-    discarded = 0
-    for n_index, n in enumerate(config.n_grid):
-        sq, redraws = _trials_at(config, b_star, n_index)
-        discarded += redraws
+    for n, sq in zip(config.n_grid, table):
         mean = float(sq.mean())
         stderr = float(sq.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
         bound = _theorem_bound(config.theorem, sigma2, n, k)
         points.append(
             RatePoint(n, config.trials, mean, stderr, sigma2, bound, mean / bound)
-        )
-    total = config.trials * len(config.n_grid)
-    if discarded / (total + discarded) > MAX_DISCARD_RATE:
-        raise DiscardRateExceeded(
-            f"{discarded} non-converged trials out of {total + discarded}"
         )
     slope = None  # a fit needs three grid points
     if len(points) >= 3:
@@ -368,22 +365,24 @@ def estimate_hugging_profile(
 
 def run_tail_experiment(
     config: RateExperimentConfig,
-    delta: float,
+    deltas,
     varsigma2: float,
     profile: HuggingProfile | None = None,
     subgaussian: SubgaussianCheck | None = None,
-    b_star=None,
 ) -> list[TailExperimentResult]:
-    """High-probability bound check: one result per n in the config grid.
+    """High-probability bound check: one result per (delta, n), delta-major.
 
     The threshold on d^2(b_n, b*) is the proof-derived
     8 varsigma^2 log(2/delta) / (n c^2 Pk^2) with c = 1/2 and the sampled Pk
     reduced by PK_MARGIN (the sampled estimate is an upper bound on the true
-    value, so the reduction is the conservative direction).  Pass ``b_star``
-    from ``population_barycenter`` to verify the anchor once for many deltas.
+    value, so the reduction is the conservative direction).  The bound is one
+    statement about the law of b_n read at several deltas, so the anchor is
+    verified once and each trial is solved once, then thresholded at every
+    delta.
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    deltas = [float(delta) for delta in deltas]
+    if not deltas or not all(0 < delta < 1 for delta in deltas):
+        raise ValueError("every delta must lie in (0, 1)")
     if subgaussian is None:
         subgaussian = subgaussian_proxy_check(config, varsigma2)
     if not subgaussian.passed:
@@ -403,29 +402,29 @@ def run_tail_experiment(
     c2 = ((1.0 - c) * pk_used / (2.0 * kmin_abs)) * min(
         (1.0 - c) * kmin_abs * pk_used / max(profile.pk_sq, 1e-300), 1.5
     )
-    if b_star is None:
-        b_star = population_barycenter(config)
+    table, discarded = _trial_table(config, population_barycenter(config))
     out = []
-    for n_index, n in enumerate(config.n_grid):
-        threshold = c1 * math.log(2.0 / delta) / n
-        sq, _ = _trials_at(config, b_star, n_index)
-        rate = int(np.count_nonzero(sq > threshold)) / config.trials
-        out.append(
-            TailExperimentResult(
-                delta=float(delta),
-                n=n,
-                trials=config.trials,
-                threshold=threshold,
-                empirical_exceedance=rate,
-                bound_probability=min(delta + math.exp(-c2 * n), 1.0),
-                c1_used=c1,
-                c2_used=c2,
-                varsigma2=float(varsigma2),
-                pk_estimate=profile.pk,
-                pk_used=pk_used,
-                kmin_estimate=profile.k_min,
+    for delta in deltas:
+        for n, sq in zip(config.n_grid, table):
+            threshold = c1 * math.log(2.0 / delta) / n
+            rate = int(np.count_nonzero(sq > threshold)) / config.trials
+            out.append(
+                TailExperimentResult(
+                    delta=delta,
+                    n=n,
+                    trials=config.trials,
+                    threshold=threshold,
+                    empirical_exceedance=rate,
+                    bound_probability=min(delta + math.exp(-c2 * n), 1.0),
+                    c1_used=c1,
+                    c2_used=c2,
+                    varsigma2=float(varsigma2),
+                    pk_estimate=profile.pk,
+                    pk_used=pk_used,
+                    kmin_estimate=profile.k_min,
+                    discarded=discarded,
+                )
             )
-        )
     return out
 
 

@@ -353,26 +353,25 @@ def test_criterion_09_tail_bound():
     bound_ok = True
     oracle_ok = True
     details = []
-    for delta in (0.05, 0.2):
-        for res in run_tail_experiment(config, delta, varsigma2=3.0):
-            stderr = math.sqrt(
-                res.empirical_exceedance * (1 - res.empirical_exceedance) / res.trials
-            )
-            bound_ok = bound_ok and (
-                res.empirical_exceedance
-                <= res.bound_probability + 3.0 * stderr
-            )
-            exact = float(chi2.sf(res.n * res.threshold, df=3))  # sd = 1
-            oracle_stderr = math.sqrt(
-                max(exact * (1 - exact), res.empirical_exceedance) / res.trials
-            )
-            oracle_ok = oracle_ok and (
-                abs(res.empirical_exceedance - exact) <= 2.0 * oracle_stderr + 1e-12
-            )
-            details.append(
-                f"(delta={delta}, n={res.n}): exceed={res.empirical_exceedance:.4g} "
-                f"bound={res.bound_probability:.4g} oracle={exact:.2e}"
-            )
+    for res in run_tail_experiment(config, (0.05, 0.2), varsigma2=3.0):
+        stderr = math.sqrt(
+            res.empirical_exceedance * (1 - res.empirical_exceedance) / res.trials
+        )
+        bound_ok = bound_ok and (
+            res.empirical_exceedance
+            <= res.bound_probability + 3.0 * stderr
+        )
+        exact = float(chi2.sf(res.n * res.threshold, df=3))  # sd = 1
+        oracle_stderr = math.sqrt(
+            max(exact * (1 - exact), res.empirical_exceedance) / res.trials
+        )
+        oracle_ok = oracle_ok and (
+            abs(res.empirical_exceedance - exact) <= 2.0 * oracle_stderr + 1e-12
+        )
+        details.append(
+            f"(delta={res.delta}, n={res.n}): exceed={res.empirical_exceedance:.4g} "
+            f"bound={res.bound_probability:.4g} oracle={exact:.2e}"
+        )
     elapsed = time.perf_counter() - start
     report(
         "9 (tail bound)",

@@ -153,19 +153,32 @@ class TestTailCommand:
         lines = (out / "tail.csv").read_text().splitlines()
         assert lines[0].startswith("space,n,trials,delta")
         assert len(lines) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["discarded_trials"] == 0
 
     def test_anchor_verified_once_per_run(self, tmp_path, monkeypatch):
+        """Two deltas share one verify pass and one solve per (n, trial)."""
         calls = []
+        trials = []
         verify = ratelab.population_barycenter
+        one_trial = ratelab._one_trial
 
         def counting(config):
             calls.append(config.master_seed)
             return verify(config)
 
+        def counting_trial(config, b_star, n_index, trial):
+            trials.append((n_index, trial))
+            return one_trial(config, b_star, n_index, trial)
+
         monkeypatch.setattr(ratelab, "population_barycenter", counting)
+        monkeypatch.setattr(ratelab, "_one_trial", counting_trial)
         cfg = write_config(tmp_path, dict(TAIL_CONFIG, delta=[0.2, 0.1], trials=20))
-        assert run(["tail", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        out = tmp_path / "out"
+        assert run(["tail", "--config", cfg, "--out", out]) == 0
         assert calls == [11]
+        assert sorted(trials) == [(0, trial) for trial in range(20)]
+        assert len((out / "tail.csv").read_text().splitlines()) == 1 + 2
 
 
 class TestSweepCommands:
@@ -257,6 +270,23 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in ("--config", "--out", "--seed", "--threads", "--strict-bounds"):
             assert flag in text
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_out(self):
+        """The runtime needs numpy only; scipy is a test dependency."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        code = (
+            "import sys, barylab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestBenchmarkTracer:

@@ -67,6 +67,15 @@ class TestParsing:
         with pytest.raises(ValidationError, match="incompatible"):
             parse_config(write(tmp_path, obj), "rates")
 
+    @pytest.mark.parametrize("theorem", ["tail", "banana", ["negcurv"], {"a": 1}])
+    def test_rates_theorem_rejected(self, tmp_path, theorem):
+        obj = dict(MINIMAL_RATES, theorem=theorem)
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, obj), "rates")
+        assert str(err.value).count(
+            "'theorem' must be one of ['master_extendible', 'negcurv', 'wasserstein']"
+        ) == 1
+
     def test_all_violations_collected(self, tmp_path):
         obj = dict(MINIMAL_RATES, trials=0, n_grid=[16, 4], bogus=1)
         with pytest.raises(ValidationError) as err:

@@ -161,7 +161,7 @@ class TestParams:
 
     def test_describe_round_trip(self, family):
         rebuilt = family_from_config(family.describe())
-        assert rebuilt.key() == family.key()
+        assert rebuilt.describe() == family.describe()
 
     def test_mean_one_eigenvalue_mixture(self):
         family = GaussianEnsemble(0.8, 1.6, dim=3)

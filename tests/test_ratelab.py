@@ -10,6 +10,7 @@ from scipy.stats import chi2
 
 import barylab as bl
 from barylab import cli, ratelab
+from barylab.barycenter import empirical_barycenter
 from barylab.errors import (
     CoincidentPoints,
     DiscardRateExceeded,
@@ -277,70 +278,108 @@ class TestSubgaussian:
         assert check.stderr == pytest.approx(0.00025899853575277117, rel=1e-14, abs=0)
 
 
-class TestTailExperiment:
-    def config(self, trials=2000):
-        return bl.RateExperimentConfig(
-            family=EuclideanGaussian(dim=3, sd=1.0),
-            theorem="tail",
-            n_grid=(100,),
-            trials=trials,
-            master_seed=21,
-            sigma2_draws=50_000,
-            verify_draws=20_000,
-        )
+def tail_config(trials=2000):
+    return bl.RateExperimentConfig(
+        family=EuclideanGaussian(dim=3, sd=1.0),
+        theorem="tail",
+        n_grid=(100,),
+        trials=trials,
+        master_seed=21,
+        sigma2_draws=50_000,
+        verify_draws=20_000,
+    )
 
-    def test_exceedance_below_bound(self):
-        results = run_tail_experiment(self.config(), delta=0.2, varsigma2=3.0)
-        (res,) = results
+
+@pytest.fixture(scope="module")
+def tail_results():
+    return run_tail_experiment(tail_config(), [0.2], varsigma2=3.0)
+
+
+class FlakySolver:
+    """``empirical_barycenter`` that reports non-convergence on redraw 0 of
+    every ``every``-th trial, counting trials in the order they are solved."""
+
+    def __init__(self, every=10):
+        self.every = every
+        self.trial = 0
+        self.redrawing = False
+
+    def __call__(self, space, batch, options):
+        result = empirical_barycenter(space, batch, options)
+        if self.trial % self.every == 0 and not self.redrawing:
+            self.redrawing = True
+            return dataclasses.replace(result, converged=False)
+        self.trial += 1
+        self.redrawing = False
+        return result
+
+
+class TestTailExperiment:
+    def test_exceedance_below_bound(self, tail_results):
+        (res,) = tail_results
         stderr = math.sqrt(
             res.empirical_exceedance * (1 - res.empirical_exceedance) / res.trials
         )
         assert res.empirical_exceedance <= res.bound_probability + 3.0 * stderr
 
-    def test_chi_square_oracle_agreement(self):
+    def test_chi_square_oracle_agreement(self, tail_results):
         """Gaussian samples admit an exact tail probability for the threshold."""
-        results = run_tail_experiment(self.config(), delta=0.2, varsigma2=3.0)
-        (res,) = results
+        (res,) = tail_results
         exact = float(chi2.sf(res.n * res.threshold / 1.0**2, df=3))
         stderr = math.sqrt(max(exact * (1 - exact), res.empirical_exceedance) / res.trials)
         assert abs(res.empirical_exceedance - exact) <= 2.0 * stderr + 1e-12
 
     def test_requires_subgaussian_proxy(self):
         with pytest.raises(HypothesisViolated):
-            run_tail_experiment(self.config(trials=10), delta=0.2, varsigma2=1.05)
+            run_tail_experiment(tail_config(trials=10), [0.2], varsigma2=1.05)
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
-            run_tail_experiment(self.config(trials=10), delta=1.5, varsigma2=3.0)
+            run_tail_experiment(tail_config(trials=10), [0.2, 1.5], varsigma2=3.0)
+        with pytest.raises(ValueError):
+            run_tail_experiment(tail_config(trials=10), [], varsigma2=3.0)
+
+    def test_deltas_share_one_trial_table(self):
+        """Each delta reads the same squared distances: a run with both deltas
+        equals the single-delta runs, row for row, delta-major."""
+        config = tail_config(trials=200)
+        both = run_tail_experiment(config, [0.05, 0.2], varsigma2=3.0)
+        single = [run_tail_experiment(config, [d], varsigma2=3.0) for d in (0.05, 0.2)]
+        assert both == single[0] + single[1]
+        assert [r.delta for r in both] == [0.05, 0.2]
+
+    def test_discard_rate_gate(self, monkeypatch):
+        """Redraws above MAX_DISCARD_RATE fail the tail run as they fail a
+        rate run: 2 discards in 22 draws."""
+        monkeypatch.setattr(ratelab, "empirical_barycenter", FlakySolver())
+        with pytest.raises(DiscardRateExceeded):
+            run_tail_experiment(tail_config(trials=20), [0.2], varsigma2=3.0)
+        monkeypatch.setattr(ratelab, "empirical_barycenter", FlakySolver())
+        with pytest.raises(DiscardRateExceeded):
+            run_rate_experiment(euclid_config(n_grid=(4,), trials=20))
+
+    def test_discards_under_the_cap_are_counted(self, monkeypatch):
+        """1 discard in 201 draws passes, and every row reports it."""
+        monkeypatch.setattr(ratelab, "empirical_barycenter", FlakySolver(every=200))
+        results = run_tail_experiment(tail_config(trials=200), [0.05, 0.2], varsigma2=3.0)
+        assert [r.discarded for r in results] == [1, 1]
 
     def test_profile_on_euclidean_family(self):
-        profile = estimate_hugging_profile(self.config(trials=10), 50, 30)
+        profile = estimate_hugging_profile(tail_config(trials=10), 50, 30)
         assert profile.pk == pytest.approx(1.0, abs=1e-9)
         assert profile.k_min == pytest.approx(1.0, abs=1e-9)
 
     def test_profile_matches_the_scalar_loop(self):
         """Pinned to the per-pair scalar loop the batched profile replaced."""
         config = dataclasses.replace(
-            self.config(trials=10), family=SphereCap(0.3), master_seed=1
+            tail_config(trials=10), family=SphereCap(0.3), master_seed=1
         )
         profile = estimate_hugging_profile(config)
         assert profile.pk == pytest.approx(0.9848823022744162, rel=1e-12)
         assert profile.k_min == pytest.approx(0.9698929260107242, rel=1e-12)
 
     def test_profile_rejects_targets_all_at_the_anchor(self):
-        config = dataclasses.replace(self.config(trials=10), family=PointMass(dim=3))
+        config = dataclasses.replace(tail_config(trials=10), family=PointMass(dim=3))
         with pytest.raises(CoincidentPoints):
             estimate_hugging_profile(config, 5, 3)
 
-    def test_given_anchor_skips_the_verify_pass(self, monkeypatch):
-        config = self.config(trials=50)
-        expected = run_tail_experiment(config, delta=0.2, varsigma2=3.0)
-
-        def no_verify(config):
-            raise AssertionError("population_barycenter called despite b_star")
-
-        monkeypatch.setattr(ratelab, "population_barycenter", no_verify)
-        given_anchor = run_tail_experiment(
-            config, delta=0.2, varsigma2=3.0, b_star=config.family.anchor
-        )
-        assert given_anchor == expected
