@@ -4,8 +4,10 @@ __version__ = "0.1.0"
 
 from .barycenter import (
     BarycenterResult,
+    BatchResult,
     SolverOptions,
     barycenter,
+    barycenter_batch,
     bures_fixed_point,
     empirical_barycenter,
     frechet_mean_descent,

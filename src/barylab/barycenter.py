@@ -1,8 +1,10 @@
 """Barycenter (Frechet mean) solvers and variance computation.
 
-Closed forms where the space provides them (Euclidean, quantile, Gaussian
-means), tangent-space gradient descent otherwise, and a dispatching
-empirical-barycenter entry point.
+Every solver takes T problems stacked on a leading axis and keeps each
+reduction per problem, so no result depends on the problems solved beside
+it: the exact weighted mean on flat spaces (Euclidean, quantile grids), the
+fixed point on Gaussian measures, tangent-space gradient descent otherwise.
+The single-distribution entry points are batches of one.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .errors import (
     OutOfDomain,
     SpaceMismatch,
 )
-from .linalg import frobenius, spd_sqrt_batch, spd_sqrt_inv_sqrt, sym
-from .spaces import BuresWasserstein, Euclidean, GaussianPoint, QuantileSpace, Space
+from .linalg import frobenius, spd_sqrt_batch, spd_sqrt_inv_sqrt, sym, weighted_sum
+from .spaces import BuresWasserstein, Euclidean, QuantileSpace, Space
 
 # Accept a descent step when the objective does not increase beyond float noise.
 OBJECTIVE_NOISE = 1e-12
@@ -50,6 +52,18 @@ class BarycenterResult:
     converged: bool
 
 
+@dataclass(frozen=True)
+class BatchResult:
+    """T stacked solves: the barycenters as one stacked batch of the space
+    and, per problem, the final tangent mean norm, the iterations and
+    whether the solve converged."""
+
+    points: Any
+    grad_norm: np.ndarray
+    iters: np.ndarray
+    converged: np.ndarray
+
+
 def variance(dist: DiscreteDistribution, b) -> float:
     """Weighted mean squared distance from b to the support."""
     try:
@@ -59,47 +73,184 @@ def variance(dist: DiscreteDistribution, b) -> float:
     return float(dist.weights @ sq)
 
 
+def _tangent_norms(space: Space, p, v) -> np.ndarray:
+    return np.sqrt(np.maximum(space.tangent_inner(p, v, v), 0.0))
+
+
+def _log_batch(space: Space, p, batch):
+    try:
+        return space.log_batch(p, batch)
+    except CutLocus as exc:
+        raise CutLocusDuringIteration(str(exc)) from exc
+
+
+def _step_sizes(space: Space, weights, mags, step: float) -> np.ndarray:
+    """``step`` over the objective's curvature bound on spaces with curvature
+    bounded below by kappa < 0, else ``step`` itself.
+
+    There the Hessian of d^2(., x_i) / 2 has eigenvalues at most
+    h(rho_i) = rho_i sqrt(-kappa) coth(rho_i sqrt(-kappa)) (h(0) = 1), at the
+    distance rho_i to x_i (Karcher 1977), so the weighted mean of the h(rho_i)
+    bounds the objective's Hessian at the iterate, and a step of its inverse
+    contracts where the unit step can stall (Afsari, Tron & Vidal 2013).
+    """
+    if space.curv_lower >= 0:
+        return np.full(len(mags), step)
+    r = math.sqrt(-space.curv_lower) * mags
+    h = np.divide(r, np.tanh(r), out=np.ones_like(r), where=r > 0)
+    return step / weighted_sum(weights, h)
+
+
+def descent_batch(
+    space: Space, batch, weights, init, opts: SolverOptions = SolverOptions()
+) -> BatchResult:
+    """Tangent-space gradient descent b <- exp_b(step * sum_i w_i log_b(x_i))
+    on T problems at once: ``batch`` (T, n, D), ``weights`` (T, n) and
+    starts ``init`` (T, D).
+
+    A problem stops when its tangent mean norm falls to ``opts.tol``.  The
+    step is ``opts.step``, divided on negatively curved spaces by the
+    curvature bound of ``_step_sizes``; it is halved (at most MAX_HALVINGS
+    times per iteration) whenever the candidate objective increases, and a
+    non-improving iteration ends that problem with ``converged=False``
+    unless the tolerance was already met.
+    """
+    points = np.array(init, dtype=float)
+    count = len(points)
+    grad_norm = np.full(count, math.inf)
+    iters = np.full(count, opts.max_iters)
+    converged = np.zeros(count, dtype=bool)
+    # the problems still descending, and their rows of every per-problem array
+    live = np.arange(count)
+    b, x, w = points.copy(), batch, weights
+    payloads, mags = _log_batch(space, b, x)
+    objective = weighted_sum(w, mags**2)
+    for iteration in range(1, opts.max_iters + 1):
+        grad = weighted_sum(w, payloads)
+        grad_norm[live] = norm = _tangent_norms(space, b, grad)
+        done = norm <= opts.tol
+        step = _step_sizes(space, w, mags, opts.step)
+        pending = np.flatnonzero(~done)
+        for _ in range(MAX_HALVINGS + 1):
+            if not len(pending):
+                break
+            candidate = space.exp(b[pending], step[pending, None] * grad[pending])
+            cand_payloads, cand_mags = _log_batch(space, candidate, x[pending])
+            cand_objective = weighted_sum(w[pending], cand_mags**2)
+            old = objective[pending]
+            ok = cand_objective <= old + OBJECTIVE_NOISE * (1.0 + old)
+            took = pending[ok]
+            b[took], payloads[took], mags[took] = candidate[ok], cand_payloads[ok], cand_mags[ok]
+            objective[took] = cand_objective[ok]
+            pending = pending[~ok]
+            step[pending] *= 0.5
+        ended = done.copy()
+        ended[pending] = True  # no step accepted: the problem stalls
+        points[live[ended]] = b[ended]
+        iters[live[ended]] = iteration
+        converged[live[done]] = True
+        keep = ~ended
+        live, b, x, w = live[keep], b[keep], x[keep], w[keep]
+        payloads, mags, objective = payloads[keep], mags[keep], objective[keep]
+        if not len(live):
+            break
+    points[live] = b
+    return BatchResult(points, grad_norm, iters, converged)
+
+
+def bures_fixed_point_batch(
+    space: BuresWasserstein, batch, weights, opts: SolverOptions = SolverOptions()
+) -> BatchResult:
+    """Gaussian barycenters of T problems: ``batch`` is (means (T, n, d),
+    covariances (T, n, d, d)) and ``weights`` (T, n).
+
+    Each mean part decouples and averages exactly.  Covariance update:
+    C <- C^(-1/2) (sum_i w_i (C^(1/2) C_i C^(1/2))^(1/2))^2 C^(-1/2), from
+    the arithmetic mean.  A converged iterate satisfies both the fixed-point
+    equation (Frobenius norm) and the first-order condition (tangent mean
+    norm) to ``opts.tol``.
+    """
+    means, covs = batch
+    w = weights
+    count = len(w)
+    mean_bar = weighted_sum(w, means)
+    cov = sym(weighted_sum(w, covs))
+    out = np.empty_like(cov)
+    grad_norm = np.full(count, math.inf)
+    iters = np.full(count, opts.max_iters)
+    converged = np.zeros(count, dtype=bool)
+    live = np.arange(count)
+    eye = np.eye(space.dim)
+    for iteration in range(1, opts.max_iters + 1):
+        s, s_inv = spd_sqrt_inv_sqrt(cov)
+        cross = spd_sqrt_batch(s[:, None] @ covs @ s[:, None])
+        a_bar = weighted_sum(w, s_inv[:, None] @ cross @ s_inv[:, None])
+        lin = sym(a_bar) - eye
+        # lin is symmetric, so this is the squared tangent norm of the mean log
+        grad_norm[live] = norm = np.sqrt(
+            np.maximum(np.sum((lin @ cov) * lin, axis=(-2, -1)), 0.0)
+        )
+        cross_bar = weighted_sum(w, cross)
+        cov_next = sym(s_inv @ cross_bar @ cross_bar @ s_inv)
+        done = (norm <= opts.tol) & (frobenius(cov_next - cov) <= opts.tol)
+        out[live[done]] = cov[done]
+        iters[live[done]] = iteration
+        converged[live[done]] = True
+        keep = ~done
+        live, covs, w, cov = live[keep], covs[keep], w[keep], cov_next[keep]
+        if not len(live):
+            break
+    out[live] = cov
+    return BatchResult((mean_bar, out), grad_norm, iters, converged)
+
+
+def mean_batch(space: Euclidean, batch, weights) -> BatchResult:
+    """The exact weighted mean of each of T problems on a flat space
+    (Euclidean, quantile grids): ``batch`` (T, n, D), ``weights`` (T, n)."""
+    points = weighted_sum(weights, batch)
+    payloads, _ = space.log_batch(points, batch)
+    grad_norm = _tangent_norms(space, points, weighted_sum(weights, payloads))
+    count = len(points)
+    return BatchResult(points, grad_norm, np.ones(count, int), np.ones(count, bool))
+
+
+def barycenter_batch(
+    space: Space, batch, weights, opts: SolverOptions = SolverOptions()
+) -> BatchResult:
+    """Space-appropriate barycenters of T problems of n points each:
+    ``batch`` is their supports stacked by ``space.stack_problems`` and
+    ``weights`` is (T, n).  Descent starts from the space's ``warm_start``."""
+    if isinstance(space, Euclidean):
+        return mean_batch(space, batch, weights)
+    if isinstance(space, BuresWasserstein):
+        return bures_fixed_point_batch(space, batch, weights, opts)
+    return descent_batch(space, batch, weights, space.warm_start(batch, weights), opts)
+
+
+def _batch_of_one(dist: DiscreteDistribution):
+    """The support and weights of ``dist`` as a stack of one problem."""
+    return dist.space.stack_problems([dist.batch]), dist.weights[None]
+
+
+def _single(dist: DiscreteDistribution, solved: BatchResult) -> BarycenterResult:
+    """The one result of a batch of one, with its objective."""
+    point = dist.space.unstack(solved.points)[0]
+    return BarycenterResult(
+        point,
+        variance(dist, point),
+        float(solved.grad_norm[0]),
+        int(solved.iters[0]),
+        bool(solved.converged[0]),
+    )
+
+
 def frechet_mean_descent(
     dist: DiscreteDistribution, init, opts: SolverOptions = SolverOptions()
 ) -> BarycenterResult:
-    """Tangent-space gradient descent b <- exp_b(step * sum_i w_i log_b(x_i)).
-
-    Stops when the tangent mean norm falls to ``opts.tol``.  The step is
-    halved (at most MAX_HALVINGS times per iteration) whenever the candidate
-    objective increases; a non-improving iteration ends the run with
-    ``converged=False`` unless the tolerance was already met.
-    """
-    space = dist.space
-    w = dist.weights
-    b = init
-
-    def eval_at(point):
-        try:
-            payloads, mags = space.log_batch(point, dist.batch)
-        except CutLocus as exc:
-            raise CutLocusDuringIteration(str(exc)) from exc
-        return payloads, float(w @ (mags**2))
-
-    payloads, objective = eval_at(b)
-    grad_norm = math.inf
-    for iteration in range(1, opts.max_iters + 1):
-        grad = np.tensordot(w, payloads, axes=(0, 0))
-        grad_norm = space.tangent_norm(b, grad)
-        if grad_norm <= opts.tol:
-            return BarycenterResult(b, objective, grad_norm, iteration, True)
-        step = opts.step
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = space.exp(b, step * grad)
-            cand_payloads, cand_objective = eval_at(candidate)
-            if cand_objective <= objective + OBJECTIVE_NOISE * (1.0 + objective):
-                b, payloads, objective = candidate, cand_payloads, cand_objective
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return BarycenterResult(b, objective, grad_norm, iteration, False)
-    return BarycenterResult(b, objective, grad_norm, opts.max_iters, False)
+    """``descent_batch`` on one distribution, from ``init``."""
+    batch, weights = _batch_of_one(dist)
+    start = np.asarray(init, dtype=float)[None]
+    return _single(dist, descent_batch(dist.space, batch, weights, start, opts))
 
 
 def quantile_mean(dist: DiscreteDistribution):
@@ -112,40 +263,11 @@ def quantile_mean(dist: DiscreteDistribution):
 def bures_fixed_point(
     dist: DiscreteDistribution, opts: SolverOptions = SolverOptions()
 ) -> BarycenterResult:
-    """Gaussian barycenter: exact mean average plus the covariance fixed point.
-
-    Covariance update: C <- C^(-1/2) (sum_i w_i (C^(1/2) C_i C^(1/2))^(1/2))^2 C^(-1/2).
-    Converged iterates satisfy both the fixed-point equation (Frobenius norm)
-    and the first-order condition (tangent mean norm) to ``opts.tol``.
-    """
-    space = dist.space
-    if not isinstance(space, BuresWasserstein):
+    """``bures_fixed_point_batch`` on one Gaussian distribution."""
+    if not isinstance(dist.space, BuresWasserstein):
         raise SpaceMismatch("bures_fixed_point needs a Bures-Wasserstein distribution")
-    means, covs = dist.batch
-    w = dist.weights
-    mean_bar = w @ means  # the mean part decouples and averages exactly
-
-    cov = sym(np.einsum("n,nij->ij", w, covs))  # arithmetic mean as warm start
-    eye = np.eye(space.dim)
-    grad_norm = math.inf
-    iteration = 0
-    for iteration in range(1, opts.max_iters + 1):
-        s, s_inv = spd_sqrt_inv_sqrt(cov)
-        cross = spd_sqrt_batch(s @ covs @ s)
-        a_bar = s_inv @ cross @ s_inv
-        lin = sym(np.einsum("n,nij->ij", w, a_bar)) - eye
-        grad_norm = math.sqrt(max(float(np.sum((lin @ cov) * lin)), 0.0))  # lin is symmetric
-        cross_bar = np.einsum("n,nij->nij", w, cross).sum(axis=0)
-        cov_next = sym(s_inv @ cross_bar @ cross_bar @ s_inv)
-        fp_residual = frobenius(cov_next - cov)
-        if grad_norm <= opts.tol and fp_residual <= opts.tol:
-            point = GaussianPoint(mean_bar, cov)
-            return BarycenterResult(
-                point, variance(dist, point), grad_norm, iteration, True
-            )
-        cov = cov_next
-    point = GaussianPoint(mean_bar, cov)
-    return BarycenterResult(point, variance(dist, point), grad_norm, iteration, False)
+    batch, weights = _batch_of_one(dist)
+    return _single(dist, bures_fixed_point_batch(dist.space, batch, weights, opts))
 
 
 def best_support_init(dist: DiscreteDistribution):
@@ -171,20 +293,15 @@ def empirical_barycenter(
 def barycenter(
     dist: DiscreteDistribution, opts: SolverOptions = SolverOptions()
 ) -> BarycenterResult:
-    """Space-appropriate barycenter of a weighted distribution."""
+    """Space-appropriate barycenter of a weighted distribution: its row of
+    ``barycenter_batch``, reached through the module-level solver names that
+    the benchmark tracer wraps."""
     space = dist.space
     if isinstance(space, Euclidean):
-        return _closed_form_result(dist, dist.weights @ dist.batch)
+        return _single(dist, mean_batch(space, *_batch_of_one(dist)))
     if isinstance(space, BuresWasserstein):
         return bures_fixed_point(dist, opts)
     return frechet_mean_descent(dist, best_support_init(dist), opts)
-
-
-def _closed_form_result(dist: DiscreteDistribution, point) -> BarycenterResult:
-    payloads, _ = dist.space.log_batch(point, dist.batch)
-    grad = np.tensordot(dist.weights, payloads, axes=(0, 0))
-    grad_norm = dist.space.tangent_norm(point, grad)
-    return BarycenterResult(point, variance(dist, point), grad_norm, 1, True)
 
 
 def minimality_spot_check(

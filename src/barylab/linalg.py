@@ -1,4 +1,5 @@
-"""SPD matrix helpers built on eigendecomposition of symmetrized inputs."""
+"""SPD matrix helpers built on eigendecomposition of symmetrized inputs, and
+the per-problem weighted sums of stacked solves."""
 
 from __future__ import annotations
 
@@ -35,10 +36,12 @@ def spd_eigh(m: np.ndarray):
 
 
 def spd_sqrt_inv_sqrt(m: np.ndarray):
-    """Square root and inverse square root from one decomposition."""
+    """Square root and inverse square root from one decomposition, batched
+    over leading axes."""
     w, v = spd_eigh(m)
-    s = np.sqrt(w)
-    return (v * s) @ v.T, (v / s) @ v.T
+    s = np.sqrt(w)[..., None, :]
+    vt = np.swapaxes(v, -1, -2)
+    return (v * s) @ vt, (v / s) @ vt
 
 
 def spd_sqrt_batch(ms: np.ndarray) -> np.ndarray:
@@ -83,5 +86,20 @@ def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+def frobenius(m: np.ndarray):
+    """Frobenius norm over the last two axes."""
+    return np.sqrt(np.sum(m * m, axis=(-2, -1)))
+
+
+def weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_i w_i values_i over the support axis, for weights of shape (..., n)
+    and values of shape (..., n, *rest).
+
+    One matrix product per problem, so no problem's sum depends on the
+    problems stacked around it.
+    """
+    weights = np.asarray(weights, dtype=float)
+    lead, n = weights.shape[:-1], weights.shape[-1]
+    rest = values.shape[len(lead) + 1:]
+    flat = values.reshape(lead + (n, -1))
+    return (weights[..., None, :] @ flat).reshape(lead + rest)

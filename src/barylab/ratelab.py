@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import SolverOptions, empirical_barycenter
+from .barycenter import SolverOptions, barycenter_batch, empirical_barycenter
 from .errors import (
     AnchorNotBarycenter,
     CoincidentPoints,
@@ -41,6 +41,12 @@ _VERIFY, _SIGMA2, _TRIAL, _PROFILE, _SUBG = 1, 2, 3, 4, 5
 
 # discarding more than this fraction of trials fails the run
 MAX_DISCARD_RATE = 0.01
+
+# a trial still unconverged after this many redraws fails the run
+MAX_REDRAWS = 25
+
+# points per stacked trial solve: bounds the solver's temporaries at any n
+TRIAL_ROW_BUDGET = 65_536
 
 # proof constant c in (0, 1) for the tail thresholds, fixed by convention
 TAIL_SPLIT_C = 0.5
@@ -233,19 +239,58 @@ def _theorem_bound(theorem: str, sigma2: float, n: int, k: float) -> float:
 
 
 def _one_trial(config: RateExperimentConfig, b_star, n_index: int, trial: int):
-    """Sample, solve and score one replication; redraw on non-convergence."""
+    """Sample, solve and score one replication; redraw on non-convergence.
+
+    The per-trial reference for ``_trial_table``, which solves the same
+    draws stacked and scores them the same way.
+    """
     family = config.family
+    space = family.space
     redraw = 0
     while True:
         rng = _stream(config.master_seed, _TRIAL, n_index, trial, redraw)
         batch = family.sample_batch(rng, config.n_grid[n_index])
-        result = empirical_barycenter(family.space, batch, config.solver)
+        result = empirical_barycenter(space, batch, config.solver)
         if result.converged:
-            return family.space.distance(result.point, b_star) ** 2, redraw
+            return float(space.sqdist_batch(b_star, space.stack([result.point]))[0]), redraw
         redraw += 1
-        if redraw > 25:
+        if redraw > MAX_REDRAWS:
             raise DiscardRateExceeded(
                 f"trial ({n_index}, {trial}) failed to converge after {redraw} redraws"
+            )
+
+
+def _trial_chunk(config: RateExperimentConfig, b_star, n_index: int, trials: np.ndarray):
+    """Squared distances of the given trials at ``n_grid[n_index]``, and the
+    redraws they took.
+
+    Each trial is drawn from its own stream, as in ``_one_trial``, and the
+    draws are solved as one stacked solve; the non-converged trials are
+    solved again together from their next redraw stream.
+    """
+    family = config.family
+    space = family.space
+    n = config.n_grid[n_index]
+    sq = np.empty(len(trials))
+    todo = np.arange(len(trials))
+    redraw = redraws = 0
+    while True:
+        batch = space.stack_problems([
+            family.sample_batch(_stream(config.master_seed, _TRIAL, n_index, t, redraw), n)
+            for t in trials[todo]
+        ])
+        weights = np.full((len(todo), n), 1.0 / n)
+        solved = barycenter_batch(space, batch, weights, config.solver)
+        ok = solved.converged
+        sq[todo[ok]] = space.sqdist_batch(b_star, solved.points)[ok]
+        todo = todo[~ok]
+        if not len(todo):
+            return sq, redraws
+        redraw += 1
+        redraws += len(todo)
+        if redraw > MAX_REDRAWS:
+            raise DiscardRateExceeded(
+                f"trial ({n_index}, {trials[todo[0]]}) failed to converge after {redraw} redraws"
             )
 
 
@@ -253,14 +298,20 @@ def _trial_table(config: RateExperimentConfig, b_star):
     """Squared distances of every trial, shape ``(len(n_grid), trials)``, and
     the number of redraws they took.
 
-    Raises ``DiscardRateExceeded`` when redraws exceed ``MAX_DISCARD_RATE`` of
-    all draws, for the rate and the tail experiment alike.
+    The trials of one n are solved in stacked chunks of at most
+    TRIAL_ROW_BUDGET points.  Every reduction stays per trial, so the table
+    equals the ``_one_trial`` loop bit for bit, however the trials are
+    chunked.  Raises ``DiscardRateExceeded`` when redraws exceed
+    ``MAX_DISCARD_RATE`` of all draws, for the rate and the tail experiment
+    alike.
     """
     sq = np.empty((len(config.n_grid), config.trials))
     redraws = 0
-    for n_index in range(len(config.n_grid)):
-        for trial in range(config.trials):
-            sq[n_index, trial], redraw = _one_trial(config, b_star, n_index, trial)
+    for n_index, n in enumerate(config.n_grid):
+        chunk = max(1, TRIAL_ROW_BUDGET // n)
+        for start in range(0, config.trials, chunk):
+            trials = np.arange(start, min(start + chunk, config.trials))
+            sq[n_index, trials], redraw = _trial_chunk(config, b_star, n_index, trials)
             redraws += redraw
     if redraws / (sq.size + redraws) > MAX_DISCARD_RATE:
         raise DiscardRateExceeded(

@@ -125,6 +125,11 @@ class Space(abc.ABC):
         """Per-point view of a stacked batch."""
         return list(batch)
 
+    def stack_problems(self, batches):
+        """The batches of T problems of equal size, stacked on a new leading
+        axis: the form the stacked solvers take."""
+        return np.stack(batches)
+
     def batch_len(self, batch) -> int:
         return len(batch)
 
@@ -139,7 +144,18 @@ class Space(abc.ABC):
 
     def warm_start(self, batch, weights):
         """Descent start: the best of the first WARM_START_CANDIDATES support
-        points, O(n) each; spaces with a cheap extrinsic mean override it."""
+        points, O(n) each; spaces with a cheap extrinsic mean override it.
+        An override also takes a stacked (T, n, D) batch with (T, n) weights
+        and returns (T, D) starts."""
         candidates = self.unstack(batch)[:WARM_START_CANDIDATES]
         objectives = [weights @ self.sqdist_batch(x, batch) for x in candidates]
         return candidates[int(np.argmin(objectives))]
+
+    def _fall_back(self, starts, ok, batch, weights):
+        """``starts`` where ``ok`` holds, else the default ``Space.warm_start``,
+        computed for each failing problem of a stacked batch on its own."""
+        if starts.ndim == 1:
+            return starts if ok else Space.warm_start(self, batch, weights)
+        for t in np.flatnonzero(~ok):
+            starts[t] = Space.warm_start(self, batch[t], weights[t])
+        return starts

@@ -57,9 +57,9 @@ class Euclidean(Space):
     # -- batched -------------------------------------------------------------
 
     def log_batch(self, p, batch):
-        payloads = batch - np.asarray(p, float)
+        payloads = batch - np.asarray(p, float)[..., None, :]
         return payloads, np.sqrt(self.tangent_inner(p, payloads, payloads))
 
     def sqdist_batch(self, p, batch) -> np.ndarray:
-        diff = batch - np.asarray(p, float)
+        diff = batch - np.asarray(p, float)[..., None, :]
         return self.tangent_inner(p, diff, diff)

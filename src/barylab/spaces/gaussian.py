@@ -166,6 +166,9 @@ class BuresWasserstein(Space):
     def unstack(self, batch) -> list:
         return [GaussianPoint(m, c) for m, c in zip(*batch)]
 
+    def stack_problems(self, batches):
+        return tuple(np.stack(parts) for parts in zip(*batches))
+
     def batch_len(self, batch) -> int:
         return len(batch[0])
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from ..linalg import weighted_sum
 from .base import Extendibility, Space
 
 MINKOWSKI_TOL = 1e-12
@@ -52,7 +53,8 @@ class Hyperboloid(Space):
             raise ValueError(f"not on the upper hyperboloid sheet: <x,x>_M = {q!r}")
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return x / math.sqrt(max(-self.minkowski(x, x), 1e-300))
+        q = np.maximum(-self.tangent_inner(None, x, x), 1e-300)
+        return x / np.sqrt(q)[..., None]
 
     def random_point(self, rng):
         v = np.zeros(self.ambient)
@@ -71,18 +73,17 @@ class Hyperboloid(Space):
         return Extendibility(math.inf, math.inf)
 
     def exp(self, p, v):
+        """Exponential map, batched over leading axes of ``p`` and ``v``."""
         p = np.asarray(p, float)
         payload = np.asarray(v, dtype=float)
-        q = max(self.minkowski(payload, payload), 0.0)
-        m = math.sqrt(q)
-        if m < 1e-300:
-            return p.copy()
-        u = payload / m
-        return self._project(math.cosh(m) * p + math.sinh(m) * u)
+        m = np.sqrt(np.maximum(self.tangent_inner(p, payload, payload), 0.0))[..., None]
+        tip = m < 1e-300
+        u = payload / np.where(tip, 1.0, m)
+        return np.where(tip, p, self._project(np.cosh(m) * p + np.sinh(m) * u))
 
     def tangent_inner(self, p, u_payload, v_payload):
         # the Minkowski form is positive definite on tangent planes
-        return np.sum(self._j * u_payload * v_payload, axis=-1)
+        return np.einsum("...i,i,...i->...", u_payload, self._j, v_payload)
 
     def random_tangent(self, p, rng) -> np.ndarray:
         p = np.asarray(p, float)
@@ -92,33 +93,34 @@ class Hyperboloid(Space):
     # -- batched -------------------------------------------------------------
 
     def _tangent_theta(self, p, batch):
-        """Tangent parts at p of the batch, their norms, and distances to p.
+        """Tangent parts at p of the batch, their norms, and distances to p;
+        ``p`` of shape (..., D) with a batch of shape (..., n, D).
 
         The tangent part x + <x, p>_M p = sinh(theta) u is taken of x - p,
         which is exact for nearby points, so rounding off the sheet (normal
         to it) does not leak into short distances as it does in |x - p|_M.
         """
-        p = np.asarray(p, float)
+        p = np.asarray(p, float)[..., None, :]
         diff = batch - p
-        v = diff + np.outer(np.einsum("ij,j,j->i", diff, self._j, p), p)
+        v = diff + self.tangent_inner(p, diff, p)[..., None] * p
         nv = np.sqrt(np.maximum(self.tangent_inner(p, v, v), 0.0))
         return v, nv, np.arcsinh(nv)
 
     def log_batch(self, p, batch):
         v, nv, theta = self._tangent_theta(p, batch)
         scale = np.where(nv > 0, theta / np.where(nv == 0, 1.0, nv), 0.0)
-        return v * scale[:, None], theta
+        return v * scale[..., None], theta
 
     def sqdist_batch(self, p, batch) -> np.ndarray:
         return self._tangent_theta(p, batch)[2] ** 2
 
     def warm_start(self, batch, weights):
         """The projected extrinsic mean: the Minkowski-normalised weighted mean
-        (timelike with x0 > 0 for any sheet points, unless rounding breaks it)."""
-        mean = weights @ batch
-        if mean[0] > 0 and self.minkowski(mean, mean) < 0:
-            return self._project(mean)
-        return super().warm_start(batch, weights)
+        (timelike with x0 > 0 for any sheet points, unless rounding breaks it);
+        per problem for a stacked (T, n, D) batch with (T, n) weights."""
+        mean = weighted_sum(weights, batch)
+        ok = (mean[..., 0] > 0) & (self.tangent_inner(None, mean, mean) < 0)
+        return self._fall_back(self._project(mean), ok, batch, weights)
 
     def tangent_basis(self, p) -> np.ndarray:
         """Minkowski-orthonormal basis of the tangent plane at p, rows as vectors."""

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from ..errors import AntipodalPoints, OutOfDomain
+from ..linalg import weighted_sum
 from .base import Extendibility, Space
 
 # Points this close to the cut locus are rejected rather than resolved.
@@ -63,15 +64,15 @@ class Sphere(Space):
         return Extendibility(half, half)
 
     def exp(self, p, v):
+        """Exponential map, batched over leading axes of ``p`` and ``v``."""
         p = np.asarray(p, float)
         payload = np.asarray(v, dtype=float)
-        m = np.linalg.norm(payload)
-        if m >= math.pi:
-            raise OutOfDomain(f"tangent magnitude {m:.12g} >= pi")
-        if m < 1e-300:
-            return p.copy()
-        out = math.cos(m) * p + math.sin(m) * (payload / m)
-        return out / np.linalg.norm(out)
+        m = np.linalg.norm(payload, axis=-1, keepdims=True)
+        if np.any(m >= math.pi):
+            raise OutOfDomain(f"tangent magnitude {np.max(m):.12g} >= pi")
+        tip = m < 1e-300
+        out = np.cos(m) * p + np.sin(m) * (payload / np.where(tip, 1.0, m))
+        return np.where(tip, p, out / np.linalg.norm(out, axis=-1, keepdims=True))
 
     def tangent_inner(self, p, u_payload, v_payload):
         return np.einsum("...i,...i->...", u_payload, v_payload)
@@ -84,33 +85,37 @@ class Sphere(Space):
     # -- batched -------------------------------------------------------------
 
     def _tangent_theta(self, p, batch):
-        """Parts of the batch orthogonal to p, their norms, and angles to p.
+        """Parts of the batch orthogonal to p, their norms, and angles to p;
+        ``p`` of shape (..., D) with a batch of shape (..., n, D).
 
         The orthogonal part is taken of x - p, which is exact for nearby
         points, and theta = atan2(|x_perp|, x . p) is stable on all of
         [0, pi] and blind to the rounding of |x| and |p| away from 1.
         """
-        p = np.asarray(p, float)
+        p = np.asarray(p, float)[..., None, :]
         diff = batch - p
-        v = diff - np.outer(np.einsum("ij,j->i", diff, p), p)
-        nv = np.linalg.norm(v, axis=1)
-        return v, nv, np.arctan2(nv, np.einsum("ij,j->i", batch, p))
+        v = diff - np.einsum("...j,...j->...", diff, p)[..., None] * p
+        nv = np.linalg.norm(v, axis=-1)
+        return v, nv, np.arctan2(nv, np.einsum("...j,...j->...", batch, p))
 
     def log_batch(self, p, batch):
         v, nv, theta = self._tangent_theta(p, batch)
         if np.any(theta > math.pi - ANTIPODAL_TOL):
             raise AntipodalPoints("a batch point reaches the cut locus of the base")
         scale = np.where(nv > 0, theta / np.where(nv == 0, 1.0, nv), 0.0)
-        return v * scale[:, None], theta
+        return v * scale[..., None], theta
 
     def sqdist_batch(self, p, batch) -> np.ndarray:
         return self._tangent_theta(p, batch)[2] ** 2
 
     def warm_start(self, batch, weights):
         """The projected extrinsic mean, unless it is degenerate or a support
-        point lies pi/2 (the Karcher/Afsari uniqueness radius) or more away."""
-        mean = weights @ batch
-        norm = np.linalg.norm(mean)
-        if norm > 1e-8 and np.all(self.sqdist_batch(mean / norm, batch) < (math.pi / 2) ** 2):
-            return mean / norm
-        return super().warm_start(batch, weights)
+        point lies pi/2 (the Karcher/Afsari uniqueness radius) or more away;
+        per problem for a stacked (T, n, D) batch with (T, n) weights."""
+        mean = weighted_sum(weights, batch)
+        norm = np.linalg.norm(mean, axis=-1, keepdims=True)
+        start = mean / np.where(norm > 1e-8, norm, 1.0)
+        ok = (norm[..., 0] > 1e-8) & np.all(
+            self.sqdist_batch(start, batch) < (math.pi / 2) ** 2, axis=-1
+        )
+        return self._fall_back(start, ok, batch, weights)

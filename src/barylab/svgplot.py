@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 60
@@ -54,7 +54,7 @@ def render_loglog_svg(series, title: str = "", guide_slope: float = -1.0) -> str
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>'
         )
     # decade ticks
     for decade in range(math.floor(x_lo), math.ceil(x_hi) + 1):
@@ -105,7 +105,7 @@ def render_loglog_svg(series, title: str = "", guide_slope: float = -1.0) -> str
         )
         parts.append(
             f'<text x="{MARGIN + 8}" y="{MARGIN + 16 * idx}" font-family="sans-serif" '
-            f'font-size="12" fill="{color}">{escape(label)}</text>'
+            f'font-size="12" fill="{color}">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -161,23 +161,24 @@ class TestTailCommand:
         calls = []
         trials = []
         verify = ratelab.population_barycenter
-        one_trial = ratelab._one_trial
+        solve = ratelab.barycenter_batch
 
         def counting(config):
             calls.append(config.master_seed)
             return verify(config)
 
-        def counting_trial(config, b_star, n_index, trial):
-            trials.append((n_index, trial))
-            return one_trial(config, b_star, n_index, trial)
+        def counting_solve(space, batch, weights, options):
+            count, n = weights.shape
+            trials.extend([n] * count)
+            return solve(space, batch, weights, options)
 
         monkeypatch.setattr(ratelab, "population_barycenter", counting)
-        monkeypatch.setattr(ratelab, "_one_trial", counting_trial)
+        monkeypatch.setattr(ratelab, "barycenter_batch", counting_solve)
         cfg = write_config(tmp_path, dict(TAIL_CONFIG, delta=[0.2, 0.1], trials=20))
         out = tmp_path / "out"
         assert run(["tail", "--config", cfg, "--out", out]) == 0
         assert calls == [11]
-        assert sorted(trials) == [(0, trial) for trial in range(20)]
+        assert trials == [TAIL_CONFIG["n_grid"][0]] * 20
         assert len((out / "tail.csv").read_text().splitlines()) == 1 + 2
 
 
@@ -274,12 +275,14 @@ class TestHelp:
 
 class TestImports:
     def test_cli_import_leaves_scipy_out(self):
-        """The runtime needs numpy only; scipy is a test dependency."""
+        """The runtime needs numpy only; scipy is a test dependency.  Nor does
+        the CLI import the standard library's network and XML stacks."""
         root = Path(__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         code = (
             "import sys, barylab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m in ('urllib.request', 'http.client', 'xml.sax')))"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], cwd=root, env=env,

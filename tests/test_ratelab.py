@@ -10,7 +10,7 @@ from scipy.stats import chi2
 
 import barylab as bl
 from barylab import cli, ratelab
-from barylab.barycenter import empirical_barycenter
+from barylab.barycenter import barycenter_batch
 from barylab.errors import (
     CoincidentPoints,
     DiscardRateExceeded,
@@ -278,6 +278,78 @@ class TestSubgaussian:
         assert check.stderr == pytest.approx(0.00025899853575277117, rel=1e-14, abs=0)
 
 
+TABLE_FAMILIES = {
+    "euclidean": EuclideanGaussian(dim=3),
+    "sphere": SphereCap(0.7),
+    "hyperbolic": HyperbolicGaussian(1.5),
+    "gaussian": GaussianEnsemble(0.8, 1.6, dim=2),
+}
+
+
+def table_config(kind, **kw):
+    return bl.RateExperimentConfig(
+        family=TABLE_FAMILIES[kind], theorem="tail", n_grid=(2, 3, 16, 100), trials=30,
+        master_seed=5, **kw,
+    )
+
+
+def per_trial_table(config):
+    """The trial table and redraw count of the ``_one_trial`` loop."""
+    anchor = config.family.anchor
+    rows = [
+        [ratelab._one_trial(config, anchor, n_index, trial) for trial in range(config.trials)]
+        for n_index in range(len(config.n_grid))
+    ]
+    table = np.array([[sq for sq, _ in row] for row in rows])
+    return table, sum(redraw for row in rows for _, redraw in row)
+
+
+class TestTrialTable:
+    @pytest.mark.parametrize("kind", sorted(TABLE_FAMILIES))
+    def test_equals_the_per_trial_loop(self, kind):
+        config = table_config(kind)
+        table, redraws = ratelab._trial_table(config, config.family.anchor)
+        expected, expected_redraws = per_trial_table(config)
+        assert np.array_equal(table, expected)  # bit for bit
+        assert redraws == expected_redraws
+
+    @pytest.mark.parametrize("kind, max_iters", [("sphere", 6), ("gaussian", 5)])
+    def test_redraws_equal_the_per_trial_loop(self, kind, max_iters, monkeypatch):
+        """With the iterations capped, many trials are solved again from
+        their next redraw stream, stacked, as the loop solves them one by one."""
+        monkeypatch.setattr(ratelab, "MAX_DISCARD_RATE", 1.0)
+        config = table_config(kind, solver=bl.SolverOptions(max_iters=max_iters))
+        table, redraws = ratelab._trial_table(config, config.family.anchor)
+        expected, expected_redraws = per_trial_table(config)
+        assert redraws == expected_redraws > 10
+        assert np.array_equal(table, expected)
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_FAMILIES))
+    def test_independent_of_the_row_budget(self, kind, monkeypatch):
+        config = table_config(kind)
+        table, redraws = ratelab._trial_table(config, config.family.anchor)
+        for budget in (1, 64, 10**9):
+            monkeypatch.setattr(ratelab, "TRIAL_ROW_BUDGET", budget)
+            chunked, chunked_redraws = ratelab._trial_table(config, config.family.anchor)
+            assert np.array_equal(chunked, table)
+            assert chunked_redraws == redraws
+
+    def test_never_converging_trial_is_named(self, monkeypatch):
+        """A trial that fails every redraw stops the run, named by its
+        (n_index, trial)."""
+
+        def stuck(space, batch, weights, options):
+            result = barycenter_batch(space, batch, weights, options)
+            converged = result.converged.copy()
+            if weights.shape[1] == 8:  # the last trial at n = 8 never converges
+                converged[-1] = False
+            return dataclasses.replace(result, converged=converged)
+
+        monkeypatch.setattr(ratelab, "barycenter_batch", stuck)
+        with pytest.raises(DiscardRateExceeded, match=r"trial \(1, 4\) failed .* 26 redraws"):
+            run_rate_experiment(euclid_config(n_grid=(4, 8), trials=5))
+
+
 def tail_config(trials=2000):
     return bl.RateExperimentConfig(
         family=EuclideanGaussian(dim=3, sd=1.0),
@@ -296,22 +368,25 @@ def tail_results():
 
 
 class FlakySolver:
-    """``empirical_barycenter`` that reports non-convergence on redraw 0 of
-    every ``every``-th trial, counting trials in the order they are solved."""
+    """``barycenter_batch`` that reports non-convergence on redraw 0 of every
+    ``every``-th trial, counting trials in the order they are first solved;
+    the call after one that reports any is their redraw, passed through."""
 
     def __init__(self, every=10):
         self.every = every
         self.trial = 0
         self.redrawing = False
 
-    def __call__(self, space, batch, options):
-        result = empirical_barycenter(space, batch, options)
-        if self.trial % self.every == 0 and not self.redrawing:
-            self.redrawing = True
-            return dataclasses.replace(result, converged=False)
-        self.trial += 1
-        self.redrawing = False
-        return result
+    def __call__(self, space, batch, weights, options):
+        result = barycenter_batch(space, batch, weights, options)
+        if self.redrawing:
+            self.redrawing = False
+            return result
+        count = len(weights)
+        flaky = (self.trial + np.arange(count)) % self.every == 0
+        self.trial += count
+        self.redrawing = bool(flaky.any())
+        return dataclasses.replace(result, converged=result.converged & ~flaky)
 
 
 class TestTailExperiment:
@@ -351,16 +426,16 @@ class TestTailExperiment:
     def test_discard_rate_gate(self, monkeypatch):
         """Redraws above MAX_DISCARD_RATE fail the tail run as they fail a
         rate run: 2 discards in 22 draws."""
-        monkeypatch.setattr(ratelab, "empirical_barycenter", FlakySolver())
+        monkeypatch.setattr(ratelab, "barycenter_batch", FlakySolver())
         with pytest.raises(DiscardRateExceeded):
             run_tail_experiment(tail_config(trials=20), [0.2], varsigma2=3.0)
-        monkeypatch.setattr(ratelab, "empirical_barycenter", FlakySolver())
+        monkeypatch.setattr(ratelab, "barycenter_batch", FlakySolver())
         with pytest.raises(DiscardRateExceeded):
             run_rate_experiment(euclid_config(n_grid=(4,), trials=20))
 
     def test_discards_under_the_cap_are_counted(self, monkeypatch):
         """1 discard in 201 draws passes, and every row reports it."""
-        monkeypatch.setattr(ratelab, "empirical_barycenter", FlakySolver(every=200))
+        monkeypatch.setattr(ratelab, "barycenter_batch", FlakySolver(every=200))
         results = run_tail_experiment(tail_config(trials=200), [0.05, 0.2], varsigma2=3.0)
         assert [r.discarded for r in results] == [1, 1]
 
