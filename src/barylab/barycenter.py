@@ -214,17 +214,29 @@ def mean_batch(space: Euclidean, batch, weights) -> BatchResult:
     return BatchResult(points, grad_norm, np.ones(count, int), np.ones(count, bool))
 
 
+def _by_kind(space: Space, mean, fixed_point, descent):
+    """The one choice of solver by space: calls ``mean`` on flat spaces
+    (Euclidean, quantile grids), ``fixed_point`` on Gaussian measures and
+    ``descent`` otherwise."""
+    if isinstance(space, Euclidean):
+        return mean()
+    if isinstance(space, BuresWasserstein):
+        return fixed_point()
+    return descent()
+
+
 def barycenter_batch(
     space: Space, batch, weights, opts: SolverOptions = SolverOptions()
 ) -> BatchResult:
     """Space-appropriate barycenters of T problems of n points each:
     ``batch`` is their supports stacked by ``space.stack_problems`` and
     ``weights`` is (T, n).  Descent starts from the space's ``warm_start``."""
-    if isinstance(space, Euclidean):
-        return mean_batch(space, batch, weights)
-    if isinstance(space, BuresWasserstein):
-        return bures_fixed_point_batch(space, batch, weights, opts)
-    return descent_batch(space, batch, weights, space.warm_start(batch, weights), opts)
+    return _by_kind(
+        space,
+        lambda: mean_batch(space, batch, weights),
+        lambda: bures_fixed_point_batch(space, batch, weights, opts),
+        lambda: descent_batch(space, batch, weights, space.warm_start(batch, weights), opts),
+    )
 
 
 def _batch_of_one(dist: DiscreteDistribution):
@@ -272,7 +284,7 @@ def bures_fixed_point(
 
 def best_support_init(dist: DiscreteDistribution):
     """Descent warm start, chosen by the space in O(n) (``Space.warm_start``)."""
-    return dist.space.warm_start(dist.batch, dist.weights)
+    return dist.space.warm_start(*_batch_of_one(dist))[0]
 
 
 def empirical_barycenter(
@@ -296,12 +308,12 @@ def barycenter(
     """Space-appropriate barycenter of a weighted distribution: its row of
     ``barycenter_batch``, reached through the module-level solver names that
     the benchmark tracer wraps."""
-    space = dist.space
-    if isinstance(space, Euclidean):
-        return _single(dist, mean_batch(space, *_batch_of_one(dist)))
-    if isinstance(space, BuresWasserstein):
-        return bures_fixed_point(dist, opts)
-    return frechet_mean_descent(dist, best_support_init(dist), opts)
+    return _by_kind(
+        dist.space,
+        lambda: _single(dist, mean_batch(dist.space, *_batch_of_one(dist))),
+        lambda: bures_fixed_point(dist, opts),
+        lambda: frechet_mean_descent(dist, best_support_init(dist), opts),
+    )
 
 
 def minimality_spot_check(

@@ -45,8 +45,11 @@ MAX_DISCARD_RATE = 0.01
 # a trial still unconverged after this many redraws fails the run
 MAX_REDRAWS = 25
 
-# points per stacked trial solve: bounds the solver's temporaries at any n
-TRIAL_ROW_BUDGET = 65_536
+# floats of stacked draws per trial solve (Space.point_floats a point): bounds
+# every (T, n, ...) temporary of the stacked solvers at 512 KiB, or at one
+# trial's size if that is larger; larger chunks solve no faster and take more
+# memory
+TRIAL_FLOAT_BUDGET = 65_536
 
 # proof constant c in (0, 1) for the tail thresholds, fixed by convention
 TAIL_SPLIT_C = 0.5
@@ -299,16 +302,16 @@ def _trial_table(config: RateExperimentConfig, b_star):
     the number of redraws they took.
 
     The trials of one n are solved in stacked chunks of at most
-    TRIAL_ROW_BUDGET points.  Every reduction stays per trial, so the table
-    equals the ``_one_trial`` loop bit for bit, however the trials are
-    chunked.  Raises ``DiscardRateExceeded`` when redraws exceed
-    ``MAX_DISCARD_RATE`` of all draws, for the rate and the tail experiment
-    alike.
+    TRIAL_FLOAT_BUDGET floats of draws (one trial at least).  Every reduction
+    stays per trial, so the table equals the ``_one_trial`` loop bit for bit,
+    however the trials are chunked.  Raises ``DiscardRateExceeded`` when
+    redraws exceed ``MAX_DISCARD_RATE`` of all draws, for the rate and the
+    tail experiment alike.
     """
     sq = np.empty((len(config.n_grid), config.trials))
     redraws = 0
     for n_index, n in enumerate(config.n_grid):
-        chunk = max(1, TRIAL_ROW_BUDGET // n)
+        chunk = max(1, TRIAL_FLOAT_BUDGET // (n * config.family.space.point_floats))
         for start in range(0, config.trials, chunk):
             trials = np.arange(start, min(start + chunk, config.trials))
             sq[n_index, trials], redraw = _trial_chunk(config, b_star, n_index, trials)

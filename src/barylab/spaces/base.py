@@ -133,6 +133,11 @@ class Space(abc.ABC):
     def batch_len(self, batch) -> int:
         return len(batch)
 
+    @property
+    def point_floats(self) -> int:
+        """Floats that one point takes in a stacked batch."""
+        return self.ambient
+
     @abc.abstractmethod
     def log_batch(self, p, batch):
         """Log payloads and magnitudes for every point in ``batch``; a point
@@ -144,18 +149,16 @@ class Space(abc.ABC):
 
     def warm_start(self, batch, weights):
         """Descent start: the best of the first WARM_START_CANDIDATES support
-        points, O(n) each; spaces with a cheap extrinsic mean override it.
-        An override also takes a stacked (T, n, D) batch with (T, n) weights
-        and returns (T, D) starts."""
+        points, O(n) each, for one problem's (n, D) batch and (n,) weights.
+        Spaces with a cheap extrinsic mean override it for a stacked
+        (T, n, D) batch with (T, n) weights, returning (T, D) starts."""
         candidates = self.unstack(batch)[:WARM_START_CANDIDATES]
         objectives = [weights @ self.sqdist_batch(x, batch) for x in candidates]
         return candidates[int(np.argmin(objectives))]
 
     def _fall_back(self, starts, ok, batch, weights):
-        """``starts`` where ``ok`` holds, else the default ``Space.warm_start``,
-        computed for each failing problem of a stacked batch on its own."""
-        if starts.ndim == 1:
-            return starts if ok else Space.warm_start(self, batch, weights)
+        """(T, D) ``starts`` where ``ok`` holds, else the default
+        ``Space.warm_start``, computed for each failing problem on its own."""
         for t in np.flatnonzero(~ok):
             starts[t] = Space.warm_start(self, batch[t], weights[t])
         return starts

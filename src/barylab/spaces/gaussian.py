@@ -172,6 +172,10 @@ class BuresWasserstein(Space):
     def batch_len(self, batch) -> int:
         return len(batch[0])
 
+    @property
+    def point_floats(self) -> int:
+        return self.dim + self.dim * self.dim
+
     def log_batch(self, p: GaussianPoint, batch):
         payloads, mags_sq = self._log_sq(p, batch)
         return payloads, np.sqrt(mags_sq)

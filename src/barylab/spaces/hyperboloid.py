@@ -117,7 +117,7 @@ class Hyperboloid(Space):
     def warm_start(self, batch, weights):
         """The projected extrinsic mean: the Minkowski-normalised weighted mean
         (timelike with x0 > 0 for any sheet points, unless rounding breaks it);
-        per problem for a stacked (T, n, D) batch with (T, n) weights."""
+        for each problem of a stacked (T, n, D) batch with (T, n) weights."""
         mean = weighted_sum(weights, batch)
         ok = (mean[..., 0] > 0) & (self.tangent_inner(None, mean, mean) < 0)
         return self._fall_back(self._project(mean), ok, batch, weights)

@@ -111,7 +111,7 @@ class Sphere(Space):
     def warm_start(self, batch, weights):
         """The projected extrinsic mean, unless it is degenerate or a support
         point lies pi/2 (the Karcher/Afsari uniqueness radius) or more away;
-        per problem for a stacked (T, n, D) batch with (T, n) weights."""
+        for each problem of a stacked (T, n, D) batch with (T, n) weights."""
         mean = weighted_sum(weights, batch)
         norm = np.linalg.norm(mean, axis=-1, keepdims=True)
         start = mean / np.where(norm > 1e-8, norm, 1.0)

@@ -325,14 +325,32 @@ class TestTrialTable:
         assert np.array_equal(table, expected)
 
     @pytest.mark.parametrize("kind", sorted(TABLE_FAMILIES))
-    def test_independent_of_the_row_budget(self, kind, monkeypatch):
+    def test_independent_of_the_float_budget(self, kind, monkeypatch):
         config = table_config(kind)
         table, redraws = ratelab._trial_table(config, config.family.anchor)
         for budget in (1, 64, 10**9):
-            monkeypatch.setattr(ratelab, "TRIAL_ROW_BUDGET", budget)
+            monkeypatch.setattr(ratelab, "TRIAL_FLOAT_BUDGET", budget)
             chunked, chunked_redraws = ratelab._trial_table(config, config.family.anchor)
             assert np.array_equal(chunked, table)
             assert chunked_redraws == redraws
+
+    def test_wide_points_split_the_solve(self, monkeypatch):
+        """The budget counts floats, so 16 x 16 covariances at n = 16 (272
+        floats a point) split 20 trials into stacked solves of 15 and 5."""
+        sizes = []
+
+        def recording(space, batch, weights, options):
+            sizes.append(weights.shape)
+            return barycenter_batch(space, batch, weights, options)
+
+        monkeypatch.setattr(ratelab, "barycenter_batch", recording)
+        family = GaussianEnsemble(0.8, 1.6, dim=16)
+        config = bl.RateExperimentConfig(
+            family=family, theorem="wasserstein", n_grid=(16,), trials=20, master_seed=5
+        )
+        ratelab._trial_table(config, family.anchor)
+        assert sizes == [(15, 16), (5, 16)]
+        assert all(t * n * 272 <= ratelab.TRIAL_FLOAT_BUDGET for t, n in sizes)
 
     def test_never_converging_trial_is_named(self, monkeypatch):
         """A trial that fails every redraw stops the run, named by its
