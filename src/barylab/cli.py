@@ -128,7 +128,6 @@ def _cmd_rates(args) -> int:
         "k_used": curve.k_used,
         "slope": curve.slope,
         "sigma2": curve.sigma2,
-        "sigma2_stderr": curve.sigma2_stderr,
         "discarded_trials": curve.discarded,
         "bound_violations": rate_violations(curve, strict=args.strict_bounds),
     }

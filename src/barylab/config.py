@@ -171,7 +171,6 @@ def _rate_config(obj: dict, violations, theorem: str) -> RateExperimentConfig | 
     trials = _positive_int(obj, "trials", _DEFAULT_TRIALS, "config", violations)
     seed = _seed(obj, violations)
     solver = _solver(obj, violations)
-    sigma2_draws = _positive_int(obj, "sigma2_draws", 1_000_000, "config", violations)
     verify_draws = _positive_int(obj, "verify_draws", 100_000, "config", violations)
     if family is not None and family.kind not in THEOREM_FAMILIES[theorem]:
         violations.append(
@@ -187,7 +186,6 @@ def _rate_config(obj: dict, violations, theorem: str) -> RateExperimentConfig | 
         trials=trials,
         master_seed=seed,
         solver=solver,
-        sigma2_draws=sigma2_draws,
         verify_draws=verify_draws,
     )
 
@@ -198,7 +196,7 @@ def _rate_config(obj: dict, violations, theorem: str) -> RateExperimentConfig | 
 def _build_rates(obj: dict, violations) -> dict:
     allowed = {
         "experiment", "family", "theorem", "n_grid", "trials", "master_seed",
-        "solver", "sigma2_draws", "verify_draws",
+        "solver", "verify_draws",
     }
     _check_keys(obj, allowed, {"family", "theorem", "n_grid"}, "config", violations)
     theorem = obj.get("theorem")
@@ -212,7 +210,7 @@ def _build_rates(obj: dict, violations) -> dict:
 def _build_tail(obj: dict, violations) -> dict:
     allowed = {
         "experiment", "family", "n_grid", "trials", "master_seed", "solver",
-        "delta", "varsigma2", "sigma2_draws", "verify_draws",
+        "delta", "varsigma2", "verify_draws",
         "profile_points", "profile_targets", "subgaussian_draws",
     }
     _check_keys(obj, allowed, {"family", "n_grid", "delta", "varsigma2"}, "config", violations)

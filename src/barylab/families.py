@@ -45,6 +45,10 @@ class Family(abc.ABC):
         """Squared distances to the anchor for ``count`` fresh draws."""
 
     @abc.abstractmethod
+    def sigma2(self) -> float:
+        """Exact population variance E d^2(anchor, X), from the family's law."""
+
+    @abc.abstractmethod
     def support_extendibility(self) -> Extendibility:
         """Extendibility infimum over the population support."""
 
@@ -81,6 +85,9 @@ class EuclideanGaussian(Family):
     def sqdist_anchor(self, rng, count):
         z = rng.standard_normal((count, self.space.dim))
         return self.sd**2 * np.einsum("ij,ij->i", z, z)
+
+    def sigma2(self):
+        return self.space.dim * self.sd**2
 
     def support_extendibility(self) -> Extendibility:
         return Extendibility(math.inf, math.inf)
@@ -144,6 +151,16 @@ class SphereCap(Family):
     def sqdist_anchor(self, rng, count):
         return self._draw_theta(rng, count) ** 2
 
+    def sigma2(self):
+        # E theta^2 under the density sin^(d-1) theta on [0, r], by
+        # Gauss-Legendre; 64 nodes reach rounding for r < pi/4
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(64)
+        theta = 0.5 * self.radius * (nodes + 1.0)
+        density = weights * np.sin(theta) ** (self.space.dim - 1)
+        return float(density @ theta**2 / density.sum())
+
     def support_extendibility(self) -> Extendibility:
         edge = self.space.exp(self.anchor, self.radius * self._basis[0])
         return self.space.max_extendibility(self.anchor, edge)
@@ -184,6 +201,10 @@ class HyperbolicGaussian(Family):
         coords = self.scale * rng.standard_normal((count, self.space.dim))
         return np.einsum("ij,ij->i", coords, coords)
 
+    def sigma2(self):
+        # d(anchor, exp v) = |v| for the Gaussian tangent vector v
+        return self.space.dim * self.scale**2
+
     def support_extendibility(self) -> Extendibility:
         return Extendibility(math.inf, math.inf)
 
@@ -208,21 +229,22 @@ class GaussianEnsemble(Family):
     kind = "gaussian_ensemble"
 
     def __init__(self, alpha: float, beta: float, dim: int = 3, base_cov=None):
-        if not 0 < alpha <= 1 <= beta:
-            raise BadFamilyParams("need 0 < alpha <= 1 <= beta")
+        # with alpha or beta at 1 the mean of 1 forces every eigenvalue to 1,
+        # so every draw would be the anchor
+        if not 0 < alpha < 1 < beta:
+            raise BadFamilyParams("need 0 < alpha < 1 < beta")
         self.space = BuresWasserstein(dim)
         cov = np.eye(dim) if base_cov is None else np.asarray(base_cov, float)
         self.anchor = GaussianPoint(np.zeros(dim), cov)
         self.alpha = float(alpha)
         self.beta = float(beta)
+        # weight of the [alpha, 1] segment that puts the eigenvalue mean at 1
+        self._p_lo = (self.beta - 1.0) / (self.beta - self.alpha)
 
     def _draw_eigs(self, rng, shape) -> np.ndarray:
         lo = rng.uniform(self.alpha, 1.0, shape)
         hi = rng.uniform(1.0, self.beta, shape)
-        if self.beta == self.alpha:
-            return np.ones(shape)
-        p_lo = (self.beta - 1.0) / (self.beta - self.alpha)
-        return np.where(rng.random(shape) < p_lo, lo, hi)
+        return np.where(rng.random(shape) < self._p_lo, lo, hi)
 
     def _draw_spectra(self, rng, count):
         """Map eigenvalues (count, d) and Haar rotations (count, d, d)."""
@@ -246,6 +268,13 @@ class GaussianEnsemble(Family):
         eigs, q = self._draw_spectra(rng, count)
         spread = np.einsum("nji,nji->ni", q, self.anchor.cov @ q)
         return np.einsum("ni,ni->n", (eigs - 1.0) ** 2, spread)
+
+    def sigma2(self):
+        # sum_i E(e_i - 1)^2 E q_i^T C q_i: a Haar column gives tr C / d whatever
+        # the eigenvalues, and a uniform segment from 1 to x gives (x - 1)^2 / 3
+        p = self._p_lo
+        spread = p * (1.0 - self.alpha) ** 2 + (1.0 - p) * (self.beta - 1.0) ** 2
+        return float(np.trace(self.anchor.cov)) * spread / 3.0
 
     def support_extendibility(self) -> Extendibility:
         # extreme admissible map realizes the support infimum exactly

@@ -9,6 +9,9 @@ Experiments verify three rate regimes and a tail bound:
 * a high-probability bound d^2 <= c1 log(2/delta) / n under a subgaussian
   variance proxy.
 
+The population constant sigma^2 = E d^2(b*, X) in the rate bounds is exact:
+every family gives it in closed form from its law, so no draws go into it.
+
 Hypotheses are hard gates: an experiment refuses to run when its premises
 fail numerically.  All randomness derives from the master seed through
 per-purpose and per-trial streams, so results are independent of execution
@@ -36,8 +39,9 @@ from .hugging import hugging_value  # noqa: F401  (perfbench/tracer.py counts it
 
 THEOREMS = ("negcurv", "master_extendible", "wasserstein", "tail")
 
-# stream labels for seed derivation
-_VERIFY, _SIGMA2, _TRIAL, _PROFILE, _SUBG = 1, 2, 3, 4, 5
+# stream labels for seed derivation; 2 stays unused so that the other streams
+# keep the seeds they had when a Monte Carlo sigma^2 pass drew from it
+_VERIFY, _TRIAL, _PROFILE, _SUBG = 1, 3, 4, 5
 
 # discarding more than this fraction of trials fails the run
 MAX_DISCARD_RATE = 0.01
@@ -66,7 +70,6 @@ class RateExperimentConfig:
     trials: int
     master_seed: int
     solver: SolverOptions = SolverOptions()
-    sigma2_draws: int = 1_000_000
     verify_draws: int = 100_000
 
     def __post_init__(self):
@@ -78,6 +81,8 @@ class RateExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.verify_draws < 1:
+            raise ValueError("verify_draws must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,6 @@ class RateCurve:
     slope: float | None
     k_used: float
     sigma2: float
-    sigma2_stderr: float
     theorem: str
     space: str
     master_seed: int
@@ -198,10 +202,12 @@ def _anchor_moment(family: Family, rng, draws: int, transform=None) -> tuple[flo
     return mean, math.sqrt(var / draws)
 
 
-def estimate_sigma2(config: RateExperimentConfig) -> tuple[float, float]:
-    """Monte Carlo variance of the family about its anchor, with stderr."""
-    rng = _stream(config.master_seed, _SIGMA2)
-    return _anchor_moment(config.family, rng, config.sigma2_draws)
+def estimate_sigma2(config: RateExperimentConfig) -> float:
+    """The family's variance about its anchor, exact from its closed form.
+
+    The name stays because perfbench's tracer times this phase through it.
+    """
+    return config.family.sigma2()
 
 
 def _theorem_k(config: RateExperimentConfig) -> float:
@@ -327,7 +333,7 @@ def run_rate_experiment(config: RateExperimentConfig) -> RateCurve:
     """Estimate E d^2(b_n, b*) over the n grid and compare to the theorem bound."""
     k = _theorem_k(config)
     b_star = population_barycenter(config)
-    sigma2, sigma2_stderr = estimate_sigma2(config)
+    sigma2 = estimate_sigma2(config)
     table, discarded = _trial_table(config, b_star)
     points = []
     for n, sq in zip(config.n_grid, table):
@@ -345,7 +351,6 @@ def run_rate_experiment(config: RateExperimentConfig) -> RateCurve:
         slope=slope,
         k_used=k,
         sigma2=sigma2,
-        sigma2_stderr=sigma2_stderr,
         theorem=config.theorem,
         space=config.family.space.tag,
         master_seed=config.master_seed,
@@ -377,6 +382,8 @@ def subgaussian_proxy_check(
     """
     if varsigma2 <= 0:
         raise ValueError("varsigma2 must be positive")
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
 
     def moment(sq):
         with np.errstate(over="ignore"):

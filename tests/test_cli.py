@@ -20,7 +20,6 @@ RATES_CONFIG = {
     "n_grid": [4, 16],
     "trials": 100,
     "master_seed": 5,
-    "sigma2_draws": 20000,
     "verify_draws": 10000,
 }
 
@@ -47,6 +46,8 @@ class TestRates:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 5
         assert manifest["config"]["theorem"] == "negcurv"
+        assert manifest["results"]["sigma2"] == 3.0  # exact: dim * sd^2
+        assert "sigma2_stderr" not in manifest["results"]
         for listed in manifest["outputs"]:
             assert (out / listed.split("/")[-1]).exists()
 
@@ -87,6 +88,26 @@ class TestRates:
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, dict(RATES_CONFIG, trials=0))
         assert run(["rates", "--config", cfg, "--out", tmp_path / "o"]) == 1
+
+    def test_point_mass_ensemble_is_a_config_error(self, tmp_path, capsys):
+        """alpha = beta = 1 makes every draw the anchor, so every bound is 0:
+        the family is refused before anything runs."""
+        bad = dict(
+            RATES_CONFIG,
+            family={"kind": "gaussian_ensemble", "dim": 2, "alpha": 1.0, "beta": 1.0},
+            theorem="wasserstein",
+            n_grid=[4, 8, 16],
+        )
+        cfg = write_config(tmp_path, bad)
+        assert run(["rates", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "error[config]: family: need 0 < alpha < 1 < beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rates", "tail"])
+    def test_sigma2_draws_is_an_unknown_key(self, tmp_path, capsys, command):
+        base = RATES_CONFIG if command == "rates" else TAIL_CONFIG
+        cfg = write_config(tmp_path, dict(base, sigma2_draws=20000))
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "error[config]: config: unknown key 'sigma2_draws'" in capsys.readouterr().err
 
     def test_strict_bounds_exit_code(self, tmp_path):
         # seed chosen so some ratio sits above 1 but inside 3 stderr: the
@@ -137,7 +158,6 @@ TAIL_CONFIG = {
     "delta": [0.2],
     "varsigma2": 3.0,
     "master_seed": 11,
-    "sigma2_draws": 20000,
     "verify_draws": 10000,
     "subgaussian_draws": 20000,
     "profile_points": 20,

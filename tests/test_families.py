@@ -14,7 +14,7 @@ from barylab.families import (
     SphereCap,
     family_from_config,
 )
-from barylab.ratelab import RateExperimentConfig, estimate_sigma2, population_barycenter
+from barylab.ratelab import RateExperimentConfig, _anchor_moment, population_barycenter
 
 BASE_COV = [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]]
 
@@ -47,7 +47,6 @@ def small_config(family, seed=7, **kw):
         trials=2,
         master_seed=seed,
         verify_draws=kw.pop("verify_draws", 30_000),
-        sigma2_draws=kw.pop("sigma2_draws", 50_000),
         **kw,
     )
 
@@ -110,13 +109,48 @@ class TestGuarantees:
         [(None, 0.12019349023559975), (BASE_COV, 0.14020665482113562)],
     )
     def test_ensemble_sigma2_pinned(self, base_cov, expected):
-        """10^6-draw sigma^2 at master seed 1, as the map-building pass gave it."""
+        """10^6-draw Monte Carlo sigma^2 on the stream the rate runs once drew
+        it from (master seed 1, label 2), as the map-building pass gave it."""
         family = GaussianEnsemble(0.8, 1.6, dim=3, base_cov=base_cov)
-        config = RateExperimentConfig(
-            family=family, theorem="wasserstein", n_grid=(2, 4), trials=2, master_seed=1
-        )
-        sigma2, _ = estimate_sigma2(config)
+        rng = np.random.default_rng(np.random.SeedSequence([1, 2]))
+        sigma2, _ = _anchor_moment(family, rng, 10**6)
         assert sigma2 == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+SIGMA2_FAMILIES = {
+    "euclidean_gaussian": lambda: EuclideanGaussian(dim=3, sd=1.3),
+    "hyperbolic_gaussian": lambda: HyperbolicGaussian(0.5, dim=3),
+    "sphere_cap_d2": lambda: SphereCap(0.3),
+    "sphere_cap_d3": lambda: SphereCap(0.7, dim=3),
+    "sphere_cap_d4": lambda: SphereCap(0.5, dim=4),
+    "gaussian_ensemble": lambda: GaussianEnsemble(0.8, 1.6, dim=3),
+    # p_lo = 0.3 / 1.0, away from 1/2
+    "gaussian_ensemble_base_cov": lambda: GaussianEnsemble(0.3, 1.3, dim=3, base_cov=BASE_COV),
+}
+
+
+class TestExactSigma2:
+    @pytest.mark.parametrize("name", sorted(SIGMA2_FAMILIES))
+    def test_within_three_stderr_of_monte_carlo(self, name):
+        family = SIGMA2_FAMILIES[name]()
+        mean, stderr = _anchor_moment(family, np.random.default_rng(2024), 10**6)
+        assert abs(family.sigma2() - mean) <= 3.0 * stderr
+
+    def test_ensemble_closed_form(self):
+        """tr(Sigma) [p_lo (1 - alpha)^2 + (1 - p_lo)(beta - 1)^2] / 3."""
+        assert GaussianEnsemble(0.8, 1.6, dim=3).sigma2() == pytest.approx(0.12, rel=1e-14)
+        family = GaussianEnsemble(0.3, 1.3, dim=3, base_cov=BASE_COV)
+        expected = 3.5 * (0.3 * 0.7**2 + 0.7 * 0.3**2) / 3.0
+        assert family.sigma2() == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("radius", [0.5, 0.7, 0.78])
+    def test_cap_quadrature_matches_the_two_sphere_closed_form(self, radius):
+        """On S^2 the cap gives (2r sin r + (2 - r^2) cos r - 2) / (1 - cos r).
+        That form cancels at small r (it is 4e-14 off at r = 0.3), so it is
+        the reference only where it keeps its digits."""
+        r = radius
+        exact = (2 * r * math.sin(r) + (2 - r * r) * math.cos(r) - 2) / (1 - math.cos(r))
+        assert SphereCap(r).sigma2() == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 class TestAnchors:

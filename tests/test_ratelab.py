@@ -40,7 +40,7 @@ def make_curve(ns, means):
     points = tuple(
         RatePoint(n, 100, m, 0.01 * m, 1.0, 1.0 / n, m * n) for n, m in zip(ns, means)
     )
-    return RateCurve(points, float("nan"), 1.0, 1.0, 0.0, "negcurv", "euclidean", 0)
+    return RateCurve(points, float("nan"), 1.0, 1.0, "negcurv", "euclidean", 0)
 
 
 class TestSlopeFit:
@@ -67,7 +67,6 @@ def euclid_config(**kw):
         n_grid=(4, 16, 64),
         trials=200,
         master_seed=42,
-        sigma2_draws=100_000,
         verify_draws=20_000,
     )
     defaults.update(kw)
@@ -115,7 +114,7 @@ class TestRateExperiment:
             path = tmp_path / f"{name}.json"
             config = dict(
                 family, experiment="rates", theorem="negcurv", n_grid=[4, 16, 64],
-                trials=20, master_seed=3, sigma2_draws=20_000, verify_draws=20_000,
+                trials=20, master_seed=3, verify_draws=20_000,
             )
             path.write_text(json.dumps(config), encoding="utf-8")
             outputs = []
@@ -133,7 +132,6 @@ class TestRateExperiment:
             n_grid=(4, 16),
             trials=150,
             master_seed=3,
-            sigma2_draws=100_000,
             verify_draws=20_000,
         )
         curve = run_rate_experiment(config)
@@ -147,7 +145,6 @@ class TestRateExperiment:
             n_grid=(4, 16),
             trials=100,
             master_seed=3,
-            sigma2_draws=100_000,
             verify_draws=20_000,
         )
         curve = run_rate_experiment(config)
@@ -163,13 +160,24 @@ class TestRateExperiment:
             n_grid=(4, 8),
             trials=60,
             master_seed=3,
-            sigma2_draws=50_000,
             verify_draws=10_000,
         )
         curve = run_rate_experiment(config)
         assert curve.k_used == pytest.approx(0.2)
         for p in curve.points:
             assert p.ratio <= 1.0
+
+    def test_sigma2_is_exact_and_draws_nothing(self, monkeypatch):
+        """The bound's sigma^2 is the family's closed form: the Monte Carlo
+        squared distances are never drawn."""
+
+        def spy(self, rng, count):
+            raise AssertionError("sqdist_anchor called by a rate run")
+
+        monkeypatch.setattr(EuclideanGaussian, "sqdist_anchor", spy)
+        curve = run_rate_experiment(euclid_config(trials=20))
+        assert curve.sigma2 == 3.0
+        assert all(p.sigma2 == 3.0 and p.bound == 3.0 / p.n for p in curve.points)
 
 
 class TestHypothesisGates:
@@ -214,7 +222,6 @@ class TestHypothesisGates:
             trials=5,
             master_seed=1,
             solver=bl.SolverOptions(max_iters=1, tol=1e-16),
-            sigma2_draws=10_000,
             verify_draws=10_000,
         )
         with pytest.raises(DiscardRateExceeded):
@@ -229,6 +236,8 @@ class TestHypothesisGates:
             euclid_config(trials=0)
         with pytest.raises(ValueError):
             euclid_config(theorem="banana")
+        with pytest.raises(ValueError, match="verify_draws"):
+            euclid_config(verify_draws=0)
 
 
 class TestViolationDetection:
@@ -241,7 +250,7 @@ class TestViolationDetection:
 
     def test_strict_mode_has_no_slack(self):
         point = RatePoint(10, 100, 1.005e-1, 5e-3, 1.0, 1.0 / 10, 1.005)
-        curve = RateCurve((point,), float("nan"), 1.0, 1.0, 0.0, "negcurv", "euclidean", 0)
+        curve = RateCurve((point,), float("nan"), 1.0, 1.0, "negcurv", "euclidean", 0)
         assert not rate_violations(curve, strict=False)
         assert rate_violations(curve, strict=True)
 
@@ -261,6 +270,10 @@ class TestSubgaussian:
         varsigma2 = 0.3**2 / (2.0 * math.log(2.0))
         check = subgaussian_proxy_check(config, varsigma2, draws=50_000)
         assert check.passed
+
+    def test_zero_draws_rejected(self):
+        with pytest.raises(ValueError, match="draws"):
+            subgaussian_proxy_check(euclid_config(), varsigma2=3.0, draws=0)
 
     def test_heavy_proxy_fails(self):
         config = euclid_config()
@@ -375,7 +388,6 @@ def tail_config(trials=2000):
         n_grid=(100,),
         trials=trials,
         master_seed=21,
-        sigma2_draws=50_000,
         verify_draws=20_000,
     )
 
