@@ -1,5 +1,14 @@
 """Geodesic metric spaces, Frechet barycenters, and rate experiments."""
 
+import os as _os
+
+# Every BLAS and LAPACK call here works on one problem at a time and is too
+# small to split across threads: stacked 3x3 matmuls, (1, n) @ (n, k) weighted
+# sums, eigh of 3x3 matrices.  A second OpenBLAS thread only adds a worker that
+# spin-waits on another core, so default to one; a value already set wins.
+# This must run before the first import that loads numpy.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .barycenter import (

@@ -270,6 +270,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a config error (exit 1), not an argparse error: exit 2 means a hypothesis failed
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError([f"--seed must be a nonnegative integer, got {args.seed}"])
         return _COMMANDS[args.command](args)
     except HypothesisViolated as exc:
         print(f"error[hypothesis]: {exc}", file=sys.stderr)

@@ -81,6 +81,10 @@ class InsufficientGrid(BarylabError):
     """Not enough grid points for the requested fit."""
 
 
+class PlotError(BarylabError):
+    """Values that the requested chart cannot draw."""
+
+
 class ConfigError(BarylabError):
     """Base class for configuration file errors."""
 

@@ -83,6 +83,8 @@ class RateExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.verify_draws < 1:
             raise ValueError("verify_draws must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .errors import ParseError
 from .ratelab import RateCurve, TailExperimentResult
 
 RATES_HEADER = ["space", "n", "trials", "mean_sq_dist", "stderr", "sigma2", "bound", "ratio", "seed"]
@@ -53,21 +54,34 @@ def write_rates_csv(path, curve: RateCurve) -> None:
 
 
 def read_rates_csv(path):
-    """Rows of a rates CSV as dicts with numeric fields parsed."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(RATES_HEADER) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing rates columns {sorted(missing)}")
-        rows = []
-        for row in reader:
-            parsed = dict(row)
-            for key in ("n", "trials", "seed"):
-                parsed[key] = int(row[key])
-            for key in ("mean_sq_dist", "stderr", "sigma2", "bound", "ratio"):
-                parsed[key] = float(row[key])
-            rows.append(parsed)
+    """Rows of a rates CSV as dicts with numeric fields parsed.
+
+    A file that cannot be read, lacks a rates column, has no rows or holds a
+    cell that does not parse raises `ParseError`."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            missing = set(RATES_HEADER) - set(reader.fieldnames or ())
+            if missing:
+                raise ParseError(f"{path}: missing rates columns {sorted(missing)}")
+            rows = [_parse_rates_row(path, reader.line_num, row) for row in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: cannot read rates CSV: {exc}") from exc
+    if not rows:
+        raise ParseError(f"{path}: no rates rows")
     return rows
+
+
+def _parse_rates_row(path, line: int, row: dict) -> dict:
+    parsed = dict(row)
+    try:
+        for key in ("n", "trials", "seed"):
+            parsed[key] = int(row[key])
+        for key in ("mean_sq_dist", "stderr", "sigma2", "bound", "ratio"):
+            parsed[key] = float(row[key])
+    except (TypeError, ValueError):  # a short row reads None, a bad cell raises
+        raise ParseError(f"{path}, line {line}: {key} is {row[key]!r}, not a number") from None
+    return parsed
 
 
 def write_tail_csv(path, space_tag: str, results: list[TailExperimentResult], seed: int) -> None:

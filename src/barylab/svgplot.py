@@ -5,17 +5,18 @@ from __future__ import annotations
 import math
 from html import escape
 
+from .errors import PlotError
+
 WIDTH, HEIGHT = 640, 480
 MARGIN = 60
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
 
 def _log_range(values):
-    lo = min(values)
-    hi = max(values)
-    if lo <= 0:
-        raise ValueError("log-log chart needs positive values")
-    lo, hi = math.log10(lo), math.log10(hi)
+    bad = [v for v in values if not (math.isfinite(v) and v > 0)]
+    if bad:
+        raise PlotError(f"log-log chart needs finite positive values, got {bad[0]!r}")
+    lo, hi = math.log10(min(values)), math.log10(max(values))
     if hi - lo < 1e-9:
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi

@@ -256,6 +256,42 @@ class TestSweepCommands:
         assert len(lines) == 1 + 25 + 5 + 5
 
 
+HUGGING_CONFIG = {
+    "experiment": "hugging",
+    "family": {"kind": "sphere_cap", "radius": 0.3},
+    "n_support": 10,
+    "n_cases": 2,
+    "master_seed": 2,
+}
+CURVATURE_CONFIG = {
+    "experiment": "curvature",
+    "space": {"kind": "hyperbolic", "dim": 2},
+    "kappa": -1.0,
+    "quadruples": 2,
+    "triples": 2,
+    "master_seed": 2,
+}
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", ["rates", "tail", "hugging", "curvature"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
+        """A negative --seed exits 1 with a typed message, like a negative
+        master_seed in the config, and writes nothing."""
+        base = {
+            "rates": RATES_CONFIG, "tail": TAIL_CONFIG,
+            "hugging": HUGGING_CONFIG, "curvature": CURVATURE_CONFIG,
+        }[command]
+        cfg = write_config(tmp_path, base)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out, "--seed", -1]) == 1
+        assert "error[config]: --seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
+HEADER_LINE = ",".join(RATES_HEADER) + "\n"
+
+
 class TestPlot:
     def test_renders_svg_from_rates_csv(self, tmp_path):
         cfg = write_config(tmp_path, RATES_CONFIG)
@@ -278,6 +314,30 @@ class TestPlot:
         )
         assert run(["plot", "--config", plot_cfg, "--out", out]) == 0
         assert "demo" in (out / "rates.svg").read_text()
+
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [
+            (None, "ParseError", "cannot read rates CSV"),
+            (HEADER_LINE, "ParseError", "no rates rows"),
+            ("space,n,trials\neuclidean,4,100\n", "ParseError", "missing rates columns"),
+            (HEADER_LINE + "euclidean,4,many,0.7,0.01,3,0.75,0.9,5\n", "ParseError",
+             "line 2: trials is 'many', not a number"),
+            (HEADER_LINE + "euclidean,4,100,0.7\n", "ParseError", "seed is None, not a number"),
+            (HEADER_LINE + "euclidean,4,100,0,0,3,0.75,0,5\n", "PlotError",
+             "log-log chart needs finite positive values, got 0.0"),
+        ],
+        ids=["missing-file", "header-only", "missing-columns", "non-numeric-cell",
+             "short-row", "zero-mean-sq-dist"],
+    )
+    def test_bad_csv_is_a_typed_error(self, tmp_path, capsys, text, kind, message):
+        """Unusable input exits 1 with a typed error line, not a traceback."""
+        csv_path = tmp_path / "rates.csv"
+        if text is not None:
+            csv_path.write_text(text, encoding="utf-8")
+        assert run(["plot", "--csv", csv_path, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{kind}]: ") and message in err
 
 
 class TestHelp:
@@ -310,6 +370,35 @@ class TestImports:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_blas_thread_default(self, preset):
+        """Importing barylab defaults OpenBLAS to one thread before numpy loads,
+        so no idle worker thread starts; a value already set wins."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = (
+            "import os, barylab.cli; "
+            "tasks = '/proc/self/task'; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir(tasks)) if os.path.isdir(tasks) else -1)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        value, threads = done.stdout.split()
+        expected = preset or "1"
+        assert value == expected
+        if threads == "-1":
+            pytest.skip("no /proc/self/task to count threads")
+        if int(expected) > (os.cpu_count() or 1):
+            pytest.skip("OpenBLAS starts no more threads than there are CPUs")
+        assert int(threads) == int(expected)
 
 
 class TestBenchmarkTracer:

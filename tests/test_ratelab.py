@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,43 @@ class TestRateExperiment:
                 outputs.append((out / "rates.csv").read_bytes())
             assert outputs[0] == outputs[1]
 
+    def test_blas_threads_do_not_change_results(self, tmp_path):
+        """A fresh CLI process writes the same CSV bytes with one and with two
+        OpenBLAS threads, on the Bures path (the most BLAS and LAPACK calls)
+        and on the descent path."""
+        root = Path(__file__).resolve().parents[1]
+        configs = {
+            "gaussian": {
+                "family": {"kind": "gaussian_ensemble", "dim": 3, "alpha": 0.8, "beta": 1.6},
+                "theorem": "wasserstein",
+            },
+            "hyperbolic": {
+                "family": {"kind": "hyperbolic_gaussian", "scale": 0.5}, "theorem": "negcurv",
+            },
+        }
+        for name, family in configs.items():
+            path = tmp_path / f"{name}.json"
+            config = dict(
+                family, experiment="rates", n_grid=[4, 16, 64], trials=20, master_seed=3,
+                verify_draws=20_000,
+            )
+            path.write_text(json.dumps(config), encoding="utf-8")
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}-{threads}"
+                env = {
+                    **os.environ, "PYTHONPATH": str(root / "src"),
+                    "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": threads,
+                }
+                done = subprocess.run(
+                    [sys.executable, "-m", "barylab.cli", "rates", "--config", str(path),
+                     "--out", str(out)],
+                    cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+                )
+                assert done.returncode == 0, done.stderr
+                outputs.append((out / "rates.csv").read_bytes())
+            assert outputs[0] == outputs[1], name
+
     def test_hyperbolic_bound_holds(self):
         config = bl.RateExperimentConfig(
             family=HyperbolicGaussian(0.5),
@@ -238,6 +279,11 @@ class TestHypothesisGates:
             euclid_config(theorem="banana")
         with pytest.raises(ValueError, match="verify_draws"):
             euclid_config(verify_draws=0)
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            euclid_config(master_seed=-1)
+        assert euclid_config(master_seed=0).master_seed == 0
 
 
 class TestViolationDetection:
