@@ -4,8 +4,8 @@ import os as _os
 
 # Every BLAS and LAPACK call here works on one problem at a time and is too
 # small to split across threads: stacked 3x3 matmuls, (1, n) @ (n, k) weighted
-# sums, eigh of 3x3 matrices.  A second OpenBLAS thread only adds a worker that
-# spin-waits on another core, so default to one; a value already set wins.
+# sums, eigh of small matrices.  A second OpenBLAS thread only adds a worker
+# that spin-waits on another core, so default to one; a value already set wins.
 # This must run before the first import that loads numpy.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -48,27 +48,36 @@ EXIT_BOUND = 3
 PROBE_TOL = 1e-9
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True):
+def _add_common(
+    parser: argparse.ArgumentParser,
+    config_required: bool = True,
+    seed: bool = False,
+    strict_bounds: bool = False,
+):
+    """The flags of one subcommand: --config, --out and --threads on every
+    one, --seed and --strict-bounds only where the subcommand reads them."""
     parser.add_argument(
         "--config", required=config_required, help="path to the JSON experiment config"
     )
     parser.add_argument(
         "--out", default="barylab-out", help="output directory (created if missing)"
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the config master seed"
-    )
+    if seed:
+        parser.add_argument(
+            "--seed", type=int, default=None, help="override the config master seed"
+        )
     parser.add_argument(
         "--threads",
         type=int,
         default=None,
         help="accepted and ignored, like BARYLAB_THREADS: trials run in one thread",
     )
-    parser.add_argument(
-        "--strict-bounds",
-        action="store_true",
-        help="exit 3 on any bound violation, without statistical slack",
-    )
+    if strict_bounds:
+        parser.add_argument(
+            "--strict-bounds",
+            action="store_true",
+            help="exit 3 on any bound violation, without statistical slack",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,13 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rates", help="rate-vs-bound Monte Carlo experiment (CSV)")
-    _add_common(p)
+    _add_common(p, seed=True, strict_bounds=True)
     p = sub.add_parser("tail", help="high-probability tail bound experiment (CSV)")
-    _add_common(p)
+    _add_common(p, seed=True, strict_bounds=True)
     p = sub.add_parser("hugging", help="hugging diagnostic sweep (CSV)")
-    _add_common(p)
+    _add_common(p, seed=True)
     p = sub.add_parser("curvature", help="comparison-geometry probe sweep (CSV)")
-    _add_common(p)
+    _add_common(p, seed=True)
     p = sub.add_parser("barycenter", help="single barycenter solve (JSON)")
     _add_common(p)
     p = sub.add_parser("plot", help="render a rates CSV as an SVG log-log chart")
@@ -271,8 +280,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # a config error (exit 1), not an argparse error: exit 2 means a hypothesis failed
-        if args.seed is not None and args.seed < 0:
-            raise ValidationError([f"--seed must be a nonnegative integer, got {args.seed}"])
+        seed = getattr(args, "seed", None)  # only the subcommands that read it take it
+        if seed is not None and seed < 0:
+            raise ValidationError([f"--seed must be a nonnegative integer, got {seed}"])
         return _COMMANDS[args.command](args)
     except HypothesisViolated as exc:
         print(f"error[hypothesis]: {exc}", file=sys.stderr)

@@ -49,10 +49,11 @@ MAX_DISCARD_RATE = 0.01
 # a trial still unconverged after this many redraws fails the run
 MAX_REDRAWS = 25
 
-# floats of stacked draws per trial solve (Space.point_floats a point): bounds
-# every (T, n, ...) temporary of the stacked solvers at 512 KiB, or at one
-# trial's size if that is larger; larger chunks solve no faster and take more
-# memory
+# floats of stacked draws per trial solve (Space.point_floats a point), and per
+# slice of the anchor-verification log maps: bounds every (T, n, ...)
+# temporary of the stacked solvers, and every temporary of a verify slice, at
+# 512 KiB, or at one trial's size if that is larger; larger chunks solve no
+# faster and take more memory
 TRIAL_FLOAT_BUDGET = 65_536
 
 # proof constant c in (0, 1) for the tail thresholds, fixed by convention
@@ -153,22 +154,27 @@ def population_barycenter(config: RateExperimentConfig):
     """The family anchor, after an empirical first-order verification pass.
 
     Draws ``verify_draws`` samples and requires the tangent mean at the
-    anchor to be within three standard errors of zero.
+    anchor to be within three standard errors of zero.  Draws come in blocks
+    of 100 000, whose log maps are taken and summed in order in slices of at
+    most TRIAL_FLOAT_BUDGET floats of draws.
     """
     family = config.family
     space = family.space
     rng = _stream(config.master_seed, _VERIFY)
     count = config.verify_draws
+    step = max(1, TRIAL_FLOAT_BUDGET // space.point_floats)
     payload_sum = None
     sq_sum = 0.0
     done = 0
     while done < count:
         block = min(100_000, count - done)
         batch = family.sample_batch(rng, block)
-        payloads, mags = space.log_batch(family.anchor, batch)
-        block_sum = payloads.sum(axis=0)
-        payload_sum = block_sum if payload_sum is None else payload_sum + block_sum
-        sq_sum += float(mags @ mags)
+        for start in range(0, block, step):
+            piece = space.take(batch, slice(start, start + step))
+            payloads, mags = space.log_batch(family.anchor, piece)
+            piece_sum = payloads.sum(axis=0)
+            payload_sum = piece_sum if payload_sum is None else payload_sum + piece_sum
+            sq_sum += float(mags @ mags)
         done += block
     mean_norm = space.tangent_norm(family.anchor, payload_sum / count)
     sigma2_hat = sq_sum / count

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -340,17 +341,39 @@ class TestPlot:
         assert err.startswith(f"error[{kind}]: ") and message in err
 
 
+# the flags each subcommand reads, beyond --config, --out and the ignored --threads
+OWN_FLAGS = {
+    "rates": {"--seed", "--strict-bounds"},
+    "tail": {"--seed", "--strict-bounds"},
+    "hugging": {"--seed"},
+    "curvature": {"--seed"},
+    "barycenter": set(),
+    "plot": {"--csv"},
+}
+
+
 class TestHelp:
-    @pytest.mark.parametrize(
-        "command", ["rates", "tail", "hugging", "curvature", "barycenter", "plot"]
-    )
+    @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
     def test_help_mentions_flags(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--help"])
         assert exit_info.value.code == 0
         text = capsys.readouterr().out
-        for flag in ("--config", "--out", "--seed", "--threads", "--strict-bounds"):
-            assert flag in text
+        offered = set(re.findall(r"--[a-z][a-z-]*", text)) - {"--help"}
+        assert offered == {"--config", "--out", "--threads"} | OWN_FLAGS[command]
+
+    @pytest.mark.parametrize(
+        "command, flag", [("barycenter", ["--seed", "5"]), ("plot", ["--strict-bounds"])]
+    )
+    def test_flag_a_subcommand_ignores_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        """A flag the subcommand would not read fails in argparse (exit 2)
+        before anything runs, instead of being accepted and dropped."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(tmp_path / "c.json"), "--out", str(out), *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestImports:

@@ -342,6 +342,8 @@ TABLE_FAMILIES = {
     "sphere": SphereCap(0.7),
     "hyperbolic": HyperbolicGaussian(1.5),
     "gaussian": GaussianEnsemble(0.8, 1.6, dim=2),
+    # the benchmark's ensemble: its 3x3 roots take the closed form
+    "gaussian3": GaussianEnsemble(0.8, 1.6, dim=3),
 }
 
 
@@ -372,7 +374,9 @@ class TestTrialTable:
         assert np.array_equal(table, expected)  # bit for bit
         assert redraws == expected_redraws
 
-    @pytest.mark.parametrize("kind, max_iters", [("sphere", 6), ("gaussian", 5)])
+    @pytest.mark.parametrize(
+        "kind, max_iters", [("sphere", 6), ("gaussian", 5), ("gaussian3", 5)]
+    )
     def test_redraws_equal_the_per_trial_loop(self, kind, max_iters, monkeypatch):
         """With the iterations capped, many trials are solved again from
         their next redraw stream, stacked, as the loop solves them one by one."""
