@@ -51,7 +51,6 @@ from .hugging import (
     extendibility_kmin,
     hugging_value,
     hugging_values,
-    min_hugging_over_targets,
     support_extendibility,
     variance_equality_residual,
     wasserstein_kmin,

@@ -1,8 +1,10 @@
 """Sampling families with known population barycenters.
 
 Each family is constructed symmetric about its anchor so the anchor is the
-population barycenter; the experiment harness verifies this with a large
-empirical gradient pass rather than assuming it.  Families also expose the
+population barycenter; the experiment harness verifies this from
+``anchor_log_sums``, the sums of the draws' log maps at the anchor.  A family
+that draws each point as the exponential of a tangent vector at the anchor sums
+those vectors and never forms the points.  Families also expose the
 extendibility of their population support, computed through the space's
 max_extendibility on extreme support points.
 """
@@ -10,6 +12,7 @@ max_extendibility on extreme support points.
 from __future__ import annotations
 
 import abc
+import inspect
 import math
 from statistics import NormalDist
 
@@ -58,6 +61,21 @@ class Family(abc.ABC):
 
     def sample(self, rng: np.random.Generator, count: int) -> list:
         return self.space.unstack(self.sample_batch(rng, count))
+
+    def anchor_log_sums(self, rng: np.random.Generator, count: int):
+        """Sums of log_anchor(X) and of d^2(anchor, X) over the draws of
+        ``sample_batch(rng, count)``, leaving ``rng`` where that call leaves it.
+        This default takes their log maps in slices of TRIAL_FLOAT_BUDGET floats."""
+        from .ratelab import TRIAL_FLOAT_BUDGET  # ratelab imports this module
+
+        space, batch = self.space, self.sample_batch(rng, count)
+        step = max(1, TRIAL_FLOAT_BUDGET // space.point_floats)
+        payload_sum, sq_sum = 0.0, 0.0
+        for start in range(0, count, step):
+            piece = space.take(batch, slice(start, start + step))
+            payloads, mags = space.log_batch(self.anchor, piece)
+            payload_sum, sq_sum = payload_sum + payloads.sum(axis=0), sq_sum + float(mags @ mags)
+        return payload_sum, sq_sum
 
 
 def _as_unit_rows(v: np.ndarray) -> np.ndarray:
@@ -141,12 +159,19 @@ class SphereCap(Family):
             filled += kept.size
         return out
 
-    def sample_batch(self, rng, count):
+    def _draw_polar(self, rng, count):
         theta = self._draw_theta(rng, count)
-        dirs = _as_unit_rows(rng.standard_normal((count, self.space.dim)))
+        return theta, _as_unit_rows(rng.standard_normal((count, self.space.dim)))
+
+    def sample_batch(self, rng, count):
+        theta, dirs = self._draw_polar(rng, count)
         tangent = dirs @ self._basis
         pts = np.cos(theta)[:, None] * self.anchor + np.sin(theta)[:, None] * tangent
         return _as_unit_rows(pts)
+
+    def anchor_log_sums(self, rng, count):
+        theta, dirs = self._draw_polar(rng, count)
+        return (theta @ dirs) @ self._basis, float(theta @ theta)
 
     def sqdist_anchor(self, rng, count):
         return self._draw_theta(rng, count) ** 2
@@ -188,8 +213,11 @@ class HyperbolicGaussian(Family):
         self.scale = float(scale)
         self._basis = self.space.tangent_basis(self.anchor)
 
+    def _draw_coords(self, rng, count) -> np.ndarray:
+        return self.scale * rng.standard_normal((count, self.space.dim))
+
     def sample_batch(self, rng, count):
-        coords = self.scale * rng.standard_normal((count, self.space.dim))
+        coords = self._draw_coords(rng, count)
         norms = np.linalg.norm(coords, axis=1)
         dirs = _as_unit_rows(coords) @ self._basis
         pts = np.cosh(norms)[:, None] * self.anchor + np.sinh(norms)[:, None] * dirs
@@ -198,8 +226,12 @@ class HyperbolicGaussian(Family):
         return pts / np.sqrt(np.maximum(q, 1e-300))[:, None]
 
     def sqdist_anchor(self, rng, count):
-        coords = self.scale * rng.standard_normal((count, self.space.dim))
+        coords = self._draw_coords(rng, count)
         return np.einsum("ij,ij->i", coords, coords)
+
+    def anchor_log_sums(self, rng, count):
+        coords = self._draw_coords(rng, count)
+        return coords.sum(axis=0) @ self._basis, float(np.einsum("ij,ij->", coords, coords))
 
     def sigma2(self):
         # d(anchor, exp v) = |v| for the Gaussian tangent vector v
@@ -262,6 +294,18 @@ class GaussianEnsemble(Family):
         means = np.zeros((count, self.space.dim))
         return means, covs
 
+    def anchor_log_sums(self, rng, count):
+        # the optimal map from C to M C M is the SPD M itself, so a draw's log
+        # is [0; M - I] = [0; sum_i (e_i - 1) q_i q_i^T], of squared norm
+        # tr(C sum_i (e_i - 1)^2 q_i q_i^T): with all columns q_ni side by side
+        # each sum is one product, and no covariance or root is formed
+        d = self.space.dim
+        eigs, q = self._draw_spectra(rng, count)
+        cols, gaps = np.swapaxes(q, 0, 1).reshape(d, count * d), (eigs - 1.0).ravel()
+        payload_sum = np.zeros((d + 1, d))
+        payload_sum[1:] = sym((cols * gaps) @ cols.T)
+        return payload_sum, float(np.einsum("ij,ji->", self.anchor.cov, (cols * gaps**2) @ cols.T))
+
     def sqdist_anchor(self, rng, count):
         # |Q (E - I) Q^T|^2 in L2(anchor) = sum_i (e_i - 1)^2 q_i^T C q_i: no map
         # is built and no I subtracted, so draws near e = 1 keep their precision
@@ -312,15 +356,8 @@ def family_from_config(obj: dict) -> Family:
     if kind not in FAMILY_KINDS:
         raise BadFamilyParams(f"unknown family kind {kind!r}")
     cls = FAMILY_KINDS[kind]
-    if kind == EuclideanGaussian.kind:
-        allowed = {"dim", "mean", "sd"}
-    elif kind == SphereCap.kind:
-        allowed = {"dim", "anchor", "radius"}
-    elif kind == HyperbolicGaussian.kind:
-        allowed = {"dim", "anchor", "scale"}
-    else:
-        allowed = {"dim", "alpha", "beta", "base_cov"}
-    unknown = set(obj) - allowed
+    # the keys are the constructor's parameters
+    unknown = set(obj) - set(inspect.signature(cls).parameters)
     if unknown:
         raise BadFamilyParams(f"unknown family keys {sorted(unknown)}")
     try:
@@ -353,8 +390,3 @@ def gaussian_quantile_grid(space: QuantileSpace, mean: float, sd: float) -> np.n
         raise BadFamilyParams("sd must be nonnegative")
     inv_cdf = NormalDist().inv_cdf
     return mean + sd * np.array([inv_cdf(level) for level in space.levels()])
-
-
-def random_quantile_point(space: QuantileSpace, rng: np.random.Generator) -> np.ndarray:
-    """Random Gaussian quantile curve, for diagnostics on the quantile space."""
-    return gaussian_quantile_grid(space, rng.normal(), rng.uniform(0.5, 1.5))

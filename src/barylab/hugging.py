@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution
 from .errors import BadBounds, BadLambda, CoincidentPoints
-from .spaces import Extendibility, GaussianPoint, componentwise_inf
+from .spaces import BuresWasserstein, Extendibility, GaussianPoint, componentwise_inf
 
 COINCIDENT_TOL = 1e-12
 
@@ -118,11 +118,7 @@ def bures_potential_bounds(b_star: GaussianPoint, mu: GaussianPoint) -> tuple[fl
     convexity and smoothness constants are the extreme eigenvalues of the
     linear transport map.
     """
-    from .spaces import BuresWasserstein
-
-    space = BuresWasserstein(b_star.dim)
-    eig = np.linalg.eigvalsh(space.transport_map(b_star, mu))
-    return float(eig[0]), float(eig[-1])
+    return BuresWasserstein(b_star.dim).transport_map_bounds(b_star, mu)
 
 
 def wasserstein_kmin(alpha: float, beta: float) -> float:
@@ -132,25 +128,3 @@ def wasserstein_kmin(alpha: float, beta: float) -> float:
     if alpha <= 0:
         raise BadBounds("alpha must be positive")
     return 1.0 - beta + alpha
-
-
-def min_hugging_over_targets(
-    space, b_star, x, target_sampler, n_targets: int, rng: np.random.Generator
-) -> float:
-    """Monte Carlo upper bound on the pointwise hugging minimum over targets.
-
-    Samples ``n_targets`` candidate targets b and returns the least hugging
-    value observed; coincident draws are skipped.
-    """
-    if n_targets < 1:
-        raise ValueError("n_targets must be >= 1")
-    best = math.inf
-    for _ in range(n_targets):
-        b = target_sampler(rng)
-        try:
-            best = min(best, hugging_value(space, b_star, b, x))
-        except CoincidentPoints:
-            continue
-    if math.isinf(best):
-        raise CoincidentPoints("every sampled target coincided with the base point")
-    return best

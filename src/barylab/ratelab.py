@@ -50,9 +50,9 @@ MAX_DISCARD_RATE = 0.01
 MAX_REDRAWS = 25
 
 # floats of stacked draws per trial solve (Space.point_floats a point), and per
-# slice of the anchor-verification log maps: bounds every (T, n, ...)
-# temporary of the stacked solvers, and every temporary of a verify slice, at
-# 512 KiB, or at one trial's size if that is larger; larger chunks solve no
+# slice of log maps in the default Family.anchor_log_sums: bounds every
+# (T, n, ...) temporary of the stacked solvers, and every temporary of a slice,
+# at 512 KiB, or at one trial's size if that is larger; larger chunks solve no
 # faster and take more memory
 TRIAL_FLOAT_BUDGET = 65_536
 
@@ -153,30 +153,19 @@ def _stream(master_seed: int, *path: int) -> np.random.Generator:
 def population_barycenter(config: RateExperimentConfig):
     """The family anchor, after an empirical first-order verification pass.
 
-    Draws ``verify_draws`` samples and requires the tangent mean at the
-    anchor to be within three standard errors of zero.  Draws come in blocks
-    of 100 000, whose log maps are taken and summed in order in slices of at
-    most TRIAL_FLOAT_BUDGET floats of draws.
+    Requires the mean of log_anchor(X) over ``verify_draws`` family draws to
+    be within three standard errors of zero.  The draws come in blocks of
+    100 000, each reduced to its sums by ``Family.anchor_log_sums``, which
+    sums the tangent vectors a family builds its points from where it can.
     """
     family = config.family
-    space = family.space
     rng = _stream(config.master_seed, _VERIFY)
     count = config.verify_draws
-    step = max(1, TRIAL_FLOAT_BUDGET // space.point_floats)
-    payload_sum = None
-    sq_sum = 0.0
-    done = 0
-    while done < count:
-        block = min(100_000, count - done)
-        batch = family.sample_batch(rng, block)
-        for start in range(0, block, step):
-            piece = space.take(batch, slice(start, start + step))
-            payloads, mags = space.log_batch(family.anchor, piece)
-            piece_sum = payloads.sum(axis=0)
-            payload_sum = piece_sum if payload_sum is None else payload_sum + piece_sum
-            sq_sum += float(mags @ mags)
-        done += block
-    mean_norm = space.tangent_norm(family.anchor, payload_sum / count)
+    payload_sum, sq_sum = 0.0, 0.0
+    for start in range(0, count, 100_000):
+        block_payload, block_sq = family.anchor_log_sums(rng, min(100_000, count - start))
+        payload_sum, sq_sum = payload_sum + block_payload, sq_sum + block_sq
+    mean_norm = family.space.tangent_norm(family.anchor, payload_sum / count)
     sigma2_hat = sq_sum / count
     tolerance = 3.0 * math.sqrt(sigma2_hat / count)
     if mean_norm > tolerance:

@@ -87,6 +87,11 @@ class BuresWasserstein(Space):
         """Linear part A of the optimal map from p to x (SPD)."""
         return np.eye(self.dim) + self._map_gaps(p, x.cov[None])[0]
 
+    def transport_map_bounds(self, p: GaussianPoint, x: GaussianPoint) -> tuple[float, float]:
+        """Least and greatest eigenvalues of ``transport_map(p, x)``."""
+        eig = np.linalg.eigvalsh(self.transport_map(p, x))
+        return float(eig[0]), float(eig[-1])
+
     @staticmethod
     def _map_gaps(p: GaussianPoint, covs: np.ndarray) -> np.ndarray:
         """L_i = A_i - I for the optimal linear maps A_i from p to covs_i.
@@ -112,8 +117,7 @@ class BuresWasserstein(Space):
         t < 1/(1 - a_min) and inward while t > -1/(a_max - 1); both suprema
         are open because the map degenerates exactly at the endpoint.
         """
-        eig = np.linalg.eigvalsh(self.transport_map(x, y))
-        a_min, a_max = float(eig[0]), float(eig[-1])
+        a_min, a_max = self.transport_map_bounds(x, y)
         if a_min < 1.0 - 1e-15:
             lam_out, open_out = a_min / (1.0 - a_min), True
         else:

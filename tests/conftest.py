@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import barylab as bl
-from barylab.families import random_quantile_point
+from barylab.families import gaussian_quantile_grid
 
 # one line per acceptance criterion, echoed in the terminal summary so the
 # PASS/FAIL lines survive output capturing
@@ -39,6 +39,11 @@ TRUE_KAPPA = {
 
 def make_space(tag):
     return SPACE_FACTORIES[tag]()
+
+
+def random_quantile_point(space, rng):
+    """Random Gaussian quantile curve, for diagnostics on the quantile space."""
+    return gaussian_quantile_grid(space, rng.normal(), rng.uniform(0.5, 1.5))
 
 
 def probe_point(space, rng):

@@ -7,8 +7,10 @@ import pytest
 
 import barylab as bl
 from barylab.errors import AnchorNotBarycenter, BadFamilyParams
+from barylab import ratelab
 from barylab.families import (
     EuclideanGaussian,
+    Family,
     GaussianEnsemble,
     HyperbolicGaussian,
     SphereCap,
@@ -168,6 +170,76 @@ class TestAnchors:
         config = small_config(family)
         with pytest.raises(AnchorNotBarycenter):
             population_barycenter(config)
+
+
+# the fixture's families, plus the rejection-sampled cap radius and a wide
+# hyperbolic spread, whose log maps lose the most digits
+LOG_SUM_FAMILIES = {
+    **FAMILIES,
+    "sphere_cap_d3": lambda: SphereCap(0.7, dim=3),
+    "hyperbolic_gaussian_wide": lambda: HyperbolicGaussian(1.5, dim=3),
+}
+
+
+class TestAnchorLogSums:
+    @pytest.mark.parametrize("name", sorted(LOG_SUM_FAMILIES))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 7, 2000])
+    def test_sums_the_log_maps_of_sample_batch(self, name, seed, count):
+        """The sums equal those of the log maps of the points sample_batch
+        draws from a twin stream, and leave the stream where it leaves it."""
+        family = LOG_SUM_FAMILIES[name]()
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        payload_sum, sq_sum = family.anchor_log_sums(rng, count)
+        payloads, mags = family.space.log_batch(family.anchor, family.sample_batch(twin, count))
+        # the sum of magnitudes is the scale of the terms of the payload sum
+        assert np.allclose(payload_sum, payloads.sum(axis=0), rtol=0, atol=1e-12 * mags.sum())
+        assert sq_sum == pytest.approx(float(mags @ mags), rel=1e-12, abs=0)
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("name", sorted(LOG_SUM_FAMILIES))
+    def test_default_sums_are_independent_of_the_slices(self, name, monkeypatch):
+        family = LOG_SUM_FAMILIES[name]()
+        whole = Family.anchor_log_sums(family, np.random.default_rng(4), 500)
+        monkeypatch.setattr(ratelab, "TRIAL_FLOAT_BUDGET", 64)
+        sliced = Family.anchor_log_sums(family, np.random.default_rng(4), 500)
+        # sqrt(count * sq_sum) bounds the sum of the log magnitudes
+        assert np.allclose(sliced[0], whole[0], rtol=0, atol=1e-12 * math.sqrt(500 * whole[1]))
+        assert sliced[1] == pytest.approx(whole[1], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "name", ["sphere_cap", "hyperbolic_gaussian", "gaussian_ensemble_base_cov"]
+    )
+    def test_verification_forms_no_points(self, name, monkeypatch):
+        """Families that draw from a tangent vector at the anchor verify
+        from that vector, never through sample_batch."""
+        family = FAMILIES[name]()
+
+        def refuse(rng, count):
+            raise AssertionError("verification sampled points")
+
+        monkeypatch.setattr(family, "sample_batch", refuse)
+        assert population_barycenter(small_config(family)) is family.anchor
+
+    def test_shifted_ensemble_eigenvalues_fail_verification(self):
+        """Map eigenvalues with mean 1.05: the expected map is 1.05 I."""
+
+        class _Inflated(GaussianEnsemble):
+            def _draw_eigs(self, rng, shape):
+                return super()._draw_eigs(rng, shape) + 0.05
+
+        family = _Inflated(0.8, 1.6, dim=3, base_cov=BASE_COV)
+        with pytest.raises(AnchorNotBarycenter):
+            population_barycenter(small_config(family))
+
+    def test_shifted_hyperbolic_coords_fail_verification(self):
+        class _Lopsided(HyperbolicGaussian):
+            def _draw_coords(self, rng, count):
+                return super()._draw_coords(rng, count) + np.array([0.1, 0.0])
+
+        family = _Lopsided(0.5)
+        with pytest.raises(AnchorNotBarycenter):
+            population_barycenter(small_config(family))
 
 
 class TestParams:
