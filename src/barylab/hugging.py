@@ -87,14 +87,10 @@ def extendibility_kmin(lambda_in: float, lambda_out: float) -> float:
     return out_term - in_term
 
 
-def per_point_extendibility(space, dist: DiscreteDistribution, b_star) -> list[Extendibility]:
-    """Maximal extendibility of each geodesic from ``b_star`` into the support."""
-    return [space.max_extendibility(b_star, x) for x in dist.points]
-
-
 def support_extendibility(space, dist: DiscreteDistribution, b_star) -> Extendibility:
-    """Componentwise infimum of per-point extendibility over the support."""
-    return componentwise_inf(per_point_extendibility(space, dist, b_star))
+    """Componentwise infimum of the maximal extendibility of the geodesics
+    from ``b_star`` to each support point."""
+    return componentwise_inf(space.extendibility_batch(b_star, dist.batch))
 
 
 def exp_barycenter_residual(space, dist: DiscreteDistribution, b) -> float:

@@ -21,7 +21,8 @@ WARM_START_CANDIDATES = 32
 
 @dataclass(frozen=True)
 class Extendibility:
-    """Largest inward/outward extension factors of a geodesic.
+    """Largest inward/outward extension factors of a geodesic, or arrays of
+    them for the geodesics from one base point to a batch.
 
     Values are suprema; an ``open_*`` flag marks a supremum that is not
     attained (the extension degenerates exactly at the endpoint).
@@ -33,15 +34,15 @@ class Extendibility:
     open_out: bool = False
 
 
-def componentwise_inf(items) -> Extendibility:
-    """Componentwise infimum of extendibilities, propagating open flags."""
-    items = list(items)
-    if not items:
-        raise ValueError("empty extendibility list")
-    lam_in = min(e.lambda_in for e in items)
-    lam_out = min(e.lambda_out for e in items)
-    open_in = any(e.open_in and e.lambda_in == lam_in for e in items)
-    open_out = any(e.open_out and e.lambda_out == lam_out for e in items)
+def componentwise_inf(ext: Extendibility) -> Extendibility:
+    """Componentwise infimum of an array-valued extendibility, propagating
+    the open flags of the geodesics that attain it."""
+    if np.size(ext.lambda_in) == 0:
+        raise ValueError("empty extendibility batch")
+    lam_in = float(np.min(ext.lambda_in))
+    lam_out = float(np.min(ext.lambda_out))
+    open_in = bool(np.any(ext.open_in & (ext.lambda_in == lam_in)))
+    open_out = bool(np.any(ext.open_out & (ext.lambda_out == lam_out)))
     return Extendibility(lam_in, lam_out, open_in, open_out)
 
 
@@ -63,13 +64,15 @@ class Space(abc.ABC):
     def random_point(self, rng: np.random.Generator):
         """A generic random point, for tests and probes."""
 
-    @abc.abstractmethod
     def point_payload(self, x) -> dict:
-        """JSON-ready payload for ``x`` (space tag included)."""
+        """JSON-ready payload for ``x`` (space tag included): its coordinates."""
+        return {"space": self.tag, "coords": [float(c) for c in x]}
 
-    @abc.abstractmethod
     def point_from_payload(self, obj: dict):
         """Parse and validate a point from its JSON payload."""
+        x = np.asarray(obj["coords"], dtype=float)
+        self.check_point(x)
+        return x
 
     # -- metric and geodesics ----------------------------------------------
 
@@ -83,9 +86,10 @@ class Space(abc.ABC):
         raises OutOfDomain where the extension leaves the space."""
         return self.exp(x, t * self.log(x, y))
 
-    @abc.abstractmethod
     def max_extendibility(self, x, y) -> Extendibility:
-        """Largest factors keeping the extended path a minimizing geodesic."""
+        """Largest factors keeping the extended path a minimizing geodesic:
+        ``extendibility_batch`` on a batch of one."""
+        return componentwise_inf(self.extendibility_batch(x, self.stack([y])))
 
     # -- tangent cone --------------------------------------------------------
 
@@ -150,6 +154,12 @@ class Space(abc.ABC):
     @abc.abstractmethod
     def sqdist_batch(self, p, batch) -> np.ndarray:
         """Squared distances from ``p`` to every point in ``batch``."""
+
+    def extendibility_batch(self, p, batch) -> Extendibility:
+        """``max_extendibility`` of the geodesic from ``p`` to every point in
+        ``batch``, as arrays; unbounded unless the space overrides it."""
+        unbounded = np.full(self.batch_len(batch), math.inf)
+        return Extendibility(unbounded, unbounded)
 
     def warm_start(self, batch, weights):
         """Descent start: the best of the first WARM_START_CANDIDATES support

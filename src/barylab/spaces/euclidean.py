@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .base import Extendibility, Space
+from .base import Space
 
 
 class Euclidean(Space):
@@ -33,17 +31,6 @@ class Euclidean(Space):
 
     def random_point(self, rng):
         return rng.standard_normal(self.dim)
-
-    def point_payload(self, x) -> dict:
-        return {"space": self.tag, "coords": [float(c) for c in x]}
-
-    def point_from_payload(self, obj):
-        x = np.asarray(obj["coords"], dtype=float)
-        self.check_point(x)
-        return x
-
-    def max_extendibility(self, x, y) -> Extendibility:
-        return Extendibility(math.inf, math.inf)
 
     def exp(self, p, v):
         return np.asarray(p, float) + np.asarray(v, dtype=float)

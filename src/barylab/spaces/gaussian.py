@@ -89,8 +89,12 @@ class BuresWasserstein(Space):
 
     def transport_map_bounds(self, p: GaussianPoint, x: GaussianPoint) -> tuple[float, float]:
         """Least and greatest eigenvalues of ``transport_map(p, x)``."""
-        eig = np.linalg.eigvalsh(self.transport_map(p, x))
+        eig = self._map_eigs(p, x.cov[None])[0]
         return float(eig[0]), float(eig[-1])
+
+    def _map_eigs(self, p: GaussianPoint, covs: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of the optimal linear maps from p to covs_i."""
+        return np.linalg.eigvalsh(np.eye(self.dim) + self._map_gaps(p, covs))
 
     @staticmethod
     def _map_gaps(p: GaussianPoint, covs: np.ndarray) -> np.ndarray:
@@ -110,22 +114,19 @@ class BuresWasserstein(Space):
         x = (d - x0 @ x0) / (lam[:, None] + lam)
         return sym(v @ (x / np.outer(r, r)) @ v.T)
 
-    def max_extendibility(self, x: GaussianPoint, y: GaussianPoint) -> Extendibility:
+    def extendibility_batch(self, p: GaussianPoint, batch) -> Extendibility:
         """Extension range limited by positive-definiteness of the interpolant.
 
         The interpolated map (1 - t) I + t A stays PD outward while
         t < 1/(1 - a_min) and inward while t > -1/(a_max - 1); both suprema
         are open because the map degenerates exactly at the endpoint.
         """
-        a_min, a_max = self.transport_map_bounds(x, y)
-        if a_min < 1.0 - 1e-15:
-            lam_out, open_out = a_min / (1.0 - a_min), True
-        else:
-            lam_out, open_out = math.inf, False
-        if a_max > 1.0 + 1e-15:
-            lam_in, open_in = 1.0 / (a_max - 1.0), True
-        else:
-            lam_in, open_in = math.inf, False
+        eig = self._map_eigs(p, batch[1])
+        a_min, a_max = eig[:, 0], eig[:, -1]
+        open_out = a_min < 1.0 - 1e-15
+        open_in = a_max > 1.0 + 1e-15
+        lam_out = np.where(open_out, a_min / np.where(open_out, 1.0 - a_min, 1.0), math.inf)
+        lam_in = np.where(open_in, 1.0 / np.where(open_in, a_max - 1.0, 1.0), math.inf)
         return Extendibility(lam_in, lam_out, open_in, open_out)
 
     # -- tangent cone ------------------------------------------------------------

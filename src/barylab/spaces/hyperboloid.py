@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..linalg import weighted_sum
-from .base import Extendibility, Space
+from .base import Space
 
 MINKOWSKI_TOL = 1e-12
 
@@ -60,17 +60,6 @@ class Hyperboloid(Space):
         v = np.zeros(self.ambient)
         v[1:] = rng.standard_normal(self.dim)
         return self.exp(self.origin(), v)
-
-    def point_payload(self, x) -> dict:
-        return {"space": self.tag, "coords": [float(c) for c in x]}
-
-    def point_from_payload(self, obj):
-        x = np.asarray(obj["coords"], dtype=float)
-        self.check_point(x)
-        return x
-
-    def max_extendibility(self, x, y) -> Extendibility:
-        return Extendibility(math.inf, math.inf)
 
     def exp(self, p, v):
         """Exponential map, batched over leading axes of ``p`` and ``v``."""

@@ -60,22 +60,16 @@ class QuantileSpace(Euclidean):
         self.check_point(x)
         return x
 
-    def max_extendibility(self, x, y) -> Extendibility:
+    def extendibility_batch(self, p, batch) -> Extendibility:
         """Extension range limited by monotonicity of the extended grid."""
-        dx = np.diff(np.asarray(x, float))
-        dy = np.diff(np.asarray(y, float))
-        slope = dy - dx  # gap i evolves as dx_i + t * slope_i, must stay >= 0
-        t_max = math.inf
-        t_min = -math.inf
-        closing = slope < 0
-        if np.any(closing):
-            t_max = float(np.min(dx[closing] / -slope[closing]))
-        opening = slope > 0
-        if np.any(opening):
-            t_min = float(np.max(-dx[opening] / slope[opening]))
-        lam_out = t_max - 1.0 if math.isfinite(t_max) else math.inf
-        lam_in = -t_min if math.isfinite(t_min) else math.inf
-        return Extendibility(max(lam_in, 0.0), max(lam_out, 0.0))
+        dx = np.diff(np.asarray(p, float))
+        slope = np.diff(batch, axis=-1) - dx  # gap i evolves as dx_i + t slope_i >= 0
+        safe = np.where(slope == 0, 1.0, slope)
+        t_max = np.min(np.where(slope < 0, dx / -safe, math.inf), axis=-1, initial=math.inf)
+        t_min = np.max(np.where(slope > 0, -dx / safe, -math.inf), axis=-1, initial=-math.inf)
+        lam_out = np.maximum(t_max - 1.0, 0.0)
+        lam_in = np.maximum(-t_min, 0.0)
+        return Extendibility(lam_in, lam_out)
 
     def exp(self, p, v):
         out = super().exp(p, v)

@@ -43,26 +43,6 @@ class Sphere(Space):
         v = rng.standard_normal(self.ambient)
         return v / np.linalg.norm(v)
 
-    def point_payload(self, x) -> dict:
-        return {"space": self.tag, "coords": [float(c) for c in x]}
-
-    def point_from_payload(self, obj):
-        x = np.asarray(obj["coords"], dtype=float)
-        self.check_point(x)
-        return x
-
-    def max_extendibility(self, x, y) -> Extendibility:
-        length = self.distance(x, y)
-        if length < 1e-14:
-            return Extendibility(math.inf, math.inf)
-        if length > math.pi - ANTIPODAL_TOL:
-            raise AntipodalPoints("no unique geodesic to extend")
-        # the extension stays minimizing while the total arc is <= pi;
-        # report the symmetric maximal split of the remaining budget
-        budget = math.pi / length - 1.0
-        half = budget / 2.0
-        return Extendibility(half, half)
-
     def exp(self, p, v):
         """Exponential map, batched over leading axes of ``p`` and ``v``."""
         p = np.asarray(p, float)
@@ -107,6 +87,16 @@ class Sphere(Space):
 
     def sqdist_batch(self, p, batch) -> np.ndarray:
         return self._tangent_theta(p, batch)[2] ** 2
+
+    def extendibility_batch(self, p, batch) -> Extendibility:
+        length = np.sqrt(self.sqdist_batch(p, batch))
+        if np.any(length > math.pi - ANTIPODAL_TOL):
+            raise AntipodalPoints("no unique geodesic to extend")
+        # the extension stays minimizing while the total arc is <= pi;
+        # report the symmetric maximal split of the remaining budget
+        short = length < 1e-14
+        half = np.where(short, math.inf, (math.pi / np.where(short, 1.0, length) - 1.0) / 2.0)
+        return Extendibility(half, half)
 
     def warm_start(self, batch, weights):
         """The projected extrinsic mean, unless it is degenerate or a support

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -72,30 +73,30 @@ def hugging_sweep(
     return reports, meta
 
 
+def separated(space: Space, points, min_sep: float = MIN_SEPARATION) -> bool:
+    """Whether ``points`` are pairwise at least ``min_sep`` apart and, on the
+    sphere, clear of the cut locus: every pair at most pi - ``min_sep`` apart
+    and every triangle's perimeter short of 2 pi, as the probes need."""
+    count = len(points)
+    dist = np.zeros((count, count))
+    for i in range(count - 1):
+        dist[i, i + 1:] = np.sqrt(space.sqdist_batch(points[i], space.stack(points[i + 1:])))
+    pairs = dist[np.triu_indices(count, 1)]
+    if np.min(pairs) < min_sep:
+        return False
+    if space.tag != "sphere":
+        return True
+    return bool(np.max(pairs) <= math.pi - min_sep) and not any(
+        dist[i, j] + dist[i, k] + dist[j, k] > 2.0 * math.pi - 1e-3
+        for i, j, k in itertools.combinations(range(count), 3)
+    )
+
+
 def _separated_points(space: Space, rng, count: int, max_tries: int = 200):
     """Mutually separated random points, resampled to respect probe margins."""
     for _ in range(max_tries):
         pts = [space.random_point(rng) for _ in range(count)]
-        ok = True
-        for i in range(count):
-            for j in range(i + 1, count):
-                d = space.distance(pts[i], pts[j])
-                if d < MIN_SEPARATION:
-                    ok = False
-                if space.tag == "sphere" and d > math.pi - MIN_SEPARATION:
-                    ok = False
-        if ok and space.tag == "sphere":
-            for i in range(count):
-                for j in range(i + 1, count):
-                    for k in range(j + 1, count):
-                        peri = (
-                            space.distance(pts[i], pts[j])
-                            + space.distance(pts[i], pts[k])
-                            + space.distance(pts[j], pts[k])
-                        )
-                        if peri > 2.0 * math.pi - 1e-3:
-                            ok = False
-        if ok:
+        if separated(space, pts):
             return pts
     raise RuntimeError("could not sample separated probe points")
 

@@ -1,12 +1,11 @@
 """Shared fixtures: model spaces and safe random sampling for probes."""
 
-import math
-
 import numpy as np
 import pytest
 
 import barylab as bl
 from barylab.families import gaussian_quantile_grid
+from barylab.sweeps import separated
 
 # one line per acceptance criterion, echoed in the terminal summary so the
 # PASS/FAIL lines survive output capturing
@@ -57,34 +56,8 @@ def separated_points(space, rng, count, min_sep=0.05):
     """Random points pairwise separated, clear of sphere cut-locus margins."""
     while True:
         pts = [probe_point(space, rng) for _ in range(count)]
-        dists = [
-            space.distance(pts[i], pts[j])
-            for i in range(count)
-            for j in range(i + 1, count)
-        ]
-        if min(dists) < min_sep:
-            continue
-        if space.tag == "sphere":
-            if max(dists) > math.pi - min_sep:
-                continue
-            if count >= 3 and _sphere_perimeter_too_big(space, pts):
-                continue
-        return pts
-
-
-def _sphere_perimeter_too_big(space, pts):
-    count = len(pts)
-    for i in range(count):
-        for j in range(i + 1, count):
-            for k in range(j + 1, count):
-                peri = (
-                    space.distance(pts[i], pts[j])
-                    + space.distance(pts[i], pts[k])
-                    + space.distance(pts[j], pts[k])
-                )
-                if peri > 2.0 * math.pi - 1e-3:
-                    return True
-    return False
+        if separated(space, pts, min_sep):
+            return pts
 
 
 @pytest.fixture

@@ -99,11 +99,32 @@ class TestComparisonAngle:
         bl.comparison_angle(0.0, sides)
         bl.comparison_angle(-1.0, sides)
 
-    def test_triangle_inequality_violation_rejected(self):
+    @pytest.mark.parametrize(
+        "kappa,sides",
+        [
+            (0.0, (1.0, 1.0, 5.0)),
+            (0.0, (-0.1, 1.0, 1.0)),
+            (0.0, (math.nan, 1.0, 1.0)),
+            (-1.0, (1.0, 1.0, math.nan)),
+            (0.0, (1.0, math.inf, 1.0)),
+            # cosh and sinh overflow: the cosine is not finite
+            (-1.0, (800.0, 800.0, 1.0)),
+        ],
+    )
+    def test_triangle_inequality_violation_rejected(self, kappa, sides):
+        """Sides that no triangle has, or whose cosine is not finite, raise
+        rather than give an angle (a NaN cosine once clamped to pi)."""
         with pytest.raises(InvalidTriangle):
-            bl.comparison_angle(0.0, bl.TriangleSides(1.0, 1.0, 5.0))
-        with pytest.raises(InvalidTriangle):
-            bl.TriangleSides(-0.1, 1.0, 1.0)
+            bl.comparison_angle(kappa, bl.TriangleSides(*sides))
+
+    def test_array_sides_give_an_array_of_angles(self):
+        sides = bl.TriangleSides(np.array([1.0, 0.5]), 1.0, np.array([math.sqrt(2.0), 0.5]))
+        angles = bl.comparison_angle(0.0, sides)
+        assert angles.shape == (2,)
+        assert angles[0] == pytest.approx(math.pi / 2, abs=1e-12)
+        single = bl.comparison_angle(0.0, bl.TriangleSides(0.5, 1.0, 0.5))
+        assert isinstance(single, float)
+        assert angles[1] == pytest.approx(single, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("tag", ["euclidean", "sphere", "hyperbolic"])
     def test_matching_kappa_reproduces_vertex_angle(self, tag, rng):
@@ -239,3 +260,97 @@ class TestConeMetric:
         p = np.array([0.0, 0.0, 1.0])
         with pytest.raises(CutLocus):
             bl.tangent_inner(space, p, -p, np.array([1.0, 0.0, 0.0]))
+
+
+# The scalar compositions the batched probes replaced: one scalar distance or
+# log call per side and math.acos per triangle.  They are the references the
+# batched probes must match to rounding.
+
+
+def scalar_angle(kappa, a, b, c):
+    if kappa == 0:
+        cos_val = (a * a + b * b - c * c) / (2.0 * a * b)
+    else:
+        sq = math.sqrt(abs(kappa))
+        cos, sin = (math.cos, math.sin) if kappa > 0 else (math.cosh, math.sinh)
+        cos_val = (cos(c * sq) - cos(a * sq) * cos(b * sq)) / (
+            kappa * (sin(a * sq) / sq) * (sin(b * sq) / sq)
+        )
+    return math.acos(min(1.0, max(-1.0, cos_val)))
+
+
+def scalar_angle_at(space, kappa, p, x, y):
+    return scalar_angle(
+        kappa, space.distance(p, x), space.distance(p, y), space.distance(x, y)
+    )
+
+
+def scalar_quadruple_defect(space, p, x, y, z, kappa):
+    return 2.0 * math.pi - (
+        scalar_angle_at(space, kappa, p, x, y)
+        + scalar_angle_at(space, kappa, p, x, z)
+        + scalar_angle_at(space, kappa, p, y, z)
+    )
+
+
+def scalar_monotonicity_angles(space, p, x, y, kappa, grid):
+    px = [space.geodesic_point(p, x, s) for s in grid]
+    py = [space.geodesic_point(p, y, t) for t in grid]
+    return np.array([[scalar_angle_at(space, kappa, p, a, b) for b in py] for a in px])
+
+
+def scalar_cone_distance(space, p, x, y):
+    u, v = space.log(p, x), space.log(p, y)
+    uu, vv, uv = (float(space.tangent_inner(p, a, b)) for a, b in ((u, u), (v, v), (u, v)))
+    return math.sqrt(max(uu + vv - 2.0 * uv, 0.0))
+
+
+class TestBatchedProbesMatchScalarReference:
+    @pytest.mark.parametrize("tag", sorted(TRUE_KAPPA))
+    def test_angles_over_a_batch_of_triangles(self, tag, rng):
+        space = make_space(tag)
+        kappa = TRUE_KAPPA[tag]
+        triples = [separated_points(space, rng, 3) for _ in range(30)]
+        sides = np.array([
+            [space.distance(p, x), space.distance(p, y), space.distance(x, y)]
+            for p, x, y in triples
+        ])
+        angles = bl.comparison_angle(kappa, bl.TriangleSides(*sides.T))
+        reference = [scalar_angle(kappa, *row) for row in sides]
+        np.testing.assert_allclose(angles, reference, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tag", sorted(TRUE_KAPPA))
+    def test_probes(self, tag, rng):
+        space = make_space(tag)
+        kappa = TRUE_KAPPA[tag]
+        grid = [0.25, 0.5, 0.75, 1.0]
+        for _ in range(20):
+            p, x, y, z = separated_points(space, rng, 4)
+            assert bl.quadruple_defect(space, p, x, y, z, kappa) == pytest.approx(
+                scalar_quadruple_defect(space, p, x, y, z, kappa), rel=0, abs=1e-12
+            )
+            assert comparison_angle_at(space, kappa, p, x, y) == pytest.approx(
+                scalar_angle_at(space, kappa, p, x, y), rel=0, abs=1e-12
+            )
+            np.testing.assert_allclose(
+                bl.angle_monotonicity_probe(space, p, x, y, kappa, grid).angles,
+                scalar_monotonicity_angles(space, p, x, y, kappa, grid),
+                rtol=0, atol=1e-12,
+            )
+            assert bl.cone_distance(space, p, x, y) == pytest.approx(
+                scalar_cone_distance(space, p, x, y), rel=0, abs=1e-12
+            )
+
+    def test_quadruple_defect_makes_three_distance_calls(self, any_space, rng):
+        space = any_space
+        p, x, y, z = separated_points(space, rng, 4)
+        kernel = space.sqdist_batch
+        calls = []
+
+        def spy(base, batch):
+            calls.append(space.batch_len(batch))
+            return kernel(base, batch)
+
+        space.sqdist_batch = spy
+        bl.quadruple_defect(space, p, x, y, z, TRUE_KAPPA[space.tag])
+        assert len(calls) <= 3 and sum(calls) == 6  # the six distinct sides

@@ -9,7 +9,6 @@ import barylab as bl
 from barylab.barycenter import barycenter
 from barylab.errors import BadBounds, BadLambda, CoincidentPoints
 from barylab.families import GaussianEnsemble, SphereCap
-from barylab.hugging import per_point_extendibility
 
 from conftest import make_space, probe_point, separated_points
 from test_barycenter import random_distribution
@@ -150,8 +149,8 @@ class TestExtendibilityBounds:
         floor = (math.pi / 0.3 - 1.0) / 2.0
         assert ext.lambda_in >= floor - 1e-9
         assert ext.lambda_out >= floor - 1e-9
-        per_point = per_point_extendibility(space, dist, family.anchor)
-        assert min(e.lambda_in for e in per_point) == ext.lambda_in
+        per_point = space.extendibility_batch(family.anchor, dist.batch)
+        assert np.min(per_point.lambda_in) == ext.lambda_in
 
     def test_support_extendibility_gaussian_interval_arithmetic(self, rng):
         """Sampled map eigenvalues in [alpha, beta] bound the support infimum."""

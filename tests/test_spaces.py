@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import barylab as bl
 from barylab.errors import AntipodalPoints, CutLocus, NotPositiveDefinite, OutOfDomain
 from barylab.families import gaussian_quantile_grid
+from barylab.spaces import componentwise_inf
 
 from conftest import make_space, probe_point, separated_points
 
@@ -252,6 +253,57 @@ class TestExtendibility:
         space.check_point(space.geodesic_point(p, x, -0.99))
         with pytest.raises(OutOfDomain):
             space.geodesic_point(p, x, -1.5)
+
+
+def reference_extendibility(space, x, y) -> bl.Extendibility:
+    """The per-pair formulas that ``extendibility_batch`` replaced."""
+    if space.tag == "sphere":
+        length = space.distance(x, y)
+        if length < 1e-14:
+            return bl.Extendibility(math.inf, math.inf)
+        half = (math.pi / length - 1.0) / 2.0
+        return bl.Extendibility(half, half)
+    if space.tag == "quantile":
+        dx, dy = np.diff(x), np.diff(y)
+        slope = dy - dx
+        t_max, t_min = math.inf, -math.inf
+        if np.any(slope < 0):
+            t_max = float(np.min(dx[slope < 0] / -slope[slope < 0]))
+        if np.any(slope > 0):
+            t_min = float(np.max(-dx[slope > 0] / slope[slope > 0]))
+        lam_out = t_max - 1.0 if math.isfinite(t_max) else math.inf
+        lam_in = -t_min if math.isfinite(t_min) else math.inf
+        return bl.Extendibility(max(lam_in, 0.0), max(lam_out, 0.0))
+    eig = np.linalg.eigvalsh(space.transport_map(x, y))
+    a_min, a_max = float(eig[0]), float(eig[-1])
+    open_out, open_in = a_min < 1.0 - 1e-15, a_max > 1.0 + 1e-15
+    lam_out = a_min / (1.0 - a_min) if open_out else math.inf
+    lam_in = 1.0 / (a_max - 1.0) if open_in else math.inf
+    return bl.Extendibility(lam_in, lam_out, open_in, open_out)
+
+
+class TestExtendibilityBatch:
+    @pytest.mark.parametrize("tag", ["sphere", "quantile", "gaussian"])
+    def test_rows_equal_the_per_pair_formula_bit_for_bit(self, tag, rng):
+        space = make_space(tag)
+        for _ in range(10):
+            p = probe_point(space, rng)
+            xs = [p] + [probe_point(space, rng) for _ in range(12)]
+            ext = space.extendibility_batch(p, space.stack(xs))
+            open_in, open_out = (np.broadcast_to(f, len(xs)) for f in (ext.open_in, ext.open_out))
+            for i, x in enumerate(xs):
+                ref = reference_extendibility(space, p, x)
+                row = (ext.lambda_in[i], ext.lambda_out[i], open_in[i], open_out[i])
+                assert row == (ref.lambda_in, ref.lambda_out, ref.open_in, ref.open_out)
+
+    def test_componentwise_inf_keeps_the_open_flag_of_the_minimum(self):
+        ext = bl.Extendibility(
+            np.array([2.0, 1.0, 1.0]), np.array([3.0, 5.0, 3.0]),
+            np.array([True, False, True]), np.array([False, True, True]),
+        )
+        assert componentwise_inf(ext) == bl.Extendibility(1.0, 3.0, True, True)
+        with pytest.raises(ValueError):
+            componentwise_inf(bl.Extendibility(np.empty(0), np.empty(0)))
 
 
 class TestValidationAndSerialization:
