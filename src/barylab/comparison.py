@@ -104,19 +104,22 @@ def comparison_angle(kappa: float, sides: TriangleSides):
     a, b, c = (np.asarray(side, dtype=float) for side in (sides.d_px, sides.d_py, sides.d_xy))
     if np.any(a == 0.0) or np.any(b == 0.0):
         raise DegenerateTriangle("comparison angle needs d_px > 0 and d_py > 0")
-    if kappa > 0 and np.max(sides.perimeter) >= 2.0 * model_diameter(kappa):
-        raise PerimeterTooLarge(
-            f"perimeter {np.max(sides.perimeter):.6g} >= 2 D_kappa "
-            f"{2.0 * model_diameter(kappa):.6g}"
-        )
-    if kappa == 0:
-        cos_val = (a * a + b * b - c * c) / (2.0 * a * b)
-    else:
-        # long sides overflow cosh and sinh to a non-finite cosine, rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            cos_val = (c_kappa(kappa, c) - c_kappa(kappa, a) * c_kappa(kappa, b)) / (
-                kappa * s_kappa(kappa, a) * s_kappa(kappa, b)
+    # long sides overflow the perimeter, cosh and sinh, and short ones underflow
+    # a denominator to zero: either gives a non-finite cosine, rejected below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if kappa > 0 and np.max(sides.perimeter) >= 2.0 * model_diameter(kappa):
+            raise PerimeterTooLarge(
+                f"perimeter {np.max(sides.perimeter):.6g} >= 2 D_kappa "
+                f"{2.0 * model_diameter(kappa):.6g}"
             )
+        if kappa == 0:
+            # scale-invariant: sides over the longest keep the products clear of underflow
+            longest = np.maximum(np.maximum(a, b), c)
+            a, b, c = a / longest, b / longest, c / longest
+            cos_val = np.divide(a * a + b * b - c * c, 2.0 * a * b)
+        else:
+            cos_num = c_kappa(kappa, c) - c_kappa(kappa, a) * c_kappa(kappa, b)
+            cos_val = np.divide(cos_num, kappa * np.asarray(s_kappa(kappa, a)) * s_kappa(kappa, b))
     angle = _clamped_arccos(np.asarray(cos_val))
     return float(angle) if angle.ndim == 0 else angle
 

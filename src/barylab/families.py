@@ -64,18 +64,9 @@ class Family(abc.ABC):
 
     def anchor_log_sums(self, rng: np.random.Generator, count: int):
         """Sums of log_anchor(X) and of d^2(anchor, X) over the draws of
-        ``sample_batch(rng, count)``, leaving ``rng`` where that call leaves it.
-        This default takes their log maps in slices of TRIAL_FLOAT_BUDGET floats."""
-        from .ratelab import TRIAL_FLOAT_BUDGET  # ratelab imports this module
-
-        space, batch = self.space, self.sample_batch(rng, count)
-        step = max(1, TRIAL_FLOAT_BUDGET // space.point_floats)
-        payload_sum, sq_sum = 0.0, 0.0
-        for start in range(0, count, step):
-            piece = space.take(batch, slice(start, start + step))
-            payloads, mags = space.log_batch(self.anchor, piece)
-            payload_sum, sq_sum = payload_sum + payloads.sum(axis=0), sq_sum + float(mags @ mags)
-        return payload_sum, sq_sum
+        ``sample_batch(rng, count)``, leaving ``rng`` where that call leaves it."""
+        payloads, mags = self.space.log_batch(self.anchor, self.sample_batch(rng, count))
+        return payloads.sum(axis=0), float(mags @ mags)
 
 
 def _as_unit_rows(v: np.ndarray) -> np.ndarray:

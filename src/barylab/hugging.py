@@ -39,19 +39,21 @@ class HuggingReport:
     variance_eq_residual: float
 
 
-def hugging_values(space, b_star, b, xs) -> np.ndarray:
+def hugging_values(space, b_star, b, xs, logs=None, sqdist_b=None) -> np.ndarray:
     """Hugging coefficients at ``b_star`` of target ``b``, evaluated at every
     point of the stacked batch ``xs``.
 
     1 - (||log(x) - log(b)||^2 - d^2(x, b)) / d^2(b, b_star), all log maps
-    taken at ``b_star``.
+    taken at ``b_star``.  A caller that holds the log payloads of ``xs`` at
+    ``b_star``, or d^2(b, xs), passes them as ``logs`` or ``sqdist_b``.
     """
     lb, d_bb = space.log_batch(b_star, space.stack([b]))
     if d_bb[0] <= COINCIDENT_TOL:
         raise CoincidentPoints("hugging target must differ from the base point")
-    lx, _ = space.log_batch(b_star, xs)
+    lx = space.log_batch(b_star, xs)[0] if logs is None else logs
+    sq_b = space.sqdist_batch(b, xs) if sqdist_b is None else sqdist_b
     cone_sq = space.tangent_inner(b_star, lx - lb, lx - lb)
-    return 1.0 - (cone_sq - space.sqdist_batch(b, xs)) / d_bb[0] ** 2
+    return 1.0 - (cone_sq - sq_b) / d_bb[0] ** 2
 
 
 def hugging_value(space, b_star, b, x) -> float:
@@ -59,17 +61,21 @@ def hugging_value(space, b_star, b, x) -> float:
     return float(hugging_values(space, b_star, b, space.stack([x]))[0])
 
 
-def variance_equality_residual(space, dist: DiscreteDistribution, b_star, b) -> float:
+def variance_equality_residual(space, dist: DiscreteDistribution, b_star, b,
+                               logs=None, sqdist_star=None) -> float:
     """Absolute defect of the variance identity at a numerical barycenter.
 
     |d^2(b, b*) . sum_i w_i k_i  -  sum_i w_i (d^2(x_i, b) - d^2(x_i, b*))|,
-    which vanishes when ``b_star`` is an exact barycenter of ``dist``.
+    which vanishes when ``b_star`` is an exact barycenter of ``dist``.  A sweep
+    over many targets passes the support's log payloads at ``b_star`` and its
+    squared distances to ``b_star``, taken once, as ``logs`` and ``sqdist_star``.
     """
-    k_values = hugging_values(space, b_star, b, dist.batch)  # rejects b = b_star
+    sqdist_b = space.sqdist_batch(b, dist.batch)
+    k_values = hugging_values(space, b_star, b, dist.batch, logs, sqdist_b)  # rejects b = b_star
     lhs = space.distance(b, b_star) ** 2 * float(dist.weights @ k_values)
-    gaps = space.sqdist_batch(b, dist.batch) - space.sqdist_batch(b_star, dist.batch)
-    rhs = float(dist.weights @ gaps)
-    return abs(lhs - rhs)
+    if sqdist_star is None:
+        sqdist_star = space.sqdist_batch(b_star, dist.batch)
+    return abs(lhs - float(dist.weights @ (sqdist_b - sqdist_star)))
 
 
 def extendibility_kmin(lambda_in: float, lambda_out: float) -> float:

@@ -49,11 +49,10 @@ MAX_DISCARD_RATE = 0.01
 # a trial still unconverged after this many redraws fails the run
 MAX_REDRAWS = 25
 
-# floats of stacked draws per trial solve (Space.point_floats a point), and per
-# slice of log maps in the default Family.anchor_log_sums: bounds every
-# (T, n, ...) temporary of the stacked solvers, and every temporary of a slice,
-# at 512 KiB, or at one trial's size if that is larger; larger chunks solve no
-# faster and take more memory
+# floats of stacked draws per trial solve (Space.point_floats a point) and per
+# block of the anchor verification pass: bounds every (T, n, ...) temporary of
+# the stacked solvers and of a block at 512 KiB, or at one trial's size if that
+# is larger; larger chunks solve no faster and take more memory
 TRIAL_FLOAT_BUDGET = 65_536
 
 # proof constant c in (0, 1) for the tail thresholds, fixed by convention
@@ -155,15 +154,17 @@ def population_barycenter(config: RateExperimentConfig):
 
     Requires the mean of log_anchor(X) over ``verify_draws`` family draws to
     be within three standard errors of zero.  The draws come in blocks of
-    100 000, each reduced to its sums by ``Family.anchor_log_sums``, which
-    sums the tangent vectors a family builds its points from where it can.
+    TRIAL_FLOAT_BUDGET floats of points, each reduced to its sums by
+    ``Family.anchor_log_sums`` (of the tangent vectors a family builds its
+    points from, where it can) before the next is drawn.
     """
     family = config.family
     rng = _stream(config.master_seed, _VERIFY)
     count = config.verify_draws
+    step = max(1, TRIAL_FLOAT_BUDGET // family.space.point_floats)
     payload_sum, sq_sum = 0.0, 0.0
-    for start in range(0, count, 100_000):
-        block_payload, block_sq = family.anchor_log_sums(rng, min(100_000, count - start))
+    for start in range(0, count, step):
+        block_payload, block_sq = family.anchor_log_sums(rng, min(step, count - start))
         payload_sum, sq_sum = payload_sum + block_payload, sq_sum + block_sq
     mean_norm = family.space.tangent_norm(family.anchor, payload_sum / count)
     sigma2_hat = sq_sum / count

@@ -116,7 +116,8 @@ def write_manifest(out_dir, config_echo: dict, master_seed, outputs, started_at,
     manifest = {
         "library": "barylab",
         "version": __version__,
-        "platform": platform.platform(),
+        # not platform.platform(): its uname().processor runs `uname -p`
+        "platform": "-".join((platform.system(), platform.release(), platform.machine())),
         "python": platform.python_version(),
         "master_seed": master_seed,
         "started_at": started_at,

@@ -137,10 +137,6 @@ class Space(abc.ABC):
     def batch_len(self, batch) -> int:
         return len(batch)
 
-    def take(self, batch, index):
-        """The points of a stacked batch at ``index``, a slice or index array."""
-        return batch[index]
-
     @property
     def point_floats(self) -> int:
         """Floats that one point takes in a stacked batch."""

@@ -177,9 +177,6 @@ class BuresWasserstein(Space):
     def batch_len(self, batch) -> int:
         return len(batch[0])
 
-    def take(self, batch, index):
-        return tuple(part[index] for part in batch)
-
     @property
     def point_floats(self) -> int:
         return self.dim + self.dim * self.dim

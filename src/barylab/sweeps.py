@@ -46,6 +46,9 @@ def hugging_sweep(
     b_star = result.point
     ext = support_extendibility(space, dist, b_star)
     k_min = extendibility_kmin(ext.lambda_in, ext.lambda_out)
+    # every case's residual shares the support's log maps and d^2 at b_star
+    logs = space.log_batch(b_star, dist.batch)[0]
+    sqdist_star = space.sqdist_batch(b_star, dist.batch)
     reports = []
     while len(reports) < n_cases:
         b = family.sample(rng, 1)[0]
@@ -56,7 +59,9 @@ def hugging_sweep(
                 lambda_in=ext.lambda_in,
                 lambda_out=ext.lambda_out,
                 k_min_bound=k_min,
-                variance_eq_residual=variance_equality_residual(space, dist, b_star, b),
+                variance_eq_residual=variance_equality_residual(
+                    space, dist, b_star, b, logs, sqdist_star
+                ),
             )
         except CoincidentPoints:
             continue

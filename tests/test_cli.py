@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from barylab import ratelab
 from barylab.cli import main
-from barylab.reporting import RATES_HEADER
+from barylab.reporting import RATES_HEADER, write_manifest
 
 RATES_CONFIG = {
     "experiment": "rates",
@@ -62,6 +63,22 @@ class TestRates:
         text = (out / "manifest.json").read_text()
         manifest = json.loads(text, parse_constant=reject)
         assert manifest["results"]["slope"] is None
+
+    def test_manifest_starts_no_subprocess(self, tmp_path, monkeypatch):
+        """platform.platform() runs `uname -p` for the processor name; the
+        manifest's platform string must not.  The platform module's caches are
+        emptied so that an earlier call in this process cannot hide one, and
+        the spy raises what the module would not swallow (it swallows OSError)."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"manifest started a subprocess: {args}")
+
+        monkeypatch.setattr(platform, "_uname_cache", None, raising=False)
+        monkeypatch.setattr(platform, "_platform_cache", {}, raising=False)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        path = write_manifest(tmp_path, {}, 5, [], "start")
+        manifest = json.loads(path.read_text())
+        assert manifest["platform"].startswith(platform.system())
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, RATES_CONFIG)

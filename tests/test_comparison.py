@@ -126,6 +126,29 @@ class TestComparisonAngle:
         assert isinstance(single, float)
         assert angles[1] == pytest.approx(single, rel=0, abs=1e-15)
 
+    def test_flat_angle_is_scale_invariant(self):
+        """At kappa = 0 the sides' products would underflow to 0 / 0."""
+        for scale in (1e-170, 5e-324, 1e300, 1.7e308):
+            sides = bl.TriangleSides(scale, scale, scale)
+            assert bl.comparison_angle(0.0, sides) == pytest.approx(math.pi / 3, rel=1e-15)
+
+    @given(
+        kappa=st.sampled_from([-1.0, 0.0, 1.0]),
+        sides=st.lists(st.floats(min_value=0.0, max_value=1.7e308), min_size=3, max_size=3),
+        batched=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_side_lengths_give_an_angle_or_a_typed_rejection(self, kappa, sides, batched):
+        """Tiny and huge sides included: nothing but the typed errors escapes,
+        with scalar sides and with array sides alike."""
+        if batched:
+            sides = [np.array([side]) for side in sides]
+        try:
+            angle = bl.comparison_angle(kappa, bl.TriangleSides(*sides))
+        except (InvalidTriangle, DegenerateTriangle, PerimeterTooLarge):
+            return
+        assert np.all((0.0 <= angle) & (angle <= math.pi))
+
     @pytest.mark.parametrize("tag", ["euclidean", "sphere", "hyperbolic"])
     def test_matching_kappa_reproduces_vertex_angle(self, tag, rng):
         """On the model plane itself the comparison angle is the true angle."""

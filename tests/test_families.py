@@ -1,6 +1,7 @@
 """Sampling families: anchors, guarantees, determinism, fast paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from barylab.errors import AnchorNotBarycenter, BadFamilyParams
 from barylab import ratelab
 from barylab.families import (
     EuclideanGaussian,
-    Family,
     GaussianEnsemble,
     HyperbolicGaussian,
     SphereCap,
@@ -197,15 +197,34 @@ class TestAnchorLogSums:
         assert sq_sum == pytest.approx(float(mags @ mags), rel=1e-12, abs=0)
         assert rng.random() == twin.random()
 
-    @pytest.mark.parametrize("name", sorted(LOG_SUM_FAMILIES))
-    def test_default_sums_are_independent_of_the_slices(self, name, monkeypatch):
-        family = LOG_SUM_FAMILIES[name]()
-        whole = Family.anchor_log_sums(family, np.random.default_rng(4), 500)
-        monkeypatch.setattr(ratelab, "TRIAL_FLOAT_BUDGET", 64)
-        sliced = Family.anchor_log_sums(family, np.random.default_rng(4), 500)
-        # sqrt(count * sq_sum) bounds the sum of the log magnitudes
-        assert np.allclose(sliced[0], whole[0], rtol=0, atol=1e-12 * math.sqrt(500 * whole[1]))
-        assert sliced[1] == pytest.approx(whole[1], rel=1e-12, abs=0)
+    def test_verification_blocks_fit_the_float_budget(self, family, monkeypatch):
+        """The pass asks for at most TRIAL_FLOAT_BUDGET floats of points a
+        block, and for exactly verify_draws draws in all."""
+        counts = []
+        sums = family.anchor_log_sums
+
+        def spy(rng, count):
+            counts.append(count)
+            return sums(rng, count)
+
+        monkeypatch.setattr(family, "anchor_log_sums", spy)
+        config = small_config(family, verify_draws=100_000)
+        population_barycenter(config)
+        assert len(counts) > 1
+        assert max(counts) <= ratelab.TRIAL_FLOAT_BUDGET // family.space.point_floats
+        assert sum(counts) == config.verify_draws
+
+    def test_verification_memory_is_bounded(self, family):
+        """A 10^5-draw pass holds one block of draws at a time, never all of
+        them: (10^5, 3, 3) normals alone would take 7 MB."""
+        population_barycenter(small_config(family, verify_draws=10))  # lazy imports
+        tracemalloc.start()
+        try:
+            population_barycenter(small_config(family, verify_draws=100_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
         "name", ["sphere_cap", "hyperbolic_gaussian", "gaussian_ensemble_base_cov"]

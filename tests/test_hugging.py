@@ -1,5 +1,6 @@
 """Hugging diagnostics, variance equality, extendibility bounds."""
 
+import collections
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import barylab as bl
 from barylab.barycenter import barycenter
 from barylab.errors import BadBounds, BadLambda, CoincidentPoints
 from barylab.families import GaussianEnsemble, SphereCap
+from barylab.sweeps import hugging_sweep
 
 from conftest import make_space, probe_point, separated_points
 from test_barycenter import random_distribution
@@ -102,6 +104,24 @@ class TestVarianceEquality:
                     continue
                 residual = bl.variance_equality_residual(space, dist, res.point, b)
                 assert residual <= max(1e-8, 10.0 * tol * d)
+
+    def test_sweep_takes_the_support_maps_once(self, monkeypatch):
+        """hugging_sweep takes the support's log maps at b_star and its squared
+        distances to b_star once, and d^2(b, support) once a case."""
+        family = GaussianEnsemble(0.8, 1.6, dim=3)
+        n_support, n_cases = 30, 20
+        calls = collections.Counter()
+        space_cls = type(family.space)
+        for name in ("log_batch", "sqdist_batch"):
+
+            def spy(self, p, batch, _method=getattr(space_cls, name), _name=name):
+                calls[_name] += self.batch_len(batch) == n_support
+                return _method(self, p, batch)
+
+            monkeypatch.setattr(space_cls, name, spy)
+        hugging_sweep(family, n_support, n_cases, 1)
+        # the solver's final objective makes the one further sqdist_batch call
+        assert calls == {"log_batch": 1, "sqdist_batch": n_cases + 2}
 
     def test_mean_hugging_nonnegative_at_barycenter(self, any_space, rng):
         """The weighted hugging average stays nonnegative at the optimum."""
