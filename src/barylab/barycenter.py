@@ -335,15 +335,18 @@ def minimality_spot_check(
     radius = 10.0 * SolverOptions().tol if radius is None else radius
     base_obj = variance(dist, result.point)
     allowance = noise_allowance * (1.0 + abs(base_obj))
+    candidates = []
     for _ in range(count):
         direction = space.random_tangent(result.point, rng)
         norm = space.tangent_norm(result.point, direction)
         if norm == 0.0:
             continue
         try:
-            candidate = space.exp(result.point, (radius / norm) * direction)
+            candidates.append(space.exp(result.point, (radius / norm) * direction))
         except OutOfDomain:
             continue  # probe left the space (e.g. monotone cone boundary)
-        if variance(dist, candidate) < base_obj - allowance:
-            return False
-    return True
+    if not candidates:
+        return True
+    # every candidate's objective from one kernel call, a row per candidate
+    objectives = space.sqdist_batch(space.stack(candidates), dist.batch) @ dist.weights
+    return not bool(np.any(objectives < base_obj - allowance))

@@ -36,8 +36,6 @@ from .reporting import (
     write_rates_csv,
     write_tail_csv,
 )
-from .svgplot import render_loglog_svg
-from .sweeps import curvature_sweep, hugging_sweep
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -150,7 +148,7 @@ def _cmd_tail(args) -> int:
     config = payload["config"]
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    subg = subgaussian_proxy_check(config, payload["varsigma2"], payload["subgaussian_draws"])
+    subg = subgaussian_proxy_check(config, payload["varsigma2"])
     profile = estimate_hugging_profile(
         config, payload["profile_points"], payload["profile_targets"]
     )
@@ -160,7 +158,6 @@ def _cmd_tail(args) -> int:
     write_tail_csv(csv_path, config.family.space.tag, results, config.master_seed)
     extra = {
         "subgaussian_estimate": subg.estimate,
-        "subgaussian_stderr": subg.stderr,
         "pk_estimate": profile.pk,
         "pk_stderr": profile.pk_stderr,
         "kmin_estimate": profile.k_min,
@@ -171,6 +168,8 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_hugging(args) -> int:
+    from .sweeps import hugging_sweep
+
     started = utc_now()
     parsed = parse_config(args.config, "hugging")
     payload = parsed.payload
@@ -187,6 +186,8 @@ def _cmd_hugging(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
+    from .sweeps import curvature_sweep
+
     started = utc_now()
     parsed = parse_config(args.config, "curvature")
     payload = parsed.payload
@@ -241,6 +242,8 @@ def _cmd_barycenter(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .svgplot import render_loglog_svg
+
     started = utc_now()
     title = ""
     csv_path = args.csv

@@ -18,8 +18,7 @@ from .errors import (
     PerimeterTooLarge,
 )
 
-# Cosine arguments may exceed [-1, 1] by float noise near degenerate
-# triangles; anything past the reject threshold is a genuine violation.
+# tolerance past [-1, 1] of a comparison cosine before the sides are rejected
 COS_REJECT_TOL = 1e-6
 
 
@@ -83,44 +82,48 @@ class TriangleSides:
         return self.d_px + self.d_py + self.d_xy
 
 
-def _clamped_arccos(value: np.ndarray) -> np.ndarray:
-    ok = np.abs(value) <= 1.0 + COS_REJECT_TOL  # False for a NaN cosine too
-    if not np.all(ok):
-        raise InvalidTriangle(
-            f"comparison cosine {float(value[~ok][0])!r} exceeds [-1, 1] beyond "
-            "tolerance or is not finite; side lengths are not realizable in the "
-            "model plane"
-        )
-    return np.arccos(np.clip(value, -1.0, 1.0))
+def _s_over_r(kappa: float, r: np.ndarray) -> np.ndarray:
+    """s_kappa(r) / r, with its limit 1 at r = 0 (so 1 at kappa = 0), NaN where sinh overflows."""
+    t = r * math.sqrt(abs(kappa))
+    safe = np.where(t == 0.0, 1.0, t)
+    out = np.where(t == 0.0, 1.0, (np.sin if kappa > 0 else np.sinh)(safe) / safe)
+    return np.where(np.isinf(out), np.nan, out)
 
 
 def comparison_angle(kappa: float, sides: TriangleSides):
     """Angle at the p-vertex of the comparison triangle in the kappa-plane.
 
     Returns values in [0, pi], one per triangle of ``sides``: a float for
-    scalar sides, as ``s_kappa`` does.  The kappa = 0 branch is selected by
-    exact comparison; callers wanting the limit pass a small nonzero kappa.
+    scalar sides, as ``s_kappa`` does.  One half-angle form serves every kappa:
+    sin^2(gamma/2) = s(u/2) s(v/2) / (s(a) s(b)), a = d_px, b = d_py,
+    u = d_xy - a + b <= 2b and v = d_xy + a - b <= 2a.
     """
     a, b, c = (np.asarray(side, dtype=float) for side in (sides.d_px, sides.d_py, sides.d_xy))
     if np.any(a == 0.0) or np.any(b == 0.0):
         raise DegenerateTriangle("comparison angle needs d_px > 0 and d_py > 0")
-    # long sides overflow the perimeter, cosh and sinh, and short ones underflow
-    # a denominator to zero: either gives a non-finite cosine, rejected below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # long sides overflow the perimeter and sinh: the cosine is NaN, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
         if kappa > 0 and np.max(sides.perimeter) >= 2.0 * model_diameter(kappa):
             raise PerimeterTooLarge(
                 f"perimeter {np.max(sides.perimeter):.6g} >= 2 D_kappa "
                 f"{2.0 * model_diameter(kappa):.6g}"
             )
-        if kappa == 0:
-            # scale-invariant: sides over the longest keep the products clear of underflow
-            longest = np.maximum(np.maximum(a, b), c)
-            a, b, c = a / longest, b / longest, c / longest
-            cos_val = np.divide(a * a + b * b - c * c, 2.0 * a * b)
-        else:
-            cos_num = c_kappa(kappa, c) - c_kappa(kappa, a) * c_kappa(kappa, b)
-            cos_val = np.divide(cos_num, kappa * np.asarray(s_kappa(kappa, a)) * s_kappa(kappa, b))
-    angle = _clamped_arccos(np.asarray(cos_val))
+        # the product of s(u/2)/s(b) and s(v/2)/s(a), each in [0, 1] on a triangle and
+        # each taken as (u/b) (s(u/2)/(u/2)) / (s(b)/b) / 2: no product of tiny sides
+        # underflows, no halving of one underflows, and nothing cancels
+        u, v = c - (a - b), c + (a - b)
+        sin_sq = (u / b * _s_over_r(kappa, u / 2) / _s_over_r(kappa, b) / 2) * (
+            v / a * _s_over_r(kappa, v / 2) / _s_over_r(kappa, a) / 2
+        )
+        cos_val = np.asarray(1.0 - 2.0 * sin_sq)
+    ok = np.abs(cos_val) <= 1.0 + COS_REJECT_TOL  # False for a NaN cosine too
+    if not np.all(ok):
+        raise InvalidTriangle(
+            f"comparison cosine {float(cos_val[~ok][0])!r} exceeds [-1, 1] beyond "
+            "tolerance or is not finite; side lengths are not realizable in the "
+            "model plane"
+        )
+    angle = 2.0 * np.arcsin(np.sqrt(np.clip(sin_sq, 0.0, 1.0)))
     return float(angle) if angle.ndim == 0 else angle
 
 

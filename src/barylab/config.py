@@ -203,15 +203,13 @@ def _build_rates(obj: dict, violations) -> dict:
     if theorem not in _RATE_THEOREMS:
         violations.append(f"'theorem' must be one of {list(_RATE_THEOREMS)}")
         return {}
-    config = _rate_config(obj, violations, theorem)
-    return {"config": config}
+    return {"config": _rate_config(obj, violations, theorem)}
 
 
 def _build_tail(obj: dict, violations) -> dict:
     allowed = {
         "experiment", "family", "n_grid", "trials", "master_seed", "solver",
-        "delta", "varsigma2", "verify_draws",
-        "profile_points", "profile_targets", "subgaussian_draws",
+        "delta", "varsigma2", "verify_draws", "profile_points", "profile_targets",
     }
     _check_keys(obj, allowed, {"family", "n_grid", "delta", "varsigma2"}, "config", violations)
     deltas = obj.get("delta")
@@ -225,18 +223,12 @@ def _build_tail(obj: dict, violations) -> dict:
     ):
         violations.append("'delta' must be a number or list of numbers in (0, 1)")
         deltas = [0.1]
-    varsigma2 = _positive_float(obj, "varsigma2", 1.0, "config", violations)
-    profile_points = _positive_int(obj, "profile_points", 200, "config", violations)
-    profile_targets = _positive_int(obj, "profile_targets", 100, "config", violations)
-    subg_draws = _positive_int(obj, "subgaussian_draws", 1_000_000, "config", violations)
-    config = _rate_config(obj, violations, "tail")
-    return {
-        "config": config,
+    return {  # evaluated in order, so the violations come in the order of the keys
         "deltas": [float(d) for d in deltas],
-        "varsigma2": varsigma2,
-        "profile_points": profile_points,
-        "profile_targets": profile_targets,
-        "subgaussian_draws": subg_draws,
+        "varsigma2": _positive_float(obj, "varsigma2", 1.0, "config", violations),
+        "profile_points": _positive_int(obj, "profile_points", 200, "config", violations),
+        "profile_targets": _positive_int(obj, "profile_targets", 100, "config", violations),
+        "config": _rate_config(obj, violations, "tail"),
     }
 
 

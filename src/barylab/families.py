@@ -12,9 +12,9 @@ max_extendibility on extreme support points.
 from __future__ import annotations
 
 import abc
+import functools
 import inspect
 import math
-from statistics import NormalDist
 
 import numpy as np
 
@@ -52,6 +52,10 @@ class Family(abc.ABC):
         """Exact population variance E d^2(anchor, X), from the family's law."""
 
     @abc.abstractmethod
+    def subgaussian_moment(self, varsigma2: float) -> float:
+        """E exp(d^2(anchor, X) / (2 varsigma2)) from the law (inf if it diverges), or a bound."""
+
+    @abc.abstractmethod
     def support_extendibility(self) -> Extendibility:
         """Extendibility infimum over the population support."""
 
@@ -67,6 +71,21 @@ class Family(abc.ABC):
         ``sample_batch(rng, count)``, leaving ``rng`` where that call leaves it."""
         payloads, mags = self.space.log_batch(self.anchor, self.sample_batch(rng, count))
         return payloads.sum(axis=0), float(mags @ mags)
+
+
+@functools.cache
+def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
+    """64-node Gauss-Legendre rule on [0, 1] (weights summing to 1), built once by Golub &
+    Welsch (1969): the Jacobi matrix's eigenvalues and squared first eigenvector components."""
+    k = np.arange(1.0, 64.0)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (nodes + 1.0), vectors[0] ** 2
+
+
+def _chi2_moment(ratio: float, dim: int) -> float:
+    """E exp(ratio Z / 2) for Z chi-square with ``dim`` degrees of freedom."""
+    return math.inf if ratio >= 1.0 else (1.0 - ratio) ** (-dim / 2)
 
 
 def _as_unit_rows(v: np.ndarray) -> np.ndarray:
@@ -97,6 +116,10 @@ class EuclideanGaussian(Family):
 
     def sigma2(self):
         return self.space.dim * self.sd**2
+
+    def subgaussian_moment(self, varsigma2):
+        # d^2 = sd^2 Z with Z chi-square on dim degrees of freedom
+        return _chi2_moment(self.sd**2 / varsigma2, self.space.dim)
 
     def support_extendibility(self) -> Extendibility:
         return Extendibility(math.inf, math.inf)
@@ -167,15 +190,19 @@ class SphereCap(Family):
     def sqdist_anchor(self, rng, count):
         return self._draw_theta(rng, count) ** 2
 
-    def sigma2(self):
-        # E theta^2 under the density sin^(d-1) theta on [0, r], by
-        # Gauss-Legendre; 64 nodes reach rounding for r < pi/4
-        from numpy.polynomial.legendre import leggauss
-
-        nodes, weights = leggauss(64)
-        theta = 0.5 * self.radius * (nodes + 1.0)
+    def _theta_mean(self, f) -> float:
+        """E f(theta) under the density sin^(d-1) theta on [0, r], by quadrature."""
+        nodes, weights = _unit_rule()
+        theta = self.radius * nodes
         density = weights * np.sin(theta) ** (self.space.dim - 1)
-        return float(density @ theta**2 / density.sum())
+        with np.errstate(over="ignore"):
+            return float(density @ f(theta) / density.sum())
+
+    def sigma2(self):
+        return self._theta_mean(np.square)
+
+    def subgaussian_moment(self, varsigma2):
+        return self._theta_mean(lambda theta: np.exp(theta**2 / (2.0 * varsigma2)))
 
     def support_extendibility(self) -> Extendibility:
         edge = self.space.exp(self.anchor, self.radius * self._basis[0])
@@ -227,6 +254,10 @@ class HyperbolicGaussian(Family):
     def sigma2(self):
         # d(anchor, exp v) = |v| for the Gaussian tangent vector v
         return self.space.dim * self.scale**2
+
+    def subgaussian_moment(self, varsigma2):
+        # d^2 = |v|^2 = scale^2 Z with Z chi-square on dim degrees of freedom
+        return _chi2_moment(self.scale**2 / varsigma2, self.space.dim)
 
     def support_extendibility(self) -> Extendibility:
         return Extendibility(math.inf, math.inf)
@@ -311,6 +342,17 @@ class GaussianEnsemble(Family):
         spread = p * (1.0 - self.alpha) ** 2 + (1.0 - p) * (self.beta - 1.0) ** 2
         return float(np.trace(self.anchor.cov)) * spread / 3.0
 
+    def subgaussian_moment(self, varsigma2):
+        # given Q, d^2 = sum_i a_i (e_i - 1)^2 with a = diag(Q^T C Q), so the moment is
+        # prod_i psi(a_i), psi(a) = E exp(a (e - 1)^2 / (2 varsigma2)); lam(C) majorizes a
+        # (Schur-Horn) and log psi is convex, so prod_i psi(lam_i) bounds it, exact for C = cI
+        nodes, weights = _unit_rule()
+        gaps = np.array([[1.0 - self.alpha], [self.beta - 1.0]]) * nodes
+        lam = np.linalg.eigvalsh(self.anchor.cov)
+        with np.errstate(over="ignore"):
+            psi = np.exp(lam[:, None, None] * gaps**2 / (2.0 * varsigma2)) @ weights
+        return float(np.prod(psi @ [self._p_lo, 1.0 - self._p_lo]))
+
     def support_extendibility(self) -> Extendibility:
         # extreme admissible map realizes the support infimum exactly
         d = self.space.dim
@@ -379,5 +421,7 @@ def gaussian_quantile_grid(space: QuantileSpace, mean: float, sd: float) -> np.n
     """Quantile-space discretization of a one-dimensional Gaussian."""
     if sd < 0:
         raise BadFamilyParams("sd must be nonnegative")
+    from statistics import NormalDist
+
     inv_cdf = NormalDist().inv_cdf
     return mean + sd * np.array([inv_cdf(level) for level in space.levels()])

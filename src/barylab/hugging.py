@@ -39,26 +39,28 @@ class HuggingReport:
     variance_eq_residual: float
 
 
-def hugging_values(space, b_star, b, xs, logs=None, sqdist_b=None) -> np.ndarray:
-    """Hugging coefficients at ``b_star`` of target ``b``, evaluated at every
-    point of the stacked batch ``xs``.
+def hugging_values(space, b_star, bs, xs, logs=None, sqdist_b=None) -> np.ndarray:
+    """Hugging coefficients at ``b_star`` of every target of the stacked batch
+    ``bs``, at every point of the stacked batch ``xs``: an (m, n) array.
 
     1 - (||log(x) - log(b)||^2 - d^2(x, b)) / d^2(b, b_star), all log maps
     taken at ``b_star``.  A caller that holds the log payloads of ``xs`` at
-    ``b_star``, or d^2(b, xs), passes them as ``logs`` or ``sqdist_b``.
+    ``b_star``, or the (m, n) d^2(bs, xs), passes them as ``logs`` or
+    ``sqdist_b``.
     """
-    lb, d_bb = space.log_batch(b_star, space.stack([b]))
-    if d_bb[0] <= COINCIDENT_TOL:
+    lb, d_bb = space.log_batch(b_star, bs)
+    if np.any(d_bb <= COINCIDENT_TOL):
         raise CoincidentPoints("hugging target must differ from the base point")
     lx = space.log_batch(b_star, xs)[0] if logs is None else logs
-    sq_b = space.sqdist_batch(b, xs) if sqdist_b is None else sqdist_b
-    cone_sq = space.tangent_inner(b_star, lx - lb, lx - lb)
-    return 1.0 - (cone_sq - sq_b) / d_bb[0] ** 2
+    sq_b = space.sqdist_batch(bs, xs) if sqdist_b is None else sqdist_b
+    gaps = lx - lb[:, None]
+    cone_sq = space.tangent_inner(b_star, gaps, gaps)
+    return 1.0 - (cone_sq - sq_b) / d_bb[:, None] ** 2
 
 
 def hugging_value(space, b_star, b, x) -> float:
-    """``hugging_values`` at the single point ``x``."""
-    return float(hugging_values(space, b_star, b, space.stack([x]))[0])
+    """``hugging_values`` of the single target ``b`` at the single point ``x``."""
+    return float(hugging_values(space, b_star, space.stack([b]), space.stack([x]))[0, 0])
 
 
 def variance_equality_residual(space, dist: DiscreteDistribution, b_star, b,
@@ -71,7 +73,8 @@ def variance_equality_residual(space, dist: DiscreteDistribution, b_star, b,
     squared distances to ``b_star``, taken once, as ``logs`` and ``sqdist_star``.
     """
     sqdist_b = space.sqdist_batch(b, dist.batch)
-    k_values = hugging_values(space, b_star, b, dist.batch, logs, sqdist_b)  # rejects b = b_star
+    # rejects b = b_star
+    k_values = hugging_values(space, b_star, space.stack([b]), dist.batch, logs, sqdist_b[None])[0]
     lhs = space.distance(b, b_star) ** 2 * float(dist.weights @ k_values)
     if sqdist_star is None:
         sqdist_star = space.sqdist_batch(b_star, dist.batch)

@@ -9,8 +9,9 @@ Experiments verify three rate regimes and a tail bound:
 * a high-probability bound d^2 <= c1 log(2/delta) / n under a subgaussian
   variance proxy.
 
-The population constant sigma^2 = E d^2(b*, X) in the rate bounds is exact:
-every family gives it in closed form from its law, so no draws go into it.
+The population constant sigma^2 = E d^2(b*, X) in the rate bounds and the
+subgaussian moment E exp(d^2 / (2 varsigma^2)) of the tail gate are exact:
+every family gives them from its law, so no draws go into them.
 
 Hypotheses are hard gates: an experiment refuses to run when its premises
 fail numerically.  All randomness derives from the master seed through
@@ -34,14 +35,14 @@ from .errors import (
     InsufficientGrid,
 )
 from .families import Family, GaussianEnsemble
-from .hugging import extendibility_kmin, hugging_values, wasserstein_kmin
+from .hugging import COINCIDENT_TOL, extendibility_kmin, hugging_values, wasserstein_kmin
 from .hugging import hugging_value  # noqa: F401  (perfbench/tracer.py counts its calls here)
 
 THEOREMS = ("negcurv", "master_extendible", "wasserstein", "tail")
 
 # stream labels for seed derivation; 2 stays unused so that the other streams
 # keep the seeds they had when a Monte Carlo sigma^2 pass drew from it
-_VERIFY, _TRIAL, _PROFILE, _SUBG = 1, 3, 4, 5
+_VERIFY, _TRIAL, _PROFILE = 1, 3, 4
 
 # discarding more than this fraction of trials fails the run
 MAX_DISCARD_RATE = 0.01
@@ -112,9 +113,7 @@ class RateCurve:
 
 @dataclass(frozen=True)
 class SubgaussianCheck:
-    estimate: float
-    stderr: float
-    varsigma2: float
+    estimate: float  # the family's exact moment, or its upper bound
     passed: bool
 
 
@@ -124,8 +123,6 @@ class HuggingProfile:
     pk_stderr: float
     pk_sq: float
     k_min: float
-    points: int
-    targets: int
 
 
 @dataclass(frozen=True)
@@ -175,29 +172,6 @@ def population_barycenter(config: RateExperimentConfig):
             f"({count} draws)"
         )
     return family.anchor
-
-
-def _anchor_moment(family: Family, rng, draws: int, transform=None) -> tuple[float, float]:
-    """Monte Carlo mean of ``transform(d^2(x, anchor))`` over ``draws`` family
-    draws (of ``d^2`` itself without a transform), with its standard error.
-
-    Draws come in blocks of 200 000, so memory stays bounded and the sums
-    accumulate in the same order for every caller.
-    """
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < draws:
-        block = min(200_000, draws - done)
-        vals = family.sqdist_anchor(rng, block)
-        if transform is not None:
-            vals = transform(vals)
-        total += float(vals.sum())
-        total_sq += float(vals @ vals)
-        done += block
-    mean = total / draws
-    var = max(total_sq / draws - mean**2, 0.0)
-    return mean, math.sqrt(var / draws)
 
 
 def estimate_sigma2(config: RateExperimentConfig) -> float:
@@ -371,25 +345,16 @@ def fit_loglog_slope(curve: RateCurve) -> float:
     return _loglog_slope([n for n, _ in usable], [m for _, m in usable])
 
 
-def subgaussian_proxy_check(
-    config: RateExperimentConfig, varsigma2: float, draws: int = 1_000_000
-) -> SubgaussianCheck:
-    """Monte Carlo estimate of the exponential moment against the proxy.
+def subgaussian_proxy_check(config: RateExperimentConfig, varsigma2: float) -> SubgaussianCheck:
+    """The exponential moment E exp(d^2 / (2 varsigma^2)) against the proxy.
 
-    Passes when the estimate of E exp(d^2 / (2 varsigma^2)) is at most 2.
+    Passes when the family's moment (``Family.subgaussian_moment``: exact, or
+    an upper bound, so a pass is sound either way) is at most 2.
     """
     if varsigma2 <= 0:
         raise ValueError("varsigma2 must be positive")
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-
-    def moment(sq):
-        with np.errstate(over="ignore"):
-            return np.exp(sq / (2.0 * varsigma2))
-
-    rng = _stream(config.master_seed, _SUBG)
-    mean, stderr = _anchor_moment(config.family, rng, draws, moment)
-    return SubgaussianCheck(mean, stderr, float(varsigma2), bool(mean <= 2.0))
+    moment = config.family.subgaussian_moment(varsigma2)
+    return SubgaussianCheck(moment, bool(moment <= 2.0))
 
 
 def estimate_hugging_profile(
@@ -400,26 +365,30 @@ def estimate_hugging_profile(
     For each of ``n_points`` support draws x the inner minimum over targets
     is approximated by ``n_targets`` family draws; the profile records the
     average (an upper bound on the true average minimum), its standard
-    error, the mean square, and the smallest value seen anywhere.
+    error, the mean square, and the smallest value seen anywhere.  The
+    support's log maps are taken once, and the targets are evaluated in
+    blocks of at most TRIAL_FLOAT_BUDGET floats of (target, point) payloads.
     """
     family = config.family
-    space = family.space
+    space, anchor = family.space, family.anchor
     rng = _stream(config.master_seed, _PROFILE)
     xs = family.sample_batch(rng, n_points)
     targets = family.sample_batch(rng, n_targets)
-    rows = []
-    for b in space.unstack(targets):
-        try:
-            rows.append(hugging_values(space, family.anchor, b, xs))
-        except CoincidentPoints:
-            continue  # a target at the anchor has no hugging value
-    if not rows:
+    # a target at the anchor has no hugging value
+    targets = space.take(targets, space.log_batch(anchor, targets)[1] > COINCIDENT_TOL)
+    count = space.batch_len(targets)
+    if not count:
         raise CoincidentPoints("every sampled target coincided with the anchor")
-    k_of_x = np.min(rows, axis=0)
+    logs = space.log_batch(anchor, xs)[0]
+    block = max(1, TRIAL_FLOAT_BUDGET // (n_points * space.point_floats))
+    k_of_x = np.full(n_points, np.inf)
+    for start in range(0, count, block):
+        rows = hugging_values(space, anchor, space.take(targets, slice(start, start + block)),
+                              xs, logs)
+        k_of_x = np.minimum(k_of_x, rows.min(axis=0))
     pk = float(k_of_x.mean())
     pk_stderr = float(k_of_x.std(ddof=1) / math.sqrt(n_points)) if n_points > 1 else 0.0
-    return HuggingProfile(pk, pk_stderr, float((k_of_x**2).mean()), float(k_of_x.min()),
-                          n_points, n_targets)
+    return HuggingProfile(pk, pk_stderr, float((k_of_x**2).mean()), float(k_of_x.min()))
 
 
 def run_tail_experiment(
@@ -446,7 +415,7 @@ def run_tail_experiment(
         subgaussian = subgaussian_proxy_check(config, varsigma2)
     if not subgaussian.passed:
         raise HypothesisViolated(
-            f"subgaussian proxy estimate {subgaussian.estimate:.4g} > 2"
+            f"subgaussian moment {subgaussian.estimate:.4g} > 2 at varsigma2 {varsigma2:.4g}"
         )
     if profile is None:
         profile = estimate_hugging_profile(config)

@@ -7,18 +7,6 @@ from .hyperboloid import Hyperboloid
 from .quantile import QuantileSpace
 from .sphere import Sphere
 
-__all__ = [
-    "BuresWasserstein",
-    "Euclidean",
-    "Extendibility",
-    "GaussianPoint",
-    "Hyperboloid",
-    "QuantileSpace",
-    "Space",
-    "Sphere",
-    "componentwise_inf",
-    "point_from_payload",
-]
 
 def point_from_payload(obj: dict):
     """Reconstruct (space, point) from a tagged JSON payload."""

@@ -54,6 +54,14 @@ class Space(abc.ABC):
     curv_lower: ClassVar[float] = 0.0
     curv_upper: ClassVar[float] = 0.0
 
+    def __init__(self, dim: int):
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        self.dim = int(dim)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim})"
+
     # -- points ------------------------------------------------------------
 
     @abc.abstractmethod
@@ -137,6 +145,10 @@ class Space(abc.ABC):
     def batch_len(self, batch) -> int:
         return len(batch)
 
+    def take(self, batch, index):
+        """The points of a stacked batch at ``index`` (a slice or a mask), stacked."""
+        return batch[index]
+
     @property
     def point_floats(self) -> int:
         """Floats that one point takes in a stacked batch."""
@@ -149,7 +161,8 @@ class Space(abc.ABC):
 
     @abc.abstractmethod
     def sqdist_batch(self, p, batch) -> np.ndarray:
-        """Squared distances from ``p`` to every point in ``batch``."""
+        """Squared distances from ``p`` to every point in ``batch``; for a
+        stacked batch ``p`` of m points, an (m, n) array of them."""
 
     def extendibility_batch(self, p, batch) -> Extendibility:
         """``max_extendibility`` of the geodesic from ``p`` to every point in

@@ -12,14 +12,6 @@ class Euclidean(Space):
     # squared norms are weight * |v|^2: 1 on R^d, 1/m on the quantile grid
     weight = 1.0
 
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = int(dim)
-
-    def __repr__(self):
-        return f"Euclidean(dim={self.dim})"
-
     @property
     def ambient(self) -> int:
         return self.dim

@@ -50,14 +50,6 @@ class BuresWasserstein(Space):
     curv_lower = 0.0
     curv_upper = float("inf")
 
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = int(dim)
-
-    def __repr__(self):
-        return f"BuresWasserstein(dim={self.dim})"
-
     def check_point(self, x) -> None:
         if not isinstance(x, GaussianPoint) or x.dim != self.dim:
             raise ValueError(f"expected a GaussianPoint of dimension {self.dim}")
@@ -177,6 +169,9 @@ class BuresWasserstein(Space):
     def batch_len(self, batch) -> int:
         return len(batch[0])
 
+    def take(self, batch, index):
+        return tuple(part[index] for part in batch)
+
     @property
     def point_floats(self) -> int:
         return self.dim + self.dim * self.dim
@@ -185,9 +180,11 @@ class BuresWasserstein(Space):
         payloads, mags_sq = self._log_sq(p, batch)
         return payloads, np.sqrt(mags_sq)
 
-    def sqdist_batch(self, p: GaussianPoint, batch) -> np.ndarray:
+    def sqdist_batch(self, p, batch) -> np.ndarray:
         # |u|^2 + tr(L C L), a quadratic form in the log payload, so nearly
         # equal points do not lose precision to the cancellation of O(1) traces
+        if isinstance(p, tuple):  # a stacked batch of base points, one row each
+            return np.stack([self._log_sq(q, batch)[1] for q in self.unstack(p)])
         return self._log_sq(p, batch)[1]
 
     def _log_sq(self, p: GaussianPoint, batch):

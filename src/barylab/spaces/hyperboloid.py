@@ -22,15 +22,10 @@ class Hyperboloid(Space):
     curv_upper = -1.0
 
     def __init__(self, dim: int = 2):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = int(dim)
+        super().__init__(dim)
         # Minkowski signature (-, +, ..., +)
-        self._j = np.ones(dim + 1)
+        self._j = np.ones(self.dim + 1)
         self._j[0] = -1.0
-
-    def __repr__(self):
-        return f"Hyperboloid(dim={self.dim})"
 
     @property
     def ambient(self) -> int:

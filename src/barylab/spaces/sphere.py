@@ -21,12 +21,7 @@ class Sphere(Space):
     curv_upper = 1.0
 
     def __init__(self, dim: int = 2):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = int(dim)  # intrinsic dimension; ambient is dim + 1
-
-    def __repr__(self):
-        return f"Sphere(dim={self.dim})"
+        super().__init__(dim)  # intrinsic dimension; ambient is dim + 1
 
     @property
     def ambient(self) -> int:

@@ -1,4 +1,7 @@
-"""Shared fixtures: model spaces and safe random sampling for probes."""
+"""Shared fixtures: model spaces, safe random sampling for probes, and the
+Monte Carlo oracle of the families' exact moments."""
+
+import math
 
 import numpy as np
 import pytest
@@ -68,3 +71,27 @@ def rng():
 @pytest.fixture(params=sorted(SPACE_FACTORIES))
 def any_space(request):
     return make_space(request.param)
+
+
+def anchor_moment(family, rng, draws: int, transform=None) -> tuple[float, float]:
+    """Monte Carlo mean of ``transform(d^2(x, anchor))`` over ``draws`` family
+    draws (of ``d^2`` itself without a transform), with its standard error:
+    the oracle for the exact ``sigma2`` and ``subgaussian_moment``.
+
+    Draws come in blocks of 200 000, so memory stays bounded and the sums
+    accumulate in the same order for every caller.
+    """
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < draws:
+        block = min(200_000, draws - done)
+        vals = family.sqdist_anchor(rng, block)
+        if transform is not None:
+            vals = transform(vals)
+        total += float(vals.sum())
+        total_sq += float(vals @ vals)
+        done += block
+    mean = total / draws
+    var = max(total_sq / draws - mean**2, 0.0)
+    return mean, math.sqrt(var / draws)

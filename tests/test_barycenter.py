@@ -1,5 +1,6 @@
 """Barycenter solvers: closed forms, descent, fixed point, dispatch."""
 
+import dataclasses
 import importlib
 import math
 
@@ -178,6 +179,29 @@ class TestMinimalityEverywhere:
             res = barycenter(dist)
             assert res.converged
             assert minimality_spot_check(dist, res, rng, count=100)
+
+    def test_perturbations_are_scored_in_one_call(self, any_space, rng, monkeypatch):
+        """One kernel call for the result, one for every perturbation."""
+        dist = random_distribution(any_space, rng, n=7)
+        res = barycenter(dist)
+        kernel = type(any_space).sqdist_batch
+        calls = []
+
+        def spy(space, base, batch):
+            calls.append(base)
+            return kernel(space, base, batch)
+
+        monkeypatch.setattr(type(any_space), "sqdist_batch", spy)
+        assert minimality_spot_check(dist, res, rng, count=100)
+        assert len(calls) == 2
+
+    def test_a_point_off_the_minimum_fails(self, any_space, rng):
+        dist = random_distribution(any_space, rng, n=7)
+        res = barycenter(dist)
+        direction = any_space.random_tangent(res.point, rng)
+        step = 0.05 / any_space.tangent_norm(res.point, direction)
+        off = dataclasses.replace(res, point=any_space.exp(res.point, step * direction))
+        assert not minimality_spot_check(dist, off, rng, count=100)
 
 
 class TestSolverErrors:

@@ -127,6 +127,14 @@ class TestRates:
         assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "error[config]: config: unknown key 'sigma2_draws'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rates", "tail"])
+    def test_subgaussian_draws_is_an_unknown_key(self, tmp_path, capsys, command):
+        """The subgaussian moment is exact, so no key sizes a Monte Carlo pass."""
+        base = RATES_CONFIG if command == "rates" else TAIL_CONFIG
+        cfg = write_config(tmp_path, dict(base, subgaussian_draws=20000))
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "error[config]: config: unknown key 'subgaussian_draws'" in capsys.readouterr().err
+
     def test_strict_bounds_exit_code(self, tmp_path):
         # seed chosen so some ratio sits above 1 but inside 3 stderr: the
         # default run passes while --strict-bounds flags it
@@ -177,7 +185,6 @@ TAIL_CONFIG = {
     "varsigma2": 3.0,
     "master_seed": 11,
     "verify_draws": 10000,
-    "subgaussian_draws": 20000,
     "profile_points": 20,
     "profile_targets": 10,
 }
@@ -193,6 +200,19 @@ class TestTailCommand:
         assert len(lines) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["discarded_trials"] == 0
+        # exact: (1 - sd^2 / varsigma2)^(-dim/2) = (2/3)^(-3/2)
+        assert manifest["results"]["subgaussian_estimate"] == pytest.approx(1.5**1.5, rel=1e-15)
+        assert "subgaussian_stderr" not in manifest["results"]
+
+    def test_infinite_moment_exits_2_without_writing_infinity(self, tmp_path, capsys):
+        """sd^2 >= varsigma2: the moment diverges, the hypothesis gate fails
+        (exit 2), and no output holds a non-JSON Infinity."""
+        cfg = write_config(tmp_path, dict(TAIL_CONFIG, varsigma2=1.0))
+        out = tmp_path / "out"
+        assert run(["tail", "--config", cfg, "--out", out]) == 2
+        assert "error[hypothesis]: subgaussian moment inf > 2" in capsys.readouterr().err
+        for path in out.glob("*") if out.exists() else ():
+            assert "Infinity" not in path.read_text()
 
     def test_anchor_verified_once_per_run(self, tmp_path, monkeypatch):
         """Two deltas share one verify pass and one solve per (n, trial)."""
@@ -403,6 +423,23 @@ class TestImports:
             "import sys, barylab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
             "or m in ('urllib.request', 'http.client', 'xml.sax')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_single_command_modules_out(self):
+        """The plot and sweep modules, and the standard library modules only
+        they use, load inside their own subcommands."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        code = (
+            "import sys, barylab.cli; "
+            "print(sorted(m for m in ('barylab.svgplot', 'barylab.sweeps', 'statistics', "
+            "'html', 'numpy.polynomial') if m in sys.modules))"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], cwd=root, env=env,

@@ -126,6 +126,19 @@ class TestComparisonAngle:
         assert isinstance(single, float)
         assert angles[1] == pytest.approx(single, rel=0, abs=1e-15)
 
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    def test_short_equilateral_sides_keep_their_digits(self, kappa):
+        """An equilateral triangle of side s has cos(gamma) = c(s) / (1 + c(s))
+        exactly; the law of cosines lost it to cancellation (pi/2 at kappa = -1
+        and s = 1e-8)."""
+        sides = np.logspace(-12, 0, 49)
+        cos = np.array([bl.c_kappa(kappa, s) for s in sides])
+        expected = np.arccos(cos / (1.0 + cos))
+        angles = bl.comparison_angle(kappa, bl.TriangleSides(sides, sides, sides))
+        np.testing.assert_allclose(angles, expected, rtol=0, atol=1e-14)
+        for s, angle in zip(sides, expected):
+            assert abs(bl.comparison_angle(kappa, bl.TriangleSides(s, s, s)) - angle) <= 1e-14
+
     def test_flat_angle_is_scale_invariant(self):
         """At kappa = 0 the sides' products would underflow to 0 / 0."""
         for scale in (1e-170, 5e-324, 1e300, 1.7e308):
@@ -291,15 +304,18 @@ class TestConeMetric:
 
 
 def scalar_angle(kappa, a, b, c):
-    if kappa == 0:
-        cos_val = (a * a + b * b - c * c) / (2.0 * a * b)
-    else:
-        sq = math.sqrt(abs(kappa))
-        cos, sin = (math.cos, math.sin) if kappa > 0 else (math.cosh, math.sinh)
-        cos_val = (cos(c * sq) - cos(a * sq) * cos(b * sq)) / (
-            kappa * (sin(a * sq) / sq) * (sin(b * sq) / sq)
-        )
-    return math.acos(min(1.0, max(-1.0, cos_val)))
+    """The half-angle form, sin^2(gamma/2) = s(u/2) s(v/2) / (s(a) s(b)), in
+    scalar math; the law of cosines loses digits to cancellation on the
+    probes' thin triangles."""
+    sq = math.sqrt(abs(kappa))
+
+    def s(r):
+        if kappa == 0:
+            return r
+        return (math.sin if kappa > 0 else math.sinh)(r * sq) / sq
+
+    sin_sq = s((c - a + b) / 2) * s((c + a - b) / 2) / (s(a) * s(b))
+    return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, sin_sq))))
 
 
 def scalar_angle_at(space, kappa, p, x, y):

@@ -16,7 +16,9 @@ from barylab.families import (
     SphereCap,
     family_from_config,
 )
-from barylab.ratelab import RateExperimentConfig, _anchor_moment, population_barycenter
+from barylab.ratelab import RateExperimentConfig, population_barycenter
+
+from conftest import anchor_moment
 
 BASE_COV = [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]]
 
@@ -115,7 +117,7 @@ class TestGuarantees:
         it from (master seed 1, label 2), as the map-building pass gave it."""
         family = GaussianEnsemble(0.8, 1.6, dim=3, base_cov=base_cov)
         rng = np.random.default_rng(np.random.SeedSequence([1, 2]))
-        sigma2, _ = _anchor_moment(family, rng, 10**6)
+        sigma2, _ = anchor_moment(family, rng, 10**6)
         assert sigma2 == pytest.approx(expected, rel=1e-14, abs=0)
 
 
@@ -135,7 +137,7 @@ class TestExactSigma2:
     @pytest.mark.parametrize("name", sorted(SIGMA2_FAMILIES))
     def test_within_three_stderr_of_monte_carlo(self, name):
         family = SIGMA2_FAMILIES[name]()
-        mean, stderr = _anchor_moment(family, np.random.default_rng(2024), 10**6)
+        mean, stderr = anchor_moment(family, np.random.default_rng(2024), 10**6)
         assert abs(family.sigma2() - mean) <= 3.0 * stderr
 
     def test_ensemble_closed_form(self):
@@ -153,6 +155,57 @@ class TestExactSigma2:
         r = radius
         exact = (2 * r * math.sin(r) + (2 - r * r) * math.cos(r) - 2) / (1 - math.cos(r))
         assert SphereCap(r).sigma2() == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+# each family at a proxy where the Monte Carlo moment has finite variance:
+# E exp(d^2 / varsigma2) < inf, so sd^2 < varsigma2 / 2 for the Gaussian tails
+MOMENT_FAMILIES = {
+    "euclidean_gaussian": (lambda: EuclideanGaussian(dim=3, sd=1.3), 8.0),
+    "hyperbolic_gaussian": (lambda: HyperbolicGaussian(0.5, dim=3), 1.0),
+    "sphere_cap_d2": (lambda: SphereCap(0.3), 0.1),
+    "sphere_cap_d3": (lambda: SphereCap(0.7, dim=3), 0.3),
+    "sphere_cap_d4": (lambda: SphereCap(0.5, dim=4), 0.1),
+    "gaussian_ensemble": (lambda: GaussianEnsemble(0.8, 1.6, dim=3), 0.1),
+}
+
+
+def monte_carlo_moment(family, varsigma2):
+    return anchor_moment(
+        family, np.random.default_rng(2024), 10**6, lambda sq: np.exp(sq / (2.0 * varsigma2))
+    )
+
+
+class TestSubgaussianMoment:
+    @pytest.mark.parametrize("name", sorted(MOMENT_FAMILIES))
+    def test_within_three_stderr_of_monte_carlo(self, name):
+        make, varsigma2 = MOMENT_FAMILIES[name]
+        family = make()
+        mean, stderr = monte_carlo_moment(family, varsigma2)
+        assert abs(family.subgaussian_moment(varsigma2) - mean) <= 3.0 * stderr
+
+    def test_anisotropic_ensemble_is_an_upper_bound(self):
+        """With a non-isotropic base covariance prod_i psi(lam_i(C)) bounds
+        the moment from above (Schur-Horn and log-convexity of psi)."""
+        family = GaussianEnsemble(0.3, 1.3, dim=3, base_cov=BASE_COV)
+        mean, stderr = monte_carlo_moment(family, 0.3)
+        assert family.subgaussian_moment(0.3) >= mean - 3.0 * stderr
+
+    @pytest.mark.parametrize("make", [
+        lambda: EuclideanGaussian(dim=3, sd=1.0),
+        lambda: HyperbolicGaussian(1.0, dim=3),
+    ])
+    def test_gaussian_tails_in_closed_form(self, make):
+        """(1 - s^2 / varsigma2)^(-dim/2), and inf from s^2 = varsigma2 on."""
+        family = make()
+        assert family.subgaussian_moment(3.0) == pytest.approx((2.0 / 3.0) ** -1.5, rel=1e-15)
+        assert family.subgaussian_moment(1.0) == math.inf
+        assert family.subgaussian_moment(0.5) == math.inf
+
+    def test_cap_moment_tends_to_one_and_is_finite(self):
+        family = SphereCap(0.3)
+        assert family.subgaussian_moment(1e12) == pytest.approx(1.0, abs=1e-12)
+        assert family.subgaussian_moment(1e-4) > 2.0
+        assert family.subgaussian_moment(1e-6) == math.inf  # exp overflows, no warning
 
 
 class TestAnchors:

@@ -44,15 +44,35 @@ class TestHuggingValue:
                 any_space.exp(b_star, 0.5 * any_space.random_tangent(b_star, rng))
                 for _ in range(20)
             ]
-        batched = bl.hugging_values(any_space, b_star, b, any_space.stack(xs))
-        assert batched.shape == (20,)
-        for x, value in zip(xs, batched):
+        batched = bl.hugging_values(any_space, b_star, any_space.stack([b]), any_space.stack(xs))
+        assert batched.shape == (1, 20)
+        for x, value in zip(xs, batched[0]):
             assert bl.hugging_value(any_space, b_star, b, x) == value
 
+    def test_stacked_targets_give_one_row_each(self, any_space, rng):
+        """Every row of a stack of targets equals that target's batch of one."""
+        b_star, *bs = separated_points(any_space, rng, 5)
+        xs = [probe_point(any_space, rng) for _ in range(20)]
+        if any_space.tag == "sphere":  # keep clear of the cut locus of b_star
+            xs = [
+                any_space.exp(b_star, 0.5 * any_space.random_tangent(b_star, rng))
+                for _ in range(20)
+            ]
+        xs = any_space.stack(xs)
+        rows = bl.hugging_values(any_space, b_star, any_space.stack(bs), xs)
+        assert rows.shape == (4, 20)
+        for b, row in zip(bs, rows):
+            one = bl.hugging_values(any_space, b_star, any_space.stack([b]), xs)
+            assert np.array_equal(row, one[0])
+
     def test_coincident_points_rejected(self, any_space, rng):
-        b_star, x = separated_points(any_space, rng, 2)
+        b_star, b, x = separated_points(any_space, rng, 3)
         with pytest.raises(CoincidentPoints):
             bl.hugging_value(any_space, b_star, b_star, x)
+        with pytest.raises(CoincidentPoints):  # one target at the base rejects the stack
+            bl.hugging_values(
+                any_space, b_star, any_space.stack([b, b_star]), any_space.stack([x])
+            )
 
     @pytest.mark.parametrize("tag", ["sphere", "quantile", "gaussian"])
     def test_nonnegative_curvature_keeps_k_below_one(self, tag, rng):

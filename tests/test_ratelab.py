@@ -304,7 +304,7 @@ class TestViolationDetection:
 class TestSubgaussian:
     def test_near_point_mass_passes(self):
         config = euclid_config(family=EuclideanGaussian(dim=3, sd=1e-9))
-        check = subgaussian_proxy_check(config, varsigma2=1.0, draws=20_000)
+        check = subgaussian_proxy_check(config, varsigma2=1.0)
         assert check.passed
         assert check.estimate == pytest.approx(1.0, abs=1e-9)
 
@@ -314,27 +314,34 @@ class TestSubgaussian:
             family=family, theorem="tail", n_grid=(4,), trials=1, master_seed=9
         )
         varsigma2 = 0.3**2 / (2.0 * math.log(2.0))
-        check = subgaussian_proxy_check(config, varsigma2, draws=50_000)
+        check = subgaussian_proxy_check(config, varsigma2)
         assert check.passed
-
-    def test_zero_draws_rejected(self):
-        with pytest.raises(ValueError, match="draws"):
-            subgaussian_proxy_check(euclid_config(), varsigma2=3.0, draws=0)
 
     def test_heavy_proxy_fails(self):
         config = euclid_config()
-        check = subgaussian_proxy_check(config, varsigma2=1.2, draws=50_000)
+        check = subgaussian_proxy_check(config, varsigma2=1.2)
         assert not check.passed
 
-    def test_estimate_pinned(self):
-        """Exponential moment of SphereCap(0.3) at master seed 1 over two
-        200 000-draw blocks, summed as the sigma^2 pass sums them."""
-        config = bl.RateExperimentConfig(
-            family=SphereCap(0.3), theorem="tail", n_grid=(4,), trials=1, master_seed=1
-        )
-        check = subgaussian_proxy_check(config, varsigma2=0.1, draws=400_000)
-        assert check.estimate == pytest.approx(1.2621705652073945, rel=1e-14, abs=0)
-        assert check.stderr == pytest.approx(0.00025899853575277117, rel=1e-14, abs=0)
+    def test_exact_moment_draws_nothing(self, monkeypatch):
+        """The gate reads the family's law: (2/3)^(-3/2) for sd 1, dim 3 and
+        varsigma2 3, whatever the seed, and no draw is made."""
+
+        def no_draws(*args):
+            raise AssertionError("the subgaussian gate drew samples")
+
+        monkeypatch.setattr(EuclideanGaussian, "sqdist_anchor", no_draws)
+        monkeypatch.setattr(EuclideanGaussian, "sample_batch", no_draws)
+        for seed in (1, 7919):
+            check = subgaussian_proxy_check(euclid_config(master_seed=seed), varsigma2=3.0)
+            assert check.estimate == pytest.approx(1.8371173070873836, rel=1e-15)
+            assert check.passed
+
+    def test_infinite_moment_fails_the_tail_run(self):
+        """s^2 >= varsigma2: the moment diverges and the gate fails typed."""
+        check = subgaussian_proxy_check(tail_config(trials=10), varsigma2=1.0)
+        assert check.estimate == math.inf and not check.passed
+        with pytest.raises(HypothesisViolated, match="inf"):
+            run_tail_experiment(tail_config(trials=10), [0.2], varsigma2=1.0)
 
 
 TABLE_FAMILIES = {
@@ -537,4 +544,78 @@ class TestTailExperiment:
         config = dataclasses.replace(tail_config(trials=10), family=PointMass(dim=3))
         with pytest.raises(CoincidentPoints):
             estimate_hugging_profile(config, 5, 3)
+
+
+def per_target_profile(config, n_points, n_targets):
+    """(pk, pk_stderr, pk_sq, k_min) of the hugging profile as one evaluation
+    per target, each taking the support's log maps afresh: the reference of
+    the batched profile."""
+    family = config.family
+    space, anchor = family.space, family.anchor
+    rng = ratelab._stream(config.master_seed, ratelab._PROFILE)
+    xs = family.sample_batch(rng, n_points)
+    targets = family.sample_batch(rng, n_targets)
+    rows = []
+    for b in space.unstack(targets):
+        lb, d_bb = space.log_batch(anchor, space.stack([b]))
+        if d_bb[0] <= 1e-12:
+            continue
+        lx = space.log_batch(anchor, xs)[0]
+        cone_sq = space.tangent_inner(anchor, lx - lb, lx - lb)
+        rows.append(1.0 - (cone_sq - space.sqdist_batch(b, xs)) / d_bb[0] ** 2)
+    k_of_x = np.min(rows, axis=0)
+    return (float(k_of_x.mean()), float(k_of_x.std(ddof=1) / math.sqrt(n_points)),
+            float((k_of_x**2).mean()), float(k_of_x.min()))
+
+
+PROFILE_FAMILIES = {
+    "euclidean": EuclideanGaussian(dim=3),
+    "sphere": SphereCap(0.3),
+    "hyperbolic": HyperbolicGaussian(0.5),
+    "gaussian": GaussianEnsemble(0.8, 1.6, dim=3),
+}
+
+
+class TestBatchedProfile:
+    @pytest.mark.parametrize("kind", sorted(PROFILE_FAMILIES))
+    @pytest.mark.parametrize("budget", [ratelab.TRIAL_FLOAT_BUDGET, 1000])
+    def test_equals_the_per_target_loop(self, kind, budget, monkeypatch):
+        """Bit for bit, in one block of targets or in many."""
+        monkeypatch.setattr(ratelab, "TRIAL_FLOAT_BUDGET", budget)
+        config = dataclasses.replace(
+            tail_config(trials=10), family=PROFILE_FAMILIES[kind], master_seed=1
+        )
+        profile = estimate_hugging_profile(config, 60, 40)
+        assert (profile.pk, profile.pk_stderr, profile.pk_sq, profile.k_min) == (
+            per_target_profile(config, 60, 40)
+        )
+
+    def test_skips_coincident_targets(self):
+        """Targets at the anchor drop out, as in the per-target loop."""
+
+        class HalfAtAnchor(EuclideanGaussian):
+            def sample_batch(self, rng, count):
+                batch = super().sample_batch(rng, count)
+                batch[::2] = self.anchor
+                return batch
+
+        config = dataclasses.replace(tail_config(trials=10), family=HalfAtAnchor(dim=3))
+        profile = estimate_hugging_profile(config, 20, 10)
+        assert (profile.pk, profile.pk_stderr, profile.pk_sq, profile.k_min) == (
+            per_target_profile(config, 20, 10)
+        )
+
+    def test_support_log_maps_are_taken_once(self, monkeypatch):
+        config = dataclasses.replace(tail_config(trials=10), family=SphereCap(0.3))
+        kernel = type(config.family.space).log_batch
+        sizes = []
+
+        def spy(space, base, batch):
+            sizes.append(space.batch_len(batch))
+            return kernel(space, base, batch)
+
+        monkeypatch.setattr(type(config.family.space), "log_batch", spy)
+        estimate_hugging_profile(config, 200, 100)
+        assert sizes.count(200) == 1
+        assert len(sizes) == 3  # the support, the targets' coincidence check, one block
 
