@@ -23,18 +23,6 @@ from .barycenter import (
     quantile_mean,
     variance,
 )
-from .comparison import (
-    MonotonicityReport,
-    TriangleSides,
-    angle_monotonicity_probe,
-    c_kappa,
-    comparison_angle,
-    cone_distance,
-    model_diameter,
-    quadruple_defect,
-    s_kappa,
-    tangent_inner,
-)
 from .distributions import DiscreteDistribution
 from .families import (
     EuclideanGaussian,
@@ -78,4 +66,20 @@ from .spaces import (
     point_from_payload,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# no rates or tail run reads comparison geometry, so it loads on first access
+_COMPARISON = {
+    "MonotonicityReport", "TriangleSides", "angle_monotonicity_probe", "c_kappa",
+    "comparison_angle", "cone_distance", "model_diameter", "quadruple_defect", "s_kappa",
+    "tangent_inner",
+}
+
+
+def __getattr__(name):
+    if name in _COMPARISON:
+        from . import comparison
+
+        return getattr(comparison, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _COMPARISON)

@@ -113,7 +113,9 @@ def descent_batch(
     curvature bound of ``_step_sizes``; it is halved (at most MAX_HALVINGS
     times per iteration) whenever the candidate objective increases, and a
     non-improving iteration ends that problem with ``converged=False``
-    unless the tolerance was already met.
+    unless the tolerance was already met.  The live rows are gathered only on
+    iterations where some problem ends, the pending rows only for steps after
+    some has stopped, and a step every problem accepts is taken whole.
     """
     points = np.array(init, dtype=float)
     count = len(points)
@@ -134,18 +136,24 @@ def descent_batch(
         for _ in range(MAX_HALVINGS + 1):
             if not len(pending):
                 break
-            candidate = space.exp(b[pending], step[pending, None] * grad[pending])
-            cand_payloads, cand_mags = _log_batch(space, candidate, x[pending])
-            cand_objective = weighted_sum(w[pending], cand_mags**2)
-            old = objective[pending]
+            rows = slice(None) if len(pending) == len(live) else pending  # no copy
+            candidate = space.exp(b[rows], step[rows, None] * grad[rows])
+            cand_payloads, cand_mags = _log_batch(space, candidate, x[rows])
+            cand_objective = weighted_sum(w[rows], cand_mags**2)
+            old = objective[rows]
             ok = cand_objective <= old + OBJECTIVE_NOISE * (1.0 + old)
             took = pending[ok]
-            b[took], payloads[took], mags[took] = candidate[ok], cand_payloads[ok], cand_mags[ok]
-            objective[took] = cand_objective[ok]
+            if len(took) == len(live):
+                b, payloads, mags, objective = candidate, cand_payloads, cand_mags, cand_objective
+            else:
+                b[took], objective[took] = candidate[ok], cand_objective[ok]
+                payloads[took], mags[took] = cand_payloads[ok], cand_mags[ok]
             pending = pending[~ok]
             step[pending] *= 0.5
         ended = done.copy()
         ended[pending] = True  # no step accepted: the problem stalls
+        if not ended.any():
+            continue
         points[live[ended]] = b[ended]
         iters[live[ended]] = iteration
         converged[live[done]] = True
@@ -168,7 +176,9 @@ def bures_fixed_point_batch(
     C <- C^(-1/2) (sum_i w_i (C^(1/2) C_i C^(1/2))^(1/2))^2 C^(-1/2), from
     the arithmetic mean.  A converged iterate satisfies both the fixed-point
     equation (Frobenius norm) and the first-order condition (tangent mean
-    norm) to ``opts.tol``.
+    norm) to ``opts.tol``; the latter is linear in the roots, so it takes one
+    sandwich per problem.  The live rows are gathered only on iterations where
+    some problem ends.
     """
     means, covs = batch
     w = weights
@@ -183,21 +193,21 @@ def bures_fixed_point_batch(
     eye = np.eye(space.dim)
     for iteration in range(1, opts.max_iters + 1):
         s, s_inv = spd_sqrt_inv_sqrt(cov)
-        cross = spd_sqrt_batch(s[:, None] @ covs @ s[:, None])
-        a_bar = weighted_sum(w, s_inv[:, None] @ cross @ s_inv[:, None])
-        lin = sym(a_bar) - eye
+        cross_bar = weighted_sum(w, spd_sqrt_batch(s[:, None] @ covs @ s[:, None]))
+        lin = sym(s_inv @ cross_bar @ s_inv) - eye
         # lin is symmetric, so this is the squared tangent norm of the mean log
         grad_norm[live] = norm = np.sqrt(
             np.maximum(np.sum((lin @ cov) * lin, axis=(-2, -1)), 0.0)
         )
-        cross_bar = weighted_sum(w, cross)
         cov_next = sym(s_inv @ cross_bar @ cross_bar @ s_inv)
         done = (norm <= opts.tol) & (frobenius(cov_next - cov) <= opts.tol)
-        out[live[done]] = cov[done]
-        iters[live[done]] = iteration
-        converged[live[done]] = True
-        keep = ~done
-        live, covs, w, cov = live[keep], covs[keep], w[keep], cov_next[keep]
+        if done.any():
+            out[live[done]] = cov[done]
+            iters[live[done]] = iteration
+            converged[live[done]] = True
+            keep = ~done
+            live, covs, w, cov_next = live[keep], covs[keep], w[keep], cov_next[keep]
+        cov = cov_next
         if not len(live):
             break
     out[live] = cov

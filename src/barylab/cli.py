@@ -149,9 +149,9 @@ def _cmd_tail(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     subg = subgaussian_proxy_check(config, payload["varsigma2"])
-    profile = estimate_hugging_profile(
-        config, payload["profile_points"], payload["profile_targets"]
-    )
+    # a failed gate raises in run_tail_experiment, before any profile is drawn
+    points, targets = payload["profile_points"], payload["profile_targets"]
+    profile = estimate_hugging_profile(config, points, targets) if subg.passed else None
     results = run_tail_experiment(config, payload["deltas"], payload["varsigma2"], profile, subg)
     out = _out_dir(args)
     csv_path = out / "tail.csv"

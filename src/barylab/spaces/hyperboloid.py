@@ -85,15 +85,16 @@ class Hyperboloid(Space):
         to it) does not leak into short distances as it does in |x - p|_M.
         """
         p = np.asarray(p, float)[..., None, :]
-        diff = batch - p
-        v = diff + self.tangent_inner(p, diff, p)[..., None] * p
+        v = batch - p
+        v += self.tangent_inner(p, v, p)[..., None] * p
         nv = np.sqrt(np.maximum(self.tangent_inner(p, v, v), 0.0))
         return v, nv, np.arcsinh(nv)
 
     def log_batch(self, p, batch):
         v, nv, theta = self._tangent_theta(p, batch)
         scale = np.where(nv > 0, theta / np.where(nv == 0, 1.0, nv), 0.0)
-        return v * scale[..., None], theta
+        v *= scale[..., None]
+        return v, theta
 
     def sqdist_batch(self, p, batch) -> np.ndarray:
         return self._tangent_theta(p, batch)[2] ** 2

@@ -68,8 +68,8 @@ class Sphere(Space):
         [0, pi] and blind to the rounding of |x| and |p| away from 1.
         """
         p = np.asarray(p, float)[..., None, :]
-        diff = batch - p
-        v = diff - np.einsum("...j,...j->...", diff, p)[..., None] * p
+        v = batch - p
+        v -= np.einsum("...j,...j->...", v, p)[..., None] * p
         nv = np.linalg.norm(v, axis=-1)
         return v, nv, np.arctan2(nv, np.einsum("...j,...j->...", batch, p))
 
@@ -78,7 +78,8 @@ class Sphere(Space):
         if np.any(theta > math.pi - ANTIPODAL_TOL):
             raise AntipodalPoints("a batch point reaches the cut locus of the base")
         scale = np.where(nv > 0, theta / np.where(nv == 0, 1.0, nv), 0.0)
-        return v * scale[..., None], theta
+        v *= scale[..., None]
+        return v, theta
 
     def sqdist_batch(self, p, batch) -> np.ndarray:
         return self._tangent_theta(p, batch)[2] ** 2

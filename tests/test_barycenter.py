@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 
 import barylab as bl
 from barylab.barycenter import (
+    SolverOptions,
     barycenter,
     barycenter_batch,
     best_support_init,
+    bures_fixed_point_batch,
+    descent_batch,
     minimality_spot_check,
 )
 from barylab.errors import GridMismatch, SpaceMismatch
@@ -23,6 +27,8 @@ from barylab.families import (
     SphereCap,
     gaussian_quantile_grid,
 )
+from barylab.linalg import frobenius, spd_sqrt_batch, spd_sqrt_inv_sqrt, sym, weighted_sum
+from barylab.ratelab import TRIAL_FLOAT_BUDGET
 from barylab.spaces import Space
 
 from conftest import probe_point, separated_points
@@ -283,6 +289,33 @@ class TestStackedSolve:
                 assert np.array_equal(single.point, row)
 
 
+class TestStackedSolveMemory:
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize(
+        "family", [HyperbolicGaussian(0.5), SphereCap(0.3)], ids=["hyperbolic", "sphere"]
+    )
+    def test_descent_peaks_below_six_budgets(self, family, n):
+        """A descent over a support of one TRIAL_FLOAT_BUDGET of floats
+        allocates under 6 budgets at its peak: the log maps are formed in
+        place, and the support is copied only for steps where some problem
+        has stopped and on iterations where one ends (copies on every
+        iteration peaked above 8)."""
+        space = family.space
+        count = TRIAL_FLOAT_BUDGET // (n * space.point_floats)
+        rng = np.random.default_rng(1)
+        batch = np.asarray(family.sample_batch(rng, count * n)).reshape(count, n, -1)
+        weights = np.full((count, n), 1.0 / n)
+        init = space.warm_start(batch, weights)
+        tracemalloc.start()
+        try:
+            solved = descent_batch(space, batch, weights, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solved.converged.all()
+        assert peak < 6 * 8 * TRIAL_FLOAT_BUDGET
+
+
 class TestQuantileMean:
     def test_point_mass_average(self):
         space = bl.QuantileSpace(4)
@@ -374,6 +407,62 @@ class TestBuresFixedPoint:
             qspace, float(res.point.mean[0]), math.sqrt(float(res.point.cov[0, 0]))
         )
         assert qspace.distance(qmean, res_grid) <= 1e-3
+
+
+def averaged_sandwich_fixed_point(batch, weights, opts):
+    """The stacked fixed point with the first-order condition read from the
+    weighted mean of the n sandwiches C^(-1/2) root_i C^(-1/2) of each
+    problem; covariances, gradient norms and iterations."""
+    means, covs = batch
+    w = weights
+    count, dim = len(w), covs.shape[-1]
+    cov = sym(weighted_sum(w, covs))
+    out = np.empty_like(cov)
+    grad_norm = np.full(count, math.inf)
+    iters = np.full(count, opts.max_iters)
+    live = np.arange(count)
+    for iteration in range(1, opts.max_iters + 1):
+        s, s_inv = spd_sqrt_inv_sqrt(cov)
+        cross = spd_sqrt_batch(s[:, None] @ covs @ s[:, None])
+        lin = sym(weighted_sum(w, s_inv[:, None] @ cross @ s_inv[:, None])) - np.eye(dim)
+        grad_norm[live] = norm = np.sqrt(
+            np.maximum(np.sum((lin @ cov) * lin, axis=(-2, -1)), 0.0)
+        )
+        cross_bar = weighted_sum(w, cross)
+        cov_next = sym(s_inv @ cross_bar @ cross_bar @ s_inv)
+        done = (norm <= opts.tol) & (frobenius(cov_next - cov) <= opts.tol)
+        out[live[done]] = cov[done]
+        iters[live[done]] = iteration
+        keep = ~done
+        live, covs, w, cov = live[keep], covs[keep], w[keep], cov_next[keep]
+        if not len(live):
+            break
+    out[live] = cov
+    return out, grad_norm, iters
+
+
+class TestBuresSandwich:
+    @pytest.mark.parametrize("max_iters", [10_000, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_equals_the_averaged_sandwich(self, dim, max_iters):
+        """One sandwich of the averaged roots per problem gives the
+        covariances and iteration counts of the n averaged sandwiches bit for
+        bit, and their gradient norms to rounding, on stacks whose problems
+        end at different iterations (or none, at max_iters = 3)."""
+        rng = np.random.default_rng(dim)
+        count, n = 12, 7
+        a = rng.normal(size=(count, n, dim, dim))
+        covs = a @ np.swapaxes(a, -1, -2) / dim + 0.3 * np.eye(dim)
+        batch = (rng.normal(size=(count, n, dim)), covs)
+        weights = rng.dirichlet(np.ones(n), size=count)
+        opts = SolverOptions(max_iters=max_iters)
+        solved = bures_fixed_point_batch(bl.BuresWasserstein(dim), batch, weights, opts)
+        cov, grad_norm, iters = averaged_sandwich_fixed_point(batch, weights, opts)
+        assert np.array_equal(solved.points[1], cov)
+        assert np.array_equal(solved.iters, iters)
+        assert np.array_equal(solved.converged, iters < max_iters)
+        assert len(set(iters)) > 1 or max_iters == 3
+        assert np.allclose(solved.grad_norm, grad_norm, rtol=1e-6, atol=1e-14)
 
 
 class TestTangentStructure:

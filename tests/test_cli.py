@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from barylab import ratelab
+from barylab import cli, ratelab
 from barylab.cli import main
 from barylab.reporting import RATES_HEADER, write_manifest
 
@@ -213,6 +213,20 @@ class TestTailCommand:
         assert "error[hypothesis]: subgaussian moment inf > 2" in capsys.readouterr().err
         for path in out.glob("*") if out.exists() else ():
             assert "Infinity" not in path.read_text()
+
+    def test_failed_gate_draws_no_profile(self, tmp_path, monkeypatch):
+        """An infinite moment fails the gate (exit 2) before any hugging
+        profile is drawn, by the CLI or by the tail run."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+
+        monkeypatch.setattr(cli, "estimate_hugging_profile", spy)
+        monkeypatch.setattr(ratelab, "estimate_hugging_profile", spy)
+        cfg = write_config(tmp_path, dict(TAIL_CONFIG, varsigma2=1.0))
+        assert run(["tail", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert calls == []
 
     def test_anchor_verified_once_per_run(self, tmp_path, monkeypatch):
         """Two deltas share one verify pass and one solve per (n, trial)."""
@@ -433,13 +447,15 @@ class TestImports:
 
     def test_cli_import_leaves_single_command_modules_out(self):
         """The plot and sweep modules, and the standard library modules only
-        they use, load inside their own subcommands."""
+        they use, load inside their own subcommands; the comparison module
+        loads on first use."""
         root = Path(__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         code = (
             "import sys, barylab.cli; "
-            "print(sorted(m for m in ('barylab.svgplot', 'barylab.sweeps', 'statistics', "
-            "'html', 'numpy.polynomial') if m in sys.modules))"
+            "print(sorted(m for m in ('barylab.svgplot', 'barylab.sweeps', "
+            "'barylab.comparison', 'statistics', 'html', 'numpy.polynomial') "
+            "if m in sys.modules))"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], cwd=root, env=env,
