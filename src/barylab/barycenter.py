@@ -28,6 +28,10 @@ from .spaces import BuresWasserstein, Euclidean, QuantileSpace, Space
 # Accept a descent step when the objective does not increase beyond float noise.
 OBJECTIVE_NOISE = 1e-12
 MAX_HALVINGS = 30
+# floats of support whose log maps descent forms and reduces at once (one
+# problem at least): a step's temporaries are a few arrays of 128 KiB, however
+# many problems it stacks
+LOG_BLOCK_FLOATS = 16_384
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,37 @@ def _step_sizes(space: Space, weights, mags, step: float) -> np.ndarray:
     return step / weighted_sum(weights, h)
 
 
+def _consecutive(rows: np.ndarray):
+    """Sorted indices as a slice where they are consecutive, so indexing with
+    them makes a view rather than a copy."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+def _descent_state(space: Space, base, batch, weights, rows, step: float):
+    """The tangent mean sum_i w_i log_b(x_i), the objective
+    sum_i w_i d^2(b, x_i) and the ``_step_sizes`` bound of each problem at
+    ``base``, whose support and weights are the rows ``rows`` of ``batch``
+    and ``weights``.
+
+    The rows are taken LOG_BLOCK_FLOATS floats of support at a time (one
+    problem at least), as views where they are consecutive, and their log
+    maps are reduced at once; so no array of the size of the stack is formed.
+    """
+    per_block = max(1, LOG_BLOCK_FLOATS // batch[0].size)
+    parts = []
+    for start in range(0, len(rows), per_block):
+        block = slice(start, start + per_block)
+        take = _consecutive(rows[block])
+        w = weights[take]
+        payloads, mags = _log_batch(space, base[block], batch[take])
+        grad = weighted_sum(w, payloads)
+        del payloads
+        parts.append((grad, weighted_sum(w, mags**2), _step_sizes(space, w, mags, step)))
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
 def descent_batch(
     space: Space, batch, weights, init, opts: SolverOptions = SolverOptions()
 ) -> BatchResult:
@@ -113,41 +148,45 @@ def descent_batch(
     curvature bound of ``_step_sizes``; it is halved (at most MAX_HALVINGS
     times per iteration) whenever the candidate objective increases, and a
     non-improving iteration ends that problem with ``converged=False``
-    unless the tolerance was already met.  The live rows are gathered only on
-    iterations where some problem ends, the pending rows only for steps after
-    some has stopped, and a step every problem accepts is taken whole.
+    unless the tolerance was already met.
+
+    Each problem carries only its iterate, tangent mean, objective and step
+    bound, which ``_descent_state`` reduces from a block of log maps at a
+    time.  The support and weights are never gathered whole: a step reads
+    the rows of its problems a block at a time, and a step every problem
+    accepts is taken whole.
     """
     points = np.array(init, dtype=float)
     count = len(points)
     grad_norm = np.full(count, math.inf)
     iters = np.full(count, opts.max_iters)
     converged = np.zeros(count, dtype=bool)
-    # the problems still descending, and their rows of every per-problem array
+    # the problems still descending: their rows of the stack, in the order of
+    # the rows of b, grad, objective and bound
     live = np.arange(count)
-    b, x, w = points.copy(), batch, weights
-    payloads, mags = _log_batch(space, b, x)
-    objective = weighted_sum(w, mags**2)
+    b = points.copy()
+    grad, objective, bound = _descent_state(space, b, batch, weights, live, opts.step)
     for iteration in range(1, opts.max_iters + 1):
-        grad = weighted_sum(w, payloads)
         grad_norm[live] = norm = _tangent_norms(space, b, grad)
         done = norm <= opts.tol
-        step = _step_sizes(space, w, mags, opts.step)
+        step = bound.copy()
         pending = np.flatnonzero(~done)
         for _ in range(MAX_HALVINGS + 1):
             if not len(pending):
                 break
             rows = slice(None) if len(pending) == len(live) else pending  # no copy
             candidate = space.exp(b[rows], step[rows, None] * grad[rows])
-            cand_payloads, cand_mags = _log_batch(space, candidate, x[rows])
-            cand_objective = weighted_sum(w[rows], cand_mags**2)
+            cand_grad, cand_objective, cand_bound = _descent_state(
+                space, candidate, batch, weights, live[rows], opts.step
+            )
             old = objective[rows]
             ok = cand_objective <= old + OBJECTIVE_NOISE * (1.0 + old)
             took = pending[ok]
             if len(took) == len(live):
-                b, payloads, mags, objective = candidate, cand_payloads, cand_mags, cand_objective
+                b, grad, objective, bound = candidate, cand_grad, cand_objective, cand_bound
             else:
-                b[took], objective[took] = candidate[ok], cand_objective[ok]
-                payloads[took], mags[took] = cand_payloads[ok], cand_mags[ok]
+                b[took], grad[took] = candidate[ok], cand_grad[ok]
+                objective[took], bound[took] = cand_objective[ok], cand_bound[ok]
             pending = pending[~ok]
             step[pending] *= 0.5
         ended = done.copy()
@@ -158,8 +197,7 @@ def descent_batch(
         iters[live[ended]] = iteration
         converged[live[done]] = True
         keep = ~ended
-        live, b, x, w = live[keep], b[keep], x[keep], w[keep]
-        payloads, mags, objective = payloads[keep], mags[keep], objective[keep]
+        live, b, grad, objective, bound = (a[keep] for a in (live, b, grad, objective, bound))
         if not len(live):
             break
     points[live] = b

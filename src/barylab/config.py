@@ -6,6 +6,7 @@ before raising so a bad config is fixed in one round trip.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 from .barycenter import SolverOptions
 from .errors import BadFamilyParams, ParseError, ValidationError
 from .families import Family, family_from_config
-from .ratelab import RateExperimentConfig
+from .ratelab import RateExperimentConfig, estimate_hugging_profile
 from .spaces import BuresWasserstein, Euclidean, Hyperboloid, QuantileSpace, Sphere
 
 EXPERIMENTS = ("rates", "tail", "hugging", "curvature", "barycenter", "plot")
@@ -37,6 +38,8 @@ _SPACE_KINDS = {
 }
 
 _DEFAULT_TRIALS = 1000
+# the hugging profile sizes of a tail config that omits them: the library's
+_PROFILE_DEFAULTS = inspect.signature(estimate_hugging_profile).parameters
 
 
 @dataclass(frozen=True)
@@ -125,19 +128,20 @@ def _seed(obj, violations) -> int:
 
 
 def _solver(obj: dict, violations) -> SolverOptions:
+    defaults = SolverOptions()
     section = obj.get("solver", {})
     if not isinstance(section, dict):
         violations.append("'solver' must be an object")
-        return SolverOptions()
+        return defaults
     _check_keys(section, {"max_iters", "tol", "step"}, set(), "solver", violations)
-    max_iters = _positive_int(section, "max_iters", 10_000, "solver", violations)
-    tol = _positive_float(section, "tol", 1e-10, "solver", violations)
-    step = _positive_float(section, "step", 1.0, "solver", violations)
+    max_iters = _positive_int(section, "max_iters", defaults.max_iters, "solver", violations)
+    tol = _positive_float(section, "tol", defaults.tol, "solver", violations)
+    step = _positive_float(section, "step", defaults.step, "solver", violations)
     try:
         return SolverOptions(max_iters=max_iters, tol=tol, step=step)
     except ValueError as exc:
         violations.append(f"solver: {exc}")
-        return SolverOptions()
+        return defaults
 
 
 def _family(obj: dict, violations) -> Family | None:
@@ -171,7 +175,9 @@ def _rate_config(obj: dict, violations, theorem: str) -> RateExperimentConfig | 
     trials = _positive_int(obj, "trials", _DEFAULT_TRIALS, "config", violations)
     seed = _seed(obj, violations)
     solver = _solver(obj, violations)
-    verify_draws = _positive_int(obj, "verify_draws", 100_000, "config", violations)
+    verify_draws = _positive_int(
+        obj, "verify_draws", RateExperimentConfig.verify_draws, "config", violations
+    )
     if family is not None and family.kind not in THEOREM_FAMILIES[theorem]:
         violations.append(
             f"theorem {theorem!r} is incompatible with family {family.kind!r}; "
@@ -226,8 +232,12 @@ def _build_tail(obj: dict, violations) -> dict:
     return {  # evaluated in order, so the violations come in the order of the keys
         "deltas": [float(d) for d in deltas],
         "varsigma2": _positive_float(obj, "varsigma2", 1.0, "config", violations),
-        "profile_points": _positive_int(obj, "profile_points", 200, "config", violations),
-        "profile_targets": _positive_int(obj, "profile_targets", 100, "config", violations),
+        "profile_points": _positive_int(
+            obj, "profile_points", _PROFILE_DEFAULTS["n_points"].default, "config", violations
+        ),
+        "profile_targets": _positive_int(
+            obj, "profile_targets", _PROFILE_DEFAULTS["n_targets"].default, "config", violations
+        ),
         "config": _rate_config(obj, violations, "tail"),
     }
 

@@ -83,17 +83,22 @@ class Hyperboloid(Space):
         The tangent part x + <x, p>_M p = sinh(theta) u is taken of x - p,
         which is exact for nearby points, so rounding off the sheet (normal
         to it) does not leak into short distances as it does in |x - p|_M.
+        The returned ``v`` is the one batch-sized array formed: it takes the
+        projection a coordinate at a time, and the norms in place.
         """
         p = np.asarray(p, float)[..., None, :]
         v = batch - p
-        v += self.tangent_inner(p, v, p)[..., None] * p
-        nv = np.sqrt(np.maximum(self.tangent_inner(p, v, v), 0.0))
+        inner = self.tangent_inner(p, v, p)
+        for k in range(self.ambient):
+            v[..., k] += inner * p[..., k]
+        nv = self.tangent_inner(p, v, v)
+        np.sqrt(np.maximum(nv, 0.0, out=nv), out=nv)
         return v, nv, np.arcsinh(nv)
 
     def log_batch(self, p, batch):
         v, nv, theta = self._tangent_theta(p, batch)
-        scale = np.where(nv > 0, theta / np.where(nv == 0, 1.0, nv), 0.0)
-        v *= scale[..., None]
+        # scale v by theta / nv in place, by 0 where nv is 0
+        v *= np.divide(theta, nv, out=nv, where=nv > 0)[..., None]
         return v, theta
 
     def sqdist_batch(self, p, batch) -> np.ndarray:

@@ -65,20 +65,29 @@ class Sphere(Space):
 
         The orthogonal part is taken of x - p, which is exact for nearby
         points, and theta = atan2(|x_perp|, x . p) is stable on all of
-        [0, pi] and blind to the rounding of |x| and |p| away from 1.
+        [0, pi] and blind to the rounding of |x| and |p| away from 1.  The
+        returned ``v`` is the one batch-sized array formed: it takes the
+        projection and the squared norms a coordinate at a time, summed in the
+        order ``np.linalg.norm`` sums fewer than 8 coordinates.
         """
         p = np.asarray(p, float)[..., None, :]
         v = batch - p
-        v -= np.einsum("...j,...j->...", v, p)[..., None] * p
-        nv = np.linalg.norm(v, axis=-1)
-        return v, nv, np.arctan2(nv, np.einsum("...j,...j->...", batch, p))
+        inner = np.einsum("...j,...j->...", v, p)
+        for k in range(self.ambient):
+            v[..., k] -= inner * p[..., k]
+        nv = v[..., 0] * v[..., 0]
+        for k in range(1, self.ambient):
+            nv += v[..., k] * v[..., k]
+        np.sqrt(nv, out=nv)
+        cos = np.einsum("...j,...j->...", batch, p)
+        return v, nv, np.arctan2(nv, cos, out=cos)
 
     def log_batch(self, p, batch):
         v, nv, theta = self._tangent_theta(p, batch)
         if np.any(theta > math.pi - ANTIPODAL_TOL):
             raise AntipodalPoints("a batch point reaches the cut locus of the base")
-        scale = np.where(nv > 0, theta / np.where(nv == 0, 1.0, nv), 0.0)
-        v *= scale[..., None]
+        # scale v by theta / nv in place, by 0 where nv is 0
+        v *= np.divide(theta, nv, out=nv, where=nv > 0)[..., None]
         return v, theta
 
     def sqdist_batch(self, p, batch) -> np.ndarray:

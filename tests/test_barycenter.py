@@ -289,17 +289,70 @@ class TestStackedSolve:
                 assert np.array_equal(single.point, row)
 
 
+class TestStackedDescentRows:
+    @staticmethod
+    def wide_problems(space, rng, count, n, spread):
+        """``count`` problems of ``n`` weighted points up to ``spread`` from a
+        centre, wide enough that an overshooting step has to halve."""
+        centre = space.random_point(rng)
+        points = []
+        for _ in range(count * n):
+            v = space.random_tangent(centre, rng)
+            v *= rng.uniform(0.0, spread) / space.tangent_norm(centre, v)
+            points.append(space.exp(centre, v))
+        weights = rng.uniform(0.1, 1.0, (count, n))
+        return np.reshape(points, (count, n, -1)), weights / weights.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize(
+        "tag, spread, step, noise",
+        [
+            ("sphere", 1.4, 2.05, 1e-12),
+            ("hyperbolic", 3.0, 2.2, 1e-12),
+            ("hyperbolic", 3.0, 1.0, -1e-7),
+        ],
+        ids=["sphere-halving", "hyperbolic-halving", "hyperbolic-stalling"],
+    )
+    def test_rows_equal_single_solves(self, tag, spread, step, noise, monkeypatch):
+        """Steps that overshoot and halve (a step near 2), problems that
+        stall (an objective that must fall by 1e-7 to count), problems that
+        end on different iterations, and log maps formed two problems at a
+        time leave every row of a stacked descent equal, bit for bit, to its
+        problem solved alone."""
+        bary = importlib.import_module("barylab.barycenter")
+        space = bl.Sphere(2) if tag == "sphere" else bl.Hyperboloid(2)
+        batch, weights = self.wide_problems(space, np.random.default_rng(4), 12, 6, spread)
+        init = space.warm_start(batch, weights)
+        opts = SolverOptions(step=step, max_iters=200)
+        exp_calls = []
+
+        def exp(p, v):
+            exp_calls.append(len(v))
+            return type(space).exp(space, p, v)
+
+        monkeypatch.setattr(space, "exp", exp)
+        monkeypatch.setattr(bary, "LOG_BLOCK_FLOATS", 2 * 6 * space.point_floats)
+        monkeypatch.setattr(bary, "OBJECTIVE_NOISE", noise)
+        stacked = descent_batch(space, batch, weights, init, opts)
+        assert len(set(stacked.iters)) > 1  # problems ended on different iterations
+        assert len(exp_calls) > stacked.iters.max()  # some iteration halved its step
+        for i in range(len(batch)):
+            single = descent_batch(space, batch[i:i + 1], weights[i:i + 1], init[i:i + 1], opts)
+            assert np.array_equal(single.points[0], stacked.points[i])
+            assert single.grad_norm[0] == stacked.grad_norm[i]
+            assert single.iters[0] == stacked.iters[i]
+            assert single.converged[0] == stacked.converged[i]
+
+
 class TestStackedSolveMemory:
-    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     @pytest.mark.parametrize(
         "family", [HyperbolicGaussian(0.5), SphereCap(0.3)], ids=["hyperbolic", "sphere"]
     )
-    def test_descent_peaks_below_six_budgets(self, family, n):
+    def test_descent_peaks_below_three_budgets(self, family, n):
         """A descent over a support of one TRIAL_FLOAT_BUDGET of floats
-        allocates under 6 budgets at its peak: the log maps are formed in
-        place, and the support is copied only for steps where some problem
-        has stopped and on iterations where one ends (copies on every
-        iteration peaked above 8)."""
+        (1 365 hyperbolic or sphere problems at n = 16) allocates under 3
+        budgets at its peak: each problem carries per-problem state only, and
+        the log maps are formed and reduced a block at a time."""
         space = family.space
         count = TRIAL_FLOAT_BUDGET // (n * space.point_floats)
         rng = np.random.default_rng(1)
@@ -313,7 +366,7 @@ class TestStackedSolveMemory:
         finally:
             tracemalloc.stop()
         assert solved.converged.all()
-        assert peak < 6 * 8 * TRIAL_FLOAT_BUDGET
+        assert peak < 3 * 8 * TRIAL_FLOAT_BUDGET
 
 
 class TestQuantileMean:

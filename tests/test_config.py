@@ -1,11 +1,14 @@
 """Strict config parsing: defaults, unknown keys, compatibility matrix."""
 
+import inspect
 import json
 
 import pytest
 
+from barylab.barycenter import SolverOptions
 from barylab.config import parse_config
 from barylab.errors import ParseError, ValidationError
+from barylab.ratelab import RateExperimentConfig, estimate_hugging_profile
 
 
 def write(tmp_path, obj, name="config.json"):
@@ -121,6 +124,28 @@ class TestTailConfig:
         }
         with pytest.raises(ValidationError, match="delta"):
             parse_config(write(tmp_path, obj), "tail")
+
+    def test_omitted_keys_take_the_library_defaults(self, tmp_path):
+        """A tail config without solver, verify or profile keys gets the
+        defaults of SolverOptions, RateExperimentConfig and
+        estimate_hugging_profile, the one source of each."""
+        obj = {
+            "experiment": "tail",
+            "family": {"kind": "sphere_cap", "dim": 2, "radius": 0.3},
+            "n_grid": [50],
+            "delta": 0.1,
+            "varsigma2": 3.0,
+        }
+        payload = parse_config(write(tmp_path, obj), "tail").payload
+        config = payload["config"]
+        library = RateExperimentConfig(
+            family=config.family, theorem="tail", n_grid=(50,), trials=1, master_seed=0
+        )
+        assert config.solver == SolverOptions() == library.solver
+        assert config.verify_draws == library.verify_draws
+        profile = inspect.signature(estimate_hugging_profile).parameters
+        assert payload["profile_points"] == profile["n_points"].default
+        assert payload["profile_targets"] == profile["n_targets"].default
 
 
 class TestOtherExperiments:

@@ -468,3 +468,43 @@ class TestBatchedKernels:
             assert batched[i, j] == pytest.approx(
                 float(space.tangent_inner(p, us[i, j], vs[i, j])), rel=1e-14, abs=1e-14
             )
+
+
+def broadcast_log(space, p, batch):
+    """Log maps of a stacked batch by whole-array broadcasting, the form the
+    in-place kernels replaced: their arithmetic reference."""
+    p = np.asarray(p, float)[..., None, :]
+    v = batch - p
+    if space.tag == "sphere":
+        v = v - np.einsum("...j,...j->...", v, p)[..., None] * p
+        nv = np.linalg.norm(v, axis=-1)
+        theta = np.arctan2(nv, np.einsum("...j,...j->...", batch, p))
+    else:
+        v = v + space.tangent_inner(p, v, p)[..., None] * p
+        nv = np.sqrt(np.maximum(space.tangent_inner(p, v, v), 0.0))
+        theta = np.arcsinh(nv)
+    scale = np.where(nv > 0, theta / np.where(nv == 0, 1.0, nv), 0.0)
+    return v * scale[..., None], theta
+
+
+class TestInPlaceLogKernels:
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("tag", ["sphere", "hyperbolic"])
+    def test_equal_the_broadcast_formula(self, tag, dim):
+        """The in-place log maps and distances of a stacked batch, a point
+        at its base included, equal the broadcast formula bit for bit (the
+        sphere sums its squared norms in np.linalg.norm's order, which holds
+        for fewer than 8 coordinates)."""
+        space = bl.Sphere(dim) if tag == "sphere" else bl.Hyperboloid(dim)
+        rng = np.random.default_rng(dim)
+        bases = np.stack([probe_point(space, rng) for _ in range(7)])
+        batch = np.stack([
+            space.stack([base] + [probe_point(space, rng) for _ in range(9)]) for base in bases
+        ])
+        for p, x in ((bases, batch), (bases[0], batch[0])):
+            payloads, theta = space.log_batch(p, x)
+            ref_payloads, ref_theta = broadcast_log(space, p, x)
+            assert np.array_equal(payloads, ref_payloads)
+            assert np.array_equal(theta, ref_theta)
+            assert np.array_equal(space.sqdist_batch(p, x), ref_theta**2)
+        assert np.all(payloads[0] == 0.0)
