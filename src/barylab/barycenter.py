@@ -28,9 +28,10 @@ from .spaces import BuresWasserstein, Euclidean, QuantileSpace, Space
 # Accept a descent step when the objective does not increase beyond float noise.
 OBJECTIVE_NOISE = 1e-12
 MAX_HALVINGS = 30
-# floats of support whose log maps descent forms and reduces at once (one
-# problem at least): a step's temporaries are a few arrays of 128 KiB, however
-# many problems it stacks
+# floats of support that a stacked solver maps at once (one problem at least):
+# descent's log maps and the fixed point's sandwiches and their roots are
+# formed and reduced a block at a time, so a step's temporaries are a few
+# arrays of 128 KiB, however many problems it stacks
 LOG_BLOCK_FLOATS = 16_384
 
 
@@ -113,21 +114,29 @@ def _consecutive(rows: np.ndarray):
     return rows
 
 
+def _blocks(rows: np.ndarray, floats: int):
+    """``(block, take)`` for each run of LOG_BLOCK_FLOATS floats of support
+    (one problem at least) over the problems ``rows`` of a stack whose
+    problems hold ``floats`` floats each: ``block`` slices the per-problem
+    state, in the order of ``rows``, and ``take`` the stack, as a view
+    where those rows are consecutive."""
+    per_block = max(1, LOG_BLOCK_FLOATS // floats)
+    for start in range(0, len(rows), per_block):
+        block = slice(start, start + per_block)
+        yield block, _consecutive(rows[block])
+
+
 def _descent_state(space: Space, base, batch, weights, rows, step: float):
     """The tangent mean sum_i w_i log_b(x_i), the objective
     sum_i w_i d^2(b, x_i) and the ``_step_sizes`` bound of each problem at
     ``base``, whose support and weights are the rows ``rows`` of ``batch``
     and ``weights``.
 
-    The rows are taken LOG_BLOCK_FLOATS floats of support at a time (one
-    problem at least), as views where they are consecutive, and their log
-    maps are reduced at once; so no array of the size of the stack is formed.
+    The log maps are formed and reduced a ``_blocks`` block at a time, so no
+    array of the size of the stack is formed.
     """
-    per_block = max(1, LOG_BLOCK_FLOATS // batch[0].size)
     parts = []
-    for start in range(0, len(rows), per_block):
-        block = slice(start, start + per_block)
-        take = _consecutive(rows[block])
+    for block, take in _blocks(rows, batch[0].size):
         w = weights[take]
         payloads, mags = _log_batch(space, base[block], batch[take])
         grad = weighted_sum(w, payloads)
@@ -215,23 +224,31 @@ def bures_fixed_point_batch(
     the arithmetic mean.  A converged iterate satisfies both the fixed-point
     equation (Frobenius norm) and the first-order condition (tangent mean
     norm) to ``opts.tol``; the latter is linear in the roots, so it takes one
-    sandwich per problem.  The live rows are gathered only on iterations where
-    some problem ends.
+    sandwich per problem.
+
+    Each problem carries only its iterate C, C^(1/2) and C^(-1/2).  The
+    sandwiches C^(1/2) C_i C^(1/2) and their roots are formed and reduced to
+    the weighted sum of roots a ``_blocks`` block at a time, so the
+    covariances and weights are never gathered whole.
     """
     means, covs = batch
-    w = weights
-    count = len(w)
-    mean_bar = weighted_sum(w, means)
-    cov = sym(weighted_sum(w, covs))
+    count = len(weights)
+    mean_bar = weighted_sum(weights, means)
+    cov = sym(weighted_sum(weights, covs))
     out = np.empty_like(cov)
     grad_norm = np.full(count, math.inf)
     iters = np.full(count, opts.max_iters)
     converged = np.zeros(count, dtype=bool)
+    # the problems still iterating: their rows of the stack, in the order of
+    # the rows of cov
     live = np.arange(count)
     eye = np.eye(space.dim)
     for iteration in range(1, opts.max_iters + 1):
         s, s_inv = spd_sqrt_inv_sqrt(cov)
-        cross_bar = weighted_sum(w, spd_sqrt_batch(s[:, None] @ covs @ s[:, None]))
+        cross_bar = np.empty_like(cov)
+        for block, take in _blocks(live, means[0].size + covs[0].size):
+            sb = s[block, None]
+            cross_bar[block] = weighted_sum(weights[take], spd_sqrt_batch(sb @ covs[take] @ sb))
         lin = sym(s_inv @ cross_bar @ s_inv) - eye
         # lin is symmetric, so this is the squared tangent norm of the mean log
         grad_norm[live] = norm = np.sqrt(
@@ -244,7 +261,7 @@ def bures_fixed_point_batch(
             iters[live[done]] = iteration
             converged[live[done]] = True
             keep = ~done
-            live, covs, w, cov_next = live[keep], covs[keep], w[keep], cov_next[keep]
+            live, cov_next = live[keep], cov_next[keep]
         cov = cov_next
         if not len(live):
             break

@@ -53,9 +53,9 @@ MAX_REDRAWS = 25
 # floats of stacked draws per trial solve (Space.point_floats a point) and per
 # block of the anchor verification pass: 512 KiB, or one trial's draws if they
 # are larger.  It sizes the draws, not the peak, which holds the draws and the
-# temporaries beside them: a descent stays under 3 budgets (its log maps come
-# in blocks of barycenter.LOG_BLOCK_FLOATS), and the Bures fixed point forms
-# several (T, n, d, d) stacks.  Larger chunks solve no faster and take more memory
+# temporaries beside them: a descent stays under 3 budgets and the Bures fixed
+# point under 2 (their log maps, sandwiches and roots come in blocks of
+# barycenter.LOG_BLOCK_FLOATS).  Larger chunks solve no faster and take more memory
 TRIAL_FLOAT_BUDGET = 65_536
 
 # proof constant c in (0, 1) for the tail thresholds, fixed by convention

@@ -368,6 +368,28 @@ class TestStackedSolveMemory:
         assert solved.converged.all()
         assert peak < 3 * 8 * TRIAL_FLOAT_BUDGET
 
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_fixed_point_peaks_below_two_budgets(self, n):
+        """A Bures fixed point over a support of one TRIAL_FLOAT_BUDGET of
+        floats (341 Gaussian problems at n = 16, d = 3) allocates under 2
+        budgets at its peak: each problem carries its iterate and roots only,
+        and the sandwiches and their roots are formed and reduced a block at
+        a time."""
+        family = GaussianEnsemble(0.8, 1.6, dim=3)
+        space = family.space
+        count = TRIAL_FLOAT_BUDGET // (n * space.point_floats)
+        rng = np.random.default_rng(1)
+        batch = space.stack_problems([family.sample_batch(rng, n) for _ in range(count)])
+        weights = np.full((count, n), 1.0 / n)
+        tracemalloc.start()
+        try:
+            solved = bures_fixed_point_batch(space, batch, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solved.converged.all()
+        assert peak < 2 * 8 * TRIAL_FLOAT_BUDGET
+
 
 class TestQuantileMean:
     def test_point_mass_average(self):
@@ -495,6 +517,15 @@ def averaged_sandwich_fixed_point(batch, weights, opts):
 
 
 class TestBuresSandwich:
+    @staticmethod
+    def problems(dim, count=12, n=7):
+        """``count`` weighted problems of ``n`` random Gaussians, which the
+        fixed point solves in different numbers of iterations."""
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(count, n, dim, dim))
+        covs = a @ np.swapaxes(a, -1, -2) / dim + 0.3 * np.eye(dim)
+        return (rng.normal(size=(count, n, dim)), covs), rng.dirichlet(np.ones(n), size=count)
+
     @pytest.mark.parametrize("max_iters", [10_000, 3])
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_equals_the_averaged_sandwich(self, dim, max_iters):
@@ -502,12 +533,7 @@ class TestBuresSandwich:
         covariances and iteration counts of the n averaged sandwiches bit for
         bit, and their gradient norms to rounding, on stacks whose problems
         end at different iterations (or none, at max_iters = 3)."""
-        rng = np.random.default_rng(dim)
-        count, n = 12, 7
-        a = rng.normal(size=(count, n, dim, dim))
-        covs = a @ np.swapaxes(a, -1, -2) / dim + 0.3 * np.eye(dim)
-        batch = (rng.normal(size=(count, n, dim)), covs)
-        weights = rng.dirichlet(np.ones(n), size=count)
+        batch, weights = self.problems(dim)
         opts = SolverOptions(max_iters=max_iters)
         solved = bures_fixed_point_batch(bl.BuresWasserstein(dim), batch, weights, opts)
         cov, grad_norm, iters = averaged_sandwich_fixed_point(batch, weights, opts)
@@ -516,6 +542,34 @@ class TestBuresSandwich:
         assert np.array_equal(solved.converged, iters < max_iters)
         assert len(set(iters)) > 1 or max_iters == 3
         assert np.allclose(solved.grad_norm, grad_norm, rtol=1e-6, atol=1e-14)
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    @pytest.mark.parametrize("max_iters", [10_000, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_rows_do_not_depend_on_the_blocks(self, dim, max_iters, per_block, monkeypatch):
+        """Sandwiches formed one or two problems at a time leave every row of
+        the stacked fixed point equal, bit for bit, to the averaged
+        sandwiches' covariance and iteration count and to its problem solved
+        alone, as problems leave the stack at different iterations."""
+        bary = importlib.import_module("barylab.barycenter")
+        batch, weights = self.problems(dim)
+        space = bl.BuresWasserstein(dim)
+        opts = SolverOptions(max_iters=max_iters)
+        floats = weights.shape[1] * space.point_floats  # one problem's support
+        monkeypatch.setattr(bary, "LOG_BLOCK_FLOATS", per_block * floats)
+        solved = bures_fixed_point_batch(space, batch, weights, opts)
+        cov, _, iters = averaged_sandwich_fixed_point(batch, weights, opts)
+        assert len(set(iters)) > 1 or max_iters == 3
+        for i in range(len(weights)):
+            single = bures_fixed_point_batch(
+                space, (batch[0][i:i + 1], batch[1][i:i + 1]), weights[i:i + 1], opts
+            )
+            for other in (single.points[1][0], cov[i]):
+                assert np.array_equal(solved.points[1][i], other)
+            assert solved.iters[i] == single.iters[0] == iters[i]
+            assert solved.converged[i] == single.converged[0] == (iters[i] < max_iters)
+            assert solved.grad_norm[i] == single.grad_norm[0]
+            assert np.array_equal(solved.points[0][i], single.points[0][0])
 
 
 class TestTangentStructure:
