@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import barylab as bl
-from barylab.families import gaussian_quantile_grid
+from barylab.families import _unit_rule, gaussian_quantile_grid
 from barylab.sweeps import separated
 
 # one line per acceptance criterion, echoed in the terminal summary so the
@@ -39,6 +39,23 @@ TRUE_KAPPA = {
 }
 
 
+_ENSEMBLE = {"kind": "gaussian_ensemble", "alpha": 0.5, "beta": 2.0}
+
+# families whose constructors reject their parameters with ValueError or
+# NotPositiveDefinite rather than BadFamilyParams
+BAD_FAMILIES = {
+    "mean-dim": {"kind": "euclidean_gaussian", "dim": 3, "mean": [0, 0]},
+    "cap-anchor-dim": {"kind": "sphere_cap", "radius": 0.3, "anchor": [1, 0]},
+    "off-sheet": {"kind": "hyperbolic_gaussian", "scale": 0.5, "anchor": [2, 0, 0]},
+    "euclidean-dim0": {"kind": "euclidean_gaussian", "dim": 0},
+    "cap-dim0": {"kind": "sphere_cap", "radius": 0.3, "dim": 0},
+    "hyperbolic-dim0": {"kind": "hyperbolic_gaussian", "scale": 0.5, "dim": 0},
+    "ensemble-dim0": dict(_ENSEMBLE, dim=0),
+    "cov-shape": dict(_ENSEMBLE, dim=3, base_cov=[[1, 0], [0, 1]]),
+    "cov-not-spd": dict(_ENSEMBLE, dim=2, base_cov=[[1, 0], [0, -1]]),
+}
+
+
 def make_space(tag):
     return SPACE_FACTORIES[tag]()
 
@@ -66,6 +83,15 @@ def separated_points(space, rng, count, min_sep=0.05):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fresh_rule():
+    """The families' quadrature rule rebuilt inside the test, and again by its
+    next caller."""
+    _unit_rule.cache_clear()
+    yield
+    _unit_rule.cache_clear()
 
 
 @pytest.fixture(params=sorted(SPACE_FACTORIES))

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
 import barylab as bl
 from barylab.barycenter import barycenter
@@ -22,6 +22,7 @@ from barylab.families import (
     SphereCap,
     gaussian_quantile_grid,
 )
+from barylab import ratelab
 from barylab.hugging import exp_barycenter_residual
 from barylab.ratelab import run_rate_experiment, run_tail_experiment
 from barylab.reporting import write_rates_csv
@@ -341,7 +342,11 @@ def test_criterion_08_exponential_barycenter_residual(solved_instances):
     )
 
 
-def test_criterion_09_tail_bound():
+def test_criterion_09_tail_bound(monkeypatch):
+    """The theorem's bound on the exceedance rate, and the rate against the
+    exact law.  With sd = 1 the Euclidean barycenter is the sample mean, so
+    n d^2 is chi-square on 3 degrees of freedom and the count of trials with
+    n d^2 above its upper delta quantile is Binomial(trials, delta)."""
     config = bl.RateExperimentConfig(
         family=EuclideanGaussian(dim=3, sd=1.0),
         theorem="tail",
@@ -349,11 +354,21 @@ def test_criterion_09_tail_bound():
         trials=10_000,
         master_seed=2024_09,
     )
+    tables = []
+    trial_table = ratelab._trial_table
+
+    def keeping(config, b_star):
+        table, discarded = trial_table(config, b_star)
+        tables.append(table)
+        return table, discarded
+
+    monkeypatch.setattr(ratelab, "_trial_table", keeping)
+    deltas = (0.05, 0.2)
     start = time.perf_counter()
     bound_ok = True
     oracle_ok = True
     details = []
-    for res in run_tail_experiment(config, (0.05, 0.2), varsigma2=3.0):
+    for res in run_tail_experiment(config, deltas, varsigma2=3.0):
         stderr = math.sqrt(
             res.empirical_exceedance * (1 - res.empirical_exceedance) / res.trials
         )
@@ -373,9 +388,23 @@ def test_criterion_09_tail_bound():
             f"bound={res.bound_probability:.4g} oracle={exact:.2e}"
         )
     elapsed = time.perf_counter() - start
+    # the oracle above compares 0 exceedances with probabilities near 1e-94;
+    # the exact law of n d^2 gives a check with power
+    (table,) = tables
+    law_ok = True
+    for delta in deltas:
+        cut = chi2.isf(delta, 3)
+        lo, hi = binom.interval(1.0 - 2e-6, config.trials, delta)
+        for n, sq in zip(config.n_grid, table):
+            count = int(np.count_nonzero(n * sq > cut))
+            law_ok = law_ok and lo <= count <= hi
+            details.append(
+                f"(delta={delta}, n={n}): {count} of {config.trials} above "
+                f"chi2_3 quantile, interval [{lo:.0f}, {hi:.0f}]"
+            )
     report(
         "9 (tail bound)",
-        bound_ok and oracle_ok and elapsed <= 300.0,
+        bound_ok and oracle_ok and law_ok and elapsed <= 300.0,
         "; ".join(details) + f"; elapsed = {elapsed:.1f}s",
     )
 

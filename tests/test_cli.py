@@ -15,6 +15,8 @@ from barylab import cli, ratelab
 from barylab.cli import main
 from barylab.reporting import RATES_HEADER, write_manifest
 
+from conftest import BAD_FAMILIES
+
 RATES_CONFIG = {
     "experiment": "rates",
     "family": {"kind": "euclidean_gaussian", "dim": 3, "sd": 1.0},
@@ -119,6 +121,23 @@ class TestRates:
         cfg = write_config(tmp_path, bad)
         assert run(["rates", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "error[config]: family: need 0 < alpha < 1 < beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", BAD_FAMILIES.values(), ids=list(BAD_FAMILIES))
+    def test_bad_family_params_exit_1_without_a_traceback(self, tmp_path, family):
+        """A family the constructor rejects (wrong dimension, an anchor off the
+        space, a non-SPD covariance) is reported as a config error."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        cfg = write_config(tmp_path, dict(RATES_CONFIG, family=family))
+        done = subprocess.run(
+            [sys.executable, "-m", "barylab.cli", "rates", "--config", cfg,
+             "--out", str(tmp_path / "o")],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error[config]: family: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["rates", "tail"])
     def test_sigma2_draws_is_an_unknown_key(self, tmp_path, capsys, command):
@@ -252,6 +271,42 @@ class TestTailCommand:
         assert calls == [11]
         assert trials == [TAIL_CONFIG["n_grid"][0]] * 20
         assert len((out / "tail.csv").read_text().splitlines()) == 1 + 2
+
+
+# numpy.linalg's LAPACK-backed routines; with all of them refused, only runs in
+# the Bures-Wasserstein space, which needs them for its SPD roots, would fail
+DECOMPOSITIONS = (
+    "eigh", "eigvalsh", "eig", "eigvals", "svd", "qr", "inv", "solve",
+    "cholesky", "det", "slogdet", "lstsq", "pinv",
+)
+_SMALL_RATES = dict(RATES_CONFIG, n_grid=[4, 16], trials=10, verify_draws=2000)
+_SMALL_TAIL = dict(TAIL_CONFIG, trials=20, verify_draws=2000)
+_CAP = {"kind": "sphere_cap", "radius": 0.3}
+LAPACK_FREE_RUNS = {
+    "rates-cap-d2": dict(_SMALL_RATES, family=dict(_CAP, dim=2), theorem="master_extendible"),
+    "rates-cap-d3": dict(_SMALL_RATES, family=dict(_CAP, dim=3), theorem="master_extendible"),
+    "rates-hyperbolic": dict(
+        _SMALL_RATES, family={"kind": "hyperbolic_gaussian", "dim": 2, "scale": 0.5}
+    ),
+    "rates-euclidean": _SMALL_RATES,
+    "tail-cap": dict(_SMALL_TAIL, family=dict(_CAP, dim=2), varsigma2=0.1),
+    "tail-euclidean": _SMALL_TAIL,
+}
+
+
+class TestLinearAlgebra:
+    @pytest.mark.parametrize("name", list(LAPACK_FREE_RUNS))
+    def test_runs_off_the_gaussian_space_call_no_decomposition(
+        self, tmp_path, monkeypatch, fresh_rule, name
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a decomposition ran outside the Gaussian space")
+
+        for decomposition in DECOMPOSITIONS:
+            monkeypatch.setattr(np.linalg, decomposition, refuse)
+        obj = LAPACK_FREE_RUNS[name]
+        cfg = write_config(tmp_path, obj)
+        assert run([obj["experiment"], "--config", cfg, "--out", tmp_path / "out"]) == 0
 
 
 class TestSweepCommands:

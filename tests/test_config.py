@@ -10,6 +10,8 @@ from barylab.config import parse_config
 from barylab.errors import ParseError, ValidationError
 from barylab.ratelab import RateExperimentConfig, estimate_hugging_profile
 
+from conftest import BAD_FAMILIES
+
 
 def write(tmp_path, obj, name="config.json"):
     path = tmp_path / name
@@ -85,6 +87,18 @@ class TestParsing:
             parse_config(write(tmp_path, obj), "rates")
         text = str(err.value)
         assert "trials" in text and "n_grid" in text and "bogus" in text
+
+    @pytest.mark.parametrize("family", BAD_FAMILIES.values(), ids=list(BAD_FAMILIES))
+    def test_bad_family_params_are_collected(self, tmp_path, family):
+        """A family the constructor rejects is one violation among the
+        config's others, not an exception out of parsing."""
+        obj = dict(MINIMAL_RATES, family=family, trials=0)
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, obj), "rates")
+        violations = err.value.violations
+        assert len(violations) == 2
+        assert violations[0].startswith("family: ")
+        assert "trials" in violations[1]
 
     def test_experiment_subcommand_mismatch(self, tmp_path):
         with pytest.raises(ValidationError, match="subcommand"):

@@ -14,6 +14,7 @@ from barylab.families import (
     GaussianEnsemble,
     HyperbolicGaussian,
     SphereCap,
+    _unit_rule,
     family_from_config,
 )
 from barylab.ratelab import RateExperimentConfig, population_barycenter
@@ -155,6 +156,36 @@ class TestExactSigma2:
         r = radius
         exact = (2 * r * math.sin(r) + (2 - r * r) * math.cos(r) - 2) / (1 - math.cos(r))
         assert SphereCap(r).sigma2() == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+class TestQuadratureRule:
+    def test_builds_without_an_eigendecomposition(self, fresh_rule, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quadrature rule called an eigendecomposition")
+
+        for name in ("eigh", "eigvalsh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        nodes, weights = _unit_rule()
+        assert nodes.shape == weights.shape == (64,)
+        assert SphereCap(0.3).sigma2() > 0.0
+
+    def test_nodes_ascend_symmetrically_inside_the_unit_interval(self):
+        nodes, weights = _unit_rule()
+        assert 0.0 < nodes[0] and nodes[-1] < 1.0
+        assert np.all(np.diff(nodes) > 0.0)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(nodes + nodes[::-1], 1.0, rtol=0, atol=eps)
+        np.testing.assert_allclose(weights, weights[::-1], rtol=4 * eps, atol=0)
+
+    def test_integrates_every_polynomial_below_degree_128_to_rounding(self):
+        """A 64-node Gauss rule is exact through degree 127.  The eigenvector
+        weights of Golub & Welsch missed 1 / (k + 1) by up to 1.1e-15 and
+        summed to 1 within 1.1e-15; Newton's weights miss by at most 2.2e-16,
+        so the bound of 5e-16 separates the two."""
+        nodes, weights = _unit_rule()
+        assert abs(weights.sum() - 1.0) <= 5e-16
+        for k in range(128):
+            assert abs(weights @ nodes**k - 1.0 / (k + 1)) <= 5e-16, k
 
 
 # each family at a proxy where the Monte Carlo moment has finite variance:
