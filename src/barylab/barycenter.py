@@ -216,8 +216,10 @@ def descent_batch(
 def bures_fixed_point_batch(
     space: BuresWasserstein, batch, weights, opts: SolverOptions = SolverOptions()
 ) -> BatchResult:
-    """Gaussian barycenters of T problems: ``batch`` is (means (T, n, d),
-    covariances (T, n, d, d)) and ``weights`` (T, n).
+    """Gaussian barycenters of T problems: ``batch`` (T, n, d+1, d) holds
+    each point's mean in row 0 and its covariance in rows 1 to d, and
+    ``weights`` is (T, n).  The barycenters come back in the same layout,
+    (T, d+1, d).
 
     Each mean part decouples and averages exactly.  Covariance update:
     C <- C^(-1/2) (sum_i w_i (C^(1/2) C_i C^(1/2))^(1/2))^2 C^(-1/2), from
@@ -231,11 +233,12 @@ def bures_fixed_point_batch(
     the weighted sum of roots a ``_blocks`` block at a time, so the
     covariances and weights are never gathered whole.
     """
-    means, covs = batch
+    covs = batch[..., 1:, :]
     count = len(weights)
-    mean_bar = weighted_sum(weights, means)
+    points = np.empty((count,) + space.point_shape)
+    points[:, 0] = weighted_sum(weights, batch[..., 0, :])
+    out = points[:, 1:]
     cov = sym(weighted_sum(weights, covs))
-    out = np.empty_like(cov)
     grad_norm = np.full(count, math.inf)
     iters = np.full(count, opts.max_iters)
     converged = np.zeros(count, dtype=bool)
@@ -246,7 +249,7 @@ def bures_fixed_point_batch(
     for iteration in range(1, opts.max_iters + 1):
         s, s_inv = spd_sqrt_inv_sqrt(cov)
         cross_bar = np.empty_like(cov)
-        for block, take in _blocks(live, means[0].size + covs[0].size):
+        for block, take in _blocks(live, batch[0].size):
             sb = s[block, None]
             cross_bar[block] = weighted_sum(weights[take], spd_sqrt_batch(sb @ covs[take] @ sb))
         lin = sym(s_inv @ cross_bar @ s_inv) - eye
@@ -266,7 +269,7 @@ def bures_fixed_point_batch(
         if not len(live):
             break
     out[live] = cov
-    return BatchResult((mean_bar, out), grad_norm, iters, converged)
+    return BatchResult(points, grad_norm, iters, converged)
 
 
 def mean_batch(space: Euclidean, batch, weights) -> BatchResult:
@@ -294,8 +297,9 @@ def barycenter_batch(
     space: Space, batch, weights, opts: SolverOptions = SolverOptions()
 ) -> BatchResult:
     """Space-appropriate barycenters of T problems of n points each:
-    ``batch`` is their supports stacked by ``space.stack_problems`` and
-    ``weights`` is (T, n).  Descent starts from the space's ``warm_start``."""
+    ``batch`` is the (T, n) + ``space.point_shape`` array of their supports,
+    the ``np.stack`` of T stacked batches, and ``weights`` is (T, n).
+    Descent starts from the space's ``warm_start``."""
     return _by_kind(
         space,
         lambda: mean_batch(space, batch, weights),
@@ -306,7 +310,7 @@ def barycenter_batch(
 
 def _batch_of_one(dist: DiscreteDistribution):
     """The support and weights of ``dist`` as a stack of one problem."""
-    return dist.space.stack_problems([dist.batch]), dist.weights[None]
+    return dist.batch[None], dist.weights[None]
 
 
 def _single(dist: DiscreteDistribution, solved: BatchResult) -> BarycenterResult:

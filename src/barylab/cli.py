@@ -17,7 +17,7 @@ from pathlib import Path
 from .barycenter import barycenter
 from .config import parse_config
 from .distributions import DiscreteDistribution
-from .errors import BarylabError, HypothesisViolated, ValidationError
+from .errors import BarylabError, HypothesisViolated, OutputError, ValidationError
 from .ratelab import (
     estimate_hugging_profile,
     run_rate_experiment,
@@ -103,7 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -120,14 +123,11 @@ def _finish(args, out: Path, seed: int, csv_path: Path, started: str, extra: dic
     return EXIT_BOUND if extra["bound_violations"] else EXIT_OK
 
 
-def _cmd_rates(args) -> int:
-    started = utc_now()
-    parsed = parse_config(args.config, "rates")
-    config = parsed.payload["config"]
+def _cmd_rates(args, payload: dict, out: Path, started: str) -> int:
+    config = payload["config"]
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     curve = run_rate_experiment(config)
-    out = _out_dir(args)
     csv_path = out / "rates.csv"
     write_rates_csv(csv_path, curve)
     extra = {
@@ -141,10 +141,7 @@ def _cmd_rates(args) -> int:
     return _finish(args, out, config.master_seed, csv_path, started, extra)
 
 
-def _cmd_tail(args) -> int:
-    started = utc_now()
-    parsed = parse_config(args.config, "tail")
-    payload = parsed.payload
+def _cmd_tail(args, payload: dict, out: Path, started: str) -> int:
     config = payload["config"]
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
@@ -153,7 +150,6 @@ def _cmd_tail(args) -> int:
     points, targets = payload["profile_points"], payload["profile_targets"]
     profile = estimate_hugging_profile(config, points, targets) if subg.passed else None
     results = run_tail_experiment(config, payload["deltas"], payload["varsigma2"], profile, subg)
-    out = _out_dir(args)
     csv_path = out / "tail.csv"
     write_tail_csv(csv_path, config.family.space.tag, results, config.master_seed)
     extra = {
@@ -167,36 +163,28 @@ def _cmd_tail(args) -> int:
     return _finish(args, out, config.master_seed, csv_path, started, extra)
 
 
-def _cmd_hugging(args) -> int:
+def _cmd_hugging(args, payload: dict, out: Path, started: str) -> int:
     from .sweeps import hugging_sweep
 
-    started = utc_now()
-    parsed = parse_config(args.config, "hugging")
-    payload = parsed.payload
     seed = args.seed if args.seed is not None else payload["master_seed"]
     reports, meta = hugging_sweep(
         payload["family"], payload["n_support"], payload["n_cases"], seed,
         payload["solver"],
     )
-    out = _out_dir(args)
     csv_path = out / "hugging.csv"
     write_hugging_csv(csv_path, payload["family"].space.tag, reports, seed)
     write_manifest(out, _echo(args.config), seed, [csv_path], started, meta)
     return EXIT_OK
 
 
-def _cmd_curvature(args) -> int:
+def _cmd_curvature(args, payload: dict, out: Path, started: str) -> int:
     from .sweeps import curvature_sweep
 
-    started = utc_now()
-    parsed = parse_config(args.config, "curvature")
-    payload = parsed.payload
     seed = args.seed if args.seed is not None else payload["master_seed"]
     rows = curvature_sweep(
         payload["space"], payload["kappa"], payload["quadruples"],
         payload["triples"], payload["grid"], seed,
     )
-    out = _out_dir(args)
     csv_path = out / "curvature.csv"
     write_curvature_csv(csv_path, rows, seed)
     violations = []
@@ -210,10 +198,7 @@ def _cmd_curvature(args) -> int:
     return _finish(args, out, seed, csv_path, started, {"bound_violations": violations})
 
 
-def _cmd_barycenter(args) -> int:
-    started = utc_now()
-    parsed = parse_config(args.config, "barycenter")
-    payload = parsed.payload
+def _cmd_barycenter(args, payload: dict, out: Path, started: str) -> int:
     space = payload["space"]
     if payload["weights"] is None:
         dist = DiscreteDistribution.uniform(space, payload["points"])
@@ -223,7 +208,6 @@ def _cmd_barycenter(args) -> int:
         weights = np.asarray(payload["weights"], float)
         dist = DiscreteDistribution(space, payload["points"], weights / weights.sum())
     result = barycenter(dist, payload["solver"])
-    out = _out_dir(args)
     json_path = out / "barycenter.json"
     doc = {
         "space": space.tag,
@@ -241,18 +225,12 @@ def _cmd_barycenter(args) -> int:
     return EXIT_OK
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args, payload: dict, out: Path, started: str) -> int:
     from .svgplot import render_loglog_svg
 
-    started = utc_now()
-    title = ""
-    csv_path = args.csv
-    config_echo: dict = {}
-    if args.config:
-        parsed = parse_config(args.config, "plot")
-        csv_path = csv_path or parsed.payload["csv"]
-        title = parsed.payload["title"]
-        config_echo = _echo(args.config)
+    csv_path = args.csv or payload.get("csv")
+    title = payload.get("title", "")
+    config_echo = _echo(args.config) if args.config else {}
     if not csv_path:
         raise ValidationError(["plot needs --csv or a config with a 'csv' key"])
     rows = read_rates_csv(csv_path)
@@ -262,7 +240,6 @@ def _cmd_plot(args) -> int:
         ("bound", ns, [row["bound"] for row in rows]),
     ]
     svg = render_loglog_svg(series, title=title or f"rates: {rows[0]['space']}")
-    out = _out_dir(args)
     svg_path = out / (Path(csv_path).stem + ".svg")
     svg_path.write_text(svg, encoding="utf-8")
     write_manifest(out, config_echo or {"csv": str(csv_path)}, 0, [svg_path], started)
@@ -286,7 +263,11 @@ def main(argv=None) -> int:
         seed = getattr(args, "seed", None)  # only the subcommands that read it take it
         if seed is not None and seed < 0:
             raise ValidationError([f"--seed must be a nonnegative integer, got {seed}"])
-        return _COMMANDS[args.command](args)
+        started = utc_now()
+        # the config is validated and the output directory made before any
+        # work, so that neither fails at the end of a long run
+        payload = parse_config(args.config, args.command).payload if args.config else {}
+        return _COMMANDS[args.command](args, payload, _out_dir(args), started)
     except HypothesisViolated as exc:
         print(f"error[hypothesis]: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

@@ -96,6 +96,14 @@ def parse_config(path, expected_experiment: str | None = None) -> ParsedConfig:
 # -- field helpers ------------------------------------------------------------
 
 
+def _is_numeric(value, depth: int = 0) -> bool:
+    """Whether ``value`` is a JSON number (``depth`` 0), or a list of values
+    numeric at ``depth - 1``."""
+    if depth == 0:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_is_numeric(item, depth - 1) for item in value)
+
+
 def _check_keys(obj: dict, allowed: set, required: set, ctx: str, violations: list):
     for key in sorted(set(obj) - allowed):
         violations.append(f"{ctx}: unknown key {key!r}")
@@ -113,10 +121,19 @@ def _positive_int(obj, key, default, ctx, violations, minimum=1):
 
 def _positive_float(obj, key, default, ctx, violations):
     value = obj.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
+    if not _is_numeric(value) or value <= 0:
         violations.append(f"{ctx}: {key!r} must be a positive number")
         return default
     return float(value)
+
+
+def _numbers(obj, key, default, ctx, violations, depth=1):
+    """A list of numbers (``depth`` 1) or of lists of numbers (``depth`` 2)."""
+    value = obj.get(key, default)
+    if not _is_numeric(value, depth):
+        violations.append(f"{ctx}: {key!r} must be a list of {'lists of ' * (depth - 1)}numbers")
+        return default
+    return value
 
 
 def _seed(obj, violations) -> int:
@@ -144,10 +161,26 @@ def _solver(obj: dict, violations) -> SolverOptions:
         return defaults
 
 
+_FAMILY_FIELDS = {
+    "dim": _positive_int,
+    **dict.fromkeys(("sd", "radius", "scale", "alpha", "beta"), _positive_float),
+    **dict.fromkeys(("mean", "anchor"), _numbers),
+    "base_cov": lambda *args: _numbers(*args, depth=2),
+}
+
+
 def _family(obj: dict, violations) -> Family | None:
     section = obj.get("family")
     if not isinstance(section, dict):
         violations.append("'family' must be an object with a 'kind'")
+        return None
+    # a key of the wrong JSON type is refused here, by name; the families'
+    # constructors check the values' ranges and shapes
+    count = len(violations)
+    for key, field in _FAMILY_FIELDS.items():
+        if key in section:
+            field(section, key, None, "family", violations)
+    if len(violations) > count:
         return None
     try:
         return family_from_config(section)
@@ -219,14 +252,9 @@ def _build_tail(obj: dict, violations) -> dict:
     }
     _check_keys(obj, allowed, {"family", "n_grid", "delta", "varsigma2"}, "config", violations)
     deltas = obj.get("delta")
-    if isinstance(deltas, (int, float)) and not isinstance(deltas, bool):
+    if _is_numeric(deltas):
         deltas = [deltas]
-    if (
-        not isinstance(deltas, list)
-        or not deltas
-        or any(not isinstance(d, (int, float)) or isinstance(d, bool) or not 0 < d < 1
-               for d in deltas)
-    ):
+    if not deltas or not _is_numeric(deltas, 1) or not all(0 < d < 1 for d in deltas):
         violations.append("'delta' must be a number or list of numbers in (0, 1)")
         deltas = [0.1]
     return {  # evaluated in order, so the violations come in the order of the keys
@@ -285,17 +313,15 @@ def _build_curvature(obj: dict, violations) -> dict:
     _check_keys(obj, allowed, {"space", "kappa"}, "config", violations)
     space = _space(obj, violations)
     kappa = obj.get("kappa", 0.0)
-    if not isinstance(kappa, (int, float)) or isinstance(kappa, bool):
+    if not _is_numeric(kappa):
         violations.append("'kappa' must be a number")
         kappa = 0.0
     grid = obj.get("grid", [0.25, 0.5, 0.75, 1.0])
     if (
-        not isinstance(grid, list)
-        or any(not isinstance(g, (int, float)) or isinstance(g, bool) or not 0 < g <= 1
-               for g in grid)
-        or grid != sorted(grid)
+        not grid or not _is_numeric(grid, 1)
+        or not all(0 < g <= 1 for g in grid) or grid != sorted(grid)
     ):
-        violations.append("'grid' must be an ascending list of numbers in (0, 1]")
+        violations.append("'grid' must be a nonempty ascending list of numbers in (0, 1]")
         grid = [0.25, 0.5, 0.75, 1.0]
     return {
         "space": space,
@@ -334,10 +360,8 @@ def _build_barycenter(obj: dict, violations) -> dict:
     weights = obj.get("weights")
     if weights is not None:
         if (
-            not isinstance(weights, list)
-            or len(weights) != len(points)
-            or any(not isinstance(w, (int, float)) or isinstance(w, bool) or w <= 0
-                   for w in weights)
+            not _is_numeric(weights, 1) or len(weights) != len(points)
+            or not all(w > 0 for w in weights)
         ):
             violations.append("'weights' must be positive numbers, one per point")
             weights = None

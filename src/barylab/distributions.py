@@ -26,7 +26,7 @@ class DiscreteDistribution:
             batch = space.stack(points)
         except (ValueError, TypeError, AttributeError) as exc:
             raise SpaceMismatch(f"support points do not fit {space!r}: {exc}") from exc
-        n = space.batch_len(batch)
+        n = len(batch)
         if n == 0:
             raise ValueError("a distribution needs at least one support point")
         weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)

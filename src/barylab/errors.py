@@ -85,6 +85,10 @@ class PlotError(BarylabError):
     """Values that the requested chart cannot draw."""
 
 
+class OutputError(BarylabError):
+    """The output directory cannot be created."""
+
+
 class ConfigError(BarylabError):
     """Base class for configuration file errors."""
 

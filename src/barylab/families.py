@@ -331,9 +331,9 @@ class GaussianEnsemble(Family):
 
     def sample_batch(self, rng, count):
         maps = self.draw_maps(rng, count)
-        covs = sym(maps @ self.anchor.cov @ maps)
-        means = np.zeros((count, self.space.dim))
-        return means, covs
+        batch = np.zeros((count,) + self.space.point_shape)
+        batch[:, 1:] = sym(maps @ self.anchor.cov @ maps)  # the means stay 0
+        return batch
 
     def anchor_log_sums(self, rng, count):
         # the optimal map from C to M C M is the SPD M itself, so a draw's log

@@ -258,7 +258,7 @@ def _trial_chunk(config: RateExperimentConfig, b_star, n_index: int, trials: np.
     todo = np.arange(len(trials))
     redraw = redraws = 0
     while True:
-        batch = space.stack_problems([
+        batch = np.stack([
             family.sample_batch(_stream(config.master_seed, _TRIAL, n_index, t, redraw), n)
             for t in trials[todo]
         ])
@@ -377,16 +377,15 @@ def estimate_hugging_profile(
     xs = family.sample_batch(rng, n_points)
     targets = family.sample_batch(rng, n_targets)
     # a target at the anchor has no hugging value
-    targets = space.take(targets, space.log_batch(anchor, targets)[1] > COINCIDENT_TOL)
-    count = space.batch_len(targets)
+    targets = targets[space.log_batch(anchor, targets)[1] > COINCIDENT_TOL]
+    count = len(targets)
     if not count:
         raise CoincidentPoints("every sampled target coincided with the anchor")
     logs = space.log_batch(anchor, xs)[0]
     block = max(1, TRIAL_FLOAT_BUDGET // (n_points * space.point_floats))
     k_of_x = np.full(n_points, np.inf)
     for start in range(0, count, block):
-        rows = hugging_values(space, anchor, space.take(targets, slice(start, start + block)),
-                              xs, logs)
+        rows = hugging_values(space, anchor, targets[start:start + block], xs, logs)
         k_of_x = np.minimum(k_of_x, rows.min(axis=0))
     pk = float(k_of_x.mean())
     pk_stderr = float(k_of_x.std(ddof=1) / math.sqrt(n_points)) if n_points > 1 else 0.0

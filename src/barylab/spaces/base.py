@@ -1,7 +1,8 @@
 """Common interface for the concrete model spaces.
 
 A point is a space-native value (an ndarray for the vector-like spaces, a
-``GaussianPoint`` for the Bures-Wasserstein space).  Tangent vectors are
+``GaussianPoint`` for the Bures-Wasserstein space); a stacked batch of
+points is one float array in every space.  Tangent vectors are
 represented by a payload array whose algebra (scaling, sums) matches the
 tangent-cone structure, so weighted log-map averages are plain array sums.
 """
@@ -123,36 +124,30 @@ class Space(abc.ABC):
 
     # -- batched kernels: the one formula for each quantity --------------------
 
-    def stack(self, points):
-        """Stacked batch of a point sequence; a stacked batch passes through.
+    @property
+    def point_shape(self) -> tuple:
+        """Shape of one point in a stacked batch."""
+        return (self.ambient,)
 
-        Raises ValueError unless every point has the ``(ambient,)`` shape.
+    @property
+    def point_floats(self) -> int:
+        """Floats that one point takes in a stacked batch."""
+        return math.prod(self.point_shape)
+
+    def stack(self, points):
+        """Stacked batch of a point sequence, one float array of shape
+        ``(n,) + point_shape`` in every space; a stacked batch passes through.
+
+        Raises ValueError unless every point has the ``point_shape``.
         """
         batch = np.asarray(points, dtype=float)
-        if len(batch) and batch.shape[1:] != (self.ambient,):
-            raise ValueError(f"points of shape {batch.shape[1:]}, expected ({self.ambient},)")
+        if len(batch) and batch.shape[1:] != self.point_shape:
+            raise ValueError(f"points of shape {batch.shape[1:]}, expected {self.point_shape}")
         return batch
 
     def unstack(self, batch) -> list:
         """Per-point view of a stacked batch."""
         return list(batch)
-
-    def stack_problems(self, batches):
-        """The batches of T problems of equal size, stacked on a new leading
-        axis: the form the stacked solvers take."""
-        return np.stack(batches)
-
-    def batch_len(self, batch) -> int:
-        return len(batch)
-
-    def take(self, batch, index):
-        """The points of a stacked batch at ``index`` (a slice or a mask), stacked."""
-        return batch[index]
-
-    @property
-    def point_floats(self) -> int:
-        """Floats that one point takes in a stacked batch."""
-        return self.ambient
 
     @abc.abstractmethod
     def log_batch(self, p, batch):
@@ -167,7 +162,7 @@ class Space(abc.ABC):
     def extendibility_batch(self, p, batch) -> Extendibility:
         """``max_extendibility`` of the geodesic from ``p`` to every point in
         ``batch``, as arrays; unbounded unless the space overrides it."""
-        unbounded = np.full(self.batch_len(batch), math.inf)
+        unbounded = np.full(len(batch), math.inf)
         return Extendibility(unbounded, unbounded)
 
     def warm_start(self, batch, weights):

@@ -3,7 +3,9 @@
 Distances, geodesics and log/exp are closed-form in the mean and covariance.
 A tangent payload is the affine displacement map z -> u + L (z - mean),
 stored as the (D+1, D) array [u; L]; its norm in L2 of the base Gaussian is
-the cone norm, so payload algebra matches the tangent-cone structure.
+the cone norm, so payload algebra matches the tangent-cone structure.  A
+stacked batch of points takes the same layout: each point N(m, C) is the
+(D+1, D) array [m; C].
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class BuresWasserstein(Space):
         t < 1/(1 - a_min) and inward while t > -1/(a_max - 1); both suprema
         are open because the map degenerates exactly at the endpoint.
         """
-        eig = self._map_eigs(p, batch[1])
+        eig = self._map_eigs(p, batch[:, 1:])
         a_min, a_max = eig[:, 0], eig[:, -1]
         open_out = a_min < 1.0 - 1e-15
         open_in = a_max > 1.0 + 1e-15
@@ -146,35 +148,19 @@ class BuresWasserstein(Space):
 
     # -- batched -------------------------------------------------------------
 
+    @property
+    def point_shape(self) -> tuple:
+        return (self.dim + 1, self.dim)
+
     def stack(self, points):
-        if isinstance(points, tuple) and points and isinstance(points[0], np.ndarray):
-            means, covs = points  # already stacked
-        else:
-            means = np.asarray([pt.mean for pt in points], dtype=float)
-            covs = np.asarray([pt.cov for pt in points], dtype=float)
-        n, d = len(means), self.dim
-        if n and (means.shape != (n, d) or covs.shape != (n, d, d)):
-            raise ValueError(
-                f"means {means.shape} and covariances {covs.shape}, "
-                f"expected ({n}, {d}) and ({n}, {d}, {d})"
-            )
-        return means, covs
+        """The (n, D+1, D) batch of [mean; cov] rows of a sequence of
+        ``GaussianPoint``; a stacked batch passes through."""
+        if not isinstance(points, np.ndarray):
+            points = [np.concatenate((pt.mean[None], pt.cov)) for pt in points]
+        return super().stack(points)
 
     def unstack(self, batch) -> list:
-        return [GaussianPoint(m, c) for m, c in zip(*batch)]
-
-    def stack_problems(self, batches):
-        return tuple(np.stack(parts) for parts in zip(*batches))
-
-    def batch_len(self, batch) -> int:
-        return len(batch[0])
-
-    def take(self, batch, index):
-        return tuple(part[index] for part in batch)
-
-    @property
-    def point_floats(self) -> int:
-        return self.dim + self.dim * self.dim
+        return [GaussianPoint(row[0], row[1:]) for row in batch]
 
     def log_batch(self, p: GaussianPoint, batch):
         payloads, mags_sq = self._log_sq(p, batch)
@@ -183,14 +169,14 @@ class BuresWasserstein(Space):
     def sqdist_batch(self, p, batch) -> np.ndarray:
         # |u|^2 + tr(L C L), a quadratic form in the log payload, so nearly
         # equal points do not lose precision to the cancellation of O(1) traces
-        if isinstance(p, tuple):  # a stacked batch of base points, one row each
+        if not isinstance(p, GaussianPoint):  # a stacked batch of base points, one row each
             return np.stack([self._log_sq(q, batch)[1] for q in self.unstack(p)])
         return self._log_sq(p, batch)[1]
 
     def _log_sq(self, p: GaussianPoint, batch):
         """Log payloads [u; L] = [m_i - m; A_i - I] and their squared norms."""
-        means, covs = batch
-        payloads = np.empty((len(means), self.dim + 1, self.dim))
+        means, covs = batch[:, 0], batch[:, 1:]
+        payloads = np.empty(batch.shape)
         payloads[:, 0, :] = means - p.mean
         payloads[:, 1:, :] = self._map_gaps(p, covs)
         tip = np.all(means == p.mean, axis=1) & np.all(covs == p.cov, axis=(1, 2))

@@ -108,12 +108,11 @@ class TestDistribution:
         wrong = bl.GaussianPoint(np.zeros(3), np.eye(3))
         with pytest.raises(SpaceMismatch):
             bl.DiscreteDistribution.uniform(space, [wrong, wrong])
-        means, covs = np.zeros((2, 2)), np.stack([np.eye(2)] * 2)
-        for batch in ((np.zeros((2, 3)), covs), (means, np.stack([np.eye(3)] * 2)),
-                      (means, covs[:1])):
+        batch = space.stack([bl.GaussianPoint(np.zeros(2), np.eye(2))] * 2)
+        for wrong in (np.zeros((2, 4, 3)), batch[:, 1:], batch[:, 0]):
             with pytest.raises(SpaceMismatch):
-                bl.DiscreteDistribution.uniform(space, batch)
-        assert len(bl.DiscreteDistribution.uniform(space, (means, covs))) == 2
+                bl.DiscreteDistribution.uniform(space, wrong)
+        assert len(bl.DiscreteDistribution.uniform(space, batch)) == 2
 
 
 class TestEuclidean:
@@ -275,7 +274,7 @@ class TestStackedSolve:
         """A weighted ``barycenter`` equals, bit for bit, its row of one
         stacked solve among other problems of the same size."""
         dists = [random_distribution(any_space, rng) for _ in range(5)]
-        batch = any_space.stack_problems([d.batch for d in dists])
+        batch = np.stack([d.batch for d in dists])
         solved = barycenter_batch(any_space, batch, np.stack([d.weights for d in dists]))
         for i, (dist, row) in enumerate(zip(dists, any_space.unstack(solved.points))):
             single = barycenter(dist)
@@ -379,7 +378,7 @@ class TestStackedSolveMemory:
         space = family.space
         count = TRIAL_FLOAT_BUDGET // (n * space.point_floats)
         rng = np.random.default_rng(1)
-        batch = space.stack_problems([family.sample_batch(rng, n) for _ in range(count)])
+        batch = np.stack([family.sample_batch(rng, n) for _ in range(count)])
         weights = np.full((count, n), 1.0 / n)
         tracemalloc.start()
         try:
@@ -488,7 +487,7 @@ def averaged_sandwich_fixed_point(batch, weights, opts):
     """The stacked fixed point with the first-order condition read from the
     weighted mean of the n sandwiches C^(-1/2) root_i C^(-1/2) of each
     problem; covariances, gradient norms and iterations."""
-    means, covs = batch
+    covs = batch[..., 1:, :].copy()
     w = weights
     count, dim = len(w), covs.shape[-1]
     cov = sym(weighted_sum(w, covs))
@@ -523,8 +522,10 @@ class TestBuresSandwich:
         fixed point solves in different numbers of iterations."""
         rng = np.random.default_rng(dim)
         a = rng.normal(size=(count, n, dim, dim))
-        covs = a @ np.swapaxes(a, -1, -2) / dim + 0.3 * np.eye(dim)
-        return (rng.normal(size=(count, n, dim)), covs), rng.dirichlet(np.ones(n), size=count)
+        batch = np.empty((count, n, dim + 1, dim))
+        batch[..., 1:, :] = a @ np.swapaxes(a, -1, -2) / dim + 0.3 * np.eye(dim)
+        batch[..., 0, :] = rng.normal(size=(count, n, dim))
+        return batch, rng.dirichlet(np.ones(n), size=count)
 
     @pytest.mark.parametrize("max_iters", [10_000, 3])
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -537,7 +538,7 @@ class TestBuresSandwich:
         opts = SolverOptions(max_iters=max_iters)
         solved = bures_fixed_point_batch(bl.BuresWasserstein(dim), batch, weights, opts)
         cov, grad_norm, iters = averaged_sandwich_fixed_point(batch, weights, opts)
-        assert np.array_equal(solved.points[1], cov)
+        assert np.array_equal(solved.points[:, 1:], cov)
         assert np.array_equal(solved.iters, iters)
         assert np.array_equal(solved.converged, iters < max_iters)
         assert len(set(iters)) > 1 or max_iters == 3
@@ -562,14 +563,14 @@ class TestBuresSandwich:
         assert len(set(iters)) > 1 or max_iters == 3
         for i in range(len(weights)):
             single = bures_fixed_point_batch(
-                space, (batch[0][i:i + 1], batch[1][i:i + 1]), weights[i:i + 1], opts
+                space, batch[i:i + 1], weights[i:i + 1], opts
             )
-            for other in (single.points[1][0], cov[i]):
-                assert np.array_equal(solved.points[1][i], other)
+            for other in (single.points[0, 1:], cov[i]):
+                assert np.array_equal(solved.points[i, 1:], other)
             assert solved.iters[i] == single.iters[0] == iters[i]
             assert solved.converged[i] == single.converged[0] == (iters[i] < max_iters)
             assert solved.grad_norm[i] == single.grad_norm[0]
-            assert np.array_equal(solved.points[0][i], single.points[0][0])
+            assert np.array_equal(solved.points[i, 0], single.points[0, 0])
 
 
 class TestTangentStructure:

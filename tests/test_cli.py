@@ -396,6 +396,51 @@ class TestSeedFlag:
         assert not out.exists()
 
 
+def run_subprocess(args):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "barylab.cli", *map(str, args)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_at_a_file_exits_1_without_a_traceback(self, tmp_path, below):
+        """An --out that names a file, or a path below one, is a typed error
+        (exit 1), and the file is left as it was."""
+        blocker = tmp_path / "f"
+        blocker.write_text("kept", encoding="utf-8")
+        cfg = write_config(tmp_path, RATES_CONFIG)
+        done = run_subprocess(
+            ["rates", "--config", cfg, "--out", blocker / "sub" if below else blocker]
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error[OutputError]: cannot create output directory")
+        assert blocker.read_text(encoding="utf-8") == "kept"
+
+    def test_out_is_made_before_the_experiment_runs(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_rate_experiment", calls.append)
+        blocker = tmp_path / "f"
+        blocker.write_text("", encoding="utf-8")
+        cfg = write_config(tmp_path, RATES_CONFIG)
+        assert run(["rates", "--config", cfg, "--out", blocker]) == 1
+        assert "error[OutputError]" in capsys.readouterr().err
+        assert calls == []
+
+    def test_empty_curvature_grid_exits_1_without_a_traceback(self, tmp_path):
+        cfg = write_config(tmp_path, dict(CURVATURE_CONFIG, grid=[]))
+        done = run_subprocess(["curvature", "--config", cfg, "--out", tmp_path / "out"])
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error[config]: 'grid' must be a nonempty")
+        assert not (tmp_path / "out").exists()
+
+
 HEADER_LINE = ",".join(RATES_HEADER) + "\n"
 
 

@@ -387,7 +387,7 @@ class TestBatchedProbesMatchScalarReference:
         calls = []
 
         def spy(base, batch):
-            calls.append(space.batch_len(batch))
+            calls.append(len(batch))
             return kernel(base, batch)
 
         space.sqdist_batch = spy

@@ -100,6 +100,32 @@ class TestParsing:
         assert violations[0].startswith("family: ")
         assert "trials" in violations[1]
 
+    @pytest.mark.parametrize(
+        "family, key",
+        [
+            ({"kind": "sphere_cap", "radius": "a"}, "radius"),
+            ({"kind": "euclidean_gaussian", "dim": 2.5}, "dim"),
+            ({"kind": "hyperbolic_gaussian", "scale": [1]}, "scale"),
+            ({"kind": "gaussian_ensemble", "alpha": "0.8", "beta": 1.6}, "alpha"),
+            ({"kind": "euclidean_gaussian", "dim": True}, "dim"),
+            ({"kind": "euclidean_gaussian", "mean": "ab"}, "mean"),
+            ({"kind": "gaussian_ensemble", "alpha": 0.5, "beta": 2, "base_cov": [1, 0]},
+             "base_cov"),
+        ],
+        ids=["radius-str", "dim-float", "scale-list", "alpha-str", "dim-bool", "mean-str",
+             "base-cov-flat"],
+    )
+    def test_family_key_of_the_wrong_type_is_named(self, tmp_path, family, key):
+        """A family key of the wrong JSON type is one violation that names
+        the key, among the config's others."""
+        obj = dict(MINIMAL_RATES, family=family, trials=0)
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, obj), "rates")
+        violations = err.value.violations
+        assert len(violations) == 2
+        assert violations[0].startswith(f"family: {key!r} must be ")
+        assert "trials" in violations[1]
+
     def test_experiment_subcommand_mismatch(self, tmp_path):
         with pytest.raises(ValidationError, match="subcommand"):
             parse_config(write(tmp_path, MINIMAL_RATES), "tail")
@@ -172,6 +198,21 @@ class TestOtherExperiments:
         payload = parse_config(write(tmp_path, obj), "curvature").payload
         assert payload["space"].tag == "sphere"
         assert payload["quadruples"] == 1000
+
+    def test_curvature_empty_grid_is_collected(self, tmp_path):
+        obj = {
+            "experiment": "curvature",
+            "space": {"kind": "sphere", "dim": 2},
+            "kappa": 1.0,
+            "grid": [],
+            "triples": 0,
+        }
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, obj), "curvature")
+        assert err.value.violations == [
+            "'grid' must be a nonempty ascending list of numbers in (0, 1]",
+            "config: 'triples' must be an integer >= 1",
+        ]
 
     def test_curvature_unknown_space(self, tmp_path):
         obj = {"experiment": "curvature", "space": {"kind": "torus"}, "kappa": 0.0}

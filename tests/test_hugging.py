@@ -135,7 +135,7 @@ class TestVarianceEquality:
         for name in ("log_batch", "sqdist_batch"):
 
             def spy(self, p, batch, _method=getattr(space_cls, name), _name=name):
-                calls[_name] += self.batch_len(batch) == n_support
+                calls[_name] += len(batch) == n_support
                 return _method(self, p, batch)
 
             monkeypatch.setattr(space_cls, name, spy)

@@ -611,7 +611,7 @@ class TestBatchedProfile:
         sizes = []
 
         def spy(space, base, batch):
-            sizes.append(space.batch_len(batch))
+            sizes.append(len(batch))
             return kernel(space, base, batch)
 
         monkeypatch.setattr(type(config.family.space), "log_batch", spy)

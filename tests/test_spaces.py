@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barylab as bl
-from barylab.errors import AntipodalPoints, CutLocus, NotPositiveDefinite, OutOfDomain
+from barylab.errors import (
+    AntipodalPoints,
+    CutLocus,
+    GridMismatch,
+    NotPositiveDefinite,
+    OutOfDomain,
+    SpaceMismatch,
+)
 from barylab.families import gaussian_quantile_grid
 from barylab.spaces import componentwise_inf
 
@@ -468,6 +475,53 @@ class TestBatchedKernels:
             assert batched[i, j] == pytest.approx(
                 float(space.tangent_inner(p, us[i, j], vs[i, j])), rel=1e-14, abs=1e-14
             )
+
+
+class TestStackedForm:
+    def test_stack_is_one_array_of_point_shape(self, any_space, rng):
+        """A stacked batch is one float array of shape (n,) + point_shape in
+        every space, and it unstacks to the same points bit for bit."""
+        space = any_space
+        points = [probe_point(space, rng) for _ in range(5)]
+        batch = space.stack(points)
+        assert type(batch) is np.ndarray and batch.dtype == float
+        assert batch.shape == (5,) + space.point_shape
+        assert space.point_floats == math.prod(space.point_shape)
+        assert space.stack(batch) is batch
+        for point, row in zip(points, space.unstack(batch)):
+            if space.tag == "gaussian":
+                assert np.array_equal(point.mean, row.mean)
+                assert np.array_equal(point.cov, row.cov)
+            else:
+                assert np.array_equal(point, row)
+        assert np.array_equal(space.stack(space.unstack(batch)), batch)
+
+    def test_wrong_shape_is_refused(self, any_space, rng):
+        """A batch whose points are not of point_shape raises ValueError
+        (GridMismatch on quantile grids), and SpaceMismatch as a support."""
+        space = any_space
+        batch = space.stack([probe_point(space, rng) for _ in range(4)])
+        error, mismatch = (
+            (GridMismatch, GridMismatch) if space.tag == "quantile"
+            else (ValueError, SpaceMismatch)
+        )
+        grown = np.zeros((4,) + tuple(k + 1 for k in space.point_shape))
+        for wrong in (grown, batch[:, :-1], np.stack([batch, batch])):
+            with pytest.raises(error):
+                space.stack(wrong)
+            with pytest.raises(mismatch):
+                bl.DiscreteDistribution.uniform(space, wrong)
+
+    def test_gaussian_points_share_the_payload_layout(self, rng):
+        """Row 0 of a Gaussian point and of its log payload is the mean part,
+        so the payloads' mean rows are the batch's mean rows minus the base
+        mean, bit for bit."""
+        space = bl.BuresWasserstein(3)
+        p = space.random_point(rng)
+        batch = space.stack([space.random_point(rng) for _ in range(6)])
+        payloads, _ = space.log_batch(p, batch)
+        assert np.array_equal(payloads[:, 0], batch[:, 0] - p.mean)
+        assert np.array_equal(batch[:, 1:], [x.cov for x in space.unstack(batch)])
 
 
 def broadcast_log(space, p, batch):
