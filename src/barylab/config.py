@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +55,14 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    # a literal beyond the double range reads as inf, which strict JSON output cannot hold
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} overflows a double")
+    return value
+
+
 def load_json(path) -> dict:
     path = Path(path)
     try:
@@ -60,7 +70,7 @@ def load_json(path) -> dict:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        obj = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:
@@ -97,10 +107,14 @@ def parse_config(path, expected_experiment: str | None = None) -> ParsedConfig:
 
 
 def _is_numeric(value, depth: int = 0) -> bool:
-    """Whether ``value`` is a JSON number (``depth`` 0), or a list of values
-    numeric at ``depth - 1``."""
+    """Whether ``value`` is a JSON number within the double range (``depth``
+    0), or a list of values numeric at ``depth - 1``."""
     if depth == 0:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+        )
     return isinstance(value, list) and all(_is_numeric(item, depth - 1) for item in value)
 
 

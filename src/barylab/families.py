@@ -1,12 +1,13 @@
 """Sampling families with known population barycenters.
 
-Each family is constructed symmetric about its anchor so the anchor is the
-population barycenter; the experiment harness verifies this from
-``anchor_log_sums``, the sums of the draws' log maps at the anchor.  A family
-that draws each point as the exponential of a tangent vector at the anchor sums
-those vectors and never forms the points.  Families also expose the
-extendibility of their population support, computed through the space's
-max_extendibility on extreme support points.
+A family is a law of tangent vectors at its anchor: ``tangents`` draws the log
+payloads at the anchor, each inside the injectivity radius and symmetric about
+0, so the anchor is the population barycenter.  The space's own ``exp`` turns
+them into points, its ``tangent_inner`` gives their squared distances to the
+anchor, and the experiment harness verifies the anchor from
+``anchor_log_sums``, the sums of the payloads, without forming the points.
+Families also expose the extendibility of their population support, computed
+through the space's max_extendibility on extreme support points.
 """
 
 from __future__ import annotations
@@ -40,12 +41,10 @@ class Family(abc.ABC):
     anchor: object
 
     @abc.abstractmethod
-    def sample_batch(self, rng: np.random.Generator, count: int):
-        """Batch of draws in the space's stacked representation."""
-
-    @abc.abstractmethod
-    def sqdist_anchor(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Squared distances to the anchor for ``count`` fresh draws."""
+    def tangents(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Log payloads at the anchor of ``count`` fresh draws, stacked along
+        axis 0, each inside the injectivity radius: draw k is
+        ``space.exp(anchor, tangents[k])``."""
 
     @abc.abstractmethod
     def sigma2(self) -> float:
@@ -66,11 +65,21 @@ class Family(abc.ABC):
     def sample(self, rng: np.random.Generator, count: int) -> list:
         return self.space.unstack(self.sample_batch(rng, count))
 
+    def sample_batch(self, rng: np.random.Generator, count: int):
+        """Batch of draws in the space's stacked representation."""
+        return self.space.exp(self.anchor, self.tangents(rng, count))
+
+    def sqdist_anchor(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Squared distances to the anchor for ``count`` fresh draws."""
+        payloads = self.tangents(rng, count)
+        return self.space.tangent_inner(self.anchor, payloads, payloads)
+
     def anchor_log_sums(self, rng: np.random.Generator, count: int):
         """Sums of log_anchor(X) and of d^2(anchor, X) over the draws of
         ``sample_batch(rng, count)``, leaving ``rng`` where that call leaves it."""
-        payloads, mags = self.space.log_batch(self.anchor, self.sample_batch(rng, count))
-        return payloads.sum(axis=0), float(mags @ mags)
+        payloads = self.tangents(rng, count)
+        sq = self.space.tangent_inner(self.anchor, payloads, payloads)
+        return payloads.sum(axis=0), float(sq.sum())
 
 
 def _legendre(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,12 +135,8 @@ class EuclideanGaussian(Family):
         self.space.check_point(self.anchor)
         self.sd = float(sd)
 
-    def sample_batch(self, rng, count):
-        return self.anchor + self.sd * rng.standard_normal((count, self.space.dim))
-
-    def sqdist_anchor(self, rng, count):
-        z = rng.standard_normal((count, self.space.dim))
-        return self.sd**2 * np.einsum("ij,ij->i", z, z)
+    def tangents(self, rng, count):
+        return self.sd * rng.standard_normal((count, self.space.dim))
 
     def sigma2(self):
         return self.space.dim * self.sd**2
@@ -171,7 +176,7 @@ class SphereCap(Family):
         self.anchor = np.asarray(anchor, float)
         self.space.check_point(self.anchor)
         self.radius = float(radius)
-        self._basis = _orthonormal_tangent_basis(self.anchor)
+        self._basis = self.space.tangent_basis(self.anchor)
 
     def _draw_theta(self, rng, count) -> np.ndarray:
         d = self.space.dim
@@ -192,22 +197,11 @@ class SphereCap(Family):
             filled += kept.size
         return out
 
-    def _draw_polar(self, rng, count):
+    def tangents(self, rng, count):
+        # polar: the angle theta from the anchor, then a uniform direction
         theta = self._draw_theta(rng, count)
-        return theta, _as_unit_rows(rng.standard_normal((count, self.space.dim)))
-
-    def sample_batch(self, rng, count):
-        theta, dirs = self._draw_polar(rng, count)
-        tangent = dirs @ self._basis
-        pts = np.cos(theta)[:, None] * self.anchor + np.sin(theta)[:, None] * tangent
-        return _as_unit_rows(pts)
-
-    def anchor_log_sums(self, rng, count):
-        theta, dirs = self._draw_polar(rng, count)
-        return (theta @ dirs) @ self._basis, float(theta @ theta)
-
-    def sqdist_anchor(self, rng, count):
-        return self._draw_theta(rng, count) ** 2
+        dirs = _as_unit_rows(rng.standard_normal((count, self.space.dim)))
+        return (theta[:, None] * dirs) @ self._basis
 
     def _theta_mean(self, f) -> float:
         """E f(theta) under the density sin^(d-1) theta on [0, r], by quadrature."""
@@ -250,25 +244,8 @@ class HyperbolicGaussian(Family):
         self.scale = float(scale)
         self._basis = self.space.tangent_basis(self.anchor)
 
-    def _draw_coords(self, rng, count) -> np.ndarray:
-        return self.scale * rng.standard_normal((count, self.space.dim))
-
-    def sample_batch(self, rng, count):
-        coords = self._draw_coords(rng, count)
-        norms = np.linalg.norm(coords, axis=1)
-        dirs = _as_unit_rows(coords) @ self._basis
-        pts = np.cosh(norms)[:, None] * self.anchor + np.sinh(norms)[:, None] * dirs
-        # re-project to the sheet to keep the Minkowski norm exact
-        q = -np.einsum("ij,j,ij->i", pts, self.space._j, pts)
-        return pts / np.sqrt(np.maximum(q, 1e-300))[:, None]
-
-    def sqdist_anchor(self, rng, count):
-        coords = self._draw_coords(rng, count)
-        return np.einsum("ij,ij->i", coords, coords)
-
-    def anchor_log_sums(self, rng, count):
-        coords = self._draw_coords(rng, count)
-        return coords.sum(axis=0) @ self._basis, float(np.einsum("ij,ij->", coords, coords))
+    def tangents(self, rng, count):
+        return (self.scale * rng.standard_normal((count, self.space.dim))) @ self._basis
 
     def sigma2(self):
         # d(anchor, exp v) = |v| for the Gaussian tangent vector v
@@ -329,30 +306,33 @@ class GaussianEnsemble(Family):
         eigs, q = self._draw_spectra(rng, count)
         return sym((q * eigs[:, None, :]) @ np.swapaxes(q, -1, -2))
 
+    def tangents(self, rng, count):
+        # the optimal map from C to M C M is the SPD M itself, so a draw's log
+        # is [0; M - I] = [0; Q (E - I) Q^T], formed without subtracting I
+        eigs, q = self._draw_spectra(rng, count)
+        payloads = np.zeros((count,) + self.space.point_shape)
+        payloads[:, 1:] = sym((q * (eigs - 1.0)[:, None, :]) @ np.swapaxes(q, -1, -2))
+        return payloads
+
     def sample_batch(self, rng, count):
+        # M C M directly: Bures exp would check each map's eigenvalues, which
+        # the eigenvalue draws already bound
         maps = self.draw_maps(rng, count)
         batch = np.zeros((count,) + self.space.point_shape)
         batch[:, 1:] = sym(maps @ self.anchor.cov @ maps)  # the means stay 0
         return batch
 
     def anchor_log_sums(self, rng, count):
-        # the optimal map from C to M C M is the SPD M itself, so a draw's log
-        # is [0; M - I] = [0; sum_i (e_i - 1) q_i q_i^T], of squared norm
-        # tr(C sum_i (e_i - 1)^2 q_i q_i^T): with all columns q_ni side by side
-        # each sum is one product, and no covariance or root is formed
+        # the sums of the tangents without a map formed: the payloads sum to
+        # [0; sum_ni (e_ni - 1) q_ni q_ni^T], their squared norms to
+        # tr(C sum_ni (e_ni - 1)^2 q_ni q_ni^T), and with all columns q_ni side
+        # by side each sum is one product
         d = self.space.dim
         eigs, q = self._draw_spectra(rng, count)
         cols, gaps = np.swapaxes(q, 0, 1).reshape(d, count * d), (eigs - 1.0).ravel()
         payload_sum = np.zeros((d + 1, d))
         payload_sum[1:] = sym((cols * gaps) @ cols.T)
         return payload_sum, float(np.einsum("ij,ji->", self.anchor.cov, (cols * gaps**2) @ cols.T))
-
-    def sqdist_anchor(self, rng, count):
-        # |Q (E - I) Q^T|^2 in L2(anchor) = sum_i (e_i - 1)^2 q_i^T C q_i: no map
-        # is built and no I subtracted, so draws near e = 1 keep their precision
-        eigs, q = self._draw_spectra(rng, count)
-        spread = np.einsum("nji,nji->ni", q, self.anchor.cov @ q)
-        return np.einsum("ni,ni->n", (eigs - 1.0) ** 2, spread)
 
     def sigma2(self):
         # sum_i E(e_i - 1)^2 E q_i^T C q_i: a Haar column gives tr C / d whatever
@@ -418,24 +398,6 @@ def family_from_config(obj: dict) -> Family:
         return cls(**obj)
     except (TypeError, ValueError, NotPositiveDefinite) as exc:
         raise BadFamilyParams(str(exc)) from exc
-
-
-def _orthonormal_tangent_basis(anchor: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to anchor."""
-    n = anchor.shape[0]
-    basis = []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        v = e - np.dot(e, anchor) * anchor
-        for b in basis:
-            v = v - np.dot(v, b) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
-        if len(basis) == n - 1:
-            break
-    return np.stack(basis)
 
 
 def gaussian_quantile_grid(space: QuantileSpace, mean: float, sd: float) -> np.ndarray:

@@ -109,7 +109,9 @@ class Space(abc.ABC):
 
     @abc.abstractmethod
     def exp(self, p, v):
-        """Exponential map of the tangent payload ``v`` at ``p``."""
+        """Exponential map of the tangent payload ``v`` at ``p``; the vector-like
+        spaces batch it over leading axes of ``p`` and ``v``, and row k of the
+        result for a (k, D) stack of payloads equals ``exp(p, v[k])``."""
 
     @abc.abstractmethod
     def tangent_inner(self, p, u_payload, v_payload):
@@ -119,8 +121,29 @@ class Space(abc.ABC):
         return math.sqrt(max(float(self.tangent_inner(p, u_payload, u_payload)), 0.0))
 
     @abc.abstractmethod
+    def tangent_part(self, p, v) -> np.ndarray:
+        """The tangent part at ``p`` of the payload-shaped array ``v``,
+        broadcast over leading payload axes."""
+
+    def tangent_basis(self, p) -> np.ndarray:
+        """Basis of the tangent cone at ``p``, orthonormal under
+        ``tangent_inner`` and stacked along axis 0: Gram-Schmidt on the tangent
+        parts of the coordinate payloads, each step taking the one left longest
+        by the earlier steps (the first of equals), until none keeps 1e-8."""
+        rest = self.tangent_part(p, np.eye(self.point_floats).reshape((-1,) + self.point_shape))
+        basis = []
+        while True:
+            norms = np.sqrt(np.maximum(self.tangent_inner(p, rest, rest), 0.0))
+            k = int(np.argmax(norms))
+            if norms[k] <= 1e-8:
+                return np.stack(basis)
+            basis.append(rest[k] / norms[k])
+            rest = rest - np.multiply.outer(self.tangent_inner(p, rest, basis[-1]), basis[-1])
+
     def random_tangent(self, p, rng: np.random.Generator) -> np.ndarray:
-        """A random tangent payload at ``p`` (isotropic, unnormalized)."""
+        """A random tangent payload at ``p`` (isotropic, unnormalized): the
+        tangent part of a standard normal payload."""
+        return self.tangent_part(p, rng.standard_normal(self.point_shape))
 
     # -- batched kernels: the one formula for each quantity --------------------
 

@@ -30,8 +30,8 @@ class Euclidean(Space):
     def tangent_inner(self, p, u_payload, v_payload):
         return self.weight * np.einsum("...i,...i->...", u_payload, v_payload)
 
-    def random_tangent(self, p, rng) -> np.ndarray:
-        return rng.standard_normal(self.dim)
+    def tangent_part(self, p, v):
+        return np.asarray(v, dtype=float)
 
     # -- batched -------------------------------------------------------------
 

@@ -140,11 +140,9 @@ class BuresWasserstein(Space):
             "...ij,...ji->...", l1 @ p.cov, l2
         )
 
-    def random_tangent(self, p: GaussianPoint, rng) -> np.ndarray:
-        payload = np.empty((self.dim + 1, self.dim))
-        payload[0] = rng.standard_normal(self.dim)
-        payload[1:] = sym(rng.standard_normal((self.dim, self.dim)))
-        return payload
+    def tangent_part(self, p: GaussianPoint, v):
+        # a displacement map's linear part L is symmetric
+        return np.concatenate((v[..., :1, :], sym(v[..., 1:, :])), axis=-2)
 
     # -- batched -------------------------------------------------------------
 

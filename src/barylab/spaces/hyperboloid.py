@@ -6,8 +6,6 @@ quadric; the model is numerically stabler for log/exp than the Poincare disk.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..linalg import weighted_sum
@@ -31,9 +29,6 @@ class Hyperboloid(Space):
     def ambient(self) -> int:
         return self.dim + 1
 
-    def minkowski(self, a, b) -> float:
-        return float(np.sum(self._j * np.asarray(a, float) * np.asarray(b, float)))
-
     def origin(self) -> np.ndarray:
         o = np.zeros(self.ambient)
         o[0] = 1.0
@@ -43,7 +38,7 @@ class Hyperboloid(Space):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient,):
             raise ValueError(f"expected ambient dimension {self.ambient}, got {x.shape}")
-        q = self.minkowski(x, x)
+        q = float(self.tangent_inner(None, x, x))
         if abs(q + 1.0) > MINKOWSKI_TOL * max(1.0, x[0] ** 2) or x[0] < 1.0 - MINKOWSKI_TOL:
             raise ValueError(f"not on the upper hyperboloid sheet: <x,x>_M = {q!r}")
 
@@ -69,10 +64,9 @@ class Hyperboloid(Space):
         # the Minkowski form is positive definite on tangent planes
         return np.einsum("...i,i,...i->...", u_payload, self._j, v_payload)
 
-    def random_tangent(self, p, rng) -> np.ndarray:
+    def tangent_part(self, p, v):
         p = np.asarray(p, float)
-        v = rng.standard_normal(self.ambient)
-        return v + self.minkowski(v, p) * p
+        return v + self.tangent_inner(p, v, p)[..., None] * p
 
     # -- batched -------------------------------------------------------------
 
@@ -111,17 +105,3 @@ class Hyperboloid(Space):
         mean = weighted_sum(weights, batch)
         ok = (mean[..., 0] > 0) & (self.tangent_inner(None, mean, mean) < 0)
         return self._fall_back(self._project(mean), ok, batch, weights)
-
-    def tangent_basis(self, p) -> np.ndarray:
-        """Minkowski-orthonormal basis of the tangent plane at p, rows as vectors."""
-        p = np.asarray(p, float)
-        basis = []
-        for k in range(1, self.ambient):
-            e = np.zeros(self.ambient)
-            e[k] = 1.0
-            v = e + self.minkowski(e, p) * p  # project onto the tangent plane
-            for b in basis:
-                v = v - self.tangent_inner(p, v, b) * b
-            norm = math.sqrt(max(self.tangent_inner(p, v, v), 0.0))
-            basis.append(v / norm)
-        return np.stack(basis)

@@ -72,9 +72,10 @@ class QuantileSpace(Euclidean):
         return Extendibility(lam_in, lam_out)
 
     def exp(self, p, v):
+        """Exponential map, batched over leading axes of ``p`` and ``v``; each
+        grid is checked against its own scale and sorted on its own."""
         out = super().exp(p, v)
-        diffs = np.diff(out)
-        scale = max(1.0, float(np.max(np.abs(out))))
-        if np.any(diffs < -SORT_SNAP_TOL * scale):
+        scale = np.maximum(np.max(np.abs(out), axis=-1, keepdims=True), 1.0)
+        if np.any(np.diff(out) < -SORT_SNAP_TOL * scale):
             raise OutOfDomain("exponential leaves the monotone cone")
-        return np.maximum.accumulate(out)
+        return np.maximum.accumulate(out, axis=-1)

@@ -52,10 +52,9 @@ class Sphere(Space):
     def tangent_inner(self, p, u_payload, v_payload):
         return np.einsum("...i,...i->...", u_payload, v_payload)
 
-    def random_tangent(self, p, rng) -> np.ndarray:
+    def tangent_part(self, p, v):
         p = np.asarray(p, float)
-        v = rng.standard_normal(self.ambient)
-        return v - np.dot(v, p) * p
+        return v - self.tangent_inner(p, v, p)[..., None] * p
 
     # -- batched -------------------------------------------------------------
 

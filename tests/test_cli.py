@@ -440,6 +440,30 @@ class TestOutputDirectory:
         assert done.stderr.startswith("error[config]: 'grid' must be a nonempty")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"sd": 1.0', '"sd": 1e999', "error[ParseError]"),
+            ('"verify_draws"', '"solver": {"tol": 1e999}, "verify_draws"', "error[ParseError]"),
+            ('"sd": 1.0', '"sd": 1' + "0" * 400, "error[config]: family: 'sd' must be"),
+        ],
+        ids=["float-literal", "solver-tol", "long-integer"],
+    )
+    def test_number_beyond_a_double_exits_1_without_a_traceback(
+        self, tmp_path, old, new, message
+    ):
+        """A float literal that overflows to inf, or an integer no double
+        holds, is a config error before the run, and no manifest is written."""
+        cfg = tmp_path / "config.json"
+        text = json.dumps(RATES_CONFIG)
+        assert old in text
+        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        done = run_subprocess(["rates", "--config", cfg, "--out", tmp_path / "out"])
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(message)
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
 
 HEADER_LINE = ",".join(RATES_HEADER) + "\n"
 

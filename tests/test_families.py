@@ -102,6 +102,22 @@ class TestGuarantees:
         slow = family.space.sqdist_batch(family.anchor, batch)
         assert np.allclose(fast, slow, rtol=1e-12, atol=0)
 
+    def test_ensemble_sample_batch_is_exp_of_its_tangents(self):
+        """The M C M points equal the Bures exp of the tangents that a twin
+        stream draws, one payload at a time."""
+        family = GaussianEnsemble(0.8, 1.6, dim=3, base_cov=BASE_COV)
+        batch = family.sample_batch(np.random.default_rng(9), 200)
+        tangents = family.tangents(np.random.default_rng(9), 200)
+        expected = family.space.stack([family.space.exp(family.anchor, v) for v in tangents])
+        assert np.max(np.abs(batch - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_default_anchor_bases_are_the_coordinate_axes(self, dim):
+        """At the default anchors the bases are the coordinate rows, bit for
+        bit: the cap's e_0 .. e_(d-1), the hyperbolic family's e_1 .. e_d."""
+        assert np.array_equal(SphereCap(0.3, dim=dim)._basis, np.eye(dim, dim + 1))
+        assert np.array_equal(HyperbolicGaussian(0.5, dim=dim)._basis, np.eye(dim, dim + 1, 1))
+
     def test_ensemble_draws_consume_the_parent_stream(self):
         """Eigenvalues, then one (count, d, d) normal block: the next draw
         after a batch is the one the LAPACK-QR sampler left behind."""
@@ -247,8 +263,8 @@ class TestAnchors:
 
     def test_shifted_samples_fail_verification(self):
         class _Lopsided(EuclideanGaussian):
-            def sample_batch(self, rng, count):
-                return super().sample_batch(rng, count) + np.array([0.25, 0.0, 0.0])
+            def tangents(self, rng, count):
+                return super().tangents(rng, count) + np.array([0.25, 0.0, 0.0])
 
         family = _Lopsided(dim=3, sd=1.0)
         config = small_config(family)
@@ -311,10 +327,11 @@ class TestAnchorLogSums:
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
-        "name", ["sphere_cap", "hyperbolic_gaussian", "gaussian_ensemble_base_cov"]
+        "name",
+        ["euclidean_gaussian", "sphere_cap", "hyperbolic_gaussian", "gaussian_ensemble_base_cov"],
     )
     def test_verification_forms_no_points(self, name, monkeypatch):
-        """Families that draw from a tangent vector at the anchor verify
+        """Every family draws from a tangent vector at the anchor and verifies
         from that vector, never through sample_batch."""
         family = FAMILIES[name]()
 
@@ -337,8 +354,8 @@ class TestAnchorLogSums:
 
     def test_shifted_hyperbolic_coords_fail_verification(self):
         class _Lopsided(HyperbolicGaussian):
-            def _draw_coords(self, rng, count):
-                return super()._draw_coords(rng, count) + np.array([0.1, 0.0])
+            def tangents(self, rng, count):
+                return super().tangents(rng, count) + np.array([0.0, 0.1, 0.0])
 
         family = _Lopsided(0.5)
         with pytest.raises(AnchorNotBarycenter):

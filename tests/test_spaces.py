@@ -477,6 +477,62 @@ class TestBatchedKernels:
             )
 
 
+class TestTangentMachinery:
+    @pytest.mark.parametrize("tag", ["euclidean", "quantile", "sphere", "hyperbolic"])
+    def test_exp_of_a_stack_is_exp_row_by_row(self, tag, rng):
+        """exp batches over leading axes: on a (k, D) stack of payloads it
+        gives the row-by-row maps bit for bit, as sampling relies on."""
+        space = make_space(tag)
+        p = probe_point(space, rng)
+        payloads, _ = space.log_batch(p, space.stack([probe_point(space, rng) for _ in range(6)]))
+        payloads *= np.linspace(0.1, 0.6, 6)[:, None]
+        stacked = space.exp(p, payloads)
+        assert np.array_equal(stacked, np.stack([space.exp(p, v) for v in payloads]))
+
+    def test_quantile_exp_sorts_and_scales_each_row_of_a_stack(self):
+        space = bl.QuantileSpace(4)
+        out = space.exp(np.arange(4.0), np.array([[0.0] * 4, [-5.0] * 4]))
+        assert np.array_equal(out, [[0.0, 1.0, 2.0, 3.0], [-5.0, -4.0, -3.0, -2.0]])
+
+    @pytest.mark.parametrize("make", [bl.Sphere, bl.Hyperboloid])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_tangent_basis_is_orthonormal_and_tangent(self, make, dim, rng):
+        """``dim`` rows, orthonormal and tangent under ``tangent_inner``, to
+        1e-12 scaled by x0^2 as the hyperboloid's own point check is: the
+        Minkowski form of a point far out rounds to that size."""
+        space = make(dim)
+        for _ in range(20):
+            p = space.random_point(rng)
+            basis = space.tangent_basis(p)
+            tol = 1e-12 * max(1.0, p[0] ** 2)
+            assert basis.shape == (dim, dim + 1)
+            gram = space.tangent_inner(p, basis[:, None], basis[None])
+            assert np.max(np.abs(gram - np.eye(dim))) <= tol
+            assert np.max(np.abs(space.tangent_inner(p, basis, p))) <= tol
+
+    def test_gaussian_tangent_basis_spans_the_symmetric_maps(self, rng):
+        """d mean rows and d (d + 1) / 2 symmetric linear parts, orthonormal
+        in L2 of the base Gaussian."""
+        space = bl.BuresWasserstein(3)
+        p = space.random_point(rng)
+        basis = space.tangent_basis(p)
+        assert basis.shape == (9, 4, 3)
+        assert np.array_equal(basis[:, 1:], np.swapaxes(basis[:, 1:], 1, 2))
+        gram = space.tangent_inner(p, basis[:, None], basis[None])
+        assert np.max(np.abs(gram - np.eye(9))) <= 1e-12
+
+    def test_gaussian_random_tangent_draws_mean_then_symmetric_map(self, rng):
+        """The base draw, the tangent part of one normal payload, is the
+        payload of d mean normals and then a symmetrised d x d normal block."""
+        space = bl.BuresWasserstein(3)
+        p = space.random_point(rng)
+        twin = np.random.default_rng(17)
+        v = space.random_tangent(p, np.random.default_rng(17))
+        mean = twin.standard_normal(3)
+        lin = twin.standard_normal((3, 3))
+        assert np.array_equal(v, np.concatenate((mean[None], 0.5 * (lin + lin.T))))
+
+
 class TestStackedForm:
     def test_stack_is_one_array_of_point_shape(self, any_space, rng):
         """A stacked batch is one float array of shape (n,) + point_shape in
