@@ -126,19 +126,19 @@ class Space(abc.ABC):
         broadcast over leading payload axes."""
 
     def tangent_basis(self, p) -> np.ndarray:
-        """Basis of the tangent cone at ``p``, orthonormal under
-        ``tangent_inner`` and stacked along axis 0: Gram-Schmidt on the tangent
-        parts of the coordinate payloads, each step taking the one left longest
-        by the earlier steps (the first of equals), until none keeps 1e-8."""
+        """Basis of the tangent space at ``p``, orthonormal under
+        ``tangent_inner`` and stacked along axis 0, for the spaces whose
+        tangent dimension is ``dim``: ``dim`` steps of Gram-Schmidt on the
+        tangent parts of the coordinate payloads, each step taking the one
+        left longest by the earlier steps (the first of equals)."""
         rest = self.tangent_part(p, np.eye(self.point_floats).reshape((-1,) + self.point_shape))
         basis = []
-        while True:
+        for _ in range(self.dim):
             norms = np.sqrt(np.maximum(self.tangent_inner(p, rest, rest), 0.0))
             k = int(np.argmax(norms))
-            if norms[k] <= 1e-8:
-                return np.stack(basis)
             basis.append(rest[k] / norms[k])
             rest = rest - np.multiply.outer(self.tangent_inner(p, rest, basis[-1]), basis[-1])
+        return np.stack(basis)
 
     def random_tangent(self, p, rng: np.random.Generator) -> np.ndarray:
         """A random tangent payload at ``p`` (isotropic, unnormalized): the

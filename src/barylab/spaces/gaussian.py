@@ -144,6 +144,9 @@ class BuresWasserstein(Space):
         # a displacement map's linear part L is symmetric
         return np.concatenate((v[..., :1, :], sym(v[..., 1:, :])), axis=-2)
 
+    def tangent_basis(self, p: GaussianPoint):
+        raise NotImplementedError("the Bures tangent dimension is d + d (d + 1) / 2, not dim")
+
     # -- batched -------------------------------------------------------------
 
     @property

@@ -118,6 +118,27 @@ class TestGuarantees:
         assert np.array_equal(SphereCap(0.3, dim=dim)._basis, np.eye(dim, dim + 1))
         assert np.array_equal(HyperbolicGaussian(0.5, dim=dim)._basis, np.eye(dim, dim + 1, 1))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_far_hyperbolic_anchor_gets_dim_basis_rows_and_samples(self, dim):
+        """An anchor at distance 8 (x0 about 1.5e3) rounds the last
+        Gram-Schmidt residual to about eps x0^3, far above zero; the basis
+        still has ``dim`` rows, orthonormal to that size, and sampling runs."""
+        space = bl.Hyperboloid(dim)
+        direction = np.zeros(dim + 1)
+        direction[1:] = 1.0 / math.sqrt(dim)
+        anchor = space.exp(space.origin(), 8.0 * direction)
+        family = HyperbolicGaussian(0.5, dim=dim, anchor=anchor)
+        basis = family._basis
+        assert basis.shape == (dim, dim + 1)
+        tol = 1e-15 * anchor[0] ** 3
+        gram = space.tangent_inner(anchor, basis[:, None], basis[None])
+        assert np.max(np.abs(gram - np.eye(dim))) <= tol
+        assert np.max(np.abs(space.tangent_inner(anchor, basis, anchor))) <= tol
+        batch = family.sample_batch(np.random.default_rng(5), 64)
+        assert batch.shape == (64, dim + 1)
+        for point in batch:
+            space.check_point(point)
+
     def test_ensemble_draws_consume_the_parent_stream(self):
         """Eigenvalues, then one (count, d, d) normal block: the next draw
         after a batch is the one the LAPACK-QR sampler left behind."""
