@@ -1,10 +1,15 @@
-"""Barycenter (Frechet mean) solvers and variance computation.
+"""Barycenter (Frechet mean) solver and variance computation.
 
-Every solver takes T problems stacked on a leading axis and keeps each
-reduction per problem, so no result depends on the problems solved beside
-it: the exact weighted mean on flat spaces (Euclidean, quantile grids), the
-fixed point on Gaussian measures, tangent-space gradient descent otherwise.
-The single-distribution entry points are batches of one.
+One solver serves every space: tangent-space gradient descent to the point
+where the weighted mean log map vanishes, on T problems stacked on a leading
+axis, with every reduction kept per problem, so no result depends on the
+problems solved beside it.  The space chooses only its start
+(``Space.warm_start``), its weighted tangent mean (``Space.tangent_mean``)
+and its step cap (``Space.max_step``).  From the exact weighted mean a flat
+space (Euclidean, quantile grids) takes no step; on Gaussian measures the
+unit step is the Bures fixed point C <- T C T (Zemel & Panaretos 2019), which
+converges linearly (Chewi, Maunu, Rigollet & Stromme 2020).  The
+single-distribution entry points are batches of one.
 """
 
 from __future__ import annotations
@@ -22,16 +27,20 @@ from .errors import (
     OutOfDomain,
     SpaceMismatch,
 )
-from .linalg import frobenius, spd_sqrt_batch, spd_sqrt_inv_sqrt, sym, weighted_sum
-from .spaces import BuresWasserstein, Euclidean, QuantileSpace, Space
+from .linalg import weighted_sum
+from .spaces import BuresWasserstein, QuantileSpace, Space
+
+# the benchmark tracer wraps ``spd_sqrt_batch`` under this module's name, so
+# it stays importable from here though no solver here calls it
+from .linalg import spd_sqrt_batch  # noqa: F401
 
 # Accept a descent step when the objective does not increase beyond float noise.
 OBJECTIVE_NOISE = 1e-12
 MAX_HALVINGS = 30
-# floats of support that a stacked solver maps at once (one problem at least):
-# descent's log maps and the fixed point's sandwiches and their roots are
-# formed and reduced a block at a time, so a step's temporaries are a few
-# arrays of 128 KiB, however many problems it stacks
+# floats of support that descent maps at once (one problem at least): each
+# ``Space.tangent_mean`` call forms its log maps (on Gaussians, its sandwiches
+# and their roots) for one block and reduces them, so a step's temporaries are
+# a few arrays of 128 KiB, however many problems it stacks
 LOG_BLOCK_FLOATS = 16_384
 
 
@@ -82,9 +91,9 @@ def _tangent_norms(space: Space, p, v) -> np.ndarray:
     return np.sqrt(np.maximum(space.tangent_inner(p, v, v), 0.0))
 
 
-def _log_batch(space: Space, p, batch):
+def _tangent_mean(space: Space, p, batch, weights):
     try:
-        return space.log_batch(p, batch)
+        return space.tangent_mean(p, batch, weights)
     except CutLocus as exc:
         raise CutLocusDuringIteration(str(exc)) from exc
 
@@ -95,12 +104,13 @@ def _step_sizes(space: Space, weights, mags, step: float) -> np.ndarray:
 
     There the Hessian of d^2(., x_i) / 2 has eigenvalues at most
     h(rho_i) = rho_i sqrt(-kappa) coth(rho_i sqrt(-kappa)) (h(0) = 1), at the
-    distance rho_i to x_i (Karcher 1977), so the weighted mean of the h(rho_i)
-    bounds the objective's Hessian at the iterate, and a step of its inverse
-    contracts where the unit step can stall (Afsari, Tron & Vidal 2013).
+    distance rho_i = ``mags`` to x_i (Karcher 1977), so the weighted mean of
+    the h(rho_i) bounds the objective's Hessian at the iterate, and a step of
+    its inverse contracts where the unit step can stall (Afsari, Tron &
+    Vidal 2013).
     """
     if space.curv_lower >= 0:
-        return np.full(len(mags), step)
+        return np.full(len(weights), step)
     r = math.sqrt(-space.curv_lower) * mags
     h = np.divide(r, np.tanh(r), out=np.ones_like(r), where=r > 0)
     return step / weighted_sum(weights, h)
@@ -127,21 +137,15 @@ def _blocks(rows: np.ndarray, floats: int):
 
 
 def _descent_state(space: Space, base, batch, weights, rows, step: float):
-    """The tangent mean sum_i w_i log_b(x_i), the objective
-    sum_i w_i d^2(b, x_i) and the ``_step_sizes`` bound of each problem at
-    ``base``, whose support and weights are the rows ``rows`` of ``batch``
-    and ``weights``.
-
-    The log maps are formed and reduced a ``_blocks`` block at a time, so no
-    array of the size of the stack is formed.
-    """
+    """The tangent mean, the objective and the ``_step_sizes`` bound of each
+    problem at ``base``, whose support and weights are the rows ``rows`` of
+    ``batch`` and ``weights``: ``Space.tangent_mean`` a ``_blocks`` block at
+    a time, so no array of the size of the stack is formed."""
     parts = []
     for block, take in _blocks(rows, batch[0].size):
         w = weights[take]
-        payloads, mags = _log_batch(space, base[block], batch[take])
-        grad = weighted_sum(w, payloads)
-        del payloads
-        parts.append((grad, weighted_sum(w, mags**2), _step_sizes(space, w, mags, step)))
+        grad, objective, mags = _tangent_mean(space, base[block], batch[take], w)
+        parts.append((grad, objective, _step_sizes(space, w, mags, step)))
     return [np.concatenate(part) for part in zip(*parts)]
 
 
@@ -149,18 +153,20 @@ def descent_batch(
     space: Space, batch, weights, init, opts: SolverOptions = SolverOptions()
 ) -> BatchResult:
     """Tangent-space gradient descent b <- exp_b(step * sum_i w_i log_b(x_i))
-    on T problems at once: ``batch`` (T, n, D), ``weights`` (T, n) and
-    starts ``init`` (T, D).
+    on T problems at once: ``batch`` (T, n) + ``space.point_shape``,
+    ``weights`` (T, n) and starts ``init`` (T,) + ``space.point_shape``.
 
     A problem stops when its tangent mean norm falls to ``opts.tol``.  The
-    step is ``opts.step``, divided on negatively curved spaces by the
-    curvature bound of ``_step_sizes``; it is halved (at most MAX_HALVINGS
-    times per iteration) whenever the candidate objective increases, and a
-    non-improving iteration ends that problem with ``converged=False``
-    unless the tolerance was already met.
+    step is ``opts.step`` capped at ``space.max_step`` (so on Gaussians a
+    ``step`` below 1 damps the fixed point, and one above 1 is the fixed
+    point), divided on negatively curved spaces by the curvature bound of
+    ``_step_sizes``; it is halved (at most MAX_HALVINGS times per iteration)
+    whenever the candidate objective increases, and a non-improving
+    iteration ends that problem with ``converged=False`` unless the
+    tolerance was already met.
 
     Each problem carries only its iterate, tangent mean, objective and step
-    bound, which ``_descent_state`` reduces from a block of log maps at a
+    bound, which ``_descent_state`` reduces from a block of the support at a
     time.  The support and weights are never gathered whole: a step reads
     the rows of its problems a block at a time, and a step every problem
     accepts is taken whole.
@@ -174,7 +180,8 @@ def descent_batch(
     # the rows of b, grad, objective and bound
     live = np.arange(count)
     b = points.copy()
-    grad, objective, bound = _descent_state(space, b, batch, weights, live, opts.step)
+    capped = min(opts.step, space.max_step)
+    grad, objective, bound = _descent_state(space, b, batch, weights, live, capped)
     for iteration in range(1, opts.max_iters + 1):
         grad_norm[live] = norm = _tangent_norms(space, b, grad)
         done = norm <= opts.tol
@@ -184,9 +191,10 @@ def descent_batch(
             if not len(pending):
                 break
             rows = slice(None) if len(pending) == len(live) else pending  # no copy
-            candidate = space.exp(b[rows], step[rows, None] * grad[rows])
+            scale = step[rows].reshape((-1,) + (1,) * (grad.ndim - 1))
+            candidate = space.exp(b[rows], scale * grad[rows])
             cand_grad, cand_objective, cand_bound = _descent_state(
-                space, candidate, batch, weights, live[rows], opts.step
+                space, candidate, batch, weights, live[rows], capped
             )
             old = objective[rows]
             ok = cand_objective <= old + OBJECTIVE_NOISE * (1.0 + old)
@@ -213,99 +221,14 @@ def descent_batch(
     return BatchResult(points, grad_norm, iters, converged)
 
 
-def bures_fixed_point_batch(
-    space: BuresWasserstein, batch, weights, opts: SolverOptions = SolverOptions()
-) -> BatchResult:
-    """Gaussian barycenters of T problems: ``batch`` (T, n, d+1, d) holds
-    each point's mean in row 0 and its covariance in rows 1 to d, and
-    ``weights`` is (T, n).  The barycenters come back in the same layout,
-    (T, d+1, d).
-
-    Each mean part decouples and averages exactly.  Covariance update:
-    C <- C^(-1/2) (sum_i w_i (C^(1/2) C_i C^(1/2))^(1/2))^2 C^(-1/2), from
-    the arithmetic mean.  A converged iterate satisfies both the fixed-point
-    equation (Frobenius norm) and the first-order condition (tangent mean
-    norm) to ``opts.tol``; the latter is linear in the roots, so it takes one
-    sandwich per problem.
-
-    Each problem carries only its iterate C, C^(1/2) and C^(-1/2).  The
-    sandwiches C^(1/2) C_i C^(1/2) and their roots are formed and reduced to
-    the weighted sum of roots a ``_blocks`` block at a time, so the
-    covariances and weights are never gathered whole.
-    """
-    covs = batch[..., 1:, :]
-    count = len(weights)
-    points = np.empty((count,) + space.point_shape)
-    points[:, 0] = weighted_sum(weights, batch[..., 0, :])
-    out = points[:, 1:]
-    cov = sym(weighted_sum(weights, covs))
-    grad_norm = np.full(count, math.inf)
-    iters = np.full(count, opts.max_iters)
-    converged = np.zeros(count, dtype=bool)
-    # the problems still iterating: their rows of the stack, in the order of
-    # the rows of cov
-    live = np.arange(count)
-    eye = np.eye(space.dim)
-    for iteration in range(1, opts.max_iters + 1):
-        s, s_inv = spd_sqrt_inv_sqrt(cov)
-        cross_bar = np.empty_like(cov)
-        for block, take in _blocks(live, batch[0].size):
-            sb = s[block, None]
-            cross_bar[block] = weighted_sum(weights[take], spd_sqrt_batch(sb @ covs[take] @ sb))
-        lin = sym(s_inv @ cross_bar @ s_inv) - eye
-        # lin is symmetric, so this is the squared tangent norm of the mean log
-        grad_norm[live] = norm = np.sqrt(
-            np.maximum(np.sum((lin @ cov) * lin, axis=(-2, -1)), 0.0)
-        )
-        cov_next = sym(s_inv @ cross_bar @ cross_bar @ s_inv)
-        done = (norm <= opts.tol) & (frobenius(cov_next - cov) <= opts.tol)
-        if done.any():
-            out[live[done]] = cov[done]
-            iters[live[done]] = iteration
-            converged[live[done]] = True
-            keep = ~done
-            live, cov_next = live[keep], cov_next[keep]
-        cov = cov_next
-        if not len(live):
-            break
-    out[live] = cov
-    return BatchResult(points, grad_norm, iters, converged)
-
-
-def mean_batch(space: Euclidean, batch, weights) -> BatchResult:
-    """The exact weighted mean of each of T problems on a flat space
-    (Euclidean, quantile grids): ``batch`` (T, n, D), ``weights`` (T, n)."""
-    points = weighted_sum(weights, batch)
-    payloads, _ = space.log_batch(points, batch)
-    grad_norm = _tangent_norms(space, points, weighted_sum(weights, payloads))
-    count = len(points)
-    return BatchResult(points, grad_norm, np.ones(count, int), np.ones(count, bool))
-
-
-def _by_kind(space: Space, mean, fixed_point, descent):
-    """The one choice of solver by space: calls ``mean`` on flat spaces
-    (Euclidean, quantile grids), ``fixed_point`` on Gaussian measures and
-    ``descent`` otherwise."""
-    if isinstance(space, Euclidean):
-        return mean()
-    if isinstance(space, BuresWasserstein):
-        return fixed_point()
-    return descent()
-
-
 def barycenter_batch(
     space: Space, batch, weights, opts: SolverOptions = SolverOptions()
 ) -> BatchResult:
-    """Space-appropriate barycenters of T problems of n points each:
-    ``batch`` is the (T, n) + ``space.point_shape`` array of their supports,
-    the ``np.stack`` of T stacked batches, and ``weights`` is (T, n).
-    Descent starts from the space's ``warm_start``."""
-    return _by_kind(
-        space,
-        lambda: mean_batch(space, batch, weights),
-        lambda: bures_fixed_point_batch(space, batch, weights, opts),
-        lambda: descent_batch(space, batch, weights, space.warm_start(batch, weights), opts),
-    )
+    """Barycenters of T problems of n points each: ``descent_batch`` from the
+    space's ``warm_start``.  ``batch`` is the (T, n) + ``space.point_shape``
+    array of their supports, the ``np.stack`` of T stacked batches, and
+    ``weights`` is (T, n)."""
+    return descent_batch(space, batch, weights, space.warm_start(batch, weights), opts)
 
 
 def _batch_of_one(dist: DiscreteDistribution):
@@ -328,9 +251,9 @@ def _single(dist: DiscreteDistribution, solved: BatchResult) -> BarycenterResult
 def frechet_mean_descent(
     dist: DiscreteDistribution, init, opts: SolverOptions = SolverOptions()
 ) -> BarycenterResult:
-    """``descent_batch`` on one distribution, from ``init``."""
+    """``descent_batch`` on one distribution, from the point ``init``."""
     batch, weights = _batch_of_one(dist)
-    start = np.asarray(init, dtype=float)[None]
+    start = dist.space.stack([init])
     return _single(dist, descent_batch(dist.space, batch, weights, start, opts))
 
 
@@ -344,27 +267,25 @@ def quantile_mean(dist: DiscreteDistribution):
 def bures_fixed_point(
     dist: DiscreteDistribution, opts: SolverOptions = SolverOptions()
 ) -> BarycenterResult:
-    """``bures_fixed_point_batch`` on one Gaussian distribution."""
+    """The barycenter of one Gaussian distribution: its row of
+    ``barycenter_batch``, whose unit step is the fixed point."""
     if not isinstance(dist.space, BuresWasserstein):
         raise SpaceMismatch("bures_fixed_point needs a Bures-Wasserstein distribution")
-    batch, weights = _batch_of_one(dist)
-    return _single(dist, bures_fixed_point_batch(dist.space, batch, weights, opts))
+    return _single(dist, barycenter_batch(dist.space, *_batch_of_one(dist), opts))
 
 
 def best_support_init(dist: DiscreteDistribution):
     """Descent warm start, chosen by the space in O(n) (``Space.warm_start``)."""
-    return dist.space.warm_start(*_batch_of_one(dist))[0]
+    return dist.space.unstack(dist.space.warm_start(*_batch_of_one(dist)))[0]
 
 
 def empirical_barycenter(
     space: Space, sample, opts: SolverOptions = SolverOptions()
 ) -> BarycenterResult:
     """Barycenter of the uniform distribution on ``sample``, a point sequence
-    or a stacked batch (``Family.sample_batch``).
-
-    Dispatches to the closed-form solver where one exists and otherwise to
-    descent from the space's ``warm_start`` (an O(n) projected extrinsic mean).
-    """
+    or a stacked batch (``Family.sample_batch``): descent from the space's
+    ``warm_start`` (the weighted mean on flat and Gaussian spaces, an O(n)
+    projected extrinsic mean on the sphere and the hyperboloid)."""
     dist = DiscreteDistribution.uniform(space, sample)
     if len(dist) == 1:
         return BarycenterResult(dist.points[0], 0.0, 0.0, 0, True)
@@ -374,15 +295,9 @@ def empirical_barycenter(
 def barycenter(
     dist: DiscreteDistribution, opts: SolverOptions = SolverOptions()
 ) -> BarycenterResult:
-    """Space-appropriate barycenter of a weighted distribution: its row of
-    ``barycenter_batch``, reached through the module-level solver names that
-    the benchmark tracer wraps."""
-    return _by_kind(
-        dist.space,
-        lambda: _single(dist, mean_batch(dist.space, *_batch_of_one(dist))),
-        lambda: bures_fixed_point(dist, opts),
-        lambda: frechet_mean_descent(dist, best_support_init(dist), opts),
-    )
+    """Barycenter of a weighted distribution: its row of ``barycenter_batch``,
+    reached through the module-level names that the benchmark tracer wraps."""
+    return frechet_mean_descent(dist, best_support_init(dist), opts)
 
 
 def minimality_spot_check(

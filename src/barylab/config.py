@@ -16,7 +16,7 @@ from pathlib import Path
 from .barycenter import SolverOptions
 from .errors import BadFamilyParams, ParseError, ValidationError
 from .families import Family, family_from_config
-from .ratelab import RateExperimentConfig, estimate_hugging_profile
+from .ratelab import COUNT_CEILING, RateExperimentConfig, estimate_hugging_profile
 from .spaces import BuresWasserstein, Euclidean, Hyperboloid, QuantileSpace, Sphere
 
 EXPERIMENTS = ("rates", "tail", "hugging", "curvature", "barycenter", "plot")
@@ -126,9 +126,13 @@ def _check_keys(obj: dict, allowed: set, required: set, ctx: str, violations: li
 
 
 def _positive_int(obj, key, default, ctx, violations, minimum=1):
+    """A count or size from ``minimum`` to COUNT_CEILING."""
     value = obj.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         violations.append(f"{ctx}: {key!r} must be an integer >= {minimum}")
+        return default
+    if value > COUNT_CEILING:
+        violations.append(f"{ctx}: {key!r} must be at most {COUNT_CEILING}")
         return default
     return value
 
@@ -208,10 +212,15 @@ def _n_grid(obj: dict, violations, default=None):
     if (
         not isinstance(grid, list)
         or not grid
-        or any(not isinstance(n, int) or isinstance(n, bool) or n < 2 for n in grid)
+        or any(
+            not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= COUNT_CEILING
+            for n in grid
+        )
         or grid != sorted(grid)
     ):
-        violations.append("'n_grid' must be an ascending list of integers >= 2")
+        violations.append(
+            f"'n_grid' must be an ascending list of integers from 2 to {COUNT_CEILING}"
+        )
         return (2,)
     return tuple(grid)
 

@@ -46,13 +46,6 @@ def spd_eigh(m: np.ndarray):
     return w, v
 
 
-def spd_sqrt_inv_sqrt(m: np.ndarray):
-    """Square root (that of ``spd_sqrt_batch``) and its inverse, batched over
-    leading axes."""
-    s = spd_sqrt_batch(m)
-    return s, sym(np.linalg.inv(s))
-
-
 def spd_sqrt_batch(ms: np.ndarray) -> np.ndarray:
     """Batched SPD square root over leading axes.
 
@@ -171,11 +164,6 @@ def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(1, len(a)):
         out += a[i] * b[i]
     return out
-
-
-def frobenius(m: np.ndarray):
-    """Frobenius norm over the last two axes."""
-    return np.sqrt(np.sum(m * m, axis=(-2, -1)))
 
 
 def weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -53,10 +53,14 @@ MAX_REDRAWS = 25
 # floats of stacked draws per trial solve (Space.point_floats a point) and per
 # block of the anchor verification pass: 512 KiB, or one trial's draws if they
 # are larger.  It sizes the draws, not the peak, which holds the draws and the
-# temporaries beside them: a descent stays under 3 budgets and the Bures fixed
-# point under 2 (their log maps, sandwiches and roots come in blocks of
+# temporaries beside them: a descent stays under 3 budgets, and under 2 on
+# Gaussians (its log maps, or sandwiches and roots, come in blocks of
 # barycenter.LOG_BLOCK_FLOATS).  Larger chunks solve no faster and take more memory
 TRIAL_FLOAT_BUDGET = 65_536
+
+# the largest count a run accepts (points per trial, trials, verify draws):
+# 1024 budgets, so one trial of one-float points holds at most 512 MiB of draws
+COUNT_CEILING = 1024 * TRIAL_FLOAT_BUDGET
 
 # proof constant c in (0, 1) for the tail thresholds, fixed by convention
 TAIL_SPLIT_C = 0.5
@@ -86,6 +90,8 @@ class RateExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.verify_draws < 1:
             raise ValueError("verify_draws must be >= 1")
+        if max(grid[-1], self.trials, self.verify_draws) > COUNT_CEILING:
+            raise ValueError(f"n_grid, trials and verify_draws must be at most {COUNT_CEILING}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
 

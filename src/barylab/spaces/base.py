@@ -16,6 +16,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from ..linalg import weighted_sum
+
 # support points scored by the default descent warm start
 WARM_START_CANDIDATES = 32
 
@@ -54,6 +56,9 @@ class Space(abc.ABC):
     # curvature interval [curv_lower, curv_upper] of the space
     curv_lower: ClassVar[float] = 0.0
     curv_upper: ClassVar[float] = 0.0
+    # longest descent step, in units of the tangent mean: a longer one can
+    # leave the space
+    max_step: ClassVar[float] = math.inf
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -181,6 +186,15 @@ class Space(abc.ABC):
     def sqdist_batch(self, p, batch) -> np.ndarray:
         """Squared distances from ``p`` to every point in ``batch``; for a
         stacked batch ``p`` of m points, an (m, n) array of them."""
+
+    def tangent_mean(self, p, batch, weights):
+        """Descent's state at T base points ``p`` (T,) + point_shape, each
+        with its support ``batch`` (T, n) + point_shape and ``weights``
+        (T, n): the weighted log mean sum_i w_i log_p(x_i), the objective
+        sum_i w_i d^2(p, x_i) and the (T, n) distances d(p, x_i), which
+        spaces with ``curv_lower >= 0`` may leave as None."""
+        payloads, mags = self.log_batch(p, batch)
+        return weighted_sum(weights, payloads), weighted_sum(weights, mags**2), mags
 
     def extendibility_batch(self, p, batch) -> Extendibility:
         """``max_extendibility`` of the geodesic from ``p`` to every point in

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..linalg import weighted_sum
 from .base import Space
 
 
@@ -42,3 +43,8 @@ class Euclidean(Space):
     def sqdist_batch(self, p, batch) -> np.ndarray:
         diff = batch - np.asarray(p, float)[..., None, :]
         return self.tangent_inner(p, diff, diff)
+
+    def warm_start(self, batch, weights):
+        """The weighted mean, the exact barycenter, from which descent takes
+        no step; for each problem of a stacked (T, n, D) batch."""
+        return weighted_sum(weights, batch)

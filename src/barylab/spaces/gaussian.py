@@ -23,6 +23,7 @@ from ..linalg import (
     spd_eigh,
     spd_sqrt_batch,
     sym,
+    weighted_sum,
 )
 from .base import Extendibility, Space
 
@@ -51,6 +52,9 @@ class BuresWasserstein(Space):
     tag = "gaussian"
     curv_lower = 0.0
     curv_upper = float("inf")
+    # the unit step is the fixed point (C <- T C T for the mean map T, which is
+    # SPD); a longer one can leave the SPD cone
+    max_step = 1.0
 
     def check_point(self, x) -> None:
         if not isinstance(x, GaussianPoint) or x.dim != self.dim:
@@ -125,19 +129,32 @@ class BuresWasserstein(Space):
 
     # -- tangent cone ------------------------------------------------------------
 
-    def exp(self, p: GaussianPoint, v):
+    @staticmethod
+    def _parts(p):
+        """Mean and covariance of a ``GaussianPoint``, or of stacked
+        (..., D+1, D) rows."""
+        if isinstance(p, GaussianPoint):
+            return p.mean, p.cov
+        return p[..., 0, :], p[..., 1:, :]
+
+    def exp(self, p, v):
+        """Exponential map at a ``GaussianPoint``, or at stacked rows ``p``
+        matched row for row with the payloads ``v``, which come back stacked."""
         payload = np.asarray(v, dtype=float)
-        u, lin = payload[0], payload[1:]
-        t = np.eye(self.dim) + lin
+        t = np.eye(self.dim) + payload[..., 1:, :]
         if np.min(np.linalg.eigvalsh(sym(t))) <= SPD_EIG_FLOOR:
             raise OutOfDomain("induced map I + L is not positive definite")
-        return GaussianPoint(p.mean + u, sym(t @ p.cov @ t))
+        mean, cov = self._parts(p)
+        mean, cov = mean + payload[..., 0, :], sym(t @ cov @ t)
+        if isinstance(p, GaussianPoint):
+            return GaussianPoint(mean, cov)
+        return np.concatenate((mean[..., None, :], cov), axis=-2)
 
-    def tangent_inner(self, p: GaussianPoint, u_payload, v_payload):
+    def tangent_inner(self, p, u_payload, v_payload):
         u1, l1 = u_payload[..., 0, :], u_payload[..., 1:, :]
         u2, l2 = v_payload[..., 0, :], v_payload[..., 1:, :]
         return np.einsum("...i,...i->...", u1, u2) + np.einsum(
-            "...ij,...ji->...", l1 @ p.cov, l2
+            "...ij,...ji->...", l1 @ self._parts(p)[1], l2
         )
 
     def tangent_part(self, p: GaussianPoint, v):
@@ -173,6 +190,37 @@ class BuresWasserstein(Space):
         if not isinstance(p, GaussianPoint):  # a stacked batch of base points, one row each
             return np.stack([self._log_sq(q, batch)[1] for q in self.unstack(p)])
         return self._log_sq(p, batch)[1]
+
+    def warm_start(self, batch, weights):
+        """The weighted means and covariances, each covariance symmetrised:
+        the fixed point's start, for each problem of a stacked batch."""
+        start = weighted_sum(weights, batch)
+        start[..., 1:, :] = sym(start[..., 1:, :])
+        return start
+
+    def tangent_mean(self, p, batch, weights):
+        """The base method at stacked rows ``p`` in the fixed point's
+        sandwich form (Alvarez-Esteban et al. 2016).  With S = C^(1/2) and
+        X = sum_i w_i (S C_i S)^(1/2), reduced once per problem, the mean
+        log is [sum_i w_i m_i - m; sym(S^-1 X S^-1) - I] and the objective
+        sum_i w_i (|m_i - m|^2 + tr C_i) + tr C - 2 tr X.  S and S^-1 come
+        from one eigendecomposition per problem; the distances are None."""
+        mean, cov = self._parts(p)
+        lam, v = spd_eigh(cov)
+        r = np.sqrt(lam)[..., None, :]
+        vt = np.swapaxes(v, -1, -2)
+        s, s_inv = ((v * r) @ vt)[:, None], (v / r) @ vt
+        covs, gaps = batch[..., 1:, :], batch[..., 0, :] - mean[:, None]
+        x = weighted_sum(weights, spd_sqrt_batch(s @ covs @ s))
+        grad = np.empty(np.shape(p))
+        grad[:, 0] = weighted_sum(weights, gaps)
+        grad[:, 1:] = sym(s_inv @ x @ s_inv) - np.eye(self.dim)
+        per_point = np.einsum("...i,...i->...", gaps, gaps) + np.einsum("...ii->...", covs)
+        objective = (
+            weighted_sum(weights, per_point) + np.einsum("...ii->...", cov)
+            - 2.0 * np.einsum("...ii->...", x)
+        )
+        return grad, objective, None
 
     def _log_sq(self, p: GaussianPoint, batch):
         """Log payloads [u; L] = [m_i - m; A_i - I] and their squared norms."""

@@ -16,7 +16,6 @@ from barylab.barycenter import (
     barycenter,
     barycenter_batch,
     best_support_init,
-    bures_fixed_point_batch,
     descent_batch,
     minimality_spot_check,
 )
@@ -27,7 +26,7 @@ from barylab.families import (
     SphereCap,
     gaussian_quantile_grid,
 )
-from barylab.linalg import frobenius, spd_sqrt_batch, spd_sqrt_inv_sqrt, sym, weighted_sum
+from barylab.linalg import positive_qr_q, spd_sqrt_batch, sym, weighted_sum
 from barylab.ratelab import TRIAL_FLOAT_BUDGET
 from barylab.spaces import Space
 
@@ -369,11 +368,11 @@ class TestStackedSolveMemory:
 
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_fixed_point_peaks_below_two_budgets(self, n):
-        """A Bures fixed point over a support of one TRIAL_FLOAT_BUDGET of
-        floats (341 Gaussian problems at n = 16, d = 3) allocates under 2
-        budgets at its peak: each problem carries its iterate and roots only,
-        and the sandwiches and their roots are formed and reduced a block at
-        a time."""
+        """A Gaussian solve over a support of one TRIAL_FLOAT_BUDGET of
+        floats (341 problems at n = 16, d = 3) allocates under 2 budgets at
+        its peak: each problem carries its descent state only, and the
+        sandwiches and their roots are formed and reduced a block at a
+        time."""
         family = GaussianEnsemble(0.8, 1.6, dim=3)
         space = family.space
         count = TRIAL_FLOAT_BUDGET // (n * space.point_floats)
@@ -382,7 +381,7 @@ class TestStackedSolveMemory:
         weights = np.full((count, n), 1.0 / n)
         tracemalloc.start()
         try:
-            solved = bures_fixed_point_batch(space, batch, weights)
+            solved = barycenter_batch(space, batch, weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -483,6 +482,27 @@ class TestBuresFixedPoint:
         assert qspace.distance(qmean, res_grid) <= 1e-3
 
 
+def spd_sqrt_inv_sqrt(m):
+    """Square root (that of ``spd_sqrt_batch``) and its inverse, batched over
+    leading axes."""
+    s = spd_sqrt_batch(m)
+    return s, sym(np.linalg.inv(s))
+
+
+def frobenius(m):
+    """Frobenius norm over the last two axes."""
+    return np.sqrt(np.sum(m * m, axis=(-2, -1)))
+
+
+def test_inverse_root_inverts_the_root():
+    spectra = np.random.default_rng(7).uniform(0.1, 10.0, (50, 3))
+    q = positive_qr_q(np.random.default_rng(7).standard_normal((50, 3, 3)))
+    a = sym((q * spectra[:, None, :]) @ np.swapaxes(q, -1, -2))
+    root, inv_root = spd_sqrt_inv_sqrt(a)
+    assert np.array_equal(inv_root, np.swapaxes(inv_root, -1, -2))
+    assert np.max(np.abs(root @ inv_root - np.eye(3))) <= 1e-14
+
+
 def averaged_sandwich_fixed_point(batch, weights, opts):
     """The stacked fixed point with the first-order condition read from the
     weighted mean of the n sandwiches C^(-1/2) root_i C^(-1/2) of each
@@ -527,50 +547,111 @@ class TestBuresSandwich:
         batch[..., 0, :] = rng.normal(size=(count, n, dim))
         return batch, rng.dirichlet(np.ones(n), size=count)
 
+    @staticmethod
+    def w2(space, points, covs):
+        """Bures-Wasserstein distances from the stacked points to N(mean, cov)
+        with each point's own mean and the given covariances."""
+        return np.sqrt([
+            space.sqdist_batch(bl.GaussianPoint(row[0], cov), row[None])[0]
+            for row, cov in zip(points, covs)
+        ])
+
     @pytest.mark.parametrize("max_iters", [10_000, 3])
     @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_equals_the_averaged_sandwich(self, dim, max_iters):
-        """One sandwich of the averaged roots per problem gives the
-        covariances and iteration counts of the n averaged sandwiches bit for
-        bit, and their gradient norms to rounding, on stacks whose problems
-        end at different iterations (or none, at max_iters = 3)."""
+    def test_agrees_with_the_averaged_sandwich(self, dim, max_iters):
+        """Descent on Gaussians, whose unit step is the fixed point, ends
+        within the solver tolerance of the fixed point's covariances, on
+        the iteration the fixed point ends or the one before (the fixed
+        point also waits for its covariance to settle to ``tol``); three
+        iterations of each (max_iters = 3) reach the same iterate to
+        rounding.  The means are the weighted means."""
         batch, weights = self.problems(dim)
+        space = bl.BuresWasserstein(dim)
         opts = SolverOptions(max_iters=max_iters)
-        solved = bures_fixed_point_batch(bl.BuresWasserstein(dim), batch, weights, opts)
+        solved = barycenter_batch(space, batch, weights, opts)
         cov, grad_norm, iters = averaged_sandwich_fixed_point(batch, weights, opts)
-        assert np.array_equal(solved.points[:, 1:], cov)
-        assert np.array_equal(solved.iters, iters)
+        gaps = self.w2(space, solved.points, cov)
         assert np.array_equal(solved.converged, iters < max_iters)
-        assert len(set(iters)) > 1 or max_iters == 3
-        assert np.allclose(solved.grad_norm, grad_norm, rtol=1e-6, atol=1e-14)
+        if max_iters == 3:
+            assert np.all(solved.iters == 3) and np.all(gaps <= 1e-13)
+            assert np.allclose(solved.grad_norm, grad_norm, rtol=1e-6, atol=1e-14)
+        else:
+            assert len(set(solved.iters)) > 1
+            assert np.all((iters - 1 <= solved.iters) & (solved.iters <= iters))
+            assert np.all(gaps <= 2 * opts.tol)
+            assert np.all(solved.grad_norm <= opts.tol)
+        means = weighted_sum(weights, batch[..., 0, :])
+        assert np.allclose(solved.points[:, 0], means, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("per_block", [1, 2])
     @pytest.mark.parametrize("max_iters", [10_000, 3])
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_rows_do_not_depend_on_the_blocks(self, dim, max_iters, per_block, monkeypatch):
         """Sandwiches formed one or two problems at a time leave every row of
-        the stacked fixed point equal, bit for bit, to the averaged
-        sandwiches' covariance and iteration count and to its problem solved
-        alone, as problems leave the stack at different iterations."""
+        a stacked Gaussian solve equal, bit for bit, to its problem solved
+        alone, as problems leave the stack at different iterations; each row
+        is within the solver tolerance of the averaged sandwiches' fixed
+        point."""
         bary = importlib.import_module("barylab.barycenter")
         batch, weights = self.problems(dim)
         space = bl.BuresWasserstein(dim)
         opts = SolverOptions(max_iters=max_iters)
         floats = weights.shape[1] * space.point_floats  # one problem's support
         monkeypatch.setattr(bary, "LOG_BLOCK_FLOATS", per_block * floats)
-        solved = bures_fixed_point_batch(space, batch, weights, opts)
+        solved = barycenter_batch(space, batch, weights, opts)
         cov, _, iters = averaged_sandwich_fixed_point(batch, weights, opts)
-        assert len(set(iters)) > 1 or max_iters == 3
+        assert len(set(solved.iters)) > 1 or max_iters == 3
+        assert np.all(self.w2(space, solved.points, cov) <= 2 * opts.tol)
         for i in range(len(weights)):
-            single = bures_fixed_point_batch(
-                space, batch[i:i + 1], weights[i:i + 1], opts
-            )
-            for other in (single.points[0, 1:], cov[i]):
-                assert np.array_equal(solved.points[i, 1:], other)
-            assert solved.iters[i] == single.iters[0] == iters[i]
+            single = barycenter_batch(space, batch[i:i + 1], weights[i:i + 1], opts)
+            assert np.array_equal(solved.points[i], single.points[0])
+            assert solved.iters[i] == single.iters[0]
             assert solved.converged[i] == single.converged[0] == (iters[i] < max_iters)
             assert solved.grad_norm[i] == single.grad_norm[0]
-            assert np.array_equal(solved.points[i, 0], single.points[0, 0])
+
+    @pytest.mark.parametrize("step", [2.0, 0.5])
+    def test_any_step_converges_inside_the_cone(self, step):
+        """A step above the space's cap of 1 is the fixed point's unit step
+        and cannot leave the SPD cone; a step below it damps the fixed point.
+        Either way every problem converges to the averaged sandwiches' point
+        within the solver tolerance."""
+        batch, weights = self.problems(3)
+        space = bl.BuresWasserstein(3)
+        opts = SolverOptions(step=step)
+        solved = barycenter_batch(space, batch, weights, opts)  # no OutOfDomain
+        cov, _, _ = averaged_sandwich_fixed_point(batch, weights, SolverOptions())
+        assert solved.converged.all()
+        assert np.all(self.w2(space, solved.points, cov) <= 2 * opts.tol)
+        if step > 1:
+            unit = barycenter_batch(space, batch, weights)
+            assert np.array_equal(solved.points, unit.points)
+
+
+    def test_descent_starts_from_a_gaussian_point(self, rng):
+        """``frechet_mean_descent`` takes a ``GaussianPoint`` start, such as
+        a support point, and reaches the barycenter from it."""
+        space = bl.BuresWasserstein(3)
+        dist = random_distribution(space, rng, n=9)
+        res = bl.frechet_mean_descent(dist, dist.points[0])
+        assert res.converged
+        assert space.distance(res.point, barycenter(dist).point) <= 2 * SolverOptions().tol
+
+
+class TestFlatSpacesTakeNoStep:
+    @pytest.mark.parametrize("space", [bl.Euclidean(3), bl.QuantileSpace(16)], ids=repr)
+    def test_solve_is_the_weighted_mean(self, space, rng):
+        """Descent from the exact weighted mean stops before its first step:
+        every row is ``weighted_sum(weights, batch)`` bit for bit, after one
+        iteration, converged."""
+        batch = np.stack([
+            space.stack([probe_point(space, rng) for _ in range(9)]) for _ in range(6)
+        ])
+        weights = rng.uniform(0.2, 1.0, (6, 9))
+        weights /= weights.sum(axis=1, keepdims=True)
+        solved = barycenter_batch(space, batch, weights)
+        assert np.array_equal(solved.points, weighted_sum(weights, batch))
+        assert np.all(solved.iters == 1) and solved.converged.all()
+        assert np.all(solved.grad_norm <= SolverOptions().tol)
 
 
 class TestTangentStructure:

@@ -464,6 +464,16 @@ class TestOutputDirectory:
         assert done.stderr.startswith(message)
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_count_above_the_ceiling_exits_1_without_a_traceback(self, tmp_path):
+        """An n beyond the count ceiling is a config error before any trial
+        runs, and no manifest is written."""
+        cfg = write_config(tmp_path, dict(RATES_CONFIG, n_grid=[4, 10**30]))
+        done = run_subprocess(["rates", "--config", cfg, "--out", tmp_path / "out"])
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error[config]: 'n_grid' must be an ascending list")
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
 
 HEADER_LINE = ",".join(RATES_HEADER) + "\n"
 

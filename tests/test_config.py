@@ -8,7 +8,7 @@ import pytest
 from barylab.barycenter import SolverOptions
 from barylab.config import parse_config
 from barylab.errors import ParseError, ValidationError
-from barylab.ratelab import RateExperimentConfig, estimate_hugging_profile
+from barylab.ratelab import COUNT_CEILING, RateExperimentConfig, estimate_hugging_profile
 
 from conftest import BAD_FAMILIES
 
@@ -62,6 +62,22 @@ class TestParsing:
         obj = dict(MINIMAL_RATES, trials=0)
         with pytest.raises(ValidationError, match="trials"):
             parse_config(write(tmp_path, obj), "rates")
+
+    def test_counts_above_the_ceiling_are_violations(self, tmp_path):
+        """Points per trial, trials and verify draws beyond COUNT_CEILING are
+        refused by name, each as its own violation; the ceiling itself passes."""
+        over = COUNT_CEILING + 1
+        obj = dict(MINIMAL_RATES, n_grid=[4, over], trials=over, verify_draws=10**30)
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, obj), "rates")
+        assert err.value.violations == [
+            f"'n_grid' must be an ascending list of integers from 2 to {COUNT_CEILING}",
+            f"config: 'trials' must be at most {COUNT_CEILING}",
+            f"config: 'verify_draws' must be at most {COUNT_CEILING}",
+        ]
+        obj = dict(MINIMAL_RATES, n_grid=[4, COUNT_CEILING], trials=COUNT_CEILING)
+        config = parse_config(write(tmp_path, obj), "rates").payload["config"]
+        assert config.n_grid[-1] == config.trials == COUNT_CEILING
 
     def test_family_theorem_mismatch(self, tmp_path):
         obj = dict(

@@ -13,7 +13,6 @@ from barylab.linalg import (
     SQRT3_CERT_BOUND,
     positive_qr_q,
     spd_sqrt_batch,
-    spd_sqrt_inv_sqrt,
     sym,
 )
 
@@ -87,13 +86,12 @@ class TestSpdFloor:
         bad = spd(np.r_[least, rng.uniform(0.5, 2.0, d - 1)], d + 10)
         return np.insert(good, {"first": 0, "middle": 2, "last": 5}[where], bad, axis=0)
 
-    @pytest.mark.parametrize("kernel", [spd_sqrt_batch, spd_sqrt_inv_sqrt])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_floor_raises_and_clearance_passes(self, kernel, where, d):
+    def test_floor_raises_and_clearance_passes(self, where, d):
         with pytest.raises(NotPositiveDefinite):
-            kernel(self.batch(d, where, 1e-13))
-        kernel(self.batch(d, where, 1e-10))
+            spd_sqrt_batch(self.batch(d, where, 1e-13))
+        spd_sqrt_batch(self.batch(d, where, 1e-10))
 
 
 @st.composite
@@ -143,21 +141,13 @@ class TestClosedFormSqrt:
     @settings(max_examples=50, deadline=None)
     def test_rows_are_independent_of_the_batch(self, seed):
         """Row t of a (T, n, 3, 3) batch, mixing closed-form and eigh rows, is
-        that matrix's root solved alone, bit for bit; so is the root that
-        spd_sqrt_inv_sqrt returns."""
+        that matrix's root solved alone, bit for bit."""
         rng = np.random.default_rng(seed)
         spectra = np.exp(rng.uniform(0, math.log(4 * SQRT3_CERT_BOUND), (4, 5, 3)))
         spectra[0, 0] = 1.0  # the identity settles at once, beside rows that do not
         a = spd(spectra, seed)
         roots = spd_sqrt_batch(a)
-        assert np.array_equal(spd_sqrt_inv_sqrt(a)[0], roots)
         for t, i in np.ndindex(a.shape[:2]):
             assert np.array_equal(spd_sqrt_batch(a[t, i][None])[0], roots[t, i])
             assert np.array_equal(spd_sqrt_batch(a[t, i]), roots[t, i])
 
-
-def test_inverse_root_inverts_the_root():
-    a = spd(np.random.default_rng(7).uniform(0.1, 10.0, (50, 3)), 7)
-    root, inv_root = spd_sqrt_inv_sqrt(a)
-    assert np.array_equal(inv_root, np.swapaxes(inv_root, -1, -2))
-    assert np.max(np.abs(root @ inv_root - np.eye(3))) <= 1e-14

@@ -517,6 +517,36 @@ class TestTangentMachinery:
         with pytest.raises(NotImplementedError):
             space.tangent_basis(space.random_point(rng))
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_gaussian_exp_and_inner_take_stacked_rows(self, dim, rng):
+        """At (k, d+1, d) base rows matched row for row with k payloads, exp
+        and tangent_inner give each row's map and inner product at its own
+        ``GaussianPoint`` bit for bit, as stacked descent relies on."""
+        space = bl.BuresWasserstein(dim)
+        rows = space.stack([space.random_point(rng) for _ in range(5)])
+        u = np.stack([0.3 * space.random_tangent(p, rng) for p in space.unstack(rows)])
+        v = np.stack([space.random_tangent(p, rng) for p in space.unstack(rows)])
+        moved = space.exp(rows, u)
+        inner = space.tangent_inner(rows, u, v)
+        for i, p in enumerate(space.unstack(rows)):
+            assert np.array_equal(moved[i], space.stack([space.exp(p, u[i])])[0])
+            assert inner[i] == space.tangent_inner(p, u[i], v[i])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_gaussian_tangent_mean_is_the_mean_log(self, dim, rng):
+        """The sandwich form of the Gaussian tangent mean gives, to rounding,
+        the weighted mean of the log maps and the weighted squared distances
+        that the base method forms from ``log_batch``."""
+        space = bl.BuresWasserstein(dim)
+        base = space.stack([space.random_point(rng) for _ in range(3)])
+        batch = np.stack([space.stack([space.random_point(rng) for _ in range(7)]) for _ in base])
+        weights = rng.dirichlet(np.ones(7), size=3)
+        grad, objective, _ = space.tangent_mean(base, batch, weights)
+        for t, p in enumerate(space.unstack(base)):
+            logs, mags = space.log_batch(p, batch[t])
+            assert np.allclose(grad[t], np.tensordot(weights[t], logs, 1), rtol=0, atol=1e-12)
+            assert objective[t] == pytest.approx(weights[t] @ mags**2, rel=1e-12)
+
     def test_gaussian_random_tangent_draws_mean_then_symmetric_map(self, rng):
         """The base draw, the tangent part of one normal payload, is the
         payload of d mean normals and then a symmetrised d x d normal block."""
