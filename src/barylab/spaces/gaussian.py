@@ -203,23 +203,22 @@ class BuresWasserstein(Space):
         sandwich form (Alvarez-Esteban et al. 2016).  With S = C^(1/2) and
         X = sum_i w_i (S C_i S)^(1/2), reduced once per problem, the mean
         log is [sum_i w_i m_i - m; sym(S^-1 X S^-1) - I] and the objective
-        sum_i w_i (|m_i - m|^2 + tr C_i) + tr C - 2 tr X.  S and S^-1 come
-        from one eigendecomposition per problem; the distances are None."""
+        sum_i w_i |m_i - m|^2 + tr C + tr(sum_i w_i C_i) - 2 tr X.  S and
+        S^-1 come from one eigendecomposition per problem; the distances
+        are None."""
         mean, cov = self._parts(p)
         lam, v = spd_eigh(cov)
         r = np.sqrt(lam)[..., None, :]
         vt = np.swapaxes(v, -1, -2)
         s, s_inv = ((v * r) @ vt)[:, None], (v / r) @ vt
-        covs, gaps = batch[..., 1:, :], batch[..., 0, :] - mean[:, None]
-        x = weighted_sum(weights, spd_sqrt_batch(s @ covs @ s))
+        x = weighted_sum(weights, spd_sqrt_batch(s @ batch[..., 1:, :] @ s))
+        bar = weighted_sum(weights, batch)  # [sum_i w_i m_i; sum_i w_i C_i]
+        gaps = batch[..., 0, :] - mean[:, None]
         grad = np.empty(np.shape(p))
-        grad[:, 0] = weighted_sum(weights, gaps)
+        grad[:, 0] = bar[:, 0] - mean
         grad[:, 1:] = sym(s_inv @ x @ s_inv) - np.eye(self.dim)
-        per_point = np.einsum("...i,...i->...", gaps, gaps) + np.einsum("...ii->...", covs)
-        objective = (
-            weighted_sum(weights, per_point) + np.einsum("...ii->...", cov)
-            - 2.0 * np.einsum("...ii->...", x)
-        )
+        objective = weighted_sum(weights, np.einsum("...i,...i->...", gaps, gaps))
+        objective += np.einsum("...ii->...", cov + bar[:, 1:] - 2.0 * x)
         return grad, objective, None
 
     def _log_sq(self, p: GaussianPoint, batch):
