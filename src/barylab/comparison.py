@@ -127,28 +127,22 @@ def comparison_angle(kappa: float, sides: TriangleSides):
     return float(angle) if angle.ndim == 0 else angle
 
 
-def _distances(space, p, points) -> np.ndarray:
-    """Distances from ``p`` to each of ``points``, in one ``sqdist_batch`` call."""
-    return np.sqrt(space.sqdist_batch(p, space.stack(points)))
-
-
 def comparison_angle_at(space, kappa: float, p, x, y) -> float:
     """Comparison angle at p for the triangle {p, x, y} of a concrete space."""
-    d_px, d_py = _distances(space, p, [x, y])
-    return comparison_angle(kappa, TriangleSides(d_px, d_py, space.distance(x, y)))
+    d = np.sqrt(space.sqdist_batch(space.stack([p, x]), space.stack([x, y])))
+    return comparison_angle(kappa, TriangleSides(d[0, 0], d[0, 1], d[1, 1]))
 
 
 def quadruple_defect(space, p, x, y, z, kappa: float) -> float:
     """2 pi minus the three comparison angles at p of the quadruple (p; x, y, z).
 
     Nonnegative output certifies this instance of the quadruple condition for
-    curvature bounded below by kappa.  The six distinct sides come from three
-    batched distance calls, the three angles from one angle call.
+    curvature bounded below by kappa.  The six distinct sides come from one
+    4 x 4 distance call, the three angles from one angle call.
     """
-    d_p = _distances(space, p, [x, y, z])
-    d_xy, d_xz = _distances(space, x, [y, z])
-    d_yz = space.distance(y, z)
-    sides = TriangleSides(d_p[[0, 0, 1]], d_p[[1, 2, 2]], np.array([d_xy, d_xz, d_yz]))
+    points = space.stack([p, x, y, z])
+    d = np.sqrt(space.sqdist_batch(points, points))
+    sides = TriangleSides(d[0, [1, 1, 2]], d[0, [2, 3, 3]], d[[1, 1, 2], [2, 3, 3]])
     return 2.0 * math.pi - float(comparison_angle(kappa, sides).sum())
 
 
@@ -176,12 +170,10 @@ def angle_monotonicity_probe(space, p, x, y, kappa: float, grid) -> Monotonicity
     if list(grid) != sorted(grid):
         raise ValueError("grid must be sorted ascending")
     u, v = space.log_batch(p, space.stack([x, y]))[0]
-    px = [space.exp(p, s * u) for s in grid]
-    py = [space.exp(p, t * v) for t in grid]
-    d_xy = np.stack([_distances(space, xi, py) for xi in px])
-    sides = TriangleSides(
-        _distances(space, p, px)[:, None], _distances(space, p, py)[None, :], d_xy
-    )
+    px, py = space.exp(p, np.multiply.outer(grid, u)), space.exp(p, np.multiply.outer(grid, v))
+    d_p = np.sqrt(space.sqdist_batch(p, np.concatenate((px, py))))
+    d_xy = np.sqrt(space.sqdist_batch(px, py))
+    sides = TriangleSides(d_p[: len(grid), None], d_p[None, len(grid):], d_xy)
     angles = comparison_angle(kappa, sides)
     violation = 0.0
     if len(grid) > 1:

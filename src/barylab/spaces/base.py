@@ -5,6 +5,10 @@ A point is a space-native value (an ndarray for the vector-like spaces, a
 points is one float array in every space.  Tangent vectors are
 represented by a payload array whose algebra (scaling, sums) matches the
 tangent-cone structure, so weighted log-map averages are plain array sums.
+
+Every kernel broadcasts a base ``p`` with leading axes against a batch of
+shape (..., n) + point_shape as ``p[..., None]`` over the point axes: m stacked
+bases give (m, n) results, row k equal to base k's own call bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from ..linalg import weighted_sum
 
 # support points scored by the default descent warm start
 WARM_START_CANDIDATES = 32
+
+# largest Gram error of a tangent basis, which would skew a family's law
+BASIS_GRAM_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -114,9 +121,9 @@ class Space(abc.ABC):
 
     @abc.abstractmethod
     def exp(self, p, v):
-        """Exponential map of the tangent payload ``v`` at ``p``; the vector-like
-        spaces batch it over leading axes of ``p`` and ``v``, and row k of the
-        result for a (k, D) stack of payloads equals ``exp(p, v[k])``."""
+        """Exponential map of the tangent payload ``v`` at ``p``, broadcast over
+        leading axes of ``p`` and ``v``: row k of the result for a stack of
+        payloads equals ``exp(p, v[k])`` bit for bit, in every space."""
 
     @abc.abstractmethod
     def tangent_inner(self, p, u_payload, v_payload):
@@ -135,7 +142,8 @@ class Space(abc.ABC):
         ``tangent_inner`` and stacked along axis 0, for the spaces whose
         tangent dimension is ``dim``: ``dim`` steps of Gram-Schmidt on the
         tangent parts of the coordinate payloads, each step taking the one
-        left longest by the earlier steps (the first of equals)."""
+        left longest by the earlier steps (the first of equals); ValueError
+        if rounding leaves its Gram matrix off I by over BASIS_GRAM_TOL."""
         rest = self.tangent_part(p, np.eye(self.point_floats).reshape((-1,) + self.point_shape))
         basis = []
         for _ in range(self.dim):
@@ -143,7 +151,11 @@ class Space(abc.ABC):
             k = int(np.argmax(norms))
             basis.append(rest[k] / norms[k])
             rest = rest - np.multiply.outer(self.tangent_inner(p, rest, basis[-1]), basis[-1])
-        return np.stack(basis)
+        basis = np.stack(basis)
+        gram_error = np.max(np.abs(self.tangent_inner(p, basis[:, None], basis) - np.eye(self.dim)))
+        if gram_error > BASIS_GRAM_TOL:
+            raise ValueError(f"tangent basis at this point is off orthonormal by {gram_error:.3g}")
+        return basis
 
     def random_tangent(self, p, rng: np.random.Generator) -> np.ndarray:
         """A random tangent payload at ``p`` (isotropic, unnormalized): the
@@ -179,13 +191,13 @@ class Space(abc.ABC):
 
     @abc.abstractmethod
     def log_batch(self, p, batch):
-        """Log payloads and magnitudes for every point in ``batch``; a point
-        equal to ``p`` gives the exact zero payload (the cone tip)."""
+        """Log payloads and magnitudes for every point in ``batch`` from each
+        base in ``p``; a point equal to its base gives the exact zero payload."""
 
     @abc.abstractmethod
     def sqdist_batch(self, p, batch) -> np.ndarray:
-        """Squared distances from ``p`` to every point in ``batch``; for a
-        stacked batch ``p`` of m points, an (m, n) array of them."""
+        """Squared distances from each base in ``p`` to every point in ``batch``:
+        (m, n) for a stack of m base points."""
 
     def tangent_mean(self, p, batch, weights):
         """Descent's state at T base points ``p`` (T,) + point_shape, each
@@ -197,9 +209,10 @@ class Space(abc.ABC):
         return weighted_sum(weights, payloads), weighted_sum(weights, mags**2), mags
 
     def extendibility_batch(self, p, batch) -> Extendibility:
-        """``max_extendibility`` of the geodesic from ``p`` to every point in
-        ``batch``, as arrays; unbounded unless the space overrides it."""
-        unbounded = np.full(len(batch), math.inf)
+        """``max_extendibility`` of the geodesics from ``p`` to ``batch``, as
+        arrays of ``sqdist_batch``'s shape; unbounded unless overridden."""
+        shape = np.broadcast_shapes(np.shape(p)[:-1] + (1,), np.shape(batch)[:-1])
+        unbounded = np.full(shape, math.inf)
         return Extendibility(unbounded, unbounded)
 
     def warm_start(self, batch, weights):
@@ -207,9 +220,8 @@ class Space(abc.ABC):
         points, O(n) each, for one problem's (n, D) batch and (n,) weights.
         Spaces with a cheap extrinsic mean override it for a stacked
         (T, n, D) batch with (T, n) weights, returning (T, D) starts."""
-        candidates = self.unstack(batch)[:WARM_START_CANDIDATES]
-        objectives = [weights @ self.sqdist_batch(x, batch) for x in candidates]
-        return candidates[int(np.argmin(objectives))]
+        candidates = batch[:WARM_START_CANDIDATES]
+        return candidates[int(np.argmin(self.sqdist_batch(candidates, batch) @ weights))]
 
     def _fall_back(self, starts, ok, batch, weights):
         """(T, D) ``starts`` where ``ok`` holds, else the default

@@ -87,40 +87,37 @@ class BuresWasserstein(Space):
 
     def transport_map_bounds(self, p: GaussianPoint, x: GaussianPoint) -> tuple[float, float]:
         """Least and greatest eigenvalues of ``transport_map(p, x)``."""
-        eig = self._map_eigs(p, x.cov[None])[0]
+        eig = np.linalg.eigvalsh(self.transport_map(p, x))
         return float(eig[0]), float(eig[-1])
 
-    def _map_eigs(self, p: GaussianPoint, covs: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues of the optimal linear maps from p to covs_i."""
-        return np.linalg.eigvalsh(np.eye(self.dim) + self._map_gaps(p, covs))
+    def _map_gaps(self, p, covs: np.ndarray) -> np.ndarray:
+        """L_i = A_i - I for the optimal linear maps A_i from p to covs_i, with
+        stacked rows ``p`` broadcast as ``p[..., None, :, :]`` against ``covs``.
 
-    @staticmethod
-    def _map_gaps(p: GaussianPoint, covs: np.ndarray) -> np.ndarray:
-        """L_i = A_i - I for the optimal linear maps A_i from p to covs_i.
-
-        In the eigenbasis V of p.cov = V diag(lam) V^T, with r = sqrt(lam),
+        In the eigenbasis V of C_p = V diag(lam) V^T, with r = sqrt(lam),
         L = X / (r_i r_j) where diag(lam) + X is the square root of
-        diag(lam^2) + D and D = r_i (V^T (C - p.cov) V)_ij r_j.  X solves
+        diag(lam^2) + D and D = r_i (V^T (C - C_p) V)_ij r_j.  X solves
         (lam_i + lam_j) X_ij = (D - X^2)_ij; evaluating X^2 at the eigensolver
-        root gives X to relative precision however close C is to p.cov, where
+        root gives X to relative precision however close C is to C_p, where
         forming A and subtracting I would leave only rounding noise.
         """
-        lam, v = spd_eigh(p.cov)
-        r = np.sqrt(lam)
-        d = r[:, None] * (v.T @ (covs - p.cov) @ v) * r
-        x0 = spd_sqrt_batch(np.diag(lam**2) + d) - np.diag(lam)
-        x = (d - x0 @ x0) / (lam[:, None] + lam)
-        return sym(v @ (x / np.outer(r, r)) @ v.T)
+        cov = self._parts(p)[1][..., None, :, :]  # the batch axis
+        lam, v = spd_eigh(cov)
+        r, eye, vt = np.sqrt(lam), np.eye(self.dim), np.swapaxes(v, -1, -2)
+        d = r[..., :, None] * (vt @ (covs - cov) @ v) * r[..., None, :]
+        x0 = spd_sqrt_batch((lam**2)[..., None] * eye + d) - lam[..., None] * eye
+        x = (d - x0 @ x0) / (lam[..., :, None] + lam[..., None, :])
+        return sym(v @ (x / (r[..., :, None] * r[..., None, :])) @ vt)
 
-    def extendibility_batch(self, p: GaussianPoint, batch) -> Extendibility:
+    def extendibility_batch(self, p, batch) -> Extendibility:
         """Extension range limited by positive-definiteness of the interpolant.
 
         The interpolated map (1 - t) I + t A stays PD outward while
         t < 1/(1 - a_min) and inward while t > -1/(a_max - 1); both suprema
         are open because the map degenerates exactly at the endpoint.
         """
-        eig = self._map_eigs(p, batch[:, 1:])
-        a_min, a_max = eig[:, 0], eig[:, -1]
+        eig = np.linalg.eigvalsh(np.eye(self.dim) + self._map_gaps(p, batch[..., 1:, :]))
+        a_min, a_max = eig[..., 0], eig[..., -1]
         open_out = a_min < 1.0 - 1e-15
         open_in = a_max > 1.0 + 1e-15
         lam_out = np.where(open_out, a_min / np.where(open_out, 1.0 - a_min, 1.0), math.inf)
@@ -138,15 +135,15 @@ class BuresWasserstein(Space):
         return p[..., 0, :], p[..., 1:, :]
 
     def exp(self, p, v):
-        """Exponential map at a ``GaussianPoint``, or at stacked rows ``p``
-        matched row for row with the payloads ``v``, which come back stacked."""
+        """Exponential map at a ``GaussianPoint`` or stacked rows ``p``, broadcast
+        against the payloads ``v``; stacked payloads or rows give stacked rows."""
         payload = np.asarray(v, dtype=float)
         t = np.eye(self.dim) + payload[..., 1:, :]
         if np.min(np.linalg.eigvalsh(sym(t))) <= SPD_EIG_FLOOR:
             raise OutOfDomain("induced map I + L is not positive definite")
         mean, cov = self._parts(p)
         mean, cov = mean + payload[..., 0, :], sym(t @ cov @ t)
-        if isinstance(p, GaussianPoint):
+        if isinstance(p, GaussianPoint) and payload.ndim == 2:
             return GaussianPoint(mean, cov)
         return np.concatenate((mean[..., None, :], cov), axis=-2)
 
@@ -180,15 +177,13 @@ class BuresWasserstein(Space):
     def unstack(self, batch) -> list:
         return [GaussianPoint(row[0], row[1:]) for row in batch]
 
-    def log_batch(self, p: GaussianPoint, batch):
+    def log_batch(self, p, batch):
         payloads, mags_sq = self._log_sq(p, batch)
         return payloads, np.sqrt(mags_sq)
 
     def sqdist_batch(self, p, batch) -> np.ndarray:
         # |u|^2 + tr(L C L), a quadratic form in the log payload, so nearly
         # equal points do not lose precision to the cancellation of O(1) traces
-        if not isinstance(p, GaussianPoint):  # a stacked batch of base points, one row each
-            return np.stack([self._log_sq(q, batch)[1] for q in self.unstack(p)])
         return self._log_sq(p, batch)[1]
 
     def warm_start(self, batch, weights):
@@ -221,12 +216,13 @@ class BuresWasserstein(Space):
         objective += np.einsum("...ii->...", cov + bar[:, 1:] - 2.0 * x)
         return grad, objective, None
 
-    def _log_sq(self, p: GaussianPoint, batch):
-        """Log payloads [u; L] = [m_i - m; A_i - I] and their squared norms."""
-        means, covs = batch[:, 0], batch[:, 1:]
-        payloads = np.empty(batch.shape)
-        payloads[:, 0, :] = means - p.mean
-        payloads[:, 1:, :] = self._map_gaps(p, covs)
-        tip = np.all(means == p.mean, axis=1) & np.all(covs == p.cov, axis=(1, 2))
+    def _log_sq(self, p, batch):
+        """Log payloads [u; L] = [m_i - m; A_i - I] and their squared norms;
+        stacked base rows meet the batch as ``p[..., None, :, :]``."""
+        base = p if isinstance(p, GaussianPoint) else p[..., None, :, :]
+        mean, cov = self._parts(base)
+        means, covs = batch[..., 0, :], batch[..., 1:, :]
+        payloads = np.concatenate(((means - mean)[..., None, :], self._map_gaps(p, covs)), -2)
+        tip = np.all(means == mean, axis=-1) & np.all(covs == cov, axis=(-2, -1))
         payloads[tip] = 0.0  # exact cone tip, not the rounding of A - I
-        return payloads, np.maximum(self.tangent_inner(p, payloads, payloads), 0.0)
+        return payloads, np.maximum(self.tangent_inner(base, payloads, payloads), 0.0)

@@ -62,7 +62,7 @@ class QuantileSpace(Euclidean):
 
     def extendibility_batch(self, p, batch) -> Extendibility:
         """Extension range limited by monotonicity of the extended grid."""
-        dx = np.diff(np.asarray(p, float))
+        dx = np.diff(np.asarray(p, float))[..., None, :]
         slope = np.diff(batch, axis=-1) - dx  # gap i evolves as dx_i + t slope_i >= 0
         safe = np.where(slope == 0, 1.0, slope)
         t_max = np.min(np.where(slope < 0, dx / -safe, math.inf), axis=-1, initial=math.inf)

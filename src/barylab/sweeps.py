@@ -83,9 +83,8 @@ def separated(space: Space, points, min_sep: float = MIN_SEPARATION) -> bool:
     sphere, clear of the cut locus: every pair at most pi - ``min_sep`` apart
     and every triangle's perimeter short of 2 pi, as the probes need."""
     count = len(points)
-    dist = np.zeros((count, count))
-    for i in range(count - 1):
-        dist[i, i + 1:] = np.sqrt(space.sqdist_batch(points[i], space.stack(points[i + 1:])))
+    batch = space.stack(points)
+    dist = np.sqrt(space.sqdist_batch(batch, batch))
     pairs = dist[np.triu_indices(count, 1)]
     if np.min(pairs) < min_sep:
         return False

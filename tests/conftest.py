@@ -53,6 +53,14 @@ BAD_FAMILIES = {
     "ensemble-dim0": dict(_ENSEMBLE, dim=0),
     "cov-shape": dict(_ENSEMBLE, dim=3, base_cov=[[1, 0], [0, 1]]),
     "cov-not-spd": dict(_ENSEMBLE, dim=2, base_cov=[[1, 0], [0, -1]]),
+    # 15 from the origin the tangent basis rounds far from orthonormal
+    **{
+        f"far-anchor-{dim}d": {
+            "kind": "hyperbolic_gaussian", "scale": 0.5, "dim": dim,
+            "anchor": [math.cosh(15.0)] + [math.sinh(15.0) / math.sqrt(dim)] * dim,
+        }
+        for dim in (2, 3)
+    },
 }
 
 

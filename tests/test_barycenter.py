@@ -710,8 +710,10 @@ class TestTangentStructure:
 
 
 def best_support_point(dist):
-    """The support point of least objective, by brute force over all pairs."""
-    objectives = [dist.weights @ dist.space.sqdist_batch(x, dist.batch) for x in dist.points]
+    """The support point of least objective, by brute force over all pairs:
+    the (n, n) squared distances times the weights, summed in the order of
+    the default warm start, so that exact ties break alike."""
+    objectives = dist.space.sqdist_batch(dist.batch, dist.batch) @ dist.weights
     return dist.points[int(np.argmin(objectives))]
 
 

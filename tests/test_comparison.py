@@ -380,16 +380,18 @@ class TestBatchedProbesMatchScalarReference:
                 scalar_cone_distance(space, p, x, y), rel=0, abs=1e-12
             )
 
-    def test_quadruple_defect_makes_three_distance_calls(self, any_space, rng):
+    def test_quadruple_defect_makes_one_distance_call(self, any_space, rng):
+        """The six distinct sides come from one 4 x 4 ``sqdist_batch`` call,
+        with the four points as both the base stack and the batch."""
         space = any_space
         p, x, y, z = separated_points(space, rng, 4)
         kernel = space.sqdist_batch
         calls = []
 
         def spy(base, batch):
-            calls.append(len(batch))
+            calls.append((len(base), len(batch)))
             return kernel(base, batch)
 
         space.sqdist_batch = spy
         bl.quadruple_defect(space, p, x, y, z, TRUE_KAPPA[space.tag])
-        assert len(calls) <= 3 and sum(calls) == 6  # the six distinct sides
+        assert calls == [(4, 4)]

@@ -139,6 +139,18 @@ class TestGuarantees:
         for point in batch:
             space.check_point(point)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hyperbolic_anchor_with_a_skewed_basis_is_refused(self, dim):
+        """At distance 15 (x0 about 1.6e6) rounding leaves the Gram-Schmidt
+        basis far from orthonormal, which would skew the law and break
+        sigma2 = dim scale^2, so the constructor refuses the anchor."""
+        space = bl.Hyperboloid(dim)
+        direction = np.zeros(dim + 1)
+        direction[1:] = 1.0 / math.sqrt(dim)
+        anchor = space.exp(space.origin(), 15.0 * direction)
+        with pytest.raises(ValueError, match="orthonormal"):
+            HyperbolicGaussian(0.5, dim=dim, anchor=anchor)
+
     def test_ensemble_draws_consume_the_parent_stream(self):
         """Eigenvalues, then one (count, d, d) normal block: the next draw
         after a batch is the one the LAPACK-QR sampler left behind."""

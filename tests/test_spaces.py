@@ -477,17 +477,51 @@ class TestBatchedKernels:
             )
 
 
+def extendibility_arrays(ext: bl.Extendibility, shape) -> np.ndarray:
+    """The four fields of an array-valued extendibility of ``shape``, stacked
+    along axis 0; the open flags may be scalars that broadcast to it."""
+    assert np.shape(ext.lambda_in) == np.shape(ext.lambda_out) == shape
+    fields = (ext.lambda_in, ext.lambda_out, ext.open_in, ext.open_out)
+    return np.stack([np.broadcast_to(np.asarray(f, float), shape) for f in fields])
+
+
+class TestBroadcastContract:
+    """Every space's kernels take a base with leading axes, broadcast against
+    the batch as ``p[..., None]``: a stack of m bases gives (m, n) results
+    whose row k is the call at base k alone, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stacked_base_rows_equal_single_base_calls(self, any_space, m, rng):
+        space = any_space
+        bases = [probe_point(space, rng) for _ in range(m)]
+        batch = space.stack(bases[:1] + [probe_point(space, rng) for _ in range(7)])
+        stacked = space.stack(bases)
+        sq = space.sqdist_batch(stacked, batch)
+        payloads, mags = space.log_batch(stacked, batch)
+        ext = extendibility_arrays(space.extendibility_batch(stacked, batch), (m, 8))
+        assert sq.shape == mags.shape == (m, 8)
+        assert payloads.shape == (m, 8) + space.point_shape
+        for k, p in enumerate(bases):
+            one_payloads, one_mags = space.log_batch(p, batch)
+            assert np.array_equal(sq[k], space.sqdist_batch(p, batch))
+            assert np.array_equal(payloads[k], one_payloads)
+            assert np.array_equal(mags[k], one_mags)
+            one_ext = extendibility_arrays(space.extendibility_batch(p, batch), (8,))
+            assert np.array_equal(ext[:, k], one_ext)
+        assert np.all(payloads[0, 0] == 0.0) and sq[0, 0] == 0.0
+
+
 class TestTangentMachinery:
-    @pytest.mark.parametrize("tag", ["euclidean", "quantile", "sphere", "hyperbolic"])
-    def test_exp_of_a_stack_is_exp_row_by_row(self, tag, rng):
-        """exp batches over leading axes: on a (k, D) stack of payloads it
-        gives the row-by-row maps bit for bit, as sampling relies on."""
-        space = make_space(tag)
+    def test_exp_of_a_stack_is_exp_row_by_row(self, any_space, rng):
+        """exp batches over leading axes: on a (k,) + payload stack at one
+        point (a ``GaussianPoint`` included) it gives the row-by-row maps bit
+        for bit, as sampling and the probes rely on."""
+        space = any_space
         p = probe_point(space, rng)
         payloads, _ = space.log_batch(p, space.stack([probe_point(space, rng) for _ in range(6)]))
-        payloads *= np.linspace(0.1, 0.6, 6)[:, None]
+        payloads *= np.linspace(0.1, 0.6, 6).reshape((6,) + (1,) * len(space.point_shape))
         stacked = space.exp(p, payloads)
-        assert np.array_equal(stacked, np.stack([space.exp(p, v) for v in payloads]))
+        assert np.array_equal(stacked, space.stack([space.exp(p, v) for v in payloads]))
 
     def test_quantile_exp_sorts_and_scales_each_row_of_a_stack(self):
         space = bl.QuantileSpace(4)
