@@ -87,10 +87,6 @@ def variance(dist: DiscreteDistribution, b) -> float:
     return float(dist.weights @ sq)
 
 
-def _tangent_norms(space: Space, p, v) -> np.ndarray:
-    return np.sqrt(np.maximum(space.tangent_inner(p, v, v), 0.0))
-
-
 def _tangent_mean(space: Space, p, batch, weights):
     try:
         return space.tangent_mean(p, batch, weights)
@@ -183,7 +179,7 @@ def descent_batch(
     capped = min(opts.step, space.max_step)
     grad, objective, bound = _descent_state(space, b, batch, weights, live, capped)
     for iteration in range(1, opts.max_iters + 1):
-        grad_norm[live] = norm = _tangent_norms(space, b, grad)
+        grad_norm[live] = norm = space.tangent_norm(b, grad)
         done = norm <= opts.tol
         step = bound.copy()
         pending = np.flatnonzero(~done)

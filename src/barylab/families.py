@@ -170,10 +170,7 @@ class SphereCap(Family):
         if not 0 < radius < math.pi / 4:
             raise BadFamilyParams("cap radius must lie in (0, pi/4)")
         self.space = Sphere(dim)
-        if anchor is None:
-            anchor = np.zeros(dim + 1)
-            anchor[-1] = 1.0
-        self.anchor = np.asarray(anchor, float)
+        self.anchor = self.space.origin() if anchor is None else np.asarray(anchor, float)
         self.space.check_point(self.anchor)
         self.radius = float(radius)
         self._basis = self.space.tangent_basis(self.anchor)

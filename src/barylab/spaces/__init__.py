@@ -1,11 +1,10 @@
 """Concrete geodesic model spaces and shared space machinery."""
 
 from .base import Extendibility, Space, componentwise_inf
+from .curved import Hyperboloid, Sphere
 from .euclidean import Euclidean
 from .gaussian import BuresWasserstein, GaussianPoint
-from .hyperboloid import Hyperboloid
 from .quantile import QuantileSpace
-from .sphere import Sphere
 
 
 def point_from_payload(obj: dict):

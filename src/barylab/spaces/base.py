@@ -9,6 +9,10 @@ tangent-cone structure, so weighted log-map averages are plain array sums.
 Every kernel broadcasts a base ``p`` with leading axes against a batch of
 shape (..., n) + point_shape as ``p[..., None]`` over the point axes: m stacked
 bases give (m, n) results, row k equal to base k's own call bit for bit.
+A scalar form (``distance``, ``log``, ``tangent_norm`` of one payload) is its
+kernel on a batch of one.  A tangent frame (``tangent_basis``) exists only
+where the tangent dimension is ``dim`` and an isometry carries the default
+anchor to any point: the sphere and the hyperboloid of ``curved``.
 """
 
 from __future__ import annotations
@@ -24,9 +28,6 @@ from ..linalg import weighted_sum
 
 # support points scored by the default descent warm start
 WARM_START_CANDIDATES = 32
-
-# largest Gram error of a tangent basis, which would skew a family's law
-BASIS_GRAM_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -129,33 +130,14 @@ class Space(abc.ABC):
     def tangent_inner(self, p, u_payload, v_payload):
         """Cone inner product at ``p``, broadcast over leading payload axes."""
 
-    def tangent_norm(self, p, u_payload) -> float:
-        return math.sqrt(max(float(self.tangent_inner(p, u_payload, u_payload)), 0.0))
+    def tangent_norm(self, p, u_payload):
+        """Cone norm at ``p``, broadcast over leading payload axes."""
+        return np.sqrt(np.maximum(self.tangent_inner(p, u_payload, u_payload), 0.0))
 
     @abc.abstractmethod
     def tangent_part(self, p, v) -> np.ndarray:
         """The tangent part at ``p`` of the payload-shaped array ``v``,
         broadcast over leading payload axes."""
-
-    def tangent_basis(self, p) -> np.ndarray:
-        """Basis of the tangent space at ``p``, orthonormal under
-        ``tangent_inner`` and stacked along axis 0, for the spaces whose
-        tangent dimension is ``dim``: ``dim`` steps of Gram-Schmidt on the
-        tangent parts of the coordinate payloads, each step taking the one
-        left longest by the earlier steps (the first of equals); ValueError
-        if rounding leaves its Gram matrix off I by over BASIS_GRAM_TOL."""
-        rest = self.tangent_part(p, np.eye(self.point_floats).reshape((-1,) + self.point_shape))
-        basis = []
-        for _ in range(self.dim):
-            norms = np.sqrt(np.maximum(self.tangent_inner(p, rest, rest), 0.0))
-            k = int(np.argmax(norms))
-            basis.append(rest[k] / norms[k])
-            rest = rest - np.multiply.outer(self.tangent_inner(p, rest, basis[-1]), basis[-1])
-        basis = np.stack(basis)
-        gram_error = np.max(np.abs(self.tangent_inner(p, basis[:, None], basis) - np.eye(self.dim)))
-        if gram_error > BASIS_GRAM_TOL:
-            raise ValueError(f"tangent basis at this point is off orthonormal by {gram_error:.3g}")
-        return basis
 
     def random_tangent(self, p, rng: np.random.Generator) -> np.ndarray:
         """A random tangent payload at ``p`` (isotropic, unnormalized): the

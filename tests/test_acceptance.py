@@ -214,12 +214,17 @@ def test_criterion_05_variance_equality(solved_instances):
     for tag, items in solved_instances.items():
         space = make_space(tag)
         for dist, result in items:
+            # the support's log maps and d^2 at b*, taken once for its 100 targets
+            logs = space.log_batch(result.point, dist.batch)[0]
+            sqdist_star = space.sqdist_batch(result.point, dist.batch)
             for _ in range(100):
                 b = offset_point(space, result.point, rng)
                 d = space.distance(b, result.point)
                 if d <= 1e-8:
                     continue
-                residual = bl.variance_equality_residual(space, dist, result.point, b)
+                residual = bl.variance_equality_residual(
+                    space, dist, result.point, b, logs, sqdist_star
+                )
                 allowed = max(1e-8, 10.0 * SOLVER_TOL * d)
                 worst_excess = max(worst_excess, residual - allowed)
                 cases += 1

@@ -118,19 +118,20 @@ class TestGuarantees:
         assert np.array_equal(SphereCap(0.3, dim=dim)._basis, np.eye(dim, dim + 1))
         assert np.array_equal(HyperbolicGaussian(0.5, dim=dim)._basis, np.eye(dim, dim + 1, 1))
 
+    @pytest.mark.parametrize("distance", [8.0, 10.0, 12.0])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_far_hyperbolic_anchor_gets_dim_basis_rows_and_samples(self, dim):
-        """An anchor at distance 8 (x0 about 1.5e3) rounds the last
-        Gram-Schmidt residual to about eps x0^3, far above zero; the basis
-        still has ``dim`` rows, orthonormal to that size, and sampling runs."""
+    def test_far_hyperbolic_anchor_gets_dim_basis_rows_and_samples(self, dim, distance):
+        """At distance 8 to 12 (x0 about 1.5e3 to 8.1e4) the boost frame has
+        ``dim`` rows, orthonormal to about eps x0^2, as the coordinates round,
+        and sampling runs."""
         space = bl.Hyperboloid(dim)
         direction = np.zeros(dim + 1)
         direction[1:] = 1.0 / math.sqrt(dim)
-        anchor = space.exp(space.origin(), 8.0 * direction)
+        anchor = space.exp(space.origin(), distance * direction)
         family = HyperbolicGaussian(0.5, dim=dim, anchor=anchor)
         basis = family._basis
         assert basis.shape == (dim, dim + 1)
-        tol = 1e-15 * anchor[0] ** 3
+        tol = 1e-15 * anchor[0] ** 2
         gram = space.tangent_inner(anchor, basis[:, None], basis[None])
         assert np.max(np.abs(gram - np.eye(dim))) <= tol
         assert np.max(np.abs(space.tangent_inner(anchor, basis, anchor))) <= tol
@@ -139,10 +140,21 @@ class TestGuarantees:
         for point in batch:
             space.check_point(point)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cap_anchor_by_the_far_pole_gets_an_orthonormal_basis(self, dim):
+        """1e-7 from -e_d the frame is taken from the pole on the anchor's
+        side, so it stays orthonormal to rounding."""
+        space = bl.Sphere(dim)
+        anchor = space.exp(-np.eye(dim + 1)[dim], 1e-7 * np.eye(dim + 1)[0])
+        basis = SphereCap(0.3, dim=dim, anchor=anchor)._basis
+        assert basis.shape == (dim, dim + 1)
+        gram = space.tangent_inner(anchor, basis[:, None], basis[None])
+        assert np.max(np.abs(gram - np.eye(dim))) <= 1e-15
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_hyperbolic_anchor_with_a_skewed_basis_is_refused(self, dim):
-        """At distance 15 (x0 about 1.6e6) rounding leaves the Gram-Schmidt
-        basis far from orthonormal, which would skew the law and break
+        """At distance 15 (x0 about 1.6e6) rounding leaves the boost frame
+        off orthonormal by about eps x0^2, which would skew the law and break
         sigma2 = dim scale^2, so the constructor refuses the anchor."""
         space = bl.Hyperboloid(dim)
         direction = np.zeros(dim + 1)

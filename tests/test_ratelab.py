@@ -404,6 +404,28 @@ class TestTrialTable:
             assert np.array_equal(chunked, table)
             assert chunked_redraws == redraws
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "make, distance",
+        [(SphereCap, 1.4), (SphereCap, 2.5), (HyperbolicGaussian, 1.4)],
+    )
+    def test_isometric_anchor_gives_the_default_table(self, make, distance, dim):
+        """A family anchored away from the pole draws, from the same stream,
+        the isometric image of the default family's draws (its frame is the
+        rotation or boost of the pole's), and barycenters are equivariant,
+        so the trial table is the default one to rounding; the cap at
+        distance 2.5 takes its frame from the far pole -e_d."""
+        family = make(0.3, dim=dim)
+        direction = family._basis.sum(axis=0) / math.sqrt(dim)
+        anchor = family.space.exp(family.anchor, distance * direction)
+        tables = []
+        for moved in (family, make(0.3, dim=dim, anchor=anchor)):
+            config = bl.RateExperimentConfig(
+                family=moved, theorem="tail", n_grid=(2, 3, 16, 100), trials=30, master_seed=5
+            )
+            tables.append(ratelab._trial_table(config, moved.anchor)[0])
+        assert np.allclose(tables[1], tables[0], rtol=1e-12, atol=0)
+
     def test_wide_points_split_the_solve(self, monkeypatch):
         """The budget counts floats, so 16 x 16 covariances at n = 16 (272
         floats a point) split 20 trials into stacked solves of 15 and 5."""
