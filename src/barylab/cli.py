@@ -187,14 +187,13 @@ def _cmd_curvature(args, payload: dict, out: Path, started: str) -> int:
     )
     csv_path = out / "curvature.csv"
     write_curvature_csv(csv_path, rows, seed)
-    violations = []
-    for row in rows:
-        if row["probe"] == "monotonicity_violation":
-            bad = row["value"] > PROBE_TOL
-        else:  # quadruple_defect and cone_gap must be nonnegative up to noise
-            bad = row["value"] < -PROBE_TOL
-        if bad:
-            violations.append(f"{row['probe']}[{row['index']}] = {row['value']:.3e}")
+    # a monotonicity violation may reach PROBE_TOL; quadruple_defect and cone_gap
+    # must be nonnegative up to -PROBE_TOL
+    violations = [
+        f"{row['probe']}[{row['index']}] = {row['value']:.3e}" for row in rows
+        if (row["value"] > PROBE_TOL if row["probe"] == "monotonicity_violation"
+            else row["value"] < -PROBE_TOL)
+    ]
     return _finish(args, out, seed, csv_path, started, {"bound_violations": violations})
 
 

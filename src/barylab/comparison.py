@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateTriangle,
-    InvalidTriangle,
-    PerimeterTooLarge,
-)
+from .errors import DegenerateTriangle, InvalidTriangle, PerimeterTooLarge
 
 # tolerance past [-1, 1] of a comparison cosine before the sides are rejected
 COS_REJECT_TOL = 1e-6
@@ -24,9 +20,7 @@ COS_REJECT_TOL = 1e-6
 
 def model_diameter(kappa: float) -> float:
     """Diameter of the model plane with curvature ``kappa`` (inf for kappa <= 0)."""
-    if kappa > 0:
-        return math.pi / math.sqrt(kappa)
-    return math.inf
+    return math.pi / math.sqrt(kappa) if kappa > 0 else math.inf
 
 
 def s_kappa(kappa: float, r):
@@ -127,32 +121,34 @@ def comparison_angle(kappa: float, sides: TriangleSides):
     return float(angle) if angle.ndim == 0 else angle
 
 
-def comparison_angle_at(space, kappa: float, p, x, y) -> float:
-    """Comparison angle at p for the triangle {p, x, y} of a concrete space."""
-    d = np.sqrt(space.sqdist_batch(space.stack([p, x]), space.stack([x, y])))
-    return comparison_angle(kappa, TriangleSides(d[0, 0], d[0, 1], d[1, 1]))
+def comparison_angle_at(space, kappa: float, p, x, y):
+    """Comparison angle at p of each triangle {p, x, y} of a concrete space."""
+    (p, x, y), pick = space.configs(p, x, y)
+    d = np.sqrt(space.sqdist_batch(np.stack((p, x), 1), np.stack((x, y), 1)[:, None]))
+    return comparison_angle(kappa, TriangleSides(d[:, 0, 0], d[:, 0, 1], d[:, 1, 1]))[pick]
 
 
-def quadruple_defect(space, p, x, y, z, kappa: float) -> float:
-    """2 pi minus the three comparison angles at p of the quadruple (p; x, y, z).
+def quadruple_defect(space, p, x, y, z, kappa: float):
+    """2 pi minus the three comparison angles at p of each quadruple (p; x, y, z).
 
     Nonnegative output certifies this instance of the quadruple condition for
     curvature bounded below by kappa.  The six distinct sides come from one
     4 x 4 distance call, the three angles from one angle call.
     """
-    points = space.stack([p, x, y, z])
-    d = np.sqrt(space.sqdist_batch(points, points))
-    sides = TriangleSides(d[0, [1, 1, 2]], d[0, [2, 3, 3]], d[[1, 1, 2], [2, 3, 3]])
-    return 2.0 * math.pi - float(comparison_angle(kappa, sides).sum())
+    (p, x, y, z), pick = space.configs(p, x, y, z)
+    points = np.stack((p, x, y, z), 1)
+    d = np.sqrt(space.sqdist_batch(points, points[:, None]))
+    sides = TriangleSides(d[:, 0, [1, 1, 2]], d[:, 0, [2, 3, 3]], d[:, [1, 1, 2], [2, 3, 3]])
+    return (2.0 * math.pi - comparison_angle(kappa, sides).sum(axis=-1))[pick]
 
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    """Grid of comparison angles and the worst monotonicity violation found."""
+    """Grids of comparison angles and the worst monotonicity violations found."""
 
     grid: tuple
-    angles: np.ndarray  # shape (len(grid), len(grid)); [i, j] = angle(s_i, t_j)
-    max_violation: float
+    angles: np.ndarray  # (len(grid), len(grid)), or (Q,) + that; [..., i, j] = angle(s_i, t_j)
+    max_violation: float  # or (Q,)
 
 
 def angle_monotonicity_probe(space, p, x, y, kappa: float, grid) -> MonotonicityReport:
@@ -169,19 +165,17 @@ def angle_monotonicity_probe(space, p, x, y, kappa: float, grid) -> Monotonicity
         raise ValueError("grid values must lie in (0, 1]")
     if list(grid) != sorted(grid):
         raise ValueError("grid must be sorted ascending")
-    u, v = space.log_batch(p, space.stack([x, y]))[0]
-    px, py = space.exp(p, np.multiply.outer(grid, u)), space.exp(p, np.multiply.outer(grid, v))
-    d_p = np.sqrt(space.sqdist_batch(p, np.concatenate((px, py))))
-    d_xy = np.sqrt(space.sqdist_batch(px, py))
-    sides = TriangleSides(d_p[: len(grid), None], d_p[None, len(grid):], d_xy)
+    (p, x, y), pick = space.configs(p, x, y)
+    g = len(grid)
+    logs = space.log_batch(p, np.stack((x, y), 1))[0]
+    # (Q, 2, g): the geodesic points toward x, then toward y
+    ends = space.exp(p[:, None, None], np.moveaxis(np.multiply.outer(grid, logs), 0, 2))
+    d_p = np.sqrt(space.sqdist_batch(p, ends.reshape((-1, 2 * g) + space.point_shape)))
+    d_xy = np.sqrt(space.sqdist_batch(ends[:, 0], ends[:, 1, None]))
+    sides = TriangleSides(d_p[:, :g, None], d_p[:, None, g:], d_xy)
     angles = comparison_angle(kappa, sides)
-    violation = 0.0
-    if len(grid) > 1:
-        violation = max(
-            float(np.max(np.diff(angles, axis=0), initial=0.0)),
-            float(np.max(np.diff(angles, axis=1), initial=0.0)),
-        )
-    return MonotonicityReport(grid=grid, angles=angles, max_violation=max(violation, 0.0))
+    rises = (np.max(np.diff(angles, axis=a), axis=(1, 2), initial=0.0) for a in (1, 2))
+    return MonotonicityReport(grid, angles[pick], np.maximum(*rises)[pick])
 
 
 def tangent_inner(space, p, x, y) -> float:
@@ -189,9 +183,10 @@ def tangent_inner(space, p, x, y) -> float:
     return space.tangent_inner(p, space.log(p, x), space.log(p, y))
 
 
-def cone_distance(space, p, x, y) -> float:
-    """Cone-metric distance ||log_p(x) - log_p(y)||_p via polarization, from
-    one batched log call."""
-    logs, _ = space.log_batch(p, space.stack([x, y]))
-    uu, vv, uv = space.tangent_inner(p, logs[[0, 1, 0]], logs[[0, 1, 1]])
-    return math.sqrt(max(uu + vv - 2.0 * uv, 0.0))
+def cone_distance(space, p, x, y):
+    """Cone-metric distance ||log_p(x) - log_p(y)||_p of each configuration,
+    via polarization, from one batched log call."""
+    (p, x, y), pick = space.configs(p, x, y)
+    logs = space.log_batch(p, np.stack((x, y), 1))[0]
+    uu, vv, uv = space.tangent_inner(p[:, None], logs[:, [0, 1, 0]], logs[:, [0, 1, 1]]).T
+    return np.sqrt(np.maximum(uu + vv - 2.0 * uv, 0.0))[pick]

@@ -357,7 +357,7 @@ def _build_curvature(obj: dict, violations) -> dict:
 
 
 def _build_barycenter(obj: dict, violations) -> dict:
-    allowed = {"experiment", "points", "weights", "solver", "master_seed"}
+    allowed = {"experiment", "points", "weights", "solver"}
     _check_keys(obj, allowed, {"points"}, "config", violations)
     from .spaces import point_from_payload
 

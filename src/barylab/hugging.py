@@ -41,44 +41,49 @@ class HuggingReport:
 
 def hugging_values(space, b_star, bs, xs, logs=None, sqdist_b=None) -> np.ndarray:
     """Hugging coefficients at ``b_star`` of every target of the stacked batch
-    ``bs``, at every point of the stacked batch ``xs``: an (m, n) array.
+    ``bs``, at every point of the stacked batch ``xs``: an (m, n) array, or
+    (..., m, n) for ``b_star``, ``bs`` and ``xs`` with leading axes (...).
 
     1 - (||log(x) - log(b)||^2 - d^2(x, b)) / d^2(b, b_star), all log maps
     taken at ``b_star``.  A caller that holds the log payloads of ``xs`` at
-    ``b_star``, or the (m, n) d^2(bs, xs), passes them as ``logs`` or
+    ``b_star``, or the (..., m, n) d^2(bs, xs), passes them as ``logs`` or
     ``sqdist_b``.
     """
+    axes = len(space.point_shape)
     lb, d_bb = space.log_batch(b_star, bs)
     if np.any(d_bb <= COINCIDENT_TOL):
         raise CoincidentPoints("hugging target must differ from the base point")
     lx = space.log_batch(b_star, xs)[0] if logs is None else logs
-    sq_b = space.sqdist_batch(bs, xs) if sqdist_b is None else sqdist_b
-    gaps = lx - lb[:, None]
-    cone_sq = space.tangent_inner(b_star, gaps, gaps)
-    return 1.0 - (cone_sq - sq_b) / d_bb[:, None] ** 2
+    sq_b = space.sqdist_batch(bs, np.expand_dims(xs, -2 - axes)) if sqdist_b is None else sqdist_b
+    gaps = np.expand_dims(lx, -2 - axes) - np.expand_dims(lb, -1 - axes)
+    # b_star meets the (..., m, n) gaps on two new axes (a GaussianPoint broadcasts as is)
+    at = np.expand_dims(b_star, (-2 - axes, -1 - axes)) if np.ndim(b_star) else b_star
+    return 1.0 - (space.tangent_inner(at, gaps, gaps) - sq_b) / d_bb[..., None] ** 2
 
 
-def hugging_value(space, b_star, b, x) -> float:
-    """``hugging_values`` of the single target ``b`` at the single point ``x``."""
-    return float(hugging_values(space, b_star, space.stack([b]), space.stack([x]))[0, 0])
+def hugging_value(space, b_star, b, x):
+    """``hugging_values`` of each configuration's one target ``b`` and point ``x``."""
+    (b_star, b, x), pick = space.configs(b_star, b, x)
+    return hugging_values(space, b_star, b[:, None], x[:, None])[:, 0, 0][pick]
 
 
 def variance_equality_residual(space, dist: DiscreteDistribution, b_star, b,
-                               logs=None, sqdist_star=None) -> float:
+                               logs=None, sqdist_star=None):
     """Absolute defect of the variance identity at a numerical barycenter.
 
     |d^2(b, b*) . sum_i w_i k_i  -  sum_i w_i (d^2(x_i, b) - d^2(x_i, b*))|,
-    which vanishes when ``b_star`` is an exact barycenter of ``dist``.  A sweep
+    which vanishes when ``b_star`` is an exact barycenter of ``dist``: one
+    residual for one target ``b``, (Q,) for a (Q,) stack of targets.  A sweep
     over many targets passes the support's log payloads at ``b_star`` and its
     squared distances to ``b_star``, taken once, as ``logs`` and ``sqdist_star``.
     """
-    sqdist_b = space.sqdist_batch(b, dist.batch)
-    # rejects b = b_star
-    k_values = hugging_values(space, b_star, space.stack([b]), dist.batch, logs, sqdist_b[None])[0]
-    lhs = space.distance(b, b_star) ** 2 * float(dist.weights @ k_values)
-    if sqdist_star is None:
-        sqdist_star = space.sqdist_batch(b_star, dist.batch)
-    return abs(lhs - float(dist.weights @ (sqdist_b - sqdist_star)))
+    (bs,), pick = space.configs(b)
+    # d^2(b, x_i), then d^2(b, b*) in the last column, taken as pow(d, 2) below
+    sq = space.sqdist_batch(bs, np.concatenate((dist.batch, space.stack([b_star]))))
+    k_values = hugging_values(space, b_star, bs, dist.batch, logs, sq[:, :-1])  # rejects b = b_star
+    sqdist_star = space.sqdist_batch(b_star, dist.batch) if sqdist_star is None else sqdist_star
+    lhs = np.float_power(np.sqrt(sq[:, -1]), 2.0) * (k_values[:, None] @ dist.weights)[:, 0]
+    return np.abs(lhs - ((sq[:, :-1] - sqdist_star)[:, None] @ dist.weights)[:, 0])[pick]
 
 
 def extendibility_kmin(lambda_in: float, lambda_out: float) -> float:

@@ -171,6 +171,13 @@ class Space(abc.ABC):
         """Per-point view of a stacked batch."""
         return list(batch)
 
+    def configs(self, *points):
+        """Probe arguments as (Q,) + point_shape stacks (a point: a stack of one,
+        broadcast), and the index of the result to return (0 if all were points)."""
+        one = [np.ndim(x) <= len(self.point_shape) for x in points]
+        stacks = [self.stack([x] if o else x) for x, o in zip(points, one)]
+        return np.broadcast_arrays(*stacks), 0 if all(one) else slice(None)
+
     @abc.abstractmethod
     def log_batch(self, p, batch):
         """Log payloads and magnitudes for every point in ``batch`` from each

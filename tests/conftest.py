@@ -88,6 +88,22 @@ def separated_points(space, rng, count, min_sep=0.05):
             return pts
 
 
+def separated_stacks(space, rng, configs, count, min_sep=0.05):
+    """``configs`` configurations of ``separated_points`` as ``count`` stacks of
+    shape (configs,) + point_shape: the point arguments of one stacked probe
+    call.  Each round draws the configurations still needed and checks them
+    with one ``separated`` call; the ones it keeps, in order, are those a loop
+    of ``separated_points`` calls keeps, from the same draws."""
+    kept = []
+    while len(kept) < configs:
+        drawn = np.stack([
+            space.stack([probe_point(space, rng) for _ in range(count)])
+            for _ in range(configs - len(kept))
+        ])
+        kept += [config for config, ok in zip(drawn, separated(space, drawn, min_sep)) if ok]
+    return list(np.swapaxes(np.stack(kept), 0, 1))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

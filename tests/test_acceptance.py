@@ -28,7 +28,7 @@ from barylab.ratelab import run_rate_experiment, run_tail_experiment
 from barylab.reporting import write_rates_csv
 
 import conftest
-from conftest import TRUE_KAPPA, make_space, probe_point, separated_points
+from conftest import TRUE_KAPPA, make_space, probe_point, separated_stacks
 from test_barycenter import random_distribution
 
 SOLVER_TOL = 1e-10
@@ -217,17 +217,16 @@ def test_criterion_05_variance_equality(solved_instances):
             # the support's log maps and d^2 at b*, taken once for its 100 targets
             logs = space.log_batch(result.point, dist.batch)[0]
             sqdist_star = space.sqdist_batch(result.point, dist.batch)
-            for _ in range(100):
-                b = offset_point(space, result.point, rng)
-                d = space.distance(b, result.point)
-                if d <= 1e-8:
-                    continue
-                residual = bl.variance_equality_residual(
-                    space, dist, result.point, b, logs, sqdist_star
-                )
-                allowed = max(1e-8, 10.0 * SOLVER_TOL * d)
-                worst_excess = max(worst_excess, residual - allowed)
-                cases += 1
+            # the targets are drawn first, then evaluated in one stacked call
+            bs = space.stack([offset_point(space, result.point, rng) for _ in range(100)])
+            d = np.sqrt(space.sqdist_batch(bs, space.stack([result.point]))[:, 0])
+            bs, d = bs[d > 1e-8], d[d > 1e-8]
+            residuals = bl.variance_equality_residual(
+                space, dist, result.point, bs, logs, sqdist_star
+            )
+            allowed = np.maximum(1e-8, 10.0 * SOLVER_TOL * d)
+            worst_excess = max(worst_excess, float(np.max(residuals - allowed, initial=-math.inf)))
+            cases += len(d)
     elapsed = time.perf_counter() - start
     report(
         "5 (variance equality)",
@@ -248,33 +247,37 @@ def test_criterion_06_hugging_sign_and_bound():
         ("hyperbolic", 1.0 - 1e-9, math.inf),
     ):
         space = make_space(tag)
-        for _ in range(1000):
-            b_star, b, x = separated_points(space, rng, 3, min_sep=0.02)
-            k = bl.hugging_value(space, b_star, b, x)
-            sign_ok = sign_ok and lo <= k <= hi
+        # every case is drawn first, then evaluated in one stacked call
+        k = bl.hugging_value(space, *separated_stacks(space, rng, 1000, 3, min_sep=0.02))
+        sign_ok = sign_ok and bool(np.all((lo <= k) & (k <= hi)))
 
     bound_ok = True
     worst_margin = math.inf
     cap = SphereCap(0.3)
     ext = cap.support_extendibility()
     k_min_cap = bl.extendibility_kmin(ext.lambda_in, ext.lambda_out)
-    for _ in range(1000):
-        x = cap.sample(rng, 1)[0]
-        b = offset_point(cap.space, cap.anchor, rng, lo=0.05, hi=2.5)
-        k = bl.hugging_value(cap.space, cap.anchor, b, x)
-        worst_margin = min(worst_margin, k - k_min_cap)
-        bound_ok = bound_ok and k >= k_min_cap - 1e-7
+    draws = [
+        (cap.sample(rng, 1)[0], offset_point(cap.space, cap.anchor, rng, lo=0.05, hi=2.5))
+        for _ in range(1000)
+    ]
+    xs, bs = (cap.space.stack(points) for points in zip(*draws))
+    k = bl.hugging_value(cap.space, cap.anchor, bs, xs)
+    worst_margin = min(worst_margin, float(np.min(k - k_min_cap)))
+    bound_ok = bound_ok and bool(np.all(k >= k_min_cap - 1e-7))
     ensemble = GaussianEnsemble(0.8, 1.6, dim=3)
+    space = ensemble.space
     ext = ensemble.support_extendibility()
     k_min_ens = bl.extendibility_kmin(ext.lambda_in, ext.lambda_out)
-    for i in range(1000):
-        x = ensemble.sample(rng, 1)[0]
-        b = ensemble.sample(rng, 1)[0] if i % 2 else ensemble.space.random_point(rng)
-        if ensemble.space.distance(b, ensemble.anchor) <= 1e-9:
-            continue
-        k = bl.hugging_value(ensemble.space, ensemble.anchor, b, x)
-        worst_margin = min(worst_margin, k - k_min_ens)
-        bound_ok = bound_ok and k >= k_min_ens - 1e-7
+    draws = [
+        (ensemble.sample(rng, 1)[0],
+         ensemble.sample(rng, 1)[0] if i % 2 else space.random_point(rng))
+        for i in range(1000)
+    ]
+    xs, bs = (space.stack(points) for points in zip(*draws))
+    apart = np.sqrt(space.sqdist_batch(bs, space.stack([ensemble.anchor]))[:, 0]) > 1e-9
+    k = bl.hugging_value(space, ensemble.anchor, bs[apart], xs[apart])
+    worst_margin = min(worst_margin, float(np.min(k - k_min_ens)))
+    bound_ok = bound_ok and bool(np.all(k >= k_min_ens - 1e-7))
     report(
         "6 (hugging signs and extension bound)",
         sign_ok and bound_ok,
@@ -292,20 +295,17 @@ def test_criterion_07_comparison_geometry_suite():
     for tag in sorted(TRUE_KAPPA):
         space = make_space(tag)
         kappa = TRUE_KAPPA[tag]
-        for _ in range(1000):
-            p, x, y, z = separated_points(space, rng, 4, min_sep=0.03)
-            worst_defect = min(worst_defect, quadruple_defect(space, p, x, y, z, kappa))
-        for _ in range(100):
-            p, x, y = separated_points(space, rng, 3, min_sep=0.03)
-            probe = angle_monotonicity_probe(
-                space, p, x, y, kappa, [0.25, 0.5, 0.75, 1.0]
-            )
-            worst_mono = max(worst_mono, probe.max_violation)
+        # each probe's configurations are drawn first, then evaluated in one
+        # stacked call
+        quadruples = separated_stacks(space, rng, 1000, 4, min_sep=0.03)
+        worst_defect = min(worst_defect, float(np.min(quadruple_defect(space, *quadruples, kappa))))
+        triples = separated_stacks(space, rng, 100, 3, min_sep=0.03)
+        probe = angle_monotonicity_probe(space, *triples, kappa, [0.25, 0.5, 0.75, 1.0])
+        worst_mono = max(worst_mono, float(np.max(probe.max_violation)))
         sign = -1.0 if space.curv_upper <= 0 else 1.0
-        for _ in range(1000):
-            p, x, y = separated_points(space, rng, 3, min_sep=0.03)
-            gap = cone_distance(space, p, x, y) - space.distance(x, y)
-            cone_ok = cone_ok and sign * gap >= -1e-9
+        p, x, y = separated_stacks(space, rng, 1000, 3, min_sep=0.03)
+        gap = cone_distance(space, p, x, y) - np.sqrt(space.sqdist_batch(x, y[:, None])[:, 0])
+        cone_ok = cone_ok and bool(np.all(sign * gap >= -1e-9))
     elapsed = time.perf_counter() - start
     report(
         "7 (comparison geometry suite)",

@@ -194,6 +194,22 @@ class TestBarycenter:
         expected = 1.0 / np.sqrt(3.0)
         assert np.allclose(doc["point"]["coords"], expected, atol=1e-6)
 
+    def test_master_seed_is_an_unknown_key(self, tmp_path, capsys):
+        """A solve draws nothing, so a seed in its config is refused (exit 1)
+        rather than accepted, ignored and recorded in the manifest as 0."""
+        cfg = write_config(
+            tmp_path,
+            {
+                "experiment": "barycenter",
+                "points": [{"space": "euclidean", "coords": [0.0, 1.0]}],
+                "master_seed": 7,
+            },
+        )
+        out = tmp_path / "out"
+        assert run(["barycenter", "--config", cfg, "--out", out]) == 1
+        assert "error[config]: config: unknown key 'master_seed'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 TAIL_CONFIG = {
     "experiment": "tail",

@@ -381,16 +381,18 @@ class TestBatchedProbesMatchScalarReference:
             )
 
     def test_quadruple_defect_makes_one_distance_call(self, any_space, rng):
-        """The six distinct sides come from one 4 x 4 ``sqdist_batch`` call,
-        with the four points as both the base stack and the batch."""
+        """The six distinct sides come from one ``sqdist_batch`` call with a
+        4 x 4 result, the four points as both the base stack and the batch
+        (which meets the bases on an added axis)."""
         space = any_space
         p, x, y, z = separated_points(space, rng, 4)
         kernel = space.sqdist_batch
         calls = []
 
         def spy(base, batch):
-            calls.append((len(base), len(batch)))
-            return kernel(base, batch)
+            out = kernel(base, batch)
+            calls.append(out.shape[-2:])
+            return out
 
         space.sqdist_batch = spy
         bl.quadruple_defect(space, p, x, y, z, TRUE_KAPPA[space.tag])

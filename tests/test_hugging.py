@@ -127,21 +127,25 @@ class TestVarianceEquality:
 
     def test_sweep_takes_the_support_maps_once(self, monkeypatch):
         """hugging_sweep takes the support's log maps at b_star and its squared
-        distances to b_star once, and d^2(b, support) once a case."""
+        distances to b_star once, and d^2(b, support) once for its whole
+        block of cases: the calls over the support do not grow with n_cases."""
         family = GaussianEnsemble(0.8, 1.6, dim=3)
-        n_support, n_cases = 30, 20
+        n_support = 50
         calls = collections.Counter()
         space_cls = type(family.space)
         for name in ("log_batch", "sqdist_batch"):
 
             def spy(self, p, batch, _method=getattr(space_cls, name), _name=name):
-                calls[_name] += len(batch) == n_support
+                # the residuals' call takes b_star beside the support
+                calls[_name] += np.shape(batch)[-3] in (n_support, n_support + 1)
                 return _method(self, p, batch)
 
             monkeypatch.setattr(space_cls, name, spy)
-        hugging_sweep(family, n_support, n_cases, 1)
-        # the solver's final objective makes the one further sqdist_batch call
-        assert calls == {"log_batch": 1, "sqdist_batch": n_cases + 2}
+        for n_cases in (5, 40):
+            calls.clear()
+            hugging_sweep(family, n_support, n_cases, 1)
+            # the solver's final objective makes one further sqdist_batch call
+            assert calls == {"log_batch": 1, "sqdist_batch": 3}
 
     def test_mean_hugging_nonnegative_at_barycenter(self, any_space, rng):
         """The weighted hugging average stays nonnegative at the optimum."""
