@@ -234,7 +234,7 @@ def _batch_of_one(dist: DiscreteDistribution):
 
 def _single(dist: DiscreteDistribution, solved: BatchResult) -> BarycenterResult:
     """The one result of a batch of one, with its objective."""
-    point = dist.space.unstack(solved.points)[0]
+    point = solved.points[0]
     return BarycenterResult(
         point,
         variance(dist, point),
@@ -272,7 +272,7 @@ def bures_fixed_point(
 
 def best_support_init(dist: DiscreteDistribution):
     """Descent warm start, chosen by the space in O(n) (``Space.warm_start``)."""
-    return dist.space.unstack(dist.space.warm_start(*_batch_of_one(dist)))[0]
+    return dist.space.warm_start(*_batch_of_one(dist))[0]
 
 
 def empirical_barycenter(
@@ -282,7 +282,7 @@ def empirical_barycenter(
     or a stacked batch (``Family.sample_batch``): descent from the space's
     ``warm_start`` (the weighted mean on flat and Gaussian spaces, an O(n)
     projected extrinsic mean on the sphere and the hyperboloid)."""
-    dist = DiscreteDistribution.uniform(space, sample)
+    dist = DiscreteDistribution(space, sample)
     if len(dist) == 1:
         return BarycenterResult(dist.points[0], 0.0, 0.0, 0, True)
     return barycenter(dist, opts)

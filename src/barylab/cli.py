@@ -199,13 +199,7 @@ def _cmd_curvature(args, payload: dict, out: Path, started: str) -> int:
 
 def _cmd_barycenter(args, payload: dict, out: Path, started: str) -> int:
     space = payload["space"]
-    if payload["weights"] is None:
-        dist = DiscreteDistribution.uniform(space, payload["points"])
-    else:
-        import numpy as np
-
-        weights = np.asarray(payload["weights"], float)
-        dist = DiscreteDistribution(space, payload["points"], weights / weights.sum())
+    dist = DiscreteDistribution(space, payload["points"], payload["weights"])
     result = barycenter(dist, payload["solver"])
     json_path = out / "barycenter.json"
     doc = {

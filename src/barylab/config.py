@@ -13,8 +13,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .barycenter import SolverOptions
-from .errors import BadFamilyParams, ParseError, ValidationError
+from .errors import BadFamilyParams, NotPositiveDefinite, ParseError, ValidationError
 from .families import Family, family_from_config
 from .ratelab import COUNT_CEILING, RateExperimentConfig, estimate_hugging_profile
 from .spaces import BuresWasserstein, Euclidean, Hyperboloid, QuantileSpace, Sphere
@@ -369,7 +371,7 @@ def _build_barycenter(obj: dict, violations) -> dict:
         for i, payload in enumerate(raw_points):
             try:
                 this_space, point = point_from_payload(payload)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, NotPositiveDefinite) as exc:
                 violations.append(f"points[{i}]: {exc}")
                 continue
             if space is None:
@@ -388,6 +390,9 @@ def _build_barycenter(obj: dict, violations) -> dict:
         ):
             violations.append("'weights' must be positive numbers, one per point")
             weights = None
+        else:
+            weights = np.asarray(weights, float)
+            weights = weights / weights.sum()
     return {
         "space": space,
         "points": points,

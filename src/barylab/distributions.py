@@ -42,14 +42,10 @@ class DiscreteDistribution:
 
     @cached_property
     def points(self) -> list:
-        return self.space.unstack(self.batch)
+        return list(self.batch)
 
     def __len__(self) -> int:
         return len(self.weights)
 
     def __repr__(self):
         return f"DiscreteDistribution({self.space!r}, n={len(self)})"
-
-    @classmethod
-    def uniform(cls, space: Space, points) -> "DiscreteDistribution":
-        return cls(space, points)

@@ -63,7 +63,7 @@ class Family(abc.ABC):
         """JSON-ready parameter echo."""
 
     def sample(self, rng: np.random.Generator, count: int) -> list:
-        return self.space.unstack(self.sample_batch(rng, count))
+        return list(self.sample_batch(rng, count))
 
     def sample_batch(self, rng: np.random.Generator, count: int):
         """Batch of draws in the space's stacked representation."""
@@ -282,7 +282,7 @@ class GaussianEnsemble(Family):
             raise BadFamilyParams("need 0 < alpha < 1 < beta")
         self.space = BuresWasserstein(dim)
         cov = np.eye(dim) if base_cov is None else np.asarray(base_cov, float)
-        self.anchor = GaussianPoint(np.zeros(dim), cov)
+        self.anchor = GaussianPoint(np.zeros(dim), cov).row
         self.alpha = float(alpha)
         self.beta = float(beta)
         # weight of the [alpha, 1] segment that puts the eigenvalue mean at 1
@@ -316,7 +316,7 @@ class GaussianEnsemble(Family):
         # the eigenvalue draws already bound
         maps = self.draw_maps(rng, count)
         batch = np.zeros((count,) + self.space.point_shape)
-        batch[:, 1:] = sym(maps @ self.anchor.cov @ maps)  # the means stay 0
+        batch[:, 1:] = sym(maps @ self.anchor[1:] @ maps)  # the means stay 0
         return batch
 
     def anchor_log_sums(self, rng, count):
@@ -329,14 +329,14 @@ class GaussianEnsemble(Family):
         cols, gaps = np.swapaxes(q, 0, 1).reshape(d, count * d), (eigs - 1.0).ravel()
         payload_sum = np.zeros((d + 1, d))
         payload_sum[1:] = sym((cols * gaps) @ cols.T)
-        return payload_sum, float(np.einsum("ij,ji->", self.anchor.cov, (cols * gaps**2) @ cols.T))
+        return payload_sum, float(np.einsum("ij,ji->", self.anchor[1:], (cols * gaps**2) @ cols.T))
 
     def sigma2(self):
         # sum_i E(e_i - 1)^2 E q_i^T C q_i: a Haar column gives tr C / d whatever
         # the eigenvalues, and a uniform segment from 1 to x gives (x - 1)^2 / 3
         p = self._p_lo
         spread = p * (1.0 - self.alpha) ** 2 + (1.0 - p) * (self.beta - 1.0) ** 2
-        return float(np.trace(self.anchor.cov)) * spread / 3.0
+        return float(np.trace(self.anchor[1:])) * spread / 3.0
 
     def subgaussian_moment(self, varsigma2):
         # given Q, d^2 = sum_i a_i (e_i - 1)^2 with a = diag(Q^T C Q), so the moment is
@@ -344,7 +344,7 @@ class GaussianEnsemble(Family):
         # (Schur-Horn) and log psi is convex, so prod_i psi(lam_i) bounds it, exact for C = cI
         nodes, weights = _unit_rule()
         gaps = np.array([[1.0 - self.alpha], [self.beta - 1.0]]) * nodes
-        lam = np.linalg.eigvalsh(self.anchor.cov)
+        lam = np.linalg.eigvalsh(self.anchor[1:])
         with np.errstate(over="ignore"):
             psi = np.exp(lam[:, None, None] * gaps**2 / (2.0 * varsigma2)) @ weights
         return float(np.prod(psi @ [self._p_lo, 1.0 - self._p_lo]))
@@ -355,9 +355,8 @@ class GaussianEnsemble(Family):
         eigs = np.ones(d)
         eigs[0] = self.beta
         eigs[-1] = self.alpha
-        extreme = GaussianPoint(
-            np.zeros(d), sym(np.diag(eigs) @ self.anchor.cov @ np.diag(eigs))
-        )
+        extreme = np.zeros(self.space.point_shape)
+        extreme[1:] = sym(np.diag(eigs) @ self.anchor[1:] @ np.diag(eigs))
         return self.space.max_extendibility(self.anchor, extreme)
 
     def describe(self) -> dict:
@@ -366,7 +365,7 @@ class GaussianEnsemble(Family):
             "dim": self.space.dim,
             "alpha": self.alpha,
             "beta": self.beta,
-            "base_cov": [[float(c) for c in row] for row in self.anchor.cov],
+            "base_cov": [[float(c) for c in row] for row in self.anchor[1:]],
         }
 
 

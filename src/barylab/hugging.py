@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution
 from .errors import BadBounds, BadLambda, CoincidentPoints
-from .spaces import BuresWasserstein, Extendibility, GaussianPoint, componentwise_inf
+from .spaces import BuresWasserstein, Extendibility, componentwise_inf
 
 COINCIDENT_TOL = 1e-12
 
@@ -56,8 +56,8 @@ def hugging_values(space, b_star, bs, xs, logs=None, sqdist_b=None) -> np.ndarra
     lx = space.log_batch(b_star, xs)[0] if logs is None else logs
     sq_b = space.sqdist_batch(bs, np.expand_dims(xs, -2 - axes)) if sqdist_b is None else sqdist_b
     gaps = np.expand_dims(lx, -2 - axes) - np.expand_dims(lb, -1 - axes)
-    # b_star meets the (..., m, n) gaps on two new axes (a GaussianPoint broadcasts as is)
-    at = np.expand_dims(b_star, (-2 - axes, -1 - axes)) if np.ndim(b_star) else b_star
+    # b_star meets the (..., m, n) gaps on two new axes
+    at = np.expand_dims(b_star, (-2 - axes, -1 - axes))
     return 1.0 - (space.tangent_inner(at, gaps, gaps) - sq_b) / d_bb[..., None] ** 2
 
 
@@ -121,14 +121,15 @@ def exp_barycenter_residual(space, dist: DiscreteDistribution, b) -> float:
     return float(space.tangent_inner(b, mean, mean))
 
 
-def bures_potential_bounds(b_star: GaussianPoint, mu: GaussianPoint) -> tuple[float, float]:
-    """Convexity and smoothness bounds of the transport potential to ``mu``.
+def bures_potential_bounds(b_star, mu) -> tuple[float, float]:
+    """Convexity and smoothness bounds of the transport potential to ``mu``,
+    both Gaussian rows [mean; cov].
 
     For Gaussians the optimal map is affine, so the potential's strong
     convexity and smoothness constants are the extreme eigenvalues of the
     linear transport map.
     """
-    return BuresWasserstein(b_star.dim).transport_map_bounds(b_star, mu)
+    return BuresWasserstein(np.shape(b_star)[-1]).transport_map_bounds(b_star, mu)
 
 
 def wasserstein_kmin(alpha: float, beta: float) -> float:

@@ -1,10 +1,11 @@
 """Common interface for the concrete model spaces.
 
-A point is a space-native value (an ndarray for the vector-like spaces, a
-``GaussianPoint`` for the Bures-Wasserstein space); a stacked batch of
-points is one float array in every space.  Tangent vectors are
-represented by a payload array whose algebra (scaling, sums) matches the
-tangent-cone structure, so weighted log-map averages are plain array sums.
+A point is a float array of the space's ``point_shape`` in every space (the
+(D+1, D) row [mean; cov] of a Gaussian in the Bures-Wasserstein space), and
+a stacked batch of n points is one (n,) + point_shape array.  Tangent
+vectors are represented by a payload array whose algebra (scaling, sums)
+matches the tangent-cone structure, so weighted log-map averages are plain
+array sums.
 
 Every kernel broadcasts a base ``p`` with leading axes against a batch of
 shape (..., n) + point_shape as ``p[..., None]`` over the point axes: m stacked
@@ -166,10 +167,6 @@ class Space(abc.ABC):
         if len(batch) and batch.shape[1:] != self.point_shape:
             raise ValueError(f"points of shape {batch.shape[1:]}, expected {self.point_shape}")
         return batch
-
-    def unstack(self, batch) -> list:
-        """Per-point view of a stacked batch."""
-        return list(batch)
 
     def configs(self, *points):
         """Probe arguments as (Q,) + point_shape stacks (a point: a stack of one,

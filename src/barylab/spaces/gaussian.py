@@ -4,8 +4,8 @@ Distances, geodesics and log/exp are closed-form in the mean and covariance.
 A tangent payload is the affine displacement map z -> u + L (z - mean),
 stored as the (D+1, D) array [u; L]; its norm in L2 of the base Gaussian is
 the cone norm, so payload algebra matches the tangent-cone structure.  A
-stacked batch of points takes the same layout: each point N(m, C) is the
-(D+1, D) array [m; C].
+point N(m, C) takes the same layout, the (D+1, D) array [m; C], and a
+stacked batch of n points is the (n, D+1, D) array of their rows.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .base import Extendibility, Space
 
 @dataclass(frozen=True, eq=False)
 class GaussianPoint:
-    """A Gaussian N(mean, cov) with SPD covariance."""
+    """A Gaussian N(mean, cov) with SPD covariance, validated: the constructor
+    of a point from outside input, whose ``row`` is the point itself."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -44,8 +45,9 @@ class GaussianPoint:
         spd_check(self.cov, "covariance")
 
     @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
+    def row(self) -> np.ndarray:
+        """The point as the kernels take it: the (D+1, D) array [mean; cov]."""
+        return np.concatenate((self.mean[None], self.cov))
 
 
 class BuresWasserstein(Space):
@@ -57,35 +59,35 @@ class BuresWasserstein(Space):
     max_step = 1.0
 
     def check_point(self, x) -> None:
-        if not isinstance(x, GaussianPoint) or x.dim != self.dim:
-            raise ValueError(f"expected a GaussianPoint of dimension {self.dim}")
-        spd_check(x.cov, "covariance")
+        if np.shape(x) != self.point_shape:
+            raise ValueError(f"expected a [mean; cov] row of shape {self.point_shape}")
+        spd_check(np.asarray(x, float)[1:], "covariance")
 
     def random_point(self, rng):
         q = positive_qr_q(rng.standard_normal((self.dim, self.dim)))
         eig = rng.uniform(0.5, 2.0, self.dim)
-        cov = (q * eig) @ q.T
-        return GaussianPoint(0.5 * rng.standard_normal(self.dim), sym(cov))
+        cov = sym((q * eig) @ q.T)
+        return np.concatenate((0.5 * rng.standard_normal((1, self.dim)), cov))
 
     def point_payload(self, x) -> dict:
         return {
             "space": self.tag,
-            "mean": [float(c) for c in x.mean],
-            "cov": [[float(c) for c in row] for row in x.cov],
+            "mean": [float(c) for c in x[0]],
+            "cov": [[float(c) for c in row] for row in x[1:]],
         }
 
     def point_from_payload(self, obj):
-        pt = GaussianPoint(np.asarray(obj["mean"], float), np.asarray(obj["cov"], float))
-        self.check_point(pt)
-        return pt
+        x = GaussianPoint(obj["mean"], obj["cov"]).row
+        self.check_point(x)
+        return x
 
     # -- metric ----------------------------------------------------------------
 
-    def transport_map(self, p: GaussianPoint, x: GaussianPoint) -> np.ndarray:
+    def transport_map(self, p, x) -> np.ndarray:
         """Linear part A of the optimal map from p to x (SPD)."""
-        return np.eye(self.dim) + self._map_gaps(p, x.cov[None])[0]
+        return np.eye(self.dim) + self._map_gaps(p, x[None, 1:])[0]
 
-    def transport_map_bounds(self, p: GaussianPoint, x: GaussianPoint) -> tuple[float, float]:
+    def transport_map_bounds(self, p, x) -> tuple[float, float]:
         """Least and greatest eigenvalues of ``transport_map(p, x)``."""
         eig = np.linalg.eigvalsh(self.transport_map(p, x))
         return float(eig[0]), float(eig[-1])
@@ -101,7 +103,7 @@ class BuresWasserstein(Space):
         root gives X to relative precision however close C is to C_p, where
         forming A and subtracting I would leave only rounding noise.
         """
-        cov = self._parts(p)[1][..., None, :, :]  # the batch axis
+        cov = p[..., None, 1:, :]  # the batch axis
         lam, v = spd_eigh(cov)
         r, eye, vt = np.sqrt(lam), np.eye(self.dim), np.swapaxes(v, -1, -2)
         d = r[..., :, None] * (vt @ (covs - cov) @ v) * r[..., None, :]
@@ -126,35 +128,23 @@ class BuresWasserstein(Space):
 
     # -- tangent cone ------------------------------------------------------------
 
-    @staticmethod
-    def _parts(p):
-        """Mean and covariance of a ``GaussianPoint``, or of stacked
-        (..., D+1, D) rows."""
-        if isinstance(p, GaussianPoint):
-            return p.mean, p.cov
-        return p[..., 0, :], p[..., 1:, :]
-
     def exp(self, p, v):
-        """Exponential map at a ``GaussianPoint`` or stacked rows ``p``, broadcast
-        against the payloads ``v``; stacked payloads or rows give stacked rows."""
-        payload = np.asarray(v, dtype=float)
-        t = np.eye(self.dim) + payload[..., 1:, :]
+        """Exponential map at rows ``p``, broadcast against the payloads ``v``."""
+        v = np.asarray(v, dtype=float)
+        t = np.eye(self.dim) + v[..., 1:, :]
         if np.min(np.linalg.eigvalsh(sym(t))) <= SPD_EIG_FLOOR:
             raise OutOfDomain("induced map I + L is not positive definite")
-        mean, cov = self._parts(p)
-        mean, cov = mean + payload[..., 0, :], sym(t @ cov @ t)
-        if isinstance(p, GaussianPoint) and payload.ndim == 2:
-            return GaussianPoint(mean, cov)
+        mean, cov = p[..., 0, :] + v[..., 0, :], sym(t @ p[..., 1:, :] @ t)
         return np.concatenate((mean[..., None, :], cov), axis=-2)
 
     def tangent_inner(self, p, u_payload, v_payload):
         u1, l1 = u_payload[..., 0, :], u_payload[..., 1:, :]
         u2, l2 = v_payload[..., 0, :], v_payload[..., 1:, :]
         return np.einsum("...i,...i->...", u1, u2) + np.einsum(
-            "...ij,...ji->...", l1 @ self._parts(p)[1], l2
+            "...ij,...ji->...", l1 @ p[..., 1:, :], l2
         )
 
-    def tangent_part(self, p: GaussianPoint, v):
+    def tangent_part(self, p, v):
         # a displacement map's linear part L is symmetric
         return np.concatenate((v[..., :1, :], sym(v[..., 1:, :])), axis=-2)
 
@@ -163,16 +153,6 @@ class BuresWasserstein(Space):
     @property
     def point_shape(self) -> tuple:
         return (self.dim + 1, self.dim)
-
-    def stack(self, points):
-        """The (n, D+1, D) batch of [mean; cov] rows of a sequence of
-        ``GaussianPoint``; a stacked batch passes through."""
-        if not isinstance(points, np.ndarray):
-            points = [np.concatenate((pt.mean[None], pt.cov)) for pt in points]
-        return super().stack(points)
-
-    def unstack(self, batch) -> list:
-        return [GaussianPoint(row[0], row[1:]) for row in batch]
 
     def log_batch(self, p, batch):
         payloads, mags_sq = self._log_sq(p, batch)
@@ -198,7 +178,7 @@ class BuresWasserstein(Space):
         sum_i w_i |m_i - m|^2 + tr C + tr(sum_i w_i C_i) - 2 tr X.  S and
         S^-1 come from one eigendecomposition per problem; the distances
         are None."""
-        mean, cov = self._parts(p)
+        mean, cov = p[..., 0, :], p[..., 1:, :]
         lam, v = spd_eigh(cov)
         r = np.sqrt(lam)[..., None, :]
         vt = np.swapaxes(v, -1, -2)
@@ -216,8 +196,8 @@ class BuresWasserstein(Space):
     def _log_sq(self, p, batch):
         """Log payloads [u; L] = [m_i - m; A_i - I] and their squared norms;
         stacked base rows meet the batch as ``p[..., None, :, :]``."""
-        base = p if isinstance(p, GaussianPoint) else p[..., None, :, :]
-        mean, cov = self._parts(base)
+        base = p[..., None, :, :]
+        mean, cov = base[..., 0, :], base[..., 1:, :]
         means, covs = batch[..., 0, :], batch[..., 1:, :]
         payloads = np.concatenate(((means - mean)[..., None, :], self._map_gaps(p, covs)), -2)
         tip = np.all(means == mean, axis=-1) & np.all(covs == cov, axis=(-2, -1))

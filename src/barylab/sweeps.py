@@ -59,7 +59,7 @@ def hugging_sweep(
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(master_seed), 11]))
     space = family.space
-    dist = DiscreteDistribution.uniform(space, family.sample_batch(rng, n_support))
+    dist = DiscreteDistribution(space, family.sample_batch(rng, n_support))
     result = barycenter(dist, solver)
     if not result.converged:
         raise DiscardRateExceeded("hugging sweep barycenter did not converge")

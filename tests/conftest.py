@@ -68,6 +68,11 @@ def make_space(tag):
     return SPACE_FACTORIES[tag]()
 
 
+def gaussian(mean, cov) -> np.ndarray:
+    """The Bures-Wasserstein point N(mean, cov): its (d+1, d) row [mean; cov]."""
+    return np.concatenate((np.asarray(mean, float)[None], np.asarray(cov, float)))
+
+
 def random_quantile_point(space, rng):
     """Random Gaussian quantile curve, for diagnostics on the quantile space."""
     return gaussian_quantile_grid(space, rng.normal(), rng.uniform(0.5, 1.5))

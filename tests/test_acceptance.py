@@ -181,17 +181,17 @@ def test_criterion_04_wasserstein_corollary():
     for _ in range(5):
         pts = ensemble_1d.sample(rng, 12)
         bures = bl.bures_fixed_point(
-            bl.DiscreteDistribution.uniform(ensemble_1d.space, pts)
+            bl.DiscreteDistribution(ensemble_1d.space, pts)
         )
         grids = [
             gaussian_quantile_grid(
-                qspace, float(p.mean[0]), math.sqrt(float(p.cov[0, 0]))
+                qspace, float(p[0, 0]), math.sqrt(float(p[1, 0]))
             )
             for p in pts
         ]
-        qmean = bl.quantile_mean(bl.DiscreteDistribution.uniform(qspace, grids))
+        qmean = bl.quantile_mean(bl.DiscreteDistribution(qspace, grids))
         bures_grid = gaussian_quantile_grid(
-            qspace, float(bures.point.mean[0]), math.sqrt(float(bures.point.cov[0, 0]))
+            qspace, float(bures.point[0, 0]), math.sqrt(float(bures.point[1, 0]))
         )
         gap = qspace.distance(qmean, bures_grid)
         worst_gap = max(worst_gap, gap)

@@ -30,7 +30,7 @@ from barylab.linalg import positive_qr_q, spd_sqrt_batch, sym, weighted_sum
 from barylab.ratelab import TRIAL_FLOAT_BUDGET
 from barylab.spaces import Space
 
-from conftest import probe_point, separated_points
+from conftest import gaussian, probe_point, separated_points
 
 
 def random_distribution(space, rng, n=8, weighted=True):
@@ -47,25 +47,25 @@ def random_distribution(space, rng, n=8, weighted=True):
     if weighted:
         w = rng.uniform(0.2, 1.0, n)
         return bl.DiscreteDistribution(space, pts, w / w.sum())
-    return bl.DiscreteDistribution.uniform(space, pts)
+    return bl.DiscreteDistribution(space, pts)
 
 
 class TestVariance:
     def test_point_mass_at_itself(self, any_space, rng):
         x = probe_point(any_space, rng)
-        dist = bl.DiscreteDistribution.uniform(any_space, [x])
+        dist = bl.DiscreteDistribution(any_space, [x])
         assert bl.variance(dist, x) <= 1e-12
 
     def test_euclidean_two_points(self):
         space = bl.Euclidean(1)
-        dist = bl.DiscreteDistribution.uniform(
+        dist = bl.DiscreteDistribution(
             space, [np.array([-1.0]), np.array([1.0])]
         )
         assert bl.variance(dist, np.array([0.0])) == pytest.approx(1.0)
 
     def test_sphere_axis_points(self):
         space = bl.Sphere(2)
-        dist = bl.DiscreteDistribution.uniform(space, list(np.eye(3)))
+        dist = bl.DiscreteDistribution(space, list(np.eye(3)))
         center = np.ones(3) / math.sqrt(3.0)
         expected = math.acos(1.0 / math.sqrt(3.0)) ** 2  # arccos oracle
         assert bl.variance(dist, center) == pytest.approx(expected, abs=1e-12)
@@ -84,34 +84,34 @@ class TestDistribution:
 
     def test_space_mismatch(self):
         with pytest.raises(SpaceMismatch):
-            bl.DiscreteDistribution.uniform(
+            bl.DiscreteDistribution(
                 bl.Euclidean(2), [np.zeros(2), np.zeros(3)]
             )
 
     def test_euclidean_point_shape_checked(self):
         with pytest.raises(SpaceMismatch):
-            bl.DiscreteDistribution.uniform(bl.Euclidean(2), [np.zeros(3), np.ones(3)])
+            bl.DiscreteDistribution(bl.Euclidean(2), [np.zeros(3), np.ones(3)])
         with pytest.raises(SpaceMismatch):
-            bl.DiscreteDistribution.uniform(bl.Euclidean(2), np.zeros((2, 2, 1)))
+            bl.DiscreteDistribution(bl.Euclidean(2), np.zeros((2, 2, 1)))
 
     def test_sphere_and_hyperboloid_point_shape_checked(self):
         space = bl.Sphere(2)
         with pytest.raises(SpaceMismatch):
-            bl.DiscreteDistribution.uniform(space, list(np.eye(4)))
+            bl.DiscreteDistribution(space, list(np.eye(4)))
         with pytest.raises(SpaceMismatch):
-            bl.DiscreteDistribution.uniform(bl.Hyperboloid(2), [np.array([1.0, 0.0])])
-        assert len(bl.DiscreteDistribution.uniform(space, list(np.eye(3)))) == 3
+            bl.DiscreteDistribution(bl.Hyperboloid(2), [np.array([1.0, 0.0])])
+        assert len(bl.DiscreteDistribution(space, list(np.eye(3)))) == 3
 
     def test_bures_point_shape_checked(self):
         space = bl.BuresWasserstein(2)
-        wrong = bl.GaussianPoint(np.zeros(3), np.eye(3))
+        wrong = gaussian(np.zeros(3), np.eye(3))
         with pytest.raises(SpaceMismatch):
-            bl.DiscreteDistribution.uniform(space, [wrong, wrong])
-        batch = space.stack([bl.GaussianPoint(np.zeros(2), np.eye(2))] * 2)
+            bl.DiscreteDistribution(space, [wrong, wrong])
+        batch = space.stack([gaussian(np.zeros(2), np.eye(2))] * 2)
         for wrong in (np.zeros((2, 4, 3)), batch[:, 1:], batch[:, 0]):
             with pytest.raises(SpaceMismatch):
-                bl.DiscreteDistribution.uniform(space, wrong)
-        assert len(bl.DiscreteDistribution.uniform(space, batch)) == 2
+                bl.DiscreteDistribution(space, wrong)
+        assert len(bl.DiscreteDistribution(space, batch)) == 2
 
 
 class TestEuclidean:
@@ -144,7 +144,7 @@ class TestSphereDescent:
         assert space.distance(res.point, expected) <= 1e-9
         assert res.grad_norm <= 1e-10
         # competitors at a measurable radius never beat the solution
-        dist = bl.DiscreteDistribution.uniform(space, list(np.eye(3)))
+        dist = bl.DiscreteDistribution(space, list(np.eye(3)))
         base = bl.variance(dist, res.point)
         for _ in range(200):
             v = space.random_tangent(res.point, rng)
@@ -213,7 +213,7 @@ class TestSolverErrors:
         space = bl.Sphere(2)
         pole = np.array([0.0, 0.0, 1.0])
         near_antipode = space.exp(pole, np.array([math.pi - 1e-10, 0.0, 0.0]))
-        dist = bl.DiscreteDistribution.uniform(space, [pole, near_antipode])
+        dist = bl.DiscreteDistribution(space, [pole, near_antipode])
         from barylab.errors import CutLocusDuringIteration
 
         with pytest.raises(CutLocusDuringIteration):
@@ -221,7 +221,7 @@ class TestSolverErrors:
 
     def test_variance_space_mismatch(self, rng):
         space = bl.Euclidean(2)
-        dist = bl.DiscreteDistribution.uniform(space, [np.zeros(2), np.ones(2)])
+        dist = bl.DiscreteDistribution(space, [np.zeros(2), np.ones(2)])
         with pytest.raises(SpaceMismatch):
             bl.variance(dist, np.zeros(3))
 
@@ -248,7 +248,7 @@ class TestHyperbolicDescent:
         iterations unconverged, from either start."""
         family = HyperbolicGaussian(1.5)
         points = family.sample(np.random.default_rng(2), 3)
-        res = barycenter(bl.DiscreteDistribution.uniform(family.space, points))
+        res = barycenter(bl.DiscreteDistribution(family.space, points))
         assert res.converged
         assert res.iters <= 100
 
@@ -260,7 +260,7 @@ class TestHyperbolicDescent:
             seed
             for seed in range(200)
             if not barycenter(
-                bl.DiscreteDistribution.uniform(
+                bl.DiscreteDistribution(
                     family.space, family.sample(np.random.default_rng(seed), 3)
                 )
             ).converged
@@ -275,16 +275,12 @@ class TestStackedSolve:
         dists = [random_distribution(any_space, rng) for _ in range(5)]
         batch = np.stack([d.batch for d in dists])
         solved = barycenter_batch(any_space, batch, np.stack([d.weights for d in dists]))
-        for i, (dist, row) in enumerate(zip(dists, any_space.unstack(solved.points))):
+        for i, (dist, row) in enumerate(zip(dists, solved.points)):
             single = barycenter(dist)
             assert single.converged and solved.converged[i]
             assert single.iters == solved.iters[i]
             assert single.grad_norm == solved.grad_norm[i]
-            if any_space.tag == "gaussian":
-                assert np.array_equal(single.point.mean, row.mean)
-                assert np.array_equal(single.point.cov, row.cov)
-            else:
-                assert np.array_equal(single.point, row)
+            assert np.array_equal(single.point, row)
 
 
 class TestStackedDescentRows:
@@ -392,7 +388,7 @@ class TestStackedSolveMemory:
 class TestQuantileMean:
     def test_point_mass_average(self):
         space = bl.QuantileSpace(4)
-        dist = bl.DiscreteDistribution.uniform(
+        dist = bl.DiscreteDistribution(
             space, [np.zeros(4), np.full(4, 2.0)]
         )
         assert np.allclose(bl.quantile_mean(dist), np.ones(4))
@@ -400,14 +396,14 @@ class TestQuantileMean:
     def test_single_point_identity(self, rng):
         space = bl.QuantileSpace(8)
         x = np.sort(rng.standard_normal(8))
-        dist = bl.DiscreteDistribution.uniform(space, [x])
+        dist = bl.DiscreteDistribution(space, [x])
         assert np.array_equal(bl.quantile_mean(dist), x)
 
     def test_gaussian_quantile_average(self):
         space = bl.QuantileSpace(10_000)
         g1 = gaussian_quantile_grid(space, 0.0, 1.0)
         g2 = gaussian_quantile_grid(space, 0.0, 3.0)
-        dist = bl.DiscreteDistribution.uniform(space, [g1, g2])
+        dist = bl.DiscreteDistribution(space, [g1, g2])
         mean = bl.quantile_mean(dist)
         expected = gaussian_quantile_grid(space, 0.0, 2.0)
         assert space.distance(mean, expected) <= 1e-3
@@ -421,41 +417,40 @@ class TestQuantileMean:
         space = bl.QuantileSpace(4)
         # grids of 3 values on a 4-value space: the batch has the wrong width
         with pytest.raises(GridMismatch):
-            bl.DiscreteDistribution.uniform(space, [np.zeros(3), np.ones(3)])
+            bl.DiscreteDistribution(space, [np.zeros(3), np.ones(3)])
 
 
 class TestBuresFixedPoint:
     def test_identical_points(self):
         space = bl.BuresWasserstein(2)
-        pt = bl.GaussianPoint(np.zeros(2), np.diag([1.0, 2.0]))
-        pts = [pt, bl.GaussianPoint(pt.mean.copy(), pt.cov.copy())]
-        res = bl.bures_fixed_point(bl.DiscreteDistribution.uniform(space, pts))
+        pt = gaussian(np.zeros(2), np.diag([1.0, 2.0]))
+        pts = [pt, pt.copy()]
+        res = bl.bures_fixed_point(bl.DiscreteDistribution(space, pts))
         assert res.converged
-        assert np.allclose(res.point.cov, pt.cov, atol=1e-10)
+        assert np.allclose(res.point[1:], pt[1:], atol=1e-10)
 
     def test_one_dim_matches_quantile_rule(self):
         space = bl.BuresWasserstein(1)
-        pts = [bl.GaussianPoint([0.0], [[1.0]]), bl.GaussianPoint([0.0], [[9.0]])]
-        res = bl.bures_fixed_point(bl.DiscreteDistribution.uniform(space, pts))
+        pts = [gaussian([0.0], [[1.0]]), gaussian([0.0], [[9.0]])]
+        res = bl.bures_fixed_point(bl.DiscreteDistribution(space, pts))
         assert res.converged
-        assert res.point.cov[0, 0] == pytest.approx(4.0, abs=1e-8)
+        assert res.point[1, 0] == pytest.approx(4.0, abs=1e-8)
 
     def test_commuting_covariances(self):
         space = bl.BuresWasserstein(2)
         pts = [
-            bl.GaussianPoint(np.zeros(2), np.diag([1.0, 4.0])),
-            bl.GaussianPoint(np.zeros(2), np.diag([4.0, 1.0])),
+            gaussian(np.zeros(2), np.diag([1.0, 4.0])),
+            gaussian(np.zeros(2), np.diag([4.0, 1.0])),
         ]
-        res = bl.bures_fixed_point(bl.DiscreteDistribution.uniform(space, pts))
+        res = bl.bures_fixed_point(bl.DiscreteDistribution(space, pts))
         assert res.converged
-        assert np.allclose(res.point.cov, np.diag([2.25, 2.25]), atol=1e-8)
+        assert np.allclose(res.point[1:], np.diag([2.25, 2.25]), atol=1e-8)
 
     def test_means_averaged_exactly(self, rng):
         space = bl.BuresWasserstein(3)
         dist = random_distribution(space, rng, n=7)
         res = barycenter(dist)
-        means = np.stack([p.mean for p in dist.points])
-        assert np.allclose(res.point.mean, dist.weights @ means, atol=1e-14)
+        assert np.allclose(res.point[0], dist.weights @ dist.batch[:, 0], atol=1e-14)
 
     def test_first_order_condition_random(self, rng):
         space = bl.BuresWasserstein(3)
@@ -468,16 +463,16 @@ class TestBuresFixedPoint:
         ensemble = GaussianEnsemble(0.8, 1.6, dim=1)
         pts = ensemble.sample(rng, 12)
         res = bl.bures_fixed_point(
-            bl.DiscreteDistribution.uniform(ensemble.space, pts)
+            bl.DiscreteDistribution(ensemble.space, pts)
         )
         qspace = bl.QuantileSpace(10_000)
         grids = [
-            gaussian_quantile_grid(qspace, float(p.mean[0]), math.sqrt(float(p.cov[0, 0])))
+            gaussian_quantile_grid(qspace, float(p[0, 0]), math.sqrt(float(p[1, 0])))
             for p in pts
         ]
-        qmean = bl.quantile_mean(bl.DiscreteDistribution.uniform(qspace, grids))
+        qmean = bl.quantile_mean(bl.DiscreteDistribution(qspace, grids))
         res_grid = gaussian_quantile_grid(
-            qspace, float(res.point.mean[0]), math.sqrt(float(res.point.cov[0, 0]))
+            qspace, float(res.point[0, 0]), math.sqrt(float(res.point[1, 0]))
         )
         assert qspace.distance(qmean, res_grid) <= 1e-3
 
@@ -552,7 +547,7 @@ class TestBuresSandwich:
         """Bures-Wasserstein distances from the stacked points to N(mean, cov)
         with each point's own mean and the given covariances."""
         return np.sqrt([
-            space.sqdist_batch(bl.GaussianPoint(row[0], cov), row[None])[0]
+            space.sqdist_batch(gaussian(row[0], cov), row[None])[0]
             for row, cov in zip(points, covs)
         ])
 
@@ -628,8 +623,8 @@ class TestBuresSandwich:
 
 
     def test_descent_starts_from_a_gaussian_point(self, rng):
-        """``frechet_mean_descent`` takes a ``GaussianPoint`` start, such as
-        a support point, and reaches the barycenter from it."""
+        """``frechet_mean_descent`` takes a support point's [mean; cov] row as
+        its start and reaches the barycenter from it."""
         space = bl.BuresWasserstein(3)
         dist = random_distribution(space, rng, n=9)
         res = bl.frechet_mean_descent(dist, dist.points[0])
@@ -738,7 +733,7 @@ class TestWarmStart:
             w = rng.uniform(0.2, 1.0, n)
             dist = bl.DiscreteDistribution(space, points, w / w.sum())
         else:
-            dist = bl.DiscreteDistribution.uniform(space, points)
+            dist = bl.DiscreteDistribution(space, points)
         start = best_support_init(dist)
         space.check_point(start)
         reference = bl.frechet_mean_descent(dist, best_support_point(dist))
@@ -765,7 +760,7 @@ class TestWarmStart:
         monkeypatch.setattr(Space, "warm_start", spy)
         space = bl.Sphere(2)
         points = [np.array(r, dtype=float) for r in rows]
-        dist = bl.DiscreteDistribution.uniform(space, points)
+        dist = bl.DiscreteDistribution(space, points)
         start = best_support_init(dist)
         assert calls == [len(points)]
         space.check_point(start)
@@ -790,6 +785,6 @@ def test_barycenter_calls_the_traced_hooks(monkeypatch, rng):
     for name in calls:
         monkeypatch.setattr(bary, name, counting(name))
     family = HyperbolicGaussian(0.5)
-    dist = bl.DiscreteDistribution.uniform(family.space, family.sample(rng, 16))
+    dist = bl.DiscreteDistribution(family.space, family.sample(rng, 16))
     assert barycenter(dist).converged
     assert calls == {"best_support_init": 1, "frechet_mean_descent": 1}

@@ -194,6 +194,70 @@ class TestBarycenter:
         expected = 1.0 / np.sqrt(3.0)
         assert np.allclose(doc["point"]["coords"], expected, atol=1e-6)
 
+    def test_gaussian_commuting_solve(self, tmp_path):
+        """N(0, diag(1, 4)) and N(0, diag(4, 1)) meet at N(0, 2.25 I): the
+        point payload is the mean and covariance of that Gaussian."""
+        cfg = write_config(
+            tmp_path,
+            {
+                "experiment": "barycenter",
+                "points": [
+                    {"space": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 4.0]]},
+                    {"space": "gaussian", "mean": [0.0, 0.0], "cov": [[4.0, 0.0], [0.0, 1.0]]},
+                ],
+            },
+        )
+        out = tmp_path / "out"
+        assert run(["barycenter", "--config", cfg, "--out", out]) == 0
+        doc = json.loads((out / "barycenter.json").read_text())
+        assert doc["point"] == {
+            "space": "gaussian", "mean": [0.0, 0.0], "cov": [[2.25, 0.0], [0.0, 2.25]],
+        }
+        assert doc["objective"] == 0.5
+        assert doc["converged"] is True
+
+    def test_weights_are_normalized(self, tmp_path):
+        """Weights 1 and 3 are read as 1/4 and 3/4."""
+        cfg = write_config(
+            tmp_path,
+            {
+                "experiment": "barycenter",
+                "points": [
+                    {"space": "euclidean", "coords": [0.0]},
+                    {"space": "euclidean", "coords": [4.0]},
+                ],
+                "weights": [1, 3],
+            },
+        )
+        out = tmp_path / "out"
+        assert run(["barycenter", "--config", cfg, "--out", out]) == 0
+        doc = json.loads((out / "barycenter.json").read_text())
+        assert doc["point"] == {"space": "euclidean", "coords": [3.0]}
+        assert doc["objective"] == 3.0
+
+    def test_every_bad_point_is_a_config_violation(self, tmp_path, capsys):
+        """A non-SPD covariance is reported with the config's other faults,
+        not raised ahead of them."""
+        cfg = write_config(
+            tmp_path,
+            {
+                "experiment": "barycenter",
+                "points": [
+                    {"space": "gaussian", "mean": [0.0], "cov": [[-1.0]]},
+                    {"space": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0]]},
+                ],
+                "bogus": 1,
+            },
+        )
+        out = tmp_path / "out"
+        assert run(["barycenter", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "error[config]: config: unknown key 'bogus'" in err
+        assert "error[config]: points[0]: covariance has eigenvalue" in err
+        assert "error[config]: points[1]: inconsistent shapes" in err
+        assert "NotPositiveDefinite" not in err
+        assert not out.exists()
+
     def test_master_seed_is_an_unknown_key(self, tmp_path, capsys):
         """A solve draws nothing, so a seed in its config is refused (exit 1)
         rather than accepted, ignored and recorded in the manifest as 0."""

@@ -12,7 +12,7 @@ from barylab.errors import BadBounds, BadLambda, CoincidentPoints
 from barylab.families import GaussianEnsemble, SphereCap
 from barylab.sweeps import hugging_sweep
 
-from conftest import make_space, probe_point, separated_points
+from conftest import gaussian, make_space, probe_point, separated_points
 from test_barycenter import random_distribution
 
 
@@ -100,7 +100,7 @@ class TestVarianceEquality:
     def test_point_mass_degenerates_to_zero(self, any_space, rng):
         """P = delta_x with base x: both sides collapse for any other target."""
         x, b = separated_points(any_space, rng, 2)
-        dist = bl.DiscreteDistribution.uniform(any_space, [x])
+        dist = bl.DiscreteDistribution(any_space, [x])
         assert bl.variance_equality_residual(any_space, dist, x, b) <= 1e-10
         with pytest.raises(CoincidentPoints):
             bl.variance_equality_residual(any_space, dist, x, x)
@@ -188,7 +188,7 @@ class TestExtendibilityBounds:
     def test_support_extendibility_sphere_cap(self, rng):
         family = SphereCap(0.3)
         space = family.space
-        dist = bl.DiscreteDistribution.uniform(space, family.sample(rng, 40))
+        dist = bl.DiscreteDistribution(space, family.sample(rng, 40))
         ext = bl.support_extendibility(space, dist, family.anchor)
         floor = (math.pi / 0.3 - 1.0) / 2.0
         assert ext.lambda_in >= floor - 1e-9
@@ -200,7 +200,7 @@ class TestExtendibilityBounds:
         """Sampled map eigenvalues in [alpha, beta] bound the support infimum."""
         family = GaussianEnsemble(0.8, 1.6, dim=3)
         space = family.space
-        dist = bl.DiscreteDistribution.uniform(space, family.sample(rng, 40))
+        dist = bl.DiscreteDistribution(space, family.sample(rng, 40))
         ext = bl.support_extendibility(space, dist, family.anchor)
         assert ext.lambda_in >= 1.0 / (1.6 - 1.0) - 1e-9
         assert ext.lambda_out >= 0.8 / (1.0 - 0.8) - 1e-9
@@ -212,7 +212,7 @@ class TestExtendibilityBounds:
     def test_population_vs_empirical_consistency(self, rng):
         family = SphereCap(0.25)
         pop = family.support_extendibility()
-        dist = bl.DiscreteDistribution.uniform(
+        dist = bl.DiscreteDistribution(
             family.space, family.sample(rng, 60)
         )
         emp = bl.support_extendibility(family.space, dist, family.anchor)
@@ -254,20 +254,20 @@ class TestHuggingLowerBounds:
 
 class TestWassersteinPotentials:
     def test_identity_map(self):
-        pt = bl.GaussianPoint(np.zeros(2), np.diag([1.0, 2.0]))
-        same = bl.GaussianPoint(pt.mean.copy(), pt.cov.copy())
+        pt = gaussian(np.zeros(2), np.diag([1.0, 2.0]))
+        same = pt.copy()
         alpha, beta = bl.bures_potential_bounds(pt, same)
         assert alpha == pytest.approx(1.0, abs=1e-9)
         assert beta == pytest.approx(1.0, abs=1e-9)
 
     def test_scalar_map(self):
-        a = bl.GaussianPoint([0.0], [[1.0]])
-        b = bl.GaussianPoint([0.0], [[4.0]])
+        a = gaussian([0.0], [[1.0]])
+        b = gaussian([0.0], [[4.0]])
         assert bl.bures_potential_bounds(a, b) == pytest.approx((2.0, 2.0))
 
     def test_identity_anchor_diagonal(self):
-        a = bl.GaussianPoint(np.zeros(2), np.eye(2))
-        b = bl.GaussianPoint(np.zeros(2), np.diag([0.81, 2.25]))
+        a = gaussian(np.zeros(2), np.eye(2))
+        b = gaussian(np.zeros(2), np.diag([0.81, 2.25]))
         alpha, beta = bl.bures_potential_bounds(a, b)
         assert alpha == pytest.approx(0.9, abs=1e-12)
         assert beta == pytest.approx(1.5, abs=1e-12)

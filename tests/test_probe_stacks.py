@@ -95,7 +95,7 @@ def reference_hugging_cases(family, n_support, n_cases, seed):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     space = family.space
     support = family.sample(rng, n_support)
-    dist = bl.DiscreteDistribution.uniform(space, support)
+    dist = bl.DiscreteDistribution(space, support)
     b_star = barycenter(dist).point
     cases = []
     while len(cases) < n_cases:
@@ -129,7 +129,7 @@ class TestProbeStackContract:
         kappa = TRUE_KAPPA[tag]
         # b_star, a support of 5 and the q targets, all mutually separated
         b_star, *support = separated_points(space, rng, 6 + q)
-        dist = bl.DiscreteDistribution.uniform(space, support[:5])
+        dist = bl.DiscreteDistribution(space, support[:5])
         stacks = separated_stacks(space, rng, q, 4) + [space.stack(support[5:])]
         stacked = probe_calls(space, kappa, stacks, dist, b_star)
         assert stacked["monotonicity_angles"].shape == (q, len(GRID), len(GRID))
@@ -137,7 +137,7 @@ class TestProbeStackContract:
             if name != "monotonicity_angles":
                 assert values.shape == (q,), name
         for k in range(q):
-            points = [space.unstack(stack)[k] for stack in stacks]
+            points = [stack[k] for stack in stacks]
             single = probe_calls(space, kappa, points, dist, b_star)
             for name, value in single.items():
                 assert np.ndim(value) == (2 if name == "monotonicity_angles" else 0), name
@@ -148,7 +148,7 @@ class TestProbeStackContract:
         """A single point among stacked arguments serves every configuration."""
         space = make_space(tag)
         p, x, y = separated_stacks(space, rng, 3, 3)
-        base = space.unstack(p)[0]
+        base = p[0]
         np.testing.assert_array_equal(
             bl.hugging_value(space, base, x, y), bl.hugging_value(space, p[[0, 0, 0]], x, y)
         )

@@ -578,7 +578,7 @@ def per_target_profile(config, n_points, n_targets):
     xs = family.sample_batch(rng, n_points)
     targets = family.sample_batch(rng, n_targets)
     rows = []
-    for b in space.unstack(targets):
+    for b in targets:
         lb, d_bb = space.log_batch(anchor, space.stack([b]))
         if d_bb[0] <= 1e-12:
             continue

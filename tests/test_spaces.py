@@ -20,7 +20,7 @@ from barylab.errors import (
 from barylab.families import gaussian_quantile_grid
 from barylab.spaces import componentwise_inf
 
-from conftest import make_space, probe_point, separated_points
+from conftest import gaussian, make_space, probe_point, separated_points
 
 
 class TestMetricAxioms:
@@ -43,8 +43,8 @@ class TestMetricAxioms:
 
     def test_gaussian_one_dim_example(self):
         space = bl.BuresWasserstein(1)
-        a = bl.GaussianPoint([0.0], [[1.0]])
-        b = bl.GaussianPoint([0.0], [[4.0]])
+        a = gaussian([0.0], [[1.0]])
+        b = gaussian([0.0], [[4.0]])
         assert space.distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -72,10 +72,8 @@ class TestGeodesics:
 
     def test_gaussian_variance_interpolation(self):
         space = bl.BuresWasserstein(1)
-        mid = space.geodesic_point(
-            bl.GaussianPoint([0.0], [[1.0]]), bl.GaussianPoint([0.0], [[9.0]]), 0.5
-        )
-        assert mid.cov[0, 0] == pytest.approx(4.0, abs=1e-12)
+        mid = space.geodesic_point(gaussian([0.0], [[1.0]]), gaussian([0.0], [[9.0]]), 0.5)
+        assert mid[1, 0] == pytest.approx(4.0, abs=1e-12)
 
     def test_quantile_geodesic_stays_sorted(self, rng):
         space = bl.QuantileSpace(32)
@@ -171,7 +169,7 @@ class TestLogExp:
 
     def test_gaussian_exp_domain(self):
         space = bl.BuresWasserstein(2)
-        p = bl.GaussianPoint(np.zeros(2), np.eye(2))
+        p = gaussian(np.zeros(2), np.eye(2))
         payload = np.zeros((3, 2))
         payload[1:] = -2.0 * np.eye(2)  # I + L has eigenvalue -1
         with pytest.raises(OutOfDomain):
@@ -227,8 +225,8 @@ class TestExtendibility:
 
     def test_gaussian_example_bounds(self):
         space = bl.BuresWasserstein(1)
-        a = bl.GaussianPoint([0.0], [[1.0]])
-        b = bl.GaussianPoint([0.0], [[4.0]])
+        a = gaussian([0.0], [[1.0]])
+        b = gaussian([0.0], [[4.0]])
         ext = space.max_extendibility(a, b)
         assert ext.lambda_in == pytest.approx(1.0, abs=1e-12)
         assert math.isinf(ext.lambda_out)
@@ -237,10 +235,10 @@ class TestExtendibility:
     def test_gaussian_supremum_is_open(self):
         """Inside the supremum the interpolated map stays PD, at it it fails."""
         space = bl.BuresWasserstein(1)
-        a = bl.GaussianPoint([0.0], [[1.0]])
-        b = bl.GaussianPoint([0.0], [[4.0]])
+        a = gaussian([0.0], [[1.0]])
+        b = gaussian([0.0], [[4.0]])
         inside = space.geodesic_point(a, b, -0.99)
-        assert inside.cov[0, 0] > 0
+        assert inside[1, 0] > 0
         with pytest.raises(OutOfDomain):
             space.geodesic_point(a, b, -1.01)
 
@@ -322,16 +320,23 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             bl.QuantileSpace(3).check_point(np.array([1.0, 0.0, 2.0]))
         with pytest.raises(NotPositiveDefinite):
-            bl.GaussianPoint([0.0], [[-1.0]])
+            bl.BuresWasserstein(1).check_point(gaussian([0.0], [[-1.0]]))
         with pytest.raises(NotPositiveDefinite):
-            bl.GaussianPoint([0.0, 0.0], [[1.0, 0.5], [0.4, 1.0]])
+            bl.BuresWasserstein(2).check_point(gaussian([0.0, 0.0], [[1.0, 0.5], [0.4, 1.0]]))
+        with pytest.raises(ValueError):
+            bl.BuresWasserstein(2).check_point(gaussian([0.0], [[1.0]]))
+        with pytest.raises(NotPositiveDefinite):
+            bl.point_from_payload({"space": "gaussian", "mean": [0.0], "cov": [[-1.0]]})
 
     def test_payload_round_trip(self, any_space, rng):
+        """A point's payload parses back to the same float array, bit for bit."""
         x = probe_point(any_space, rng)
         payload = any_space.point_payload(x)
         space2, back = bl.point_from_payload(payload)
-        assert space2.tag == any_space.tag
-        assert any_space.distance(x, back) <= 1e-12
+        assert repr(space2) == repr(any_space)
+        assert type(back) is np.ndarray and back.dtype == float
+        assert np.array_equal(back, x)
+        assert np.array_equal(any_space.point_from_payload(payload), x)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
@@ -363,9 +368,7 @@ class TestCrossSpaceOracles:
         for _ in range(5):
             m1, s1 = rng.normal(), rng.uniform(0.5, 2.0)
             m2, s2 = rng.normal(), rng.uniform(0.5, 2.0)
-            w2 = g.distance(
-                bl.GaussianPoint([m1], [[s1**2]]), bl.GaussianPoint([m2], [[s2**2]])
-            )
+            w2 = g.distance(gaussian([m1], [[s1**2]]), gaussian([m2], [[s2**2]]))
             quantized = q.distance(
                 gaussian_quantile_grid(q, m1, s1), gaussian_quantile_grid(q, m2, s2)
             )
@@ -381,8 +384,8 @@ def short_range_pair(tag, seed, exponent):
     if tag == "gaussian":
         mean = rng.standard_normal(space.dim)
         var = rng.uniform(0.5, 2.0, space.dim)
-        p = bl.GaussianPoint(mean, np.diag(var))
-        x = bl.GaussianPoint(
+        p = gaussian(mean, np.diag(var))
+        x = gaussian(
             mean + 0.5 * scale * rng.standard_normal(space.dim),
             np.diag(var + scale * rng.standard_normal(space.dim)),
         )
@@ -395,9 +398,9 @@ def short_range_pair(tag, seed, exponent):
 def reference_sqdist(space, p, x) -> float:
     """Squared distance by a formula that shares nothing with the kernels."""
     if space.tag == "gaussian":
-        c1, c2 = np.diag(p.cov), np.diag(x.cov)
+        c1, c2 = np.diag(p[1:]), np.diag(x[1:])
         bures = ((c1 - c2) / (np.sqrt(c1) + np.sqrt(c2))) ** 2
-        return math.fsum((p.mean - x.mean) ** 2) + math.fsum(bures)
+        return math.fsum((p[0] - x[0]) ** 2) + math.fsum(bures)
     if space.tag == "sphere":
         # atan2(|p x x|, p . x), with p x x = p x (x - p) free of cancellation
         return math.atan2(np.linalg.norm(np.cross(p, x - p)), float(p @ x)) ** 2
@@ -514,14 +517,14 @@ class TestBroadcastContract:
 class TestTangentMachinery:
     def test_exp_of_a_stack_is_exp_row_by_row(self, any_space, rng):
         """exp batches over leading axes: on a (k,) + payload stack at one
-        point (a ``GaussianPoint`` included) it gives the row-by-row maps bit
-        for bit, as sampling and the probes rely on."""
+        point it gives the row-by-row maps bit for bit, as sampling and the
+        probes rely on."""
         space = any_space
         p = probe_point(space, rng)
         payloads, _ = space.log_batch(p, space.stack([probe_point(space, rng) for _ in range(6)]))
         payloads *= np.linspace(0.1, 0.6, 6).reshape((6,) + (1,) * len(space.point_shape))
         stacked = space.exp(p, payloads)
-        assert np.array_equal(stacked, space.stack([space.exp(p, v) for v in payloads]))
+        assert np.array_equal(stacked, np.stack([space.exp(p, v) for v in payloads]))
 
     def test_quantile_exp_sorts_and_scales_each_row_of_a_stack(self):
         space = bl.QuantileSpace(4)
@@ -547,16 +550,16 @@ class TestTangentMachinery:
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_gaussian_exp_and_inner_take_stacked_rows(self, dim, rng):
         """At (k, d+1, d) base rows matched row for row with k payloads, exp
-        and tangent_inner give each row's map and inner product at its own
-        ``GaussianPoint`` bit for bit, as stacked descent relies on."""
+        and tangent_inner give each row's map and inner product at that row
+        alone bit for bit, as stacked descent relies on."""
         space = bl.BuresWasserstein(dim)
         rows = space.stack([space.random_point(rng) for _ in range(5)])
-        u = np.stack([0.3 * space.random_tangent(p, rng) for p in space.unstack(rows)])
-        v = np.stack([space.random_tangent(p, rng) for p in space.unstack(rows)])
+        u = np.stack([0.3 * space.random_tangent(p, rng) for p in rows])
+        v = np.stack([space.random_tangent(p, rng) for p in rows])
         moved = space.exp(rows, u)
         inner = space.tangent_inner(rows, u, v)
-        for i, p in enumerate(space.unstack(rows)):
-            assert np.array_equal(moved[i], space.stack([space.exp(p, u[i])])[0])
+        for i, p in enumerate(rows):
+            assert np.array_equal(moved[i], space.exp(p, u[i]))
             assert inner[i] == space.tangent_inner(p, u[i], v[i])
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -569,7 +572,7 @@ class TestTangentMachinery:
         batch = np.stack([space.stack([space.random_point(rng) for _ in range(7)]) for _ in base])
         weights = rng.dirichlet(np.ones(7), size=3)
         grad, objective, _ = space.tangent_mean(base, batch, weights)
-        for t, p in enumerate(space.unstack(base)):
+        for t, p in enumerate(base):
             logs, mags = space.log_batch(p, batch[t])
             assert np.allclose(grad[t], np.tensordot(weights[t], logs, 1), rtol=0, atol=1e-12)
             assert objective[t] == pytest.approx(weights[t] @ mags**2, rel=1e-12)
@@ -589,7 +592,7 @@ class TestTangentMachinery:
 class TestStackedForm:
     def test_stack_is_one_array_of_point_shape(self, any_space, rng):
         """A stacked batch is one float array of shape (n,) + point_shape in
-        every space, and it unstacks to the same points bit for bit."""
+        every space, and its rows are the points bit for bit."""
         space = any_space
         points = [probe_point(space, rng) for _ in range(5)]
         batch = space.stack(points)
@@ -597,13 +600,29 @@ class TestStackedForm:
         assert batch.shape == (5,) + space.point_shape
         assert space.point_floats == math.prod(space.point_shape)
         assert space.stack(batch) is batch
-        for point, row in zip(points, space.unstack(batch)):
-            if space.tag == "gaussian":
-                assert np.array_equal(point.mean, row.mean)
-                assert np.array_equal(point.cov, row.cov)
-            else:
-                assert np.array_equal(point, row)
-        assert np.array_equal(space.stack(space.unstack(batch)), batch)
+        for point, row in zip(points, batch):
+            assert np.array_equal(point, row)
+        assert np.array_equal(space.stack(list(batch)), batch)
+
+    def test_every_point_is_a_float_array_of_point_shape(self, any_space, rng):
+        """One point form in every space: a random point, a family anchor, the
+        exp of one payload and a solved barycenter are each one float array
+        of ``point_shape``."""
+        space = any_space
+        family = {
+            "euclidean": {"kind": "euclidean_gaussian", "dim": 3},
+            "sphere": {"kind": "sphere_cap", "radius": 0.3},
+            "hyperbolic": {"kind": "hyperbolic_gaussian", "scale": 0.5},
+            "gaussian": {"kind": "gaussian_ensemble", "alpha": 0.8, "beta": 1.6},
+        }.get(space.tag)
+        p = probe_point(space, rng)
+        points = [space.random_point(rng), space.exp(p, space.log(p, probe_point(space, rng)))]
+        points.append(bl.empirical_barycenter(space, [p, points[0], points[1]]).point)
+        if family is not None:
+            points.append(bl.family_from_config(family).anchor)
+        for x in points:
+            assert type(x) is np.ndarray and x.dtype == float
+            assert x.shape == space.point_shape
 
     def test_wrong_shape_is_refused(self, any_space, rng):
         """A batch whose points are not of point_shape raises ValueError
@@ -619,7 +638,7 @@ class TestStackedForm:
             with pytest.raises(error):
                 space.stack(wrong)
             with pytest.raises(mismatch):
-                bl.DiscreteDistribution.uniform(space, wrong)
+                bl.DiscreteDistribution(space, wrong)
 
     def test_gaussian_points_share_the_payload_layout(self, rng):
         """Row 0 of a Gaussian point and of its log payload is the mean part,
@@ -629,8 +648,7 @@ class TestStackedForm:
         p = space.random_point(rng)
         batch = space.stack([space.random_point(rng) for _ in range(6)])
         payloads, _ = space.log_batch(p, batch)
-        assert np.array_equal(payloads[:, 0], batch[:, 0] - p.mean)
-        assert np.array_equal(batch[:, 1:], [x.cov for x in space.unstack(batch)])
+        assert np.array_equal(payloads[:, 0], batch[:, 0] - p[0])
 
 
 def broadcast_log(space, p, batch):
