@@ -15,7 +15,6 @@ from .barycenter import (
     BarycenterResult,
     BatchResult,
     SolverOptions,
-    barycenter,
     barycenter_batch,
     bures_fixed_point,
     empirical_barycenter,
@@ -34,7 +33,6 @@ from .families import (
 )
 from .hugging import (
     HuggingReport,
-    bures_potential_bounds,
     exp_barycenter_residual,
     extendibility_kmin,
     hugging_value,

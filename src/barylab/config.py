@@ -16,22 +16,19 @@ from pathlib import Path
 import numpy as np
 
 from .barycenter import SolverOptions
-from .errors import BadFamilyParams, NotPositiveDefinite, ParseError, ValidationError
+from .errors import (
+    BadFamilyParams, HypothesisViolated, NotPositiveDefinite, ParseError, ValidationError,
+)
 from .families import Family, family_from_config
-from .ratelab import COUNT_CEILING, RateExperimentConfig, estimate_hugging_profile
+from .ratelab import (
+    COUNT_CEILING, THEOREMS, RateExperimentConfig, estimate_hugging_profile, require_premise,
+)
 from .spaces import BuresWasserstein, Euclidean, Hyperboloid, QuantileSpace, Sphere
 
 EXPERIMENTS = ("rates", "tail", "hugging", "curvature", "barycenter", "plot")
 
-# which families can exercise which theorem
-THEOREM_FAMILIES = {
-    "negcurv": {"euclidean_gaussian", "hyperbolic_gaussian"},
-    "master_extendible": {"sphere_cap", "gaussian_ensemble"},
-    "wasserstein": {"gaussian_ensemble"},
-    "tail": {"euclidean_gaussian", "sphere_cap"},
-}
 # a tuple, not a set: a JSON list or object as 'theorem' is unhashable
-_RATE_THEOREMS = tuple(sorted(set(THEOREM_FAMILIES) - {"tail"}))
+_RATE_THEOREMS = tuple(sorted(set(THEOREMS) - {"tail"}))
 
 _SPACE_KINDS = {
     "euclidean": (Euclidean, {"dim"}),
@@ -236,11 +233,11 @@ def _rate_config(obj: dict, violations, theorem: str) -> RateExperimentConfig | 
     verify_draws = _positive_int(
         obj, "verify_draws", RateExperimentConfig.verify_draws, "config", violations
     )
-    if family is not None and family.kind not in THEOREM_FAMILIES[theorem]:
-        violations.append(
-            f"theorem {theorem!r} is incompatible with family {family.kind!r}; "
-            f"allowed: {sorted(THEOREM_FAMILIES[theorem])}"
-        )
+    if family is not None:
+        try:
+            require_premise(theorem, family)
+        except HypothesisViolated as exc:
+            violations.append(str(exc))
     if violations or family is None:
         return None
     return RateExperimentConfig(

@@ -62,6 +62,11 @@ class Family(abc.ABC):
     def describe(self) -> dict:
         """JSON-ready parameter echo."""
 
+    def transport_bounds(self) -> tuple[float, float] | None:
+        """(alpha, beta) when every draw's transport potential from the anchor is
+        alpha-convex and beta-smooth, the Wasserstein corollary's premise; else None."""
+        return None
+
     def sample(self, rng: np.random.Generator, count: int) -> list:
         return list(self.sample_batch(rng, count))
 
@@ -348,6 +353,9 @@ class GaussianEnsemble(Family):
         with np.errstate(over="ignore"):
             psi = np.exp(lam[:, None, None] * gaps**2 / (2.0 * varsigma2)) @ weights
         return float(np.prod(psi @ [self._p_lo, 1.0 - self._p_lo]))
+
+    def transport_bounds(self):
+        return self.alpha, self.beta  # the eigenvalue range of every draw's map
 
     def support_extendibility(self) -> Extendibility:
         # extreme admissible map realizes the support infimum exactly

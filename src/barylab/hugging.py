@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution
 from .errors import BadBounds, BadLambda, CoincidentPoints
-from .spaces import BuresWasserstein, Extendibility, componentwise_inf
+from .spaces import Extendibility, componentwise_inf
 
 COINCIDENT_TOL = 1e-12
 
@@ -119,17 +119,6 @@ def exp_barycenter_residual(space, dist: DiscreteDistribution, b) -> float:
     payloads, _ = space.log_batch(b, dist.batch)
     mean = np.tensordot(dist.weights, payloads, axes=(0, 0))
     return float(space.tangent_inner(b, mean, mean))
-
-
-def bures_potential_bounds(b_star, mu) -> tuple[float, float]:
-    """Convexity and smoothness bounds of the transport potential to ``mu``,
-    both Gaussian rows [mean; cov].
-
-    For Gaussians the optimal map is affine, so the potential's strong
-    convexity and smoothness constants are the extreme eigenvalues of the
-    linear transport map.
-    """
-    return BuresWasserstein(np.shape(b_star)[-1]).transport_map_bounds(b_star, mu)
 
 
 def wasserstein_kmin(alpha: float, beta: float) -> float:

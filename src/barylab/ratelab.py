@@ -5,18 +5,19 @@ Experiments verify three rate regimes and a tail bound:
 * nonpositive curvature: E d^2(b_n, b*) <= sigma^2 / n,
 * extendible support on nonnegative curvature: E d^2 <= 4 sigma^2 / (n k^2)
   with k from the support extendibility bound,
-* Gaussian transport families: E W2^2 <= 4 sigma^2 / ((1 - beta + alpha) n),
-* a high-probability bound d^2 <= c1 log(2/delta) / n under a subgaussian
-  variance proxy.
+* alpha-convex, beta-smooth transport potentials (``Family.transport_bounds``):
+  E W2^2 <= 4 sigma^2 / ((1 - beta + alpha) n),
+* a high-probability bound d^2 <= c1 log(2/delta) / n on nonnegative curvature
+  under a subgaussian variance proxy.
 
 The population constant sigma^2 = E d^2(b*, X) in the rate bounds and the
 subgaussian moment E exp(d^2 / (2 varsigma^2)) of the tail gate are exact:
 every family gives them from its law, so no draws go into them.
 
 Hypotheses are hard gates: an experiment refuses to run when its premises
-fail numerically.  All randomness derives from the master seed through
-per-purpose and per-trial streams, so results are independent of execution
-order and bit-reproducible on one platform.
+(``require_premise``) or its constants fail.  All randomness derives from the
+master seed through per-purpose and per-trial streams, so results are
+independent of execution order and bit-reproducible on one platform.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     HypothesisViolated,
     InsufficientGrid,
 )
-from .families import Family, GaussianEnsemble
+from .families import Family
 from .hugging import COINCIDENT_TOL, extendibility_kmin, hugging_values, wasserstein_kmin
 from .hugging import hugging_value  # noqa: F401  (perfbench/tracer.py counts its calls here)
 
@@ -190,33 +191,39 @@ def estimate_sigma2(config: RateExperimentConfig) -> float:
     return config.family.sigma2()
 
 
+def require_premise(theorem: str, family: Family) -> None:
+    """Raise HypothesisViolated unless ``family`` meets ``theorem``'s premise, read
+    from the space's curvature interval and the family's ``transport_bounds``."""
+    space = family.space
+    if theorem == "negcurv":
+        premise = "curvature <= 0 with a finite lower bound"
+        holds = space.curv_upper <= 0 and math.isfinite(space.curv_lower)
+    elif theorem == "wasserstein":
+        premise = "alpha-convex, beta-smooth transport potentials"
+        holds = family.transport_bounds() is not None
+    else:  # master_extendible and tail
+        premise, holds = "curvature >= 0", space.curv_lower >= 0
+    if not holds:
+        raise HypothesisViolated(
+            f"theorem {theorem!r} is incompatible with family {family.kind!r}: it needs {premise}"
+        )
+
+
 def _theorem_k(config: RateExperimentConfig) -> float:
     """The constant in force for the configured theorem, hypothesis-gated."""
-    family = config.family
-    space = family.space
+    if config.theorem == "tail":
+        raise HypothesisViolated("tail configs run through run_tail_experiment")
+    require_premise(config.theorem, config.family)
     if config.theorem == "negcurv":
-        # needs curvature bounded above by 0 and below by some finite kappa
-        if not (space.curv_upper <= 0 and math.isfinite(space.curv_lower)):
-            raise HypothesisViolated(
-                f"{space.tag} is not a pinched nonpositive-curvature space"
-            )
         return 1.0
-    if config.theorem == "master_extendible":
-        if space.curv_lower < 0:
-            raise HypothesisViolated("extendibility bound needs curvature >= 0")
-        ext = family.support_extendibility()
-        k = extendibility_kmin(ext.lambda_in, ext.lambda_out)
-        if k <= 0:
-            raise HypothesisViolated(f"support extendibility gives k = {k:.6g} <= 0")
-        return k
     if config.theorem == "wasserstein":
-        if not isinstance(family, GaussianEnsemble):
-            raise HypothesisViolated("wasserstein regime needs a Gaussian transport family")
-        k = wasserstein_kmin(family.alpha, family.beta)
-        if k <= 0:
-            raise HypothesisViolated(f"1 - beta + alpha = {k:.6g} <= 0")
-        return k
-    raise HypothesisViolated("tail configs run through run_tail_experiment")
+        k, source = wasserstein_kmin(*config.family.transport_bounds()), "1 - beta + alpha"
+    else:
+        ext = config.family.support_extendibility()
+        k, source = extendibility_kmin(ext.lambda_in, ext.lambda_out), "support extendibility"
+    if k <= 0:
+        raise HypothesisViolated(f"{source} gives k = {k:.6g} <= 0")
+    return k
 
 
 def _theorem_bound(theorem: str, sigma2: float, n: int, k: float) -> float:
@@ -418,6 +425,7 @@ def run_tail_experiment(
     deltas = [float(delta) for delta in deltas]
     if not deltas or not all(0 < delta < 1 for delta in deltas):
         raise ValueError("every delta must lie in (0, 1)")
+    require_premise("tail", config.family)
     if subgaussian is None:
         subgaussian = subgaussian_proxy_check(config, varsigma2)
     if not subgaussian.passed:

@@ -88,7 +88,7 @@ class BuresWasserstein(Space):
         return np.eye(self.dim) + self._map_gaps(p, x[None, 1:])[0]
 
     def transport_map_bounds(self, p, x) -> tuple[float, float]:
-        """Least and greatest eigenvalues of ``transport_map(p, x)``."""
+        """Extreme eigenvalues of ``transport_map(p, x)``: its potential's convexity, smoothness."""
         eig = np.linalg.eigvalsh(self.transport_map(p, x))
         return float(eig[0]), float(eig[-1])
 

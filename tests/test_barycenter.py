@@ -1,9 +1,9 @@
 """Barycenter solvers: closed forms, descent, fixed point, dispatch."""
 
 import dataclasses
-import importlib
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barylab as bl
+import barylab.barycenter as bary
 from barylab.barycenter import (
     SolverOptions,
     barycenter,
@@ -312,7 +313,6 @@ class TestStackedDescentRows:
         end on different iterations, and log maps formed two problems at a
         time leave every row of a stacked descent equal, bit for bit, to its
         problem solved alone."""
-        bary = importlib.import_module("barylab.barycenter")
         space = bl.Sphere(2) if tag == "sphere" else bl.Hyperboloid(2)
         batch, weights = self.wide_problems(space, np.random.default_rng(4), 12, 6, spread)
         init = space.warm_start(batch, weights)
@@ -587,7 +587,6 @@ class TestBuresSandwich:
         alone, as problems leave the stack at different iterations; each row
         is within the solver tolerance of the averaged sandwiches' fixed
         point."""
-        bary = importlib.import_module("barylab.barycenter")
         batch, weights = self.problems(dim)
         space = bl.BuresWasserstein(dim)
         opts = SolverOptions(max_iters=max_iters)
@@ -767,10 +766,16 @@ class TestWarmStart:
         assert np.array_equal(start, best_support_point(dist))
 
 
+def test_submodule_import_binds_the_module():
+    """The package exports no name that shadows its ``barycenter`` module."""
+    import barylab.barycenter as module
+
+    assert isinstance(module, types.ModuleType) and bl.barycenter is module
+    assert module.barycenter is barycenter
+
+
 def test_barycenter_calls_the_traced_hooks(monkeypatch, rng):
     """The benchmark tracer patches these two module globals by name."""
-    # the package re-exports the function ``barycenter`` under the module's name
-    bary = importlib.import_module("barylab.barycenter")
     calls = {"best_support_init": 0, "frechet_mean_descent": 0}
 
     def counting(name):

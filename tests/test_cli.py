@@ -302,6 +302,12 @@ class TestTailCommand:
         # exact: (1 - sd^2 / varsigma2)^(-dim/2) = (2/3)^(-3/2)
         assert manifest["results"]["subgaussian_estimate"] == pytest.approx(1.5**1.5, rel=1e-15)
         assert "subgaussian_stderr" not in manifest["results"]
+        # the Bures-Wasserstein space has curvature >= 0, so the ensemble serves the tail bound
+        ensemble = {"kind": "gaussian_ensemble", "alpha": 0.8, "beta": 1.6}
+        cfg = write_config(
+            tmp_path, dict(TAIL_CONFIG, family=ensemble, n_grid=[16], trials=20, varsigma2=0.2)
+        )
+        assert run(["tail", "--config", cfg, "--out", tmp_path / "ensemble"]) == 0
 
     def test_infinite_moment_exits_2_without_writing_infinity(self, tmp_path, capsys):
         """sd^2 >= varsigma2: the moment diverges, the hypothesis gate fails
@@ -369,6 +375,7 @@ LAPACK_FREE_RUNS = {
         _SMALL_RATES, family={"kind": "hyperbolic_gaussian", "dim": 2, "scale": 0.5}
     ),
     "rates-euclidean": _SMALL_RATES,
+    "rates-euclidean-master": dict(_SMALL_RATES, theorem="master_extendible"),
     "tail-cap": dict(_SMALL_TAIL, family=dict(_CAP, dim=2), varsigma2=0.1),
     "tail-euclidean": _SMALL_TAIL,
 }
@@ -387,6 +394,9 @@ class TestLinearAlgebra:
         obj = LAPACK_FREE_RUNS[name]
         cfg = write_config(tmp_path, obj)
         assert run([obj["experiment"], "--config", cfg, "--out", tmp_path / "out"]) == 0
+        if name == "rates-euclidean-master":  # curvature 0 and unbounded extension: k = 1
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["results"]["k_used"] == 1.0
 
 
 class TestSweepCommands:

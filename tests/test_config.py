@@ -1,4 +1,4 @@
-"""Strict config parsing: defaults, unknown keys, compatibility matrix."""
+"""Strict config parsing: defaults, unknown keys, the theorem premise matrix."""
 
 import inspect
 import json
@@ -8,7 +8,13 @@ import pytest
 from barylab.barycenter import SolverOptions
 from barylab.config import parse_config
 from barylab.errors import ParseError, ValidationError
-from barylab.ratelab import COUNT_CEILING, RateExperimentConfig, estimate_hugging_profile
+from barylab.families import FAMILY_KINDS
+from barylab.ratelab import (
+    COUNT_CEILING,
+    THEOREMS,
+    RateExperimentConfig,
+    estimate_hugging_profile,
+)
 
 from conftest import BAD_FAMILIES
 
@@ -24,6 +30,37 @@ MINIMAL_RATES = {
     "family": {"kind": "euclidean_gaussian", "dim": 3, "sd": 1.0},
     "theorem": "negcurv",
     "n_grid": [4, 16],
+}
+
+
+MINIMAL_TAIL = {
+    "experiment": "tail",
+    "family": MINIMAL_RATES["family"],
+    "n_grid": [4, 16],
+    "delta": 0.1,
+    "varsigma2": 3.0,
+}
+
+# the parameters each family kind needs beyond its defaults
+PREMISE_FAMILIES = {
+    "euclidean_gaussian": {},
+    "sphere_cap": {"radius": 0.3},
+    "hyperbolic_gaussian": {"scale": 0.5},
+    "gaussian_ensemble": {"alpha": 0.8, "beta": 1.6},
+}
+# curvature <= 0 pinched below (euclidean, hyperbolic), curvature >= 0
+# (euclidean, sphere, Bures-Wasserstein), declared transport bounds (ensemble)
+ADMITTED = {
+    "negcurv": {"euclidean_gaussian", "hyperbolic_gaussian"},
+    "master_extendible": {"euclidean_gaussian", "sphere_cap", "gaussian_ensemble"},
+    "wasserstein": {"gaussian_ensemble"},
+    "tail": {"euclidean_gaussian", "sphere_cap", "gaussian_ensemble"},
+}
+MISSING_PREMISE = {
+    "negcurv": "curvature <= 0 with a finite lower bound",
+    "master_extendible": "curvature >= 0",
+    "wasserstein": "alpha-convex, beta-smooth transport potentials",
+    "tail": "curvature >= 0",
 }
 
 
@@ -79,14 +116,27 @@ class TestParsing:
         config = parse_config(write(tmp_path, obj), "rates").payload["config"]
         assert config.n_grid[-1] == config.trials == COUNT_CEILING
 
-    def test_family_theorem_mismatch(self, tmp_path):
-        obj = dict(
-            MINIMAL_RATES,
-            family={"kind": "sphere_cap", "radius": 0.3},
-            theorem="wasserstein",
-        )
-        with pytest.raises(ValidationError, match="incompatible"):
-            parse_config(write(tmp_path, obj), "rates")
+    @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_premise_matrix(self, tmp_path, theorem, kind):
+        """A pair is admitted exactly when the space's curvature, or for
+        wasserstein the family's declared transport bounds, meet the theorem's
+        premise; a refused pair names the premise it misses."""
+        family = dict(PREMISE_FAMILIES[kind], kind=kind)
+        if theorem == "tail":
+            obj = dict(MINIMAL_TAIL, family=family)
+        else:
+            obj = dict(MINIMAL_RATES, family=family, theorem=theorem)
+        path = write(tmp_path, obj)
+        if kind in ADMITTED[theorem]:
+            assert parse_config(path).payload["config"].family.kind == kind
+            return
+        with pytest.raises(ValidationError) as err:
+            parse_config(path)
+        assert err.value.violations == [
+            f"theorem {theorem!r} is incompatible with family {kind!r}: "
+            f"it needs {MISSING_PREMISE[theorem]}"
+        ]
 
     @pytest.mark.parametrize("theorem", ["tail", "banana", ["negcurv"], {"a": 1}])
     def test_rates_theorem_rejected(self, tmp_path, theorem):

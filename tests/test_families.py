@@ -182,6 +182,16 @@ class TestGuarantees:
         sigma2, _ = anchor_moment(family, rng, 10**6)
         assert sigma2 == pytest.approx(expected, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("base_cov", [None, BASE_COV], ids=["identity", "base_cov"])
+    def test_ensemble_draws_meet_the_declared_transport_bounds(self, base_cov):
+        """The wasserstein premise rests on ``transport_bounds``: the optimal
+        map from the anchor to every draw has its eigenvalues in [alpha, beta]."""
+        family = GaussianEnsemble(0.8, 1.6, dim=3, base_cov=base_cov)
+        alpha, beta = family.transport_bounds()
+        for x in family.sample_batch(np.random.default_rng(8), 500):
+            lo, hi = family.space.transport_map_bounds(family.anchor, x)
+            assert alpha - 1e-12 <= lo <= hi <= beta + 1e-12
+
 
 SIGMA2_FAMILIES = {
     "euclidean_gaussian": lambda: EuclideanGaussian(dim=3, sd=1.3),

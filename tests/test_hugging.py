@@ -239,7 +239,7 @@ class TestHuggingLowerBounds:
         space = family.space
         ext = family.support_extendibility()
         k_ext = bl.extendibility_kmin(ext.lambda_in, ext.lambda_out)
-        k_wass = bl.wasserstein_kmin(family.alpha, family.beta)
+        k_wass = bl.wasserstein_kmin(*family.transport_bounds())
         assert k_ext == pytest.approx(k_wass, abs=1e-12)
         sampled_min = math.inf
         for _ in range(300):
@@ -256,19 +256,19 @@ class TestWassersteinPotentials:
     def test_identity_map(self):
         pt = gaussian(np.zeros(2), np.diag([1.0, 2.0]))
         same = pt.copy()
-        alpha, beta = bl.bures_potential_bounds(pt, same)
+        alpha, beta = bl.BuresWasserstein(2).transport_map_bounds(pt, same)
         assert alpha == pytest.approx(1.0, abs=1e-9)
         assert beta == pytest.approx(1.0, abs=1e-9)
 
     def test_scalar_map(self):
         a = gaussian([0.0], [[1.0]])
         b = gaussian([0.0], [[4.0]])
-        assert bl.bures_potential_bounds(a, b) == pytest.approx((2.0, 2.0))
+        assert bl.BuresWasserstein(1).transport_map_bounds(a, b) == pytest.approx((2.0, 2.0))
 
     def test_identity_anchor_diagonal(self):
         a = gaussian(np.zeros(2), np.eye(2))
         b = gaussian(np.zeros(2), np.diag([0.81, 2.25]))
-        alpha, beta = bl.bures_potential_bounds(a, b)
+        alpha, beta = bl.BuresWasserstein(2).transport_map_bounds(a, b)
         assert alpha == pytest.approx(0.9, abs=1e-12)
         assert beta == pytest.approx(1.5, abs=1e-12)
 

@@ -21,7 +21,13 @@ from barylab.errors import (
     HypothesisViolated,
     InsufficientGrid,
 )
-from barylab.families import EuclideanGaussian, GaussianEnsemble, HyperbolicGaussian, SphereCap
+from barylab.families import (
+    EuclideanGaussian,
+    GaussianEnsemble,
+    HyperbolicGaussian,
+    SphereCap,
+    family_from_config,
+)
 from barylab.ratelab import (
     RateCurve,
     RatePoint,
@@ -31,6 +37,8 @@ from barylab.ratelab import (
     run_tail_experiment,
     subgaussian_proxy_check,
 )
+
+from test_config import MISSING_PREMISE, PREMISE_FAMILIES
 
 
 class PointMass(EuclideanGaussian):
@@ -233,27 +241,41 @@ class TestHypothesisGates:
         with pytest.raises(HypothesisViolated):
             run_rate_experiment(config)
 
-    def test_negcurv_rejects_positively_curved_space(self):
-        config = bl.RateExperimentConfig(
-            family=SphereCap(0.3),
-            theorem="negcurv",
-            n_grid=(4,),
-            trials=5,
-            master_seed=1,
-        )
-        with pytest.raises(HypothesisViolated):
-            run_rate_experiment(config)
+    @pytest.mark.parametrize(
+        "theorem, kind",
+        [
+            ("negcurv", "sphere_cap"),
+            ("negcurv", "gaussian_ensemble"),
+            ("master_extendible", "hyperbolic_gaussian"),
+            ("wasserstein", "euclidean_gaussian"),
+            ("wasserstein", "sphere_cap"),
+            ("wasserstein", "hyperbolic_gaussian"),
+            ("tail", "hyperbolic_gaussian"),
+        ],
+    )
+    def test_refused_premise_raises_before_any_draw(self, monkeypatch, theorem, kind):
+        """A library run of a pair whose premise fails raises the violation
+        that the config check reports, before the anchor is verified: the
+        rate pairs through run_rate_experiment, the tail pair through
+        run_tail_experiment."""
 
-    def test_master_rejects_negatively_curved_space(self):
+        def spy(config):
+            raise AssertionError("the anchor was verified")
+
+        monkeypatch.setattr(ratelab, "population_barycenter", spy)
+        family = family_from_config(dict(PREMISE_FAMILIES[kind], kind=kind))
         config = bl.RateExperimentConfig(
-            family=HyperbolicGaussian(0.5),
-            theorem="master_extendible",
-            n_grid=(4,),
-            trials=5,
-            master_seed=1,
+            family=family, theorem=theorem, n_grid=(4,), trials=5, master_seed=1
         )
-        with pytest.raises(HypothesisViolated):
-            run_rate_experiment(config)
+        with pytest.raises(HypothesisViolated) as err:
+            if theorem == "tail":
+                run_tail_experiment(config, [0.2], varsigma2=3.0)
+            else:
+                run_rate_experiment(config)
+        assert str(err.value) == (
+            f"theorem {theorem!r} is incompatible with family {kind!r}: "
+            f"it needs {MISSING_PREMISE[theorem]}"
+        )
 
     def test_discard_rate_gate(self):
         config = bl.RateExperimentConfig(
