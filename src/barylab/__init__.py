@@ -19,7 +19,6 @@ from .barycenter import (
     bures_fixed_point,
     empirical_barycenter,
     frechet_mean_descent,
-    quantile_mean,
     variance,
 )
 from .distributions import DiscreteDistribution
@@ -33,7 +32,6 @@ from .families import (
 )
 from .hugging import (
     HuggingReport,
-    exp_barycenter_residual,
     extendibility_kmin,
     hugging_value,
     hugging_values,
@@ -46,7 +44,6 @@ from .ratelab import (
     RateExperimentConfig,
     TailExperimentResult,
     estimate_sigma2,
-    fit_loglog_slope,
     population_barycenter,
     run_rate_experiment,
     run_tail_experiment,
@@ -66,9 +63,8 @@ from .spaces import (
 
 # no rates or tail run reads comparison geometry, so it loads on first access
 _COMPARISON = {
-    "MonotonicityReport", "TriangleSides", "angle_monotonicity_probe", "c_kappa",
-    "comparison_angle", "cone_distance", "model_diameter", "quadruple_defect", "s_kappa",
-    "tangent_inner",
+    "MonotonicityReport", "TriangleSides", "angle_monotonicity_probe", "comparison_angle",
+    "cone_distance", "model_diameter", "quadruple_defect", "s_kappa", "tangent_inner",
 }
 
 

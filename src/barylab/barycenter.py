@@ -24,11 +24,10 @@ from .distributions import DiscreteDistribution
 from .errors import (
     CutLocus,
     CutLocusDuringIteration,
-    OutOfDomain,
     SpaceMismatch,
 )
 from .linalg import weighted_sum
-from .spaces import BuresWasserstein, QuantileSpace, Space
+from .spaces import BuresWasserstein, Space
 
 # the benchmark tracer wraps ``spd_sqrt_batch`` under this module's name, so
 # it stays importable from here though no solver here calls it
@@ -253,13 +252,6 @@ def frechet_mean_descent(
     return _single(dist, descent_batch(dist.space, batch, weights, start, opts))
 
 
-def quantile_mean(dist: DiscreteDistribution):
-    """Pointwise weighted average of quantile grids: the exact barycenter."""
-    if not isinstance(dist.space, QuantileSpace):
-        raise SpaceMismatch("quantile_mean needs a quantile-space distribution")
-    return dist.weights @ dist.batch
-
-
 def bures_fixed_point(
     dist: DiscreteDistribution, opts: SolverOptions = SolverOptions()
 ) -> BarycenterResult:
@@ -294,39 +286,3 @@ def barycenter(
     """Barycenter of a weighted distribution: its row of ``barycenter_batch``,
     reached through the module-level names that the benchmark tracer wraps."""
     return frechet_mean_descent(dist, best_support_init(dist), opts)
-
-
-def minimality_spot_check(
-    dist: DiscreteDistribution,
-    result: BarycenterResult,
-    rng: np.random.Generator,
-    count: int = 100,
-    radius: float | None = None,
-    noise_allowance: float = 1e-13,
-) -> bool:
-    """Objective at the result never exceeds objectives at random perturbations.
-
-    Perturbations are exponentials of random tangent directions of the given
-    radius (default 10x solver tolerance).  At such radii objective
-    differences sit near float resolution, so the comparison allows
-    ``noise_allowance * (1 + objective)`` of slack.
-    """
-    space = dist.space
-    radius = 10.0 * SolverOptions().tol if radius is None else radius
-    base_obj = variance(dist, result.point)
-    allowance = noise_allowance * (1.0 + abs(base_obj))
-    candidates = []
-    for _ in range(count):
-        direction = space.random_tangent(result.point, rng)
-        norm = space.tangent_norm(result.point, direction)
-        if norm == 0.0:
-            continue
-        try:
-            candidates.append(space.exp(result.point, (radius / norm) * direction))
-        except OutOfDomain:
-            continue  # probe left the space (e.g. monotone cone boundary)
-    if not candidates:
-        return True
-    # every candidate's objective from one kernel call, a row per candidate
-    objectives = space.sqdist_batch(space.stack(candidates), dist.batch) @ dist.weights
-    return not bool(np.any(objectives < base_obj - allowance))

@@ -37,18 +37,6 @@ def s_kappa(kappa: float, r):
     return float(out) if out.ndim == 0 else out
 
 
-def c_kappa(kappa: float, r):
-    """Generalized cosine: derivative of s_kappa; identically 1 at kappa = 0."""
-    r = np.asarray(r, dtype=float)
-    if kappa > 0:
-        out = np.cos(r * math.sqrt(kappa))
-    elif kappa < 0:
-        out = np.cosh(r * math.sqrt(-kappa))
-    else:
-        out = np.ones_like(r)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class TriangleSides:
     """Geodesic side lengths of a triangle, seen from the vertex p.

@@ -313,7 +313,7 @@ def _space(obj: dict, violations):
         violations.append("'space' must be an object with a 'kind'")
         return None
     kind = section["kind"]
-    if kind not in _SPACE_KINDS:
+    if not isinstance(kind, str) or kind not in _SPACE_KINDS:
         violations.append(f"space: unknown kind {kind!r}")
         return None
     cls, allowed = _SPACE_KINDS[kind]

@@ -77,10 +77,6 @@ class DiscardRateExceeded(BarylabError):
     """Too many Monte Carlo trials were discarded for non-convergence."""
 
 
-class InsufficientGrid(BarylabError):
-    """Not enough grid points for the requested fit."""
-
-
 class PlotError(BarylabError):
     """Values that the requested chart cannot draw."""
 

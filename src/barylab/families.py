@@ -27,7 +27,6 @@ from .spaces import (
     Extendibility,
     GaussianPoint,
     Hyperboloid,
-    QuantileSpace,
     Space,
     Sphere,
 )
@@ -389,7 +388,8 @@ def family_from_config(obj: dict) -> Family:
     """Build a family from its JSON description (strict keys)."""
     obj = dict(obj)
     kind = obj.pop("kind", None)
-    if kind not in FAMILY_KINDS:
+    # a JSON list or object as the kind is unhashable
+    if not isinstance(kind, str) or kind not in FAMILY_KINDS:
         raise BadFamilyParams(f"unknown family kind {kind!r}")
     cls = FAMILY_KINDS[kind]
     # the keys are the constructor's parameters
@@ -402,13 +402,3 @@ def family_from_config(obj: dict) -> Family:
         return cls(**obj)
     except (TypeError, ValueError, NotPositiveDefinite) as exc:
         raise BadFamilyParams(str(exc)) from exc
-
-
-def gaussian_quantile_grid(space: QuantileSpace, mean: float, sd: float) -> np.ndarray:
-    """Quantile-space discretization of a one-dimensional Gaussian."""
-    if sd < 0:
-        raise BadFamilyParams("sd must be nonnegative")
-    from statistics import NormalDist
-
-    inv_cdf = NormalDist().inv_cdf
-    return mean + sd * np.array([inv_cdf(level) for level in space.levels()])

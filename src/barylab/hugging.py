@@ -107,20 +107,6 @@ def support_extendibility(space, dist: DiscreteDistribution, b_star) -> Extendib
     return componentwise_inf(space.extendibility_batch(b_star, dist.batch))
 
 
-def exp_barycenter_residual(space, dist: DiscreteDistribution, b) -> float:
-    """Double integral of cone inner products of log maps at ``b``.
-
-    sum_ij w_i w_j <log_b(x_i), log_b(x_j)>_b.  In the model spaces the log
-    payloads live in a linear tangent representation, so the double sum
-    collapses by bilinearity to the squared cone norm of the weighted log
-    mean; evaluating that form avoids the O(n^2) cancellation noise that
-    would otherwise swamp values near the solver tolerance squared.
-    """
-    payloads, _ = space.log_batch(b, dist.batch)
-    mean = np.tensordot(dist.weights, payloads, axes=(0, 0))
-    return float(space.tangent_inner(b, mean, mean))
-
-
 def wasserstein_kmin(alpha: float, beta: float) -> float:
     """1 - beta + alpha; positive exactly when the Wasserstein rate bound applies."""
     if beta < alpha:

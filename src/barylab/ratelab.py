@@ -33,7 +33,6 @@ from .errors import (
     CoincidentPoints,
     DiscardRateExceeded,
     HypothesisViolated,
-    InsufficientGrid,
 )
 from .families import Family
 from .hugging import COINCIDENT_TOL, extendibility_kmin, hugging_values, wasserstein_kmin
@@ -350,14 +349,6 @@ def _loglog_slope(ns, means) -> float:
     y = np.log(np.asarray(means, float))
     x = x - x.mean()
     return float((x @ (y - y.mean())) / (x @ x))
-
-
-def fit_loglog_slope(curve: RateCurve) -> float:
-    """Least-squares slope of log mean squared distance against log n."""
-    usable = [(p.n, p.mean_sq_dist) for p in curve.points if p.mean_sq_dist > 0]
-    if len(usable) < 3:
-        raise InsufficientGrid("need at least 3 grid points with positive means")
-    return _loglog_slope([n for n, _ in usable], [m for _, m in usable])
 
 
 def subgaussian_proxy_check(config: RateExperimentConfig, varsigma2: float) -> SubgaussianCheck:

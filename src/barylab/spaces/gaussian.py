@@ -77,8 +77,10 @@ class BuresWasserstein(Space):
         }
 
     def point_from_payload(self, obj):
+        # GaussianPoint checks the shapes and the covariance; the dimension is left
         x = GaussianPoint(obj["mean"], obj["cov"]).row
-        self.check_point(x)
+        if x.shape != self.point_shape:
+            raise ValueError(f"expected a [mean; cov] row of shape {self.point_shape}")
         return x
 
     # -- metric ----------------------------------------------------------------

@@ -564,6 +564,29 @@ class TestOutputDirectory:
         assert done.stderr.startswith("error[config]: 'n_grid' must be an ascending list")
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("rates", dict(RATES_CONFIG, family={"kind": [1]}),
+             "error[config]: family: unknown family kind [1]"),
+            ("curvature", dict(CURVATURE_CONFIG, space={"kind": [1]}),
+             "error[config]: space: unknown kind [1]"),
+            ("hugging", dict(HUGGING_CONFIG, family={"kind": {"a": 1}}),
+             "error[config]: family: unknown family kind {'a': 1}"),
+        ],
+        ids=["rates-family-list", "curvature-space-list", "hugging-family-object"],
+    )
+    def test_unhashable_kind_exits_1_without_a_traceback(
+        self, tmp_path, command, config, message
+    ):
+        """A JSON list or object as a family or space kind is an unknown kind."""
+        cfg = write_config(tmp_path, config)
+        done = run_subprocess([command, "--config", cfg, "--out", tmp_path / "out"])
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(message)
+        assert not (tmp_path / "out").exists()
+
 
 HEADER_LINE = ",".join(RATES_HEADER) + "\n"
 
@@ -652,6 +675,15 @@ class TestHelp:
 
 
 class TestImports:
+    def test_every_public_name_resolves(self):
+        """Each name in ``barylab.__all__`` is an attribute of the package, the
+        comparison names that load on first access included."""
+        import barylab
+
+        assert barylab._COMPARISON <= set(barylab.__all__)
+        missing = [name for name in barylab.__all__ if not hasattr(barylab, name)]
+        assert missing == []
+
     def test_cli_import_leaves_scipy_out(self):
         """The runtime needs numpy only; scipy is a test dependency.  Nor does
         the CLI import the standard library's network and XML stacks."""

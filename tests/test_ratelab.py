@@ -19,7 +19,6 @@ from barylab.errors import (
     CoincidentPoints,
     DiscardRateExceeded,
     HypothesisViolated,
-    InsufficientGrid,
 )
 from barylab.families import (
     EuclideanGaussian,
@@ -56,20 +55,17 @@ def make_curve(ns, means):
 
 
 class TestSlopeFit:
+    """The least-squares log-log fit behind ``RateCurve.slope``."""
+
     def test_exact_inverse_n(self):
         ns = [10, 100, 1000]
-        curve = make_curve(ns, [2.0 / n for n in ns])
-        assert bl.fit_loglog_slope(curve) == pytest.approx(-1.0, abs=1e-12)
+        slope = ratelab._loglog_slope(ns, [2.0 / n for n in ns])
+        assert slope == pytest.approx(-1.0, abs=1e-12)
 
     def test_exact_inverse_sqrt(self):
         ns = [16, 64, 256, 1024]
-        curve = make_curve(ns, [3.0 / math.sqrt(n) for n in ns])
-        assert bl.fit_loglog_slope(curve) == pytest.approx(-0.5, abs=1e-12)
-
-    def test_insufficient_grid(self):
-        curve = make_curve([4, 16], [1.0, 0.25])
-        with pytest.raises(InsufficientGrid):
-            bl.fit_loglog_slope(curve)
+        slope = ratelab._loglog_slope(ns, [3.0 / math.sqrt(n) for n in ns])
+        assert slope == pytest.approx(-0.5, abs=1e-12)
 
 
 def euclid_config(**kw):

@@ -17,10 +17,10 @@ from barylab.errors import (
     OutOfDomain,
     SpaceMismatch,
 )
-from barylab.families import gaussian_quantile_grid
 from barylab.spaces import componentwise_inf
 
 from conftest import gaussian, make_space, probe_point, separated_points
+from oracles import gaussian_quantile_grid
 
 
 class TestMetricAxioms:
@@ -327,6 +327,26 @@ class TestValidationAndSerialization:
             bl.BuresWasserstein(2).check_point(gaussian([0.0], [[1.0]]))
         with pytest.raises(NotPositiveDefinite):
             bl.point_from_payload({"space": "gaussian", "mean": [0.0], "cov": [[-1.0]]})
+
+    def test_gaussian_payload_checks_its_covariance_once(self, monkeypatch):
+        import barylab.spaces.gaussian as gaussian_module
+
+        calls = []
+        check = gaussian_module.spd_check
+
+        def spy(m, what="matrix"):
+            calls.append(what)
+            return check(m, what)
+
+        monkeypatch.setattr(gaussian_module, "spd_check", spy)
+        payload = {"space": "gaussian", "mean": [0.0, 1.0], "cov": [[2.0, 0.5], [0.5, 1.0]]}
+        space, x = bl.point_from_payload(payload)
+        assert calls == ["covariance"]
+        assert np.array_equal(x, gaussian([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            space.point_from_payload(dict(payload, cov=[[1.0]]))
+        with pytest.raises(ValueError, match=r"row of shape \(4, 3\)"):
+            bl.BuresWasserstein(3).point_from_payload(payload)
 
     def test_payload_round_trip(self, any_space, rng):
         """A point's payload parses back to the same float array, bit for bit."""
