@@ -36,11 +36,6 @@ from .linalg import spd_sqrt_batch  # noqa: F401
 # Accept a descent step when the objective does not increase beyond float noise.
 OBJECTIVE_NOISE = 1e-12
 MAX_HALVINGS = 30
-# floats of support that descent maps at once (one problem at least): each
-# ``Space.tangent_mean`` call forms its log maps (on Gaussians, its sandwiches
-# and their roots) for one block and reduces them, so a step's temporaries are
-# a few arrays of 128 KiB, however many problems it stacks
-LOG_BLOCK_FLOATS = 16_384
 
 
 @dataclass(frozen=True)
@@ -111,37 +106,14 @@ def _step_sizes(space: Space, weights, mags, step: float) -> np.ndarray:
     return step / weighted_sum(weights, h)
 
 
-def _consecutive(rows: np.ndarray):
-    """Sorted indices as a slice where they are consecutive, so indexing with
-    them makes a view rather than a copy."""
-    if rows[-1] - rows[0] == len(rows) - 1:
-        return slice(rows[0], rows[-1] + 1)
-    return rows
-
-
-def _blocks(rows: np.ndarray, floats: int):
-    """``(block, take)`` for each run of LOG_BLOCK_FLOATS floats of support
-    (one problem at least) over the problems ``rows`` of a stack whose
-    problems hold ``floats`` floats each: ``block`` slices the per-problem
-    state, in the order of ``rows``, and ``take`` the stack, as a view
-    where those rows are consecutive."""
-    per_block = max(1, LOG_BLOCK_FLOATS // floats)
-    for start in range(0, len(rows), per_block):
-        block = slice(start, start + per_block)
-        yield block, _consecutive(rows[block])
-
-
 def _descent_state(space: Space, base, batch, weights, rows, step: float):
     """The tangent mean, the objective and the ``_step_sizes`` bound of each
     problem at ``base``, whose support and weights are the rows ``rows`` of
-    ``batch`` and ``weights``: ``Space.tangent_mean`` a ``_blocks`` block at
-    a time, so no array of the size of the stack is formed."""
-    parts = []
-    for block, take in _blocks(rows, batch[0].size):
-        w = weights[take]
-        grad, objective, mags = _tangent_mean(space, base[block], batch[take], w)
-        parts.append((grad, objective, _step_sizes(space, w, mags, step)))
-    return [np.concatenate(part) for part in zip(*parts)]
+    ``batch`` and ``weights``, gathered only when they are not all of them."""
+    if len(rows) < len(batch):
+        batch, weights = batch[rows], weights[rows]
+    grad, objective, mags = _tangent_mean(space, base, batch, weights)
+    return grad, objective, _step_sizes(space, weights, mags, step)
 
 
 def descent_batch(
@@ -161,10 +133,12 @@ def descent_batch(
     tolerance was already met.
 
     Each problem carries only its iterate, tangent mean, objective and step
-    bound, which ``_descent_state`` reduces from a block of the support at a
-    time.  The support and weights are never gathered whole: a step reads
-    the rows of its problems a block at a time, and a step every problem
-    accepts is taken whole.
+    bound, which ``_descent_state`` reduces from the log maps (on Gaussians,
+    the sandwiches and their roots) of the whole stack at once, so a step's
+    temporaries grow with the stack; ``_trial_table`` passes one chunk of
+    ``ratelab.TRIAL_FLOAT_BUDGET`` floats of support.  Once some problem has
+    left the stack, a step gathers the rows still descending (at most that
+    chunk), and a step every problem accepts is taken whole.
     """
     points = np.array(init, dtype=float)
     count = len(points)

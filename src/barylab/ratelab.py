@@ -50,17 +50,18 @@ MAX_DISCARD_RATE = 0.01
 # a trial still unconverged after this many redraws fails the run
 MAX_REDRAWS = 25
 
-# floats of stacked draws per trial solve (Space.point_floats a point) and per
-# block of the anchor verification pass: 512 KiB, or one trial's draws if they
-# are larger.  It sizes the draws, not the peak, which holds the draws and the
-# temporaries beside them: a descent stays under 3 budgets, and under 2 on
-# Gaussians (its log maps, or sandwiches and roots, come in blocks of
-# barycenter.LOG_BLOCK_FLOATS).  Larger chunks solve no faster and take more memory
-TRIAL_FLOAT_BUDGET = 65_536
+# floats of stacked draws per trial solve (Space.point_floats a point), per
+# block of the anchor verification pass, of the hugging profile's (target,
+# point) payloads and of a diagnostic sweep's configurations: 128 KiB, or one
+# trial's draws if they are larger.  It sizes the draws, not the peak, which
+# holds the draws and the temporaries beside them: descent forms the log maps
+# (or sandwiches and roots) of its whole stack at once.  Larger chunks solve no
+# faster and take more memory
+TRIAL_FLOAT_BUDGET = 16_384
 
 # the largest count a run accepts (points per trial, trials, verify draws):
-# 1024 budgets, so one trial of one-float points holds at most 512 MiB of draws
-COUNT_CEILING = 1024 * TRIAL_FLOAT_BUDGET
+# 2^26, so one trial of one-float points holds at most 512 MiB of draws
+COUNT_CEILING = 67_108_864
 
 # proof constant c in (0, 1) for the tail thresholds, fixed by convention
 TAIL_SPLIT_C = 0.5
@@ -329,12 +330,9 @@ def run_rate_experiment(config: RateExperimentConfig) -> RateCurve:
         points.append(
             RatePoint(n, config.trials, mean, stderr, sigma2, bound, mean / bound)
         )
-    slope = None  # a fit needs three grid points
-    if len(points) >= 3:
-        slope = _loglog_slope([p.n for p in points], [p.mean_sq_dist for p in points])
     return RateCurve(
         points=tuple(points),
-        slope=slope,
+        slope=_loglog_slope([p.n for p in points], [p.mean_sq_dist for p in points]),
         k_used=k,
         sigma2=sigma2,
         theorem=config.theorem,
@@ -344,9 +342,14 @@ def run_rate_experiment(config: RateExperimentConfig) -> RateCurve:
     )
 
 
-def _loglog_slope(ns, means) -> float:
-    x = np.log(np.asarray(ns, float))
-    y = np.log(np.asarray(means, float))
+def _loglog_slope(ns, means) -> float | None:
+    """The least-squares slope of log mean against log n, over the positive
+    means (a zero mean has no logarithm); None when fewer than three remain."""
+    ns, means = np.asarray(ns, float), np.asarray(means, float)
+    keep = means > 0
+    if np.count_nonzero(keep) < 3:
+        return None
+    x, y = np.log(ns[keep]), np.log(means[keep])
     x = x - x.mean()
     return float((x @ (y - y.mean())) / (x @ x))
 

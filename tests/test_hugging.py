@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import barylab as bl
+from barylab import ratelab
 from barylab.barycenter import barycenter
 from barylab.errors import BadBounds, BadLambda, CoincidentPoints
 from barylab.families import GaussianEnsemble, SphereCap
@@ -127,8 +128,9 @@ class TestVarianceEquality:
 
     def test_sweep_takes_the_support_maps_once(self, monkeypatch):
         """hugging_sweep takes the support's log maps at b_star and its squared
-        distances to b_star once, and d^2(b, support) once for its whole
-        block of cases: the calls over the support do not grow with n_cases."""
+        distances to b_star once, and d^2(b, support) once for each block of
+        cases: the calls over the support grow with the blocks, not with
+        n_cases."""
         family = GaussianEnsemble(0.8, 1.6, dim=3)
         n_support = 50
         calls = collections.Counter()
@@ -141,11 +143,15 @@ class TestVarianceEquality:
                 return _method(self, p, batch)
 
             monkeypatch.setattr(space_cls, name, spy)
+        # a case holds b, x and the support
+        per_block = ratelab.TRIAL_FLOAT_BUDGET // ((n_support + 2) * family.space.point_floats)
         for n_cases in (5, 40):
             calls.clear()
             hugging_sweep(family, n_support, n_cases, 1)
+            blocks = -(-n_cases // per_block)
+            assert blocks < n_cases
             # the solver's final objective makes one further sqdist_batch call
-            assert calls == {"log_batch": 1, "sqdist_batch": 3}
+            assert calls == {"log_batch": 1, "sqdist_batch": 2 + blocks}
 
     def test_mean_hugging_nonnegative_at_barycenter(self, any_space, rng):
         """The weighted hugging average stays nonnegative at the optimum."""

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,14 @@ class TestSlopeFit:
         slope = ratelab._loglog_slope(ns, [3.0 / math.sqrt(n) for n in ns])
         assert slope == pytest.approx(-0.5, abs=1e-12)
 
+    def test_zero_means_are_left_out(self):
+        """A zero mean has no logarithm: the fit takes the positive means,
+        and gives no slope when fewer than three are left."""
+        ns = [4, 16, 64, 256]
+        slope = ratelab._loglog_slope(ns, [0.0] + [2.0 / n for n in ns[1:]])
+        assert slope == pytest.approx(-1.0, abs=1e-12)
+        assert ratelab._loglog_slope(ns, [0.0, 0.0, 0.5, 0.25]) is None
+
 
 def euclid_config(**kw):
     defaults = dict(
@@ -105,6 +114,14 @@ class TestRateExperiment:
         a = run_rate_experiment(config)
         assert a.slope is None  # a slope fit needs three grid points
         assert a == run_rate_experiment(config)
+
+    def test_point_mass_has_no_slope(self):
+        """Every trial of a point mass lands on its anchor, so every mean is 0
+        and the curve has no slope, with no warning on the way."""
+        curve = run_rate_experiment(euclid_config(family=PointMass(dim=3), trials=20))
+        assert [p.mean_sq_dist for p in curve.points] == [0.0, 0.0, 0.0]
+        assert curve.slope is None
+        assert not rate_violations(curve, strict=True)
 
     def test_seed_changes_results(self):
         a = run_rate_experiment(euclid_config())
@@ -446,7 +463,8 @@ class TestTrialTable:
 
     def test_wide_points_split_the_solve(self, monkeypatch):
         """The budget counts floats, so 16 x 16 covariances at n = 16 (272
-        floats a point) split 20 trials into stacked solves of 15 and 5."""
+        floats a point) split 20 trials into stacked solves of as many trials
+        as the budget holds, and one of the rest."""
         sizes = []
 
         def recording(space, batch, weights, options):
@@ -459,8 +477,9 @@ class TestTrialTable:
             family=family, theorem="wasserstein", n_grid=(16,), trials=20, master_seed=5
         )
         ratelab._trial_table(config, family.anchor)
-        assert sizes == [(15, 16), (5, 16)]
-        assert all(t * n * 272 <= ratelab.TRIAL_FLOAT_BUDGET for t, n in sizes)
+        per_solve = ratelab.TRIAL_FLOAT_BUDGET // (16 * 272)
+        assert 1 < per_solve < 20 and 20 % per_solve
+        assert sizes == [(per_solve, 16)] * (20 // per_solve) + [(20 % per_solve, 16)]
 
     def test_never_converging_trial_is_named(self, monkeypatch):
         """A trial that fails every redraw stops the run, named by its
@@ -476,6 +495,34 @@ class TestTrialTable:
         monkeypatch.setattr(ratelab, "barycenter_batch", stuck)
         with pytest.raises(DiscardRateExceeded, match=r"trial \(1, 4\) failed .* 26 redraws"):
             run_rate_experiment(euclid_config(n_grid=(4, 8), trials=5))
+
+
+# the configs of the benchmark's workloads (perfbench/workloads.py), less the seed
+WORKLOAD_CONFIGS = {
+    "rates-hyperbolic": (HyperbolicGaussian(0.5, dim=2), "negcurv", (16, 64, 256, 1024), 40),
+    "rates-gaussian": (GaussianEnsemble(0.8, 1.6, dim=3), "wasserstein", (16, 64, 256, 1024), 20),
+    "tail-sphere": (SphereCap(0.3, dim=2), "tail", (100, 400), 50),
+}
+
+
+class TestTrialTableMemory:
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+    def test_workload_table_peaks_below_one_mib(self, name):
+        """A benchmark workload's trial table holds one chunk of draws and its
+        solve at a time: it peaks at 439-650 KiB."""
+        family, theorem, n_grid, trials = WORKLOAD_CONFIGS[name]
+        config = bl.RateExperimentConfig(
+            family=family, theorem=theorem, n_grid=n_grid, trials=trials, master_seed=1
+        )
+        small = dataclasses.replace(config, n_grid=(2,), trials=1)
+        ratelab._trial_table(small, family.anchor)  # lazy imports
+        tracemalloc.start()
+        try:
+            ratelab._trial_table(config, family.anchor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def tail_config(trials=2000):
@@ -656,6 +703,8 @@ class TestBatchedProfile:
 
         monkeypatch.setattr(type(config.family.space), "log_batch", spy)
         estimate_hugging_profile(config, 200, 100)
+        per_block = ratelab.TRIAL_FLOAT_BUDGET // (200 * config.family.space.point_floats)
         assert sizes.count(200) == 1
-        assert len(sizes) == 3  # the support, the targets' coincidence check, one block
+        # the support, the targets' coincidence check, then one call a block of targets
+        assert len(sizes) == 2 + -(-100 // per_block)
 
