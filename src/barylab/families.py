@@ -57,10 +57,6 @@ class Family(abc.ABC):
     def support_extendibility(self) -> Extendibility:
         """Extendibility infimum over the population support."""
 
-    @abc.abstractmethod
-    def describe(self) -> dict:
-        """JSON-ready parameter echo."""
-
     def transport_bounds(self) -> tuple[float, float] | None:
         """(alpha, beta) when every draw's transport potential from the anchor is
         alpha-convex and beta-smooth, the Wasserstein corollary's premise; else None."""
@@ -126,7 +122,34 @@ def _as_unit_rows(v: np.ndarray) -> np.ndarray:
     return v / norms
 
 
-class EuclideanGaussian(Family):
+class _IsotropicGaussian(Family):
+    """Exponential of an isotropic Gaussian tangent vector v at the anchor:
+    ``scale`` times standard normal coordinates in an orthonormal frame, the
+    rows of ``frame`` or else the space's ``tangent_basis`` at the anchor.
+    Then d(anchor, exp v) = |v|, so d^2 = scale^2 Z with Z chi-square on dim
+    degrees of freedom."""
+
+    def __init__(self, space: Space, anchor, scale: float, frame=None):
+        self.space = space
+        self.anchor = np.asarray(anchor, float)
+        space.check_point(self.anchor)
+        self.scale = float(scale)
+        self._basis = space.tangent_basis(self.anchor) if frame is None else frame
+
+    def tangents(self, rng, count):
+        return (self.scale * rng.standard_normal((count, self.space.dim))) @ self._basis
+
+    def sigma2(self):
+        return self.space.dim * self.scale**2
+
+    def subgaussian_moment(self, varsigma2):
+        return _chi2_moment(self.scale**2 / varsigma2, self.space.dim)
+
+    def support_extendibility(self) -> Extendibility:
+        return Extendibility(math.inf, math.inf)
+
+
+class EuclideanGaussian(_IsotropicGaussian):
     """Isotropic Gaussian around a Euclidean anchor."""
 
     kind = "euclidean_gaussian"
@@ -134,31 +157,20 @@ class EuclideanGaussian(Family):
     def __init__(self, dim: int = 3, mean=None, sd: float = 1.0):
         if sd <= 0:
             raise BadFamilyParams("sd must be positive")
-        self.space = Euclidean(dim)
-        self.anchor = np.zeros(dim) if mean is None else np.asarray(mean, float)
-        self.space.check_point(self.anchor)
-        self.sd = float(sd)
+        space = Euclidean(dim)
+        super().__init__(space, np.zeros(dim) if mean is None else mean, sd, np.eye(space.dim))
 
-    def tangents(self, rng, count):
-        return self.sd * rng.standard_normal((count, self.space.dim))
 
-    def sigma2(self):
-        return self.space.dim * self.sd**2
+class HyperbolicGaussian(_IsotropicGaussian):
+    """Isotropic Gaussian tangent vectors at a hyperbolic anchor."""
 
-    def subgaussian_moment(self, varsigma2):
-        # d^2 = sd^2 Z with Z chi-square on dim degrees of freedom
-        return _chi2_moment(self.sd**2 / varsigma2, self.space.dim)
+    kind = "hyperbolic_gaussian"
 
-    def support_extendibility(self) -> Extendibility:
-        return Extendibility(math.inf, math.inf)
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.space.dim,
-            "mean": [float(c) for c in self.anchor],
-            "sd": self.sd,
-        }
+    def __init__(self, scale: float, dim: int = 2, anchor=None):
+        if scale <= 0:
+            raise BadFamilyParams("scale must be positive")
+        space = Hyperboloid(dim)
+        super().__init__(space, space.origin() if anchor is None else anchor, scale)
 
 
 class SphereCap(Family):
@@ -221,51 +233,6 @@ class SphereCap(Family):
     def support_extendibility(self) -> Extendibility:
         edge = self.space.exp(self.anchor, self.radius * self._basis[0])
         return self.space.max_extendibility(self.anchor, edge)
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.space.dim,
-            "anchor": [float(c) for c in self.anchor],
-            "radius": self.radius,
-        }
-
-
-class HyperbolicGaussian(Family):
-    """Exponential of an isotropic Gaussian tangent vector at the anchor."""
-
-    kind = "hyperbolic_gaussian"
-
-    def __init__(self, scale: float, dim: int = 2, anchor=None):
-        if scale <= 0:
-            raise BadFamilyParams("scale must be positive")
-        self.space = Hyperboloid(dim)
-        self.anchor = self.space.origin() if anchor is None else np.asarray(anchor, float)
-        self.space.check_point(self.anchor)
-        self.scale = float(scale)
-        self._basis = self.space.tangent_basis(self.anchor)
-
-    def tangents(self, rng, count):
-        return (self.scale * rng.standard_normal((count, self.space.dim))) @ self._basis
-
-    def sigma2(self):
-        # d(anchor, exp v) = |v| for the Gaussian tangent vector v
-        return self.space.dim * self.scale**2
-
-    def subgaussian_moment(self, varsigma2):
-        # d^2 = |v|^2 = scale^2 Z with Z chi-square on dim degrees of freedom
-        return _chi2_moment(self.scale**2 / varsigma2, self.space.dim)
-
-    def support_extendibility(self) -> Extendibility:
-        return Extendibility(math.inf, math.inf)
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.space.dim,
-            "anchor": [float(c) for c in self.anchor],
-            "scale": self.scale,
-        }
 
 
 class GaussianEnsemble(Family):
@@ -365,15 +332,6 @@ class GaussianEnsemble(Family):
         extreme = np.zeros(self.space.point_shape)
         extreme[1:] = sym(np.diag(eigs) @ self.anchor[1:] @ np.diag(eigs))
         return self.space.max_extendibility(self.anchor, extreme)
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.space.dim,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "base_cov": [[float(c) for c in row] for row in self.anchor[1:]],
-        }
 
 
 FAMILY_KINDS = {

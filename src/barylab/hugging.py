@@ -78,11 +78,11 @@ def variance_equality_residual(space, dist: DiscreteDistribution, b_star, b,
     squared distances to ``b_star``, taken once, as ``logs`` and ``sqdist_star``.
     """
     (bs,), pick = space.configs(b)
-    # d^2(b, x_i), then d^2(b, b*) in the last column, taken as pow(d, 2) below
+    # d^2(b, x_i), then d^2(b, b*) in the last column
     sq = space.sqdist_batch(bs, np.concatenate((dist.batch, space.stack([b_star]))))
     k_values = hugging_values(space, b_star, bs, dist.batch, logs, sq[:, :-1])  # rejects b = b_star
     sqdist_star = space.sqdist_batch(b_star, dist.batch) if sqdist_star is None else sqdist_star
-    lhs = np.float_power(np.sqrt(sq[:, -1]), 2.0) * (k_values[:, None] @ dist.weights)[:, 0]
+    lhs = sq[:, -1] * (k_values[:, None] @ dist.weights)[:, 0]
     return np.abs(lhs - ((sq[:, :-1] - sqdist_star)[:, None] @ dist.weights)[:, 0])[pick]
 
 

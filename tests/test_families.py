@@ -1,5 +1,6 @@
 """Sampling families: anchors, guarantees, determinism, fast paths."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -110,6 +111,28 @@ class TestGuarantees:
         tangents = family.tangents(np.random.default_rng(9), 200)
         expected = family.space.stack([family.space.exp(family.anchor, v) for v in tangents])
         assert np.max(np.abs(batch - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_isotropic_tangents_pinned_bit_for_bit(self, dim, seed):
+        """The shared tangents draw exactly what each kind drew on its own:
+        ``sd`` times standard normals on R^d, and ``scale`` times standard
+        normals times the anchor's tangent basis on H^d, sign bits included."""
+        space = bl.Hyperboloid(dim)
+        far = space.exp(space.origin(), np.r_[0.0, np.linspace(0.5, 1.5, dim)])
+        cases = [
+            (EuclideanGaussian(dim=dim, sd=0.7), lambda n: 0.7 * n),
+            (EuclideanGaussian(dim=dim, mean=np.linspace(-1.0, 2.0, dim), sd=1.3),
+             lambda n: 1.3 * n),
+            (HyperbolicGaussian(0.5, dim=dim), lambda n: (0.5 * n) @ space.tangent_basis(space.origin())),
+            (HyperbolicGaussian(1.5, dim=dim, anchor=far),
+             lambda n: (1.5 * n) @ space.tangent_basis(far)),
+        ]
+        for family, formula in cases:
+            for count in (1, 7, 1000):
+                got = family.tangents(np.random.default_rng(seed), count)
+                normals = np.random.default_rng(seed).standard_normal((count, dim))
+                assert got.tobytes() == formula(normals).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_default_anchor_bases_are_the_coordinate_axes(self, dim):
@@ -440,9 +463,30 @@ class TestParams:
         with pytest.raises(BadFamilyParams):
             family_from_config({"kind": "sphere_cap", "radius": 0.2, "spin": 3})
 
-    def test_describe_round_trip(self, family):
-        rebuilt = family_from_config(family.describe())
-        assert rebuilt.describe() == family.describe()
+    @pytest.mark.parametrize("config, message", [
+        ({"kind": "euclidean_gaussian", "scale": 0.5}, "unknown family keys ['scale']"),
+        ({"kind": "euclidean_gaussian", "anchor": [1.0, 0.0, 0.0]}, "unknown family keys ['anchor']"),
+        ({"kind": "hyperbolic_gaussian", "scale": 0.5, "sd": 1.0}, "unknown family keys ['sd']"),
+        ({"kind": "hyperbolic_gaussian", "scale": 0.5, "mean": [0.0, 0.0]},
+         "unknown family keys ['mean']"),
+    ])
+    def test_isotropic_kinds_refuse_each_others_keys(self, config, message):
+        """The shared Gaussian base adds no config key to either kind."""
+        with pytest.raises(BadFamilyParams) as info:
+            family_from_config(config)
+        assert str(info.value) == message
+
+    def test_isotropic_kinds_keep_their_keys_and_defaults(self):
+        def defaults(cls):
+            return {name: p.default for name, p in inspect.signature(cls).parameters.items()}
+
+        assert defaults(EuclideanGaussian) == {"dim": 3, "mean": None, "sd": 1.0}
+        assert defaults(HyperbolicGaussian) == {"scale": inspect.Parameter.empty, "dim": 2,
+                                                "anchor": None}
+        with pytest.raises(BadFamilyParams, match="^sd must be positive$"):
+            family_from_config({"kind": "euclidean_gaussian", "sd": 0.0})
+        with pytest.raises(BadFamilyParams, match="^scale must be positive$"):
+            family_from_config({"kind": "hyperbolic_gaussian", "scale": -1.0})
 
     def test_mean_one_eigenvalue_mixture(self):
         family = GaussianEnsemble(0.8, 1.6, dim=3)

@@ -106,6 +106,30 @@ class TestVarianceEquality:
         with pytest.raises(CoincidentPoints):
             bl.variance_equality_residual(any_space, dist, x, x)
 
+    def test_residual_weights_the_sqdist_of_b_to_b_star_itself(self, any_space, rng, monkeypatch):
+        """With every k_i at 1 and sqdist_star at the support's d^2(b, x_i), the
+        residual is d^2(b, b*) exactly as sqdist_batch returned it: no root is
+        taken and squared back."""
+        space = any_space
+        monkeypatch.setattr(
+            bl.hugging, "hugging_values", lambda s, b_star, bs, xs, *rest: np.ones((len(bs), len(xs)))
+        )
+        returned = []
+
+        def spy(a, b, _method=space.sqdist_batch):
+            returned.append(_method(a, b))
+            return returned[-1]
+
+        monkeypatch.setattr(space, "sqdist_batch", spy)
+        for _ in range(20):
+            b_star, b, x = separated_points(space, rng, 3)
+            dist = bl.DiscreteDistribution(space, [x])
+            returned.clear()
+            bl.variance_equality_residual(space, dist, b_star, b)
+            sq = returned[0]  # d^2(b, x), then d^2(b, b*)
+            residual = bl.variance_equality_residual(space, dist, b_star, b, sqdist_star=sq[:, 0])
+            assert residual == sq[0, -1]
+
     def test_residual_small_at_converged_barycenters(self, any_space, rng):
         space = any_space
         tol = 1e-10
