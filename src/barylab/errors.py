@@ -41,10 +41,6 @@ class NotPositiveDefinite(BarylabError):
     """A matrix required to be SPD has an eigenvalue below the floor."""
 
 
-class GridMismatch(BarylabError):
-    """Quantile points with different grid sizes were mixed."""
-
-
 class CoincidentPoints(BarylabError):
     """Two points required to be distinct coincide numerically."""
 

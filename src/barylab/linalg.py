@@ -66,12 +66,8 @@ def spd_sqrt_batch(ms: np.ndarray) -> np.ndarray:
 
 def _eigh_sqrt(a: np.ndarray) -> np.ndarray:
     """Square roots of symmetric ``a`` from one eigendecomposition each,
-    flooring at SPD_EIG_FLOOR."""
-    w, v = np.linalg.eigh(a)
-    if np.min(w) <= SPD_EIG_FLOOR:
-        raise NotPositiveDefinite(
-            f"eigenvalue {np.min(w):.3e} <= {SPD_EIG_FLOOR} in batched SPD sqrt"
-        )
+    flooring at SPD_EIG_FLOOR (``sym`` leaves a symmetric ``a`` bit-equal)."""
+    w, v = spd_eigh(a)
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 

@@ -40,9 +40,11 @@ from .hugging import hugging_value  # noqa: F401  (perfbench/tracer.py counts it
 
 THEOREMS = ("negcurv", "master_extendible", "wasserstein", "tail")
 
-# stream labels for seed derivation; 2 stays unused so that the other streams
-# keep the seeds they had when a Monte Carlo sigma^2 pass drew from it
+# stream labels for seed derivation, distinct across the package; 2 stays
+# unused so that the other streams keep the seeds they had when a Monte Carlo
+# sigma^2 pass drew from it
 _VERIFY, _TRIAL, _PROFILE = 1, 3, 4
+_HUGGING, _CURVATURE = 11, 12  # the diagnostic sweeps
 
 # discarding more than this fraction of trials fails the run
 MAX_DISCARD_RATE = 0.01

@@ -33,29 +33,18 @@ WARM_START_CANDIDATES = 32
 
 @dataclass(frozen=True)
 class Extendibility:
-    """Largest inward/outward extension factors of a geodesic, or arrays of
-    them for the geodesics from one base point to a batch.
-
-    Values are suprema; an ``open_*`` flag marks a supremum that is not
-    attained (the extension degenerates exactly at the endpoint).
-    """
+    """Largest inward/outward extension factors of a geodesic, as suprema,
+    or arrays of them for the geodesics from one base point to a batch."""
 
     lambda_in: float
     lambda_out: float
-    open_in: bool = False
-    open_out: bool = False
 
 
 def componentwise_inf(ext: Extendibility) -> Extendibility:
-    """Componentwise infimum of an array-valued extendibility, propagating
-    the open flags of the geodesics that attain it."""
+    """Componentwise infimum of an array-valued extendibility."""
     if np.size(ext.lambda_in) == 0:
         raise ValueError("empty extendibility batch")
-    lam_in = float(np.min(ext.lambda_in))
-    lam_out = float(np.min(ext.lambda_out))
-    open_in = bool(np.any(ext.open_in & (ext.lambda_in == lam_in)))
-    open_out = bool(np.any(ext.open_out & (ext.lambda_out == lam_out)))
-    return Extendibility(lam_in, lam_out, open_in, open_out)
+    return Extendibility(float(np.min(ext.lambda_in)), float(np.min(ext.lambda_out)))
 
 
 class Space(abc.ABC):
@@ -202,16 +191,13 @@ class Space(abc.ABC):
         return Extendibility(unbounded, unbounded)
 
     def warm_start(self, batch, weights):
-        """Descent start: the best of the first WARM_START_CANDIDATES support
-        points, O(n) each, for one problem's (n, D) batch and (n,) weights.
-        Spaces with a cheap extrinsic mean override it for a stacked
-        (T, n, D) batch with (T, n) weights, returning (T, D) starts."""
-        candidates = batch[:WARM_START_CANDIDATES]
-        return candidates[int(np.argmin(self.sqdist_batch(candidates, batch) @ weights))]
-
-    def _fall_back(self, starts, ok, batch, weights):
-        """(T, D) ``starts`` where ``ok`` holds, else the default
-        ``Space.warm_start``, computed for each failing problem on its own."""
-        for t in np.flatnonzero(~ok):
-            starts[t] = Space.warm_start(self, batch[t], weights[t])
-        return starts
+        """Descent starts, (T,) + point_shape, for a stacked (T, n) +
+        point_shape batch with (T, n) weights: for each problem the best of
+        its first WARM_START_CANDIDATES support points, O(n) each.  Each
+        candidate is scored across the stack in one call, so no temporary
+        outgrows the batch.  Spaces with a cheap extrinsic mean override it."""
+        scores = [
+            weighted_sum(weights, self.sqdist_batch(batch[:, k], batch))
+            for k in range(min(batch.shape[1], WARM_START_CANDIDATES))
+        ]
+        return batch[np.arange(len(batch)), np.argmin(scores, axis=0)]

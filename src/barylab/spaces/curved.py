@@ -160,15 +160,18 @@ class Sphere(_ModelSpace):
 
     def warm_start(self, batch, weights):
         """The projected extrinsic mean, unless it is degenerate or a support
-        point lies pi/2 (the Karcher/Afsari uniqueness radius) or more away;
-        for each problem of a stacked (T, n, D) batch with (T, n) weights."""
+        point lies pi/2 (the Karcher/Afsari uniqueness radius) or more away,
+        where the base start is taken in one stacked call; for each problem
+        of a stacked (T, n, D) batch with (T, n) weights."""
         mean = weighted_sum(weights, batch)
         norm = np.linalg.norm(mean, axis=-1, keepdims=True)
         start = mean / np.where(norm > 1e-8, norm, 1.0)
         ok = (norm[..., 0] > 1e-8) & np.all(
             self.sqdist_batch(start, batch) < (math.pi / 2) ** 2, axis=-1
         )
-        return self._fall_back(start, ok, batch, weights)
+        if not ok.all():
+            start[~ok] = super().warm_start(batch[~ok], weights[~ok])
+        return start
 
 
 class Hyperboloid(_ModelSpace):
@@ -198,8 +201,12 @@ class Hyperboloid(_ModelSpace):
 
     def warm_start(self, batch, weights):
         """The projected extrinsic mean: the Minkowski-normalised weighted mean
-        (timelike with x0 > 0 for any sheet points, unless rounding breaks it);
-        for each problem of a stacked (T, n, D) batch with (T, n) weights."""
+        (timelike with x0 > 0 for any sheet points, unless rounding breaks it,
+        where the base start is taken in one stacked call); for each problem
+        of a stacked (T, n, D) batch with (T, n) weights."""
         mean = weighted_sum(weights, batch)
+        start = self._project(mean)
         ok = (mean[..., 0] > 0) & (self.tangent_inner(None, mean, mean) < 0)
-        return self._fall_back(self._project(mean), ok, batch, weights)
+        if not ok.all():
+            start[~ok] = super().warm_start(batch[~ok], weights[~ok])
+        return start

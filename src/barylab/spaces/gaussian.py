@@ -122,11 +122,10 @@ class BuresWasserstein(Space):
         """
         eig = np.linalg.eigvalsh(np.eye(self.dim) + self._map_gaps(p, batch[..., 1:, :]))
         a_min, a_max = eig[..., 0], eig[..., -1]
-        open_out = a_min < 1.0 - 1e-15
-        open_in = a_max > 1.0 + 1e-15
-        lam_out = np.where(open_out, a_min / np.where(open_out, 1.0 - a_min, 1.0), math.inf)
-        lam_in = np.where(open_in, 1.0 / np.where(open_in, a_max - 1.0, 1.0), math.inf)
-        return Extendibility(lam_in, lam_out, open_in, open_out)
+        shrinks, grows = a_min < 1.0 - 1e-15, a_max > 1.0 + 1e-15  # else unbounded
+        lam_out = np.where(shrinks, a_min / np.where(shrinks, 1.0 - a_min, 1.0), math.inf)
+        lam_in = np.where(grows, 1.0 / np.where(grows, a_max - 1.0, 1.0), math.inf)
+        return Extendibility(lam_in, lam_out)
 
     # -- tangent cone ------------------------------------------------------------
 

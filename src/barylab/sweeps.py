@@ -57,7 +57,7 @@ def hugging_sweep(
     Returns (rows, meta): one row per sampled (b, x) case with the instance's
     extension-based lower bound and variance-equality residual.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(master_seed), 11]))
+    rng = ratelab._stream(master_seed, ratelab._HUGGING)
     space = family.space
     dist = DiscreteDistribution(space, family.sample_batch(rng, n_support))
     result = barycenter(dist, solver)
@@ -122,7 +122,7 @@ def curvature_sweep(space: Space, kappa: float, quadruples: int, triples: int,
     Emits one row per probe evaluation; the cone gap is signed so that the
     curvature-appropriate inequality corresponds to a nonnegative value.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(master_seed), 12]))
+    rng = ratelab._stream(master_seed, ratelab._CURVATURE)
 
     def cone_gap(p, x, y):  # nonpositive curvature flips the comparison direction
         gaps = cone_distance(space, p, x, y) - np.sqrt(space.sqdist_batch(x, y[:, None])[:, 0])

@@ -19,11 +19,12 @@ from barylab.barycenter import (
     best_support_init,
     descent_batch,
 )
-from barylab.errors import GridMismatch, SpaceMismatch
+from barylab.errors import SpaceMismatch
 from barylab.families import GaussianEnsemble, HyperbolicGaussian, SphereCap
 from barylab.linalg import positive_qr_q, spd_sqrt_batch, sym, weighted_sum
 from barylab.ratelab import TRIAL_FLOAT_BUDGET
 from barylab.spaces import Space
+from barylab.spaces.base import WARM_START_CANDIDATES
 
 from conftest import gaussian, probe_point, separated_points
 from oracles import gaussian_quantile_grid, mean_log_sqnorm, minimality_spot_check
@@ -423,7 +424,7 @@ class TestQuantileMean:
     def test_grid_mismatch(self):
         space = bl.QuantileSpace(4)
         # grids of 3 values on a 4-value space: the batch has the wrong width
-        with pytest.raises(GridMismatch):
+        with pytest.raises(SpaceMismatch):
             bl.DiscreteDistribution(space, [np.zeros(3), np.ones(3)])
 
 
@@ -706,9 +707,10 @@ class TestTangentStructure:
 
 def best_support_point(dist):
     """The support point of least objective, by brute force over all pairs:
-    the (n, n) squared distances times the weights, summed in the order of
-    the default warm start, so that exact ties break alike."""
-    objectives = dist.space.sqdist_batch(dist.batch, dist.batch) @ dist.weights
+    each row of the (n, n) squared distances times the weights, summed as
+    the default warm start sums it, so that exact ties break alike."""
+    rows = dist.space.sqdist_batch(dist.batch, dist.batch)
+    objectives = [(dist.weights[None] @ row[:, None])[0, 0] for row in rows]
     return dist.points[int(np.argmin(objectives))]
 
 
@@ -754,7 +756,7 @@ class TestWarmStart:
         default = Space.warm_start
 
         def spy(self, batch, weights):
-            calls.append(len(batch))
+            calls.append(batch.shape[:2])
             return default(self, batch, weights)
 
         monkeypatch.setattr(Space, "warm_start", spy)
@@ -762,9 +764,67 @@ class TestWarmStart:
         points = [np.array(r, dtype=float) for r in rows]
         dist = bl.DiscreteDistribution(space, points)
         start = best_support_init(dist)
-        assert calls == [len(points)]
+        assert calls == [(1, len(points))]  # one stacked call, of the one problem
         space.check_point(start)
         assert np.array_equal(start, best_support_point(dist))
+
+    def test_sphere_stack_falls_back_in_one_call(self, monkeypatch, rng):
+        """On a stack where some problems fall back (a zero extrinsic mean, a
+        support point past pi/2 from it) and others do not, the failing rows
+        take one stacked base call and every start is its problem's own."""
+        space = bl.Sphere(2)
+        a = 0.1
+        pole, e1, e2 = np.eye(3)[2], np.eye(3)[0], np.eye(3)[1]
+        beyond = [[math.cos(a), 0.0, -math.sin(a)], [-math.cos(a), 0.0, -math.sin(a)], pole, pole]
+        cap = SphereCap(0.3)
+        problems = [
+            cap.sample(rng, 4),
+            [e1, -e1, e2, -e2],  # zero extrinsic mean
+            cap.sample(rng, 4),
+            beyond,  # its first two points lie pi/2 + a from the mean
+            [e2, -e2, e1, -e1],
+            cap.sample(rng, 4),
+        ]
+        batch = np.array(problems, dtype=float)
+        weights = rng.uniform(0.2, 1.0, (len(batch), 4))
+        weights[[1, 3, 4]] = 0.25  # equal: exact zero means, and problem 3's at the pole
+        weights /= weights.sum(axis=1, keepdims=True)
+        calls = []
+        default = Space.warm_start
+
+        def spy(self, batch, weights):
+            calls.append(batch.shape[:2])
+            return default(self, batch, weights)
+
+        monkeypatch.setattr(Space, "warm_start", spy)
+        starts = space.warm_start(batch, weights)
+        assert calls == [(3, 4)]
+        for t in range(len(batch)):
+            alone = space.warm_start(batch[t:t + 1], weights[t:t + 1])[0]
+            assert np.array_equal(starts[t], alone)
+            space.check_point(starts[t])
+        for t in (1, 3, 4):
+            dist = bl.DiscreteDistribution(space, batch[t], weights[t])
+            assert np.array_equal(starts[t], best_support_point(dist))
+        assert not any(np.any(np.all(batch[t] == starts[t], axis=-1)) for t in (0, 2, 5))
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_base_start_of_a_stack_is_each_problems_own(self, any_space, n, rng):
+        """The default start scores a stack's problems in one call, and row t
+        is the best of problem t's first WARM_START_CANDIDATES points."""
+        space = any_space
+        batch = space.stack([probe_point(space, rng) for _ in range(5 * n)])
+        batch = batch.reshape((5, n) + space.point_shape)
+        weights = rng.uniform(0.2, 1.0, (5, n))
+        weights /= weights.sum(axis=1, keepdims=True)
+        starts = Space.warm_start(space, batch, weights)
+        assert starts.shape == (5,) + space.point_shape
+        for t in range(5):
+            candidates = batch[t, :WARM_START_CANDIDATES]
+            scores = space.sqdist_batch(candidates, batch[t]) @ weights[t]
+            assert np.array_equal(starts[t], candidates[int(np.argmin(scores))])
+            alone = Space.warm_start(space, batch[t:t + 1], weights[t:t + 1])[0]
+            assert np.array_equal(starts[t], alone)
 
 
 def test_submodule_import_binds_the_module():

@@ -237,7 +237,6 @@ class TestExtendibilityBounds:
         pop = family.support_extendibility()
         assert pop.lambda_in == pytest.approx(1.0 / 0.6, abs=1e-9)
         assert pop.lambda_out == pytest.approx(4.0, abs=1e-9)
-        assert pop.open_in and pop.open_out
 
     def test_population_vs_empirical_consistency(self, rng):
         family = SphereCap(0.25)

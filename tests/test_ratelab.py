@@ -55,6 +55,31 @@ def make_curve(ns, means):
     return RateCurve(points, float("nan"), 1.0, 1.0, "negcurv", "euclidean", 0)
 
 
+class TestStreams:
+    def test_labels_are_distinct(self):
+        """Every seeded stream of the package comes from ``ratelab._stream``
+        under one label of its registry, and no two labels share a value."""
+        labels = {
+            name: value for name, value in vars(ratelab).items()
+            if name[:1] == "_" and name[1:].isupper() and type(value) is int
+        }
+        assert {"_VERIFY", "_TRIAL", "_PROFILE", "_HUGGING", "_CURVATURE"} <= set(labels)
+        assert len(set(labels.values())) == len(labels)
+        assert 2 not in labels.values()  # the retired Monte Carlo sigma^2 stream
+        package = Path(ratelab.__file__).parent
+        builders = [p.name for p in package.rglob("*.py") if "SeedSequence" in p.read_text()]
+        assert builders == ["ratelab.py"]
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("name, label", [("_HUGGING", 11), ("_CURVATURE", 12)])
+    def test_sweep_streams_keep_their_seeds(self, seed, name, label):
+        """The sweeps' streams draw what their former hand-built generators drew."""
+        old = np.random.default_rng(np.random.SeedSequence([seed, label]))
+        new = ratelab._stream(seed, getattr(ratelab, name))
+        assert np.array_equal(new.standard_normal(64), old.standard_normal(64))
+        assert np.array_equal(new.integers(0, 2**62, 8), old.integers(0, 2**62, 8))
+
+
 class TestSlopeFit:
     """The least-squares log-log fit behind ``RateCurve.slope``."""
 

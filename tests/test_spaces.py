@@ -12,7 +12,6 @@ import barylab as bl
 from barylab.errors import (
     AntipodalPoints,
     CutLocus,
-    GridMismatch,
     NotPositiveDefinite,
     OutOfDomain,
     SpaceMismatch,
@@ -230,7 +229,6 @@ class TestExtendibility:
         ext = space.max_extendibility(a, b)
         assert ext.lambda_in == pytest.approx(1.0, abs=1e-12)
         assert math.isinf(ext.lambda_out)
-        assert ext.open_in and not ext.open_out
 
     def test_gaussian_supremum_is_open(self):
         """Inside the supremum the interpolated map stays PD, at it it fails."""
@@ -281,10 +279,9 @@ def reference_extendibility(space, x, y) -> bl.Extendibility:
         return bl.Extendibility(max(lam_in, 0.0), max(lam_out, 0.0))
     eig = np.linalg.eigvalsh(space.transport_map(x, y))
     a_min, a_max = float(eig[0]), float(eig[-1])
-    open_out, open_in = a_min < 1.0 - 1e-15, a_max > 1.0 + 1e-15
-    lam_out = a_min / (1.0 - a_min) if open_out else math.inf
-    lam_in = 1.0 / (a_max - 1.0) if open_in else math.inf
-    return bl.Extendibility(lam_in, lam_out, open_in, open_out)
+    lam_out = a_min / (1.0 - a_min) if a_min < 1.0 - 1e-15 else math.inf
+    lam_in = 1.0 / (a_max - 1.0) if a_max > 1.0 + 1e-15 else math.inf
+    return bl.Extendibility(lam_in, lam_out)
 
 
 class TestExtendibilityBatch:
@@ -295,18 +292,13 @@ class TestExtendibilityBatch:
             p = probe_point(space, rng)
             xs = [p] + [probe_point(space, rng) for _ in range(12)]
             ext = space.extendibility_batch(p, space.stack(xs))
-            open_in, open_out = (np.broadcast_to(f, len(xs)) for f in (ext.open_in, ext.open_out))
             for i, x in enumerate(xs):
                 ref = reference_extendibility(space, p, x)
-                row = (ext.lambda_in[i], ext.lambda_out[i], open_in[i], open_out[i])
-                assert row == (ref.lambda_in, ref.lambda_out, ref.open_in, ref.open_out)
+                assert (ext.lambda_in[i], ext.lambda_out[i]) == (ref.lambda_in, ref.lambda_out)
 
-    def test_componentwise_inf_keeps_the_open_flag_of_the_minimum(self):
-        ext = bl.Extendibility(
-            np.array([2.0, 1.0, 1.0]), np.array([3.0, 5.0, 3.0]),
-            np.array([True, False, True]), np.array([False, True, True]),
-        )
-        assert componentwise_inf(ext) == bl.Extendibility(1.0, 3.0, True, True)
+    def test_componentwise_inf_is_the_minimum_of_each_factor(self):
+        ext = bl.Extendibility(np.array([2.0, 1.0, 1.0]), np.array([3.0, 5.0, 3.0]))
+        assert componentwise_inf(ext) == bl.Extendibility(1.0, 3.0)
         with pytest.raises(ValueError):
             componentwise_inf(bl.Extendibility(np.empty(0), np.empty(0)))
 
@@ -501,11 +493,10 @@ class TestBatchedKernels:
 
 
 def extendibility_arrays(ext: bl.Extendibility, shape) -> np.ndarray:
-    """The four fields of an array-valued extendibility of ``shape``, stacked
-    along axis 0; the open flags may be scalars that broadcast to it."""
+    """The two factors of an array-valued extendibility of ``shape``, stacked
+    along axis 0."""
     assert np.shape(ext.lambda_in) == np.shape(ext.lambda_out) == shape
-    fields = (ext.lambda_in, ext.lambda_out, ext.open_in, ext.open_out)
-    return np.stack([np.broadcast_to(np.asarray(f, float), shape) for f in fields])
+    return np.stack([ext.lambda_in, ext.lambda_out])
 
 
 class TestBroadcastContract:
@@ -645,19 +636,15 @@ class TestStackedForm:
             assert x.shape == space.point_shape
 
     def test_wrong_shape_is_refused(self, any_space, rng):
-        """A batch whose points are not of point_shape raises ValueError
-        (GridMismatch on quantile grids), and SpaceMismatch as a support."""
+        """A batch whose points are not of point_shape raises ValueError, and
+        SpaceMismatch as a support, in every space."""
         space = any_space
         batch = space.stack([probe_point(space, rng) for _ in range(4)])
-        error, mismatch = (
-            (GridMismatch, GridMismatch) if space.tag == "quantile"
-            else (ValueError, SpaceMismatch)
-        )
         grown = np.zeros((4,) + tuple(k + 1 for k in space.point_shape))
         for wrong in (grown, batch[:, :-1], np.stack([batch, batch])):
-            with pytest.raises(error):
+            with pytest.raises(ValueError):
                 space.stack(wrong)
-            with pytest.raises(mismatch):
+            with pytest.raises(SpaceMismatch):
                 bl.DiscreteDistribution(space, wrong)
 
     def test_gaussian_points_share_the_payload_layout(self, rng):
