@@ -4,12 +4,12 @@ One solver serves every space: tangent-space gradient descent to the point
 where the weighted mean log map vanishes, on T problems stacked on a leading
 axis, with every reduction kept per problem, so no result depends on the
 problems solved beside it.  The space chooses only its start
-(``Space.warm_start``), its weighted tangent mean (``Space.tangent_mean``)
-and its step cap (``Space.max_step``).  From the exact weighted mean a flat
-space (Euclidean, quantile grids) takes no step; on Gaussian measures the
-unit step is the Bures fixed point C <- T C T (Zemel & Panaretos 2019), which
-converges linearly (Chewi, Maunu, Rigollet & Stromme 2020).  The
-single-distribution entry points are batches of one.
+(``Space.warm_start``) and its weighted tangent mean
+(``Space.tangent_mean``); the step is read from its curvature.  From the
+exact weighted mean a flat space (Euclidean, quantile grids) takes no step;
+on Gaussian measures the unit step is the Bures fixed point C <- T C T
+(Zemel & Panaretos 2019), which converges linearly (Chewi, Maunu, Rigollet &
+Stromme 2020).  The single-distribution entry points are batches of one.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ MAX_HALVINGS = 30
 class SolverOptions:
     max_iters: int = 10_000
     tol: float = 1e-10  # stopping threshold on the tangent mean norm
-    step: float = 1.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0 or self.step <= 0:
-            raise ValueError("tol and step must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,9 @@ def _tangent_mean(space: Space, p, batch, weights):
         raise CutLocusDuringIteration(str(exc)) from exc
 
 
-def _step_sizes(space: Space, weights, mags, step: float) -> np.ndarray:
-    """``step`` over the objective's curvature bound on spaces with curvature
-    bounded below by kappa < 0, else ``step`` itself.
+def _step_sizes(space: Space, weights, mags) -> np.ndarray:
+    """One over the objective's curvature bound on spaces with curvature
+    bounded below by kappa < 0, else 1.
 
     There the Hessian of d^2(., x_i) / 2 has eigenvalues at most
     h(rho_i) = rho_i sqrt(-kappa) coth(rho_i sqrt(-kappa)) (h(0) = 1), at the
@@ -100,20 +99,20 @@ def _step_sizes(space: Space, weights, mags, step: float) -> np.ndarray:
     Vidal 2013).
     """
     if space.curv_lower >= 0:
-        return np.full(len(weights), step)
+        return np.ones(len(weights))
     r = math.sqrt(-space.curv_lower) * mags
     h = np.divide(r, np.tanh(r), out=np.ones_like(r), where=r > 0)
-    return step / weighted_sum(weights, h)
+    return 1.0 / weighted_sum(weights, h)
 
 
-def _descent_state(space: Space, base, batch, weights, rows, step: float):
+def _descent_state(space: Space, base, batch, weights, rows):
     """The tangent mean, the objective and the ``_step_sizes`` bound of each
     problem at ``base``, whose support and weights are the rows ``rows`` of
     ``batch`` and ``weights``, gathered only when they are not all of them."""
     if len(rows) < len(batch):
         batch, weights = batch[rows], weights[rows]
     grad, objective, mags = _tangent_mean(space, base, batch, weights)
-    return grad, objective, _step_sizes(space, weights, mags, step)
+    return grad, objective, _step_sizes(space, weights, mags)
 
 
 def descent_batch(
@@ -124,13 +123,12 @@ def descent_batch(
     ``weights`` (T, n) and starts ``init`` (T,) + ``space.point_shape``.
 
     A problem stops when its tangent mean norm falls to ``opts.tol``.  The
-    step is ``opts.step`` capped at ``space.max_step`` (so on Gaussians a
-    ``step`` below 1 damps the fixed point, and one above 1 is the fixed
-    point), divided on negatively curved spaces by the curvature bound of
-    ``_step_sizes``; it is halved (at most MAX_HALVINGS times per iteration)
-    whenever the candidate objective increases, and a non-improving
-    iteration ends that problem with ``converged=False`` unless the
-    tolerance was already met.
+    step is 1, divided on negatively curved spaces by the curvature bound of
+    ``_step_sizes``.  On Gaussians the unit step is the fixed point
+    C <- T C T with T the SPD mean map, so it cannot leave the SPD cone.  A
+    step is halved (at most MAX_HALVINGS times per iteration) whenever the
+    candidate objective increases, and a non-improving iteration ends that
+    problem with ``converged=False`` unless the tolerance was already met.
 
     Each problem carries only its iterate, tangent mean, objective and step
     bound, which ``_descent_state`` reduces from the log maps (on Gaussians,
@@ -149,8 +147,7 @@ def descent_batch(
     # the rows of b, grad, objective and bound
     live = np.arange(count)
     b = points.copy()
-    capped = min(opts.step, space.max_step)
-    grad, objective, bound = _descent_state(space, b, batch, weights, live, capped)
+    grad, objective, bound = _descent_state(space, b, batch, weights, live)
     for iteration in range(1, opts.max_iters + 1):
         grad_norm[live] = norm = space.tangent_norm(b, grad)
         done = norm <= opts.tol
@@ -163,7 +160,7 @@ def descent_batch(
             scale = step[rows].reshape((-1,) + (1,) * (grad.ndim - 1))
             candidate = space.exp(b[rows], scale * grad[rows])
             cand_grad, cand_objective, cand_bound = _descent_state(
-                space, candidate, batch, weights, live[rows], capped
+                space, candidate, batch, weights, live[rows]
             )
             old = objective[rows]
             ok = cand_objective <= old + OBJECTIVE_NOISE * (1.0 + old)

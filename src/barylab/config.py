@@ -167,15 +167,10 @@ def _solver(obj: dict, violations) -> SolverOptions:
     if not isinstance(section, dict):
         violations.append("'solver' must be an object")
         return defaults
-    _check_keys(section, {"max_iters", "tol", "step"}, set(), "solver", violations)
+    _check_keys(section, {"max_iters", "tol"}, set(), "solver", violations)
     max_iters = _positive_int(section, "max_iters", defaults.max_iters, "solver", violations)
     tol = _positive_float(section, "tol", defaults.tol, "solver", violations)
-    step = _positive_float(section, "step", defaults.step, "solver", violations)
-    try:
-        return SolverOptions(max_iters=max_iters, tol=tol, step=step)
-    except ValueError as exc:
-        violations.append(f"solver: {exc}")
-        return defaults
+    return SolverOptions(max_iters=max_iters, tol=tol)
 
 
 _FAMILY_FIELDS = {
@@ -364,6 +359,7 @@ def _build_barycenter(obj: dict, violations) -> dict:
     points, space = [], None
     if not isinstance(raw_points, list) or not raw_points:
         violations.append("'points' must be a nonempty list of tagged point payloads")
+        raw_points = []
     else:
         for i, payload in enumerate(raw_points):
             try:
@@ -382,7 +378,7 @@ def _build_barycenter(obj: dict, violations) -> dict:
     weights = obj.get("weights")
     if weights is not None:
         if (
-            not _is_numeric(weights, 1) or len(weights) != len(points)
+            not _is_numeric(weights, 1) or len(weights) != len(raw_points)
             or not all(w > 0 for w in weights)
         ):
             violations.append("'weights' must be positive numbers, one per point")

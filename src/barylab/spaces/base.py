@@ -54,9 +54,6 @@ class Space(abc.ABC):
     # curvature interval [curv_lower, curv_upper] of the space
     curv_lower: ClassVar[float] = 0.0
     curv_upper: ClassVar[float] = 0.0
-    # longest descent step, in units of the tangent mean: a longer one can
-    # leave the space
-    max_step: ClassVar[float] = math.inf
 
     def __init__(self, dim: int):
         if dim < 1:

@@ -54,9 +54,6 @@ class BuresWasserstein(Space):
     tag = "gaussian"
     curv_lower = 0.0
     curv_upper = float("inf")
-    # the unit step is the fixed point (C <- T C T for the mean map T, which is
-    # SPD); a longer one can leave the SPD cone
-    max_step = 1.0
 
     def check_point(self, x) -> None:
         if np.shape(x) != self.point_shape:

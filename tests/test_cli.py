@@ -258,6 +258,32 @@ class TestBarycenter:
         assert "NotPositiveDefinite" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "coords, weights, expected",
+        [
+            ([[0.0, 0.0], [1.0], [0.0, 2.0]], [0.2, 0.3, 0.5],
+             ["points[1]: space Euclidean(dim=1) differs from Euclidean(dim=2)"]),
+            ([[0.0, 0.0], [1.0], [0.0, 2.0]], [0.5, 0.5],
+             ["points[1]: space Euclidean(dim=1) differs from Euclidean(dim=2)",
+              "'weights' must be positive numbers, one per point"]),
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [0.5, 0.5],
+             ["'weights' must be positive numbers, one per point"]),
+        ],
+        ids=["refused-point", "refused-point-short-weights", "short-weights"],
+    )
+    def test_weights_count_the_points_given(self, tmp_path, capsys, coords, weights, expected):
+        """The weights are checked against the point payloads given, so a
+        refused point leaves one positive weight per point unflagged, and a
+        weights list of the wrong length is refused either way."""
+        points = [{"space": "euclidean", "coords": c} for c in coords]
+        cfg = write_config(
+            tmp_path, {"experiment": "barycenter", "points": points, "weights": weights}
+        )
+        out = tmp_path / "out"
+        assert run(["barycenter", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error[config]: {e}" for e in expected]
+        assert not out.exists()
+
     def test_master_seed_is_an_unknown_key(self, tmp_path, capsys):
         """A solve draws nothing, so a seed in its config is refused (exit 1)
         rather than accepted, ignored and recorded in the manifest as 0."""
@@ -483,6 +509,48 @@ class TestSeedFlag:
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--out", out, "--seed", -1]) == 1
         assert "error[config]: --seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize(
+        "command, obj, line",
+        [
+            ("rates", [RATES_CONFIG],
+             "error[ParseError]: {path}: top level must be a JSON object"),
+            ("rates", {k: v for k, v in RATES_CONFIG.items() if k != "experiment"},
+             "error[config]: missing required key 'experiment'"),
+            ("rates", dict(RATES_CONFIG, experiment="ratez"),
+             "error[config]: experiment 'ratez' not one of "
+             "['barycenter', 'curvature', 'hugging', 'plot', 'rates', 'tail']"),
+            ("rates", dict(RATES_CONFIG, master_seed=-3),
+             "error[config]: 'master_seed' must be a nonnegative integer"),
+            ("rates", dict(RATES_CONFIG, solver=[1e-10]),
+             "error[config]: 'solver' must be an object"),
+            # descent reads its step from the space's curvature, so no key sets it
+            ("rates", dict(RATES_CONFIG, solver={"step": 1.0}),
+             "error[config]: solver: unknown key 'step'"),
+            ("rates", dict(RATES_CONFIG, family="euclidean_gaussian"),
+             "error[config]: 'family' must be an object with a 'kind'"),
+            ("curvature", dict(CURVATURE_CONFIG, space="hyperbolic"),
+             "error[config]: 'space' must be an object with a 'kind'"),
+            ("curvature", dict(CURVATURE_CONFIG, kappa="-1"),
+             "error[config]: 'kappa' must be a number"),
+            ("barycenter", {"experiment": "barycenter", "points": []},
+             "error[config]: 'points' must be a nonempty list of tagged point payloads"),
+            ("plot", {"experiment": "plot", "csv": "rates.csv", "title": 3},
+             "error[config]: 'title' must be a string"),
+        ],
+        ids=["top-level-list", "missing-experiment", "unknown-experiment", "negative-master-seed",
+             "solver-list", "solver-step", "family-string", "space-string", "kappa-string",
+             "empty-points", "title-number"],
+    )
+    def test_refused_before_any_work(self, tmp_path, capsys, command, obj, line):
+        """Each refusal exits 1 with its ``error[...]`` line and writes nothing."""
+        cfg = write_config(tmp_path, obj)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        assert line.format(path=cfg) in capsys.readouterr().err.splitlines()
         assert not out.exists()
 
 

@@ -71,7 +71,6 @@ class TestParsing:
         assert config.trials == 1000
         assert config.solver.tol == 1e-10
         assert config.solver.max_iters == 10_000
-        assert config.solver.step == 1.0
         assert config.master_seed == 0
 
     def test_syntax_error_reports_position(self, tmp_path):

@@ -29,13 +29,17 @@ from barylab.families import (
     family_from_config,
 )
 from barylab.ratelab import (
+    HuggingProfile,
     RateCurve,
     RatePoint,
+    SubgaussianCheck,
+    TailExperimentResult,
     estimate_hugging_profile,
     rate_violations,
     run_rate_experiment,
     run_tail_experiment,
     subgaussian_proxy_check,
+    tail_violations,
 )
 
 from test_config import MISSING_PREMISE, PREMISE_FAMILIES
@@ -346,6 +350,15 @@ class TestHypothesisGates:
         assert euclid_config(master_seed=0).master_seed == 0
 
 
+def tail_row(exceedance, bound):
+    """A tail result whose exceedance and bound are the given ones."""
+    return TailExperimentResult(
+        delta=0.1, n=16, trials=100, threshold=1.0, empirical_exceedance=exceedance,
+        bound_probability=bound, c1_used=1.0, c2_used=1.0, varsigma2=1.0,
+        pk_estimate=1.0, pk_used=0.9, kmin_estimate=1.0, discarded=0,
+    )
+
+
 class TestViolationDetection:
     def test_flags_ratio_above_one(self):
         ns = [10, 100, 1000]
@@ -359,6 +372,23 @@ class TestViolationDetection:
         curve = RateCurve((point,), float("nan"), 1.0, 1.0, "negcurv", "euclidean", 0)
         assert not rate_violations(curve, strict=False)
         assert rate_violations(curve, strict=True)
+
+    # 100 trials: an exceedance of 0.25 has stderr 0.0433, one of 0.2 has 0.04
+    def test_flags_exceedance_above_three_stderr(self):
+        (message,) = tail_violations([tail_row(0.25, 0.1)])
+        assert message.startswith("delta=0.1, n=16: exceedance 0.25 above bound 0.1 + ")
+
+    def test_strict_mode_flags_any_exceedance(self):
+        rows = [tail_row(0.2, 0.1)]  # within bound + 3 stderr = 0.22
+        assert not tail_violations(rows)
+        assert tail_violations(rows, strict=True) == [
+            "delta=0.1, n=16: exceedance 0.2 above bound 0.1 + 0"
+        ]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_nothing_flagged_at_or_below_the_bound(self, strict):
+        rows = [tail_row(0.1, 0.1), tail_row(0.05, 0.1), tail_row(0.0, 0.0), tail_row(1.0, 1.0)]
+        assert not tail_violations(rows, strict=strict)
 
 
 class TestSubgaussian:
@@ -637,6 +667,26 @@ class TestTailExperiment:
         monkeypatch.setattr(ratelab, "barycenter_batch", FlakySolver(every=200))
         results = run_tail_experiment(tail_config(trials=200), [0.05, 0.2], varsigma2=3.0)
         assert [r.discarded for r in results] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "pk, pk_stderr", [(0.75, 0.25), (0.1, 0.5), (-0.2, 0.0)],
+        ids=["three-stderr-at-zero", "within-three-stderr", "negative"],
+    )
+    def test_nonpositive_pk_raises_before_any_trial(self, monkeypatch, pk, pk_stderr):
+        """A sampled Pk that is not positive by three standard errors fails
+        the tail run before the anchor is verified or any trial is drawn."""
+
+        def spy(*args):
+            raise AssertionError("the run went on past the Pk gate")
+
+        monkeypatch.setattr(ratelab, "population_barycenter", spy)
+        monkeypatch.setattr(ratelab, "_trial_table", spy)
+        profile = HuggingProfile(pk, pk_stderr, pk**2, pk)
+        with pytest.raises(HypothesisViolated, match="is not positive"):
+            run_tail_experiment(
+                tail_config(trials=10), [0.2], varsigma2=3.0,
+                profile=profile, subgaussian=SubgaussianCheck(1.0, True),
+            )
 
     def test_profile_on_euclidean_family(self):
         profile = estimate_hugging_profile(tail_config(trials=10), 50, 30)
