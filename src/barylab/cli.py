@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .barycenter import barycenter
-from .config import parse_config
+from .config import ParsedConfig, parse_config
 from .distributions import DiscreteDistribution
 from .errors import BarylabError, HypothesisViolated, OutputError, ValidationError
 from .ratelab import (
@@ -110,20 +110,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _echo(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _finish(args, out: Path, seed: int, csv_path: Path, started: str, extra: dict) -> int:
-    """Write the manifest, report its bound violations and pick the exit code."""
-    write_manifest(out, _echo(args.config), seed, [csv_path], started, extra)
-    for line in extra["bound_violations"]:
-        print(f"bound violation: {line}", file=sys.stderr)
-    return EXIT_BOUND if extra["bound_violations"] else EXIT_OK
-
-
-def _cmd_rates(args, payload: dict, out: Path, started: str) -> int:
+def _cmd_rates(args, payload: dict, out: Path):
     config = payload["config"]
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
@@ -138,10 +125,10 @@ def _cmd_rates(args, payload: dict, out: Path, started: str) -> int:
         "discarded_trials": curve.discarded,
         "bound_violations": rate_violations(curve, strict=args.strict_bounds),
     }
-    return _finish(args, out, config.master_seed, csv_path, started, extra)
+    return config.master_seed, [csv_path], extra
 
 
-def _cmd_tail(args, payload: dict, out: Path, started: str) -> int:
+def _cmd_tail(args, payload: dict, out: Path):
     config = payload["config"]
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
@@ -160,10 +147,10 @@ def _cmd_tail(args, payload: dict, out: Path, started: str) -> int:
         "discarded_trials": results[0].discarded,
         "bound_violations": tail_violations(results, strict=args.strict_bounds),
     }
-    return _finish(args, out, config.master_seed, csv_path, started, extra)
+    return config.master_seed, [csv_path], extra
 
 
-def _cmd_hugging(args, payload: dict, out: Path, started: str) -> int:
+def _cmd_hugging(args, payload: dict, out: Path):
     from .sweeps import hugging_sweep
 
     seed = args.seed if args.seed is not None else payload["master_seed"]
@@ -173,11 +160,10 @@ def _cmd_hugging(args, payload: dict, out: Path, started: str) -> int:
     )
     csv_path = out / "hugging.csv"
     write_hugging_csv(csv_path, payload["family"].space.tag, reports, seed)
-    write_manifest(out, _echo(args.config), seed, [csv_path], started, meta)
-    return EXIT_OK
+    return seed, [csv_path], meta
 
 
-def _cmd_curvature(args, payload: dict, out: Path, started: str) -> int:
+def _cmd_curvature(args, payload: dict, out: Path):
     from .sweeps import curvature_sweep
 
     seed = args.seed if args.seed is not None else payload["master_seed"]
@@ -194,10 +180,10 @@ def _cmd_curvature(args, payload: dict, out: Path, started: str) -> int:
         if (row["value"] > PROBE_TOL if row["probe"] == "monotonicity_violation"
             else row["value"] < -PROBE_TOL)
     ]
-    return _finish(args, out, seed, csv_path, started, {"bound_violations": violations})
+    return seed, [csv_path], {"bound_violations": violations}
 
 
-def _cmd_barycenter(args, payload: dict, out: Path, started: str) -> int:
+def _cmd_barycenter(args, payload: dict, out: Path):
     space = payload["space"]
     dist = DiscreteDistribution(space, payload["points"], payload["weights"])
     result = barycenter(dist, payload["solver"])
@@ -213,17 +199,15 @@ def _cmd_barycenter(args, payload: dict, out: Path, started: str) -> int:
     with open(json_path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    write_manifest(out, _echo(args.config), 0, [json_path], started)
     print(f"grad_norm={fmt(result.grad_norm)} converged={result.converged}")
-    return EXIT_OK
+    return 0, [json_path], None
 
 
-def _cmd_plot(args, payload: dict, out: Path, started: str) -> int:
+def _cmd_plot(args, payload: dict, out: Path):
     from .svgplot import render_loglog_svg
 
     csv_path = args.csv or payload.get("csv")
     title = payload.get("title", "")
-    config_echo = _echo(args.config) if args.config else {}
     if not csv_path:
         raise ValidationError(["plot needs --csv or a config with a 'csv' key"])
     rows = read_rates_csv(csv_path)
@@ -235,10 +219,11 @@ def _cmd_plot(args, payload: dict, out: Path, started: str) -> int:
     svg = render_loglog_svg(series, title=title or f"rates: {rows[0]['space']}")
     svg_path = out / (Path(csv_path).stem + ".svg")
     svg_path.write_text(svg, encoding="utf-8")
-    write_manifest(out, config_echo or {"csv": str(csv_path)}, 0, [svg_path], started)
-    return EXIT_OK
+    return 0, [svg_path], None
 
 
+# a handler runs its subcommand into ``out`` and returns its seed, the files it
+# wrote and the manifest's results (None for none); main ends every run
 _COMMANDS = {
     "rates": _cmd_rates,
     "tail": _cmd_tail,
@@ -258,9 +243,17 @@ def main(argv=None) -> int:
             raise ValidationError([f"--seed must be a nonnegative integer, got {seed}"])
         started = utc_now()
         # the config is validated and the output directory made before any
-        # work, so that neither fails at the end of a long run
-        payload = parse_config(args.config, args.command).payload if args.config else {}
-        return _COMMANDS[args.command](args, payload, _out_dir(args), started)
+        # work, so that neither fails at the end of a long run; only a plot
+        # runs without a config, and its manifest echoes the --csv
+        parsed = (parse_config(args.config, args.command) if args.config
+                  else ParsedConfig({}, {"csv": args.csv}))
+        out = _out_dir(args)
+        seed, outputs, results = _COMMANDS[args.command](args, parsed.payload, out)
+        write_manifest(out, parsed.config, seed, outputs, started, results)
+        violations = (results or {}).get("bound_violations", [])
+        for line in violations:
+            print(f"bound violation: {line}", file=sys.stderr)
+        return EXIT_BOUND if violations else EXIT_OK
     except HypothesisViolated as exc:
         print(f"error[hypothesis]: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

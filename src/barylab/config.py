@@ -45,8 +45,8 @@ _PROFILE_DEFAULTS = inspect.signature(estimate_hugging_profile).parameters
 
 @dataclass(frozen=True)
 class ParsedConfig:
-    experiment: str
     payload: dict  # experiment-specific, validated values
+    config: dict  # the JSON object as read, which the manifest echoes
 
 
 def _reject_constant(name: str):
@@ -88,7 +88,7 @@ def parse_config(path, expected_experiment: str | None = None) -> ParsedConfig:
         violations.append("missing required key 'experiment'")
     elif experiment not in EXPERIMENTS:
         violations.append(f"experiment {experiment!r} not one of {sorted(EXPERIMENTS)}")
-    if expected_experiment and experiment not in (None, expected_experiment):
+    elif expected_experiment and experiment != expected_experiment:
         violations.append(
             f"config declares experiment {experiment!r} but the "
             f"{expected_experiment!r} subcommand was invoked"
@@ -99,7 +99,7 @@ def parse_config(path, expected_experiment: str | None = None) -> ParsedConfig:
     payload = builder(obj, violations)
     if violations:
         raise ValidationError(violations)
-    return ParsedConfig(experiment, payload)
+    return ParsedConfig(payload, obj)
 
 
 # -- field helpers ------------------------------------------------------------
@@ -329,6 +329,11 @@ def _build_curvature(obj: dict, violations) -> dict:
     }
     _check_keys(obj, allowed, {"space", "kappa"}, "config", violations)
     space = _space(obj, violations)
+    if space is not None and space.tangent_dim < 2:
+        # side rounding moves a degenerate triangle's angles by about sqrt(eps) > cli.PROBE_TOL
+        violations.append(f"space: {space!r} has dimension {space.tangent_dim}, but the "
+                          "curvature probes need dimension >= 2: every triangle in one "
+                          "dimension is degenerate")
     kappa = obj.get("kappa", 0.0)
     if not _is_numeric(kappa):
         violations.append("'kappa' must be a number")

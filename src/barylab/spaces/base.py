@@ -63,6 +63,11 @@ class Space(abc.ABC):
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
+    @property
+    def tangent_dim(self) -> int:
+        """Dimension of the tangent space at a point."""
+        return self.dim
+
     # -- points ------------------------------------------------------------
 
     @abc.abstractmethod

@@ -152,6 +152,11 @@ class BuresWasserstein(Space):
     def point_shape(self) -> tuple:
         return (self.dim + 1, self.dim)
 
+    @property
+    def tangent_dim(self) -> int:
+        # a mean shift and a symmetric map: d + d(d + 1)/2
+        return self.dim * (self.dim + 3) // 2
+
     def log_batch(self, p, batch):
         payloads, mags_sq = self._log_sq(p, batch)
         return payloads, np.sqrt(mags_sq)

@@ -512,6 +512,13 @@ class TestSeedFlag:
         assert not out.exists()
 
 
+# every triangle of a one-dimensional space is degenerate, so its probes read noise
+ONE_DIM = (
+    "has dimension 1, but the curvature probes need dimension >= 2: "
+    "every triangle in one dimension is degenerate"
+)
+
+
 class TestConfigRefusals:
     @pytest.mark.parametrize(
         "command, obj, line",
@@ -536,6 +543,14 @@ class TestConfigRefusals:
              "error[config]: 'space' must be an object with a 'kind'"),
             ("curvature", dict(CURVATURE_CONFIG, kappa="-1"),
              "error[config]: 'kappa' must be a number"),
+            ("curvature", dict(CURVATURE_CONFIG, space={"kind": "euclidean", "dim": 1}),
+             f"error[config]: space: Euclidean(dim=1) {ONE_DIM}"),
+            ("curvature", dict(CURVATURE_CONFIG, space={"kind": "quantile", "grid_size": 1}),
+             f"error[config]: space: QuantileSpace(grid_size=1) {ONE_DIM}"),
+            ("curvature", dict(CURVATURE_CONFIG, space={"kind": "sphere", "dim": 1}, kappa=1.0),
+             f"error[config]: space: Sphere(dim=1) {ONE_DIM}"),
+            ("curvature", dict(CURVATURE_CONFIG, space={"kind": "hyperbolic", "dim": 1}),
+             f"error[config]: space: Hyperboloid(dim=1) {ONE_DIM}"),
             ("barycenter", {"experiment": "barycenter", "points": []},
              "error[config]: 'points' must be a nonempty list of tagged point payloads"),
             ("plot", {"experiment": "plot", "csv": "rates.csv", "title": 3},
@@ -543,14 +558,15 @@ class TestConfigRefusals:
         ],
         ids=["top-level-list", "missing-experiment", "unknown-experiment", "negative-master-seed",
              "solver-list", "solver-step", "family-string", "space-string", "kappa-string",
+             "euclidean-dim1", "quantile-grid1", "sphere-dim1", "hyperbolic-dim1",
              "empty-points", "title-number"],
     )
     def test_refused_before_any_work(self, tmp_path, capsys, command, obj, line):
-        """Each refusal exits 1 with its ``error[...]`` line and writes nothing."""
+        """Each refusal exits 1 with its one ``error[...]`` line and writes nothing."""
         cfg = write_config(tmp_path, obj)
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--out", out]) == 1
-        assert line.format(path=cfg) in capsys.readouterr().err.splitlines()
+        assert capsys.readouterr().err.splitlines() == [line.format(path=cfg)]
         assert not out.exists()
 
 
@@ -705,6 +721,62 @@ class TestPlot:
         assert run(["plot", "--csv", csv_path, "--out", tmp_path / "out"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[{kind}]: ") and message in err
+
+
+RATES_ROWS = (
+    HEADER_LINE + "euclidean,4,100,0.7,0.01,3,0.75,0.9,5\n"
+    "euclidean,16,100,0.2,0.01,3,0.19,0.9,5\n"
+)
+BARYCENTER_CONFIG = {
+    "experiment": "barycenter",
+    "points": [{"space": "euclidean", "coords": [0.0]}, {"space": "euclidean", "coords": [4.0]}],
+}
+# (command, config or None, extra flags, manifest seed, results written, exit code)
+RUNS = {
+    # seed 1 puts a ratio above 1 inside the slack, which --strict-bounds flags
+    "rates-strict": ("rates", RATES_CONFIG, ["--seed", 1, "--strict-bounds"], 1, True, 3),
+    "tail": ("tail", dict(TAIL_CONFIG, trials=20), [], 11, True, 0),
+    "hugging-seed": ("hugging", HUGGING_CONFIG, ["--seed", 4], 4, True, 0),
+    # the (m, s) half-plane: two dimensions, so the probes run
+    "curvature-gaussian-dim1": (
+        "curvature", dict(CURVATURE_CONFIG, space={"kind": "gaussian", "dim": 1}, kappa=0.0),
+        [], 2, True, 0,
+    ),
+    "barycenter": ("barycenter", BARYCENTER_CONFIG, [], 0, False, 0),
+    "plot-config": ("plot", {"experiment": "plot", "csv": "{csv}"}, [], 0, False, 0),
+    "plot-csv": ("plot", None, ["--csv", "{csv}"], 0, False, 0),
+}
+OUTPUTS = {
+    "rates": "rates.csv", "tail": "tail.csv", "hugging": "hugging.csv",
+    "curvature": "curvature.csv", "barycenter": "barycenter.json", "plot": "rates.svg",
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_every_run_ends_in_one_manifest(self, tmp_path, capsys, name):
+        """Every subcommand ends alike: one manifest that echoes the config
+        file as read (or the --csv of a plot without one) with the run's seed,
+        the files written and the results, one stderr line per bound
+        violation, and exit 3 on a violation, else 0."""
+        command, obj, flags, seed, has_results, code = RUNS[name]
+        csv_path = tmp_path / "rates.csv"
+        csv_path.write_text(RATES_ROWS, encoding="utf-8")
+        flags = [str(f).format(csv=csv_path) for f in flags]
+        args = [command, "--out", tmp_path / "out", *flags]
+        if obj is not None:
+            obj = {k: (v.format(csv=csv_path) if k == "csv" else v) for k, v in obj.items()}
+            args += ["--config", write_config(tmp_path, obj)]
+        assert run(args) == code
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"] == (obj if obj is not None else {"csv": str(csv_path)})
+        assert manifest["master_seed"] == seed
+        assert manifest["outputs"] == [str(tmp_path / "out" / OUTPUTS[command])]
+        assert ("results" in manifest) == has_results
+        violations = manifest.get("results", {}).get("bound_violations", [])
+        assert bool(violations) == (code == 3)
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"bound violation: {line}" for line in violations]
 
 
 # the flags each subcommand reads, beyond --config, --out and the ignored --threads
