@@ -28,7 +28,6 @@ from .families import (
     GaussianEnsemble,
     HyperbolicGaussian,
     SphereCap,
-    family_from_config,
 )
 from .hugging import (
     HuggingReport,

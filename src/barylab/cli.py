@@ -9,7 +9,6 @@ violated by the data, 1 any other error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -111,10 +110,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_rates(args, payload: dict, out: Path):
-    config = payload["config"]
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    curve = run_rate_experiment(config)
+    curve = run_rate_experiment(payload["config"])
     csv_path = out / "rates.csv"
     write_rates_csv(csv_path, curve)
     extra = {
@@ -125,13 +121,11 @@ def _cmd_rates(args, payload: dict, out: Path):
         "discarded_trials": curve.discarded,
         "bound_violations": rate_violations(curve, strict=args.strict_bounds),
     }
-    return config.master_seed, [csv_path], extra
+    return [csv_path], extra
 
 
 def _cmd_tail(args, payload: dict, out: Path):
     config = payload["config"]
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
     subg = subgaussian_proxy_check(config, payload["varsigma2"])
     # a failed gate raises in run_tail_experiment, before any profile is drawn
     points, targets = payload["profile_points"], payload["profile_targets"]
@@ -147,32 +141,24 @@ def _cmd_tail(args, payload: dict, out: Path):
         "discarded_trials": results[0].discarded,
         "bound_violations": tail_violations(results, strict=args.strict_bounds),
     }
-    return config.master_seed, [csv_path], extra
+    return [csv_path], extra
 
 
 def _cmd_hugging(args, payload: dict, out: Path):
     from .sweeps import hugging_sweep
 
-    seed = args.seed if args.seed is not None else payload["master_seed"]
-    reports, meta = hugging_sweep(
-        payload["family"], payload["n_support"], payload["n_cases"], seed,
-        payload["solver"],
-    )
+    reports, meta = hugging_sweep(**payload)
     csv_path = out / "hugging.csv"
-    write_hugging_csv(csv_path, payload["family"].space.tag, reports, seed)
-    return seed, [csv_path], meta
+    write_hugging_csv(csv_path, payload["family"].space.tag, reports, payload["master_seed"])
+    return [csv_path], meta
 
 
 def _cmd_curvature(args, payload: dict, out: Path):
     from .sweeps import curvature_sweep
 
-    seed = args.seed if args.seed is not None else payload["master_seed"]
-    rows = curvature_sweep(
-        payload["space"], payload["kappa"], payload["quadruples"],
-        payload["triples"], payload["grid"], seed,
-    )
+    rows = curvature_sweep(**payload)
     csv_path = out / "curvature.csv"
-    write_curvature_csv(csv_path, rows, seed)
+    write_curvature_csv(csv_path, rows, payload["master_seed"])
     # a monotonicity violation may reach PROBE_TOL; quadruple_defect and cone_gap
     # must be nonnegative up to -PROBE_TOL
     violations = [
@@ -180,7 +166,7 @@ def _cmd_curvature(args, payload: dict, out: Path):
         if (row["value"] > PROBE_TOL if row["probe"] == "monotonicity_violation"
             else row["value"] < -PROBE_TOL)
     ]
-    return seed, [csv_path], {"bound_violations": violations}
+    return [csv_path], {"bound_violations": violations}
 
 
 def _cmd_barycenter(args, payload: dict, out: Path):
@@ -200,7 +186,7 @@ def _cmd_barycenter(args, payload: dict, out: Path):
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"grad_norm={fmt(result.grad_norm)} converged={result.converged}")
-    return 0, [json_path], None
+    return [json_path], None
 
 
 def _cmd_plot(args, payload: dict, out: Path):
@@ -219,11 +205,11 @@ def _cmd_plot(args, payload: dict, out: Path):
     svg = render_loglog_svg(series, title=title or f"rates: {rows[0]['space']}")
     svg_path = out / (Path(csv_path).stem + ".svg")
     svg_path.write_text(svg, encoding="utf-8")
-    return 0, [svg_path], None
+    return [svg_path], None
 
 
-# a handler runs its subcommand into ``out`` and returns its seed, the files it
-# wrote and the manifest's results (None for none); main ends every run
+# a handler runs its subcommand into ``out`` and returns the files it wrote and
+# the manifest's results (None for none); main ends every run
 _COMMANDS = {
     "rates": _cmd_rates,
     "tail": _cmd_tail,
@@ -237,19 +223,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a config error (exit 1), not an argparse error: exit 2 means a hypothesis failed
-        seed = getattr(args, "seed", None)  # only the subcommands that read it take it
-        if seed is not None and seed < 0:
-            raise ValidationError([f"--seed must be a nonnegative integer, got {seed}"])
         started = utc_now()
         # the config is validated and the output directory made before any
         # work, so that neither fails at the end of a long run; only a plot
-        # runs without a config, and its manifest echoes the --csv
-        parsed = (parse_config(args.config, args.command) if args.config
-                  else ParsedConfig({}, {"csv": args.csv}))
+        # runs without a config, and its manifest echoes the --csv; only the
+        # subcommands that draw have a --seed
+        parsed = (parse_config(args.config, args.command, getattr(args, "seed", None))
+                  if args.config else ParsedConfig({}, {"csv": args.csv}))
         out = _out_dir(args)
-        seed, outputs, results = _COMMANDS[args.command](args, parsed.payload, out)
-        write_manifest(out, parsed.config, seed, outputs, started, results)
+        outputs, results = _COMMANDS[args.command](args, parsed.payload, out)
+        write_manifest(out, parsed.config, parsed.master_seed, outputs, started, results)
         violations = (results or {}).get("bound_violations", [])
         for line in violations:
             print(f"bound violation: {line}", file=sys.stderr)

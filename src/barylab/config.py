@@ -19,24 +19,14 @@ from .barycenter import SolverOptions
 from .errors import (
     BadFamilyParams, HypothesisViolated, NotPositiveDefinite, ParseError, ValidationError,
 )
-from .families import Family, family_from_config
+from .families import FAMILY_KINDS
 from .ratelab import (
     COUNT_CEILING, THEOREMS, RateExperimentConfig, estimate_hugging_profile, require_premise,
 )
-from .spaces import BuresWasserstein, Euclidean, Hyperboloid, QuantileSpace, Sphere
-
-EXPERIMENTS = ("rates", "tail", "hugging", "curvature", "barycenter", "plot")
+from .spaces import SPACE_KINDS, point_from_payload
 
 # a tuple, not a set: a JSON list or object as 'theorem' is unhashable
 _RATE_THEOREMS = tuple(sorted(set(THEOREMS) - {"tail"}))
-
-_SPACE_KINDS = {
-    "euclidean": (Euclidean, {"dim"}),
-    "sphere": (Sphere, {"dim"}),
-    "hyperbolic": (Hyperboloid, {"dim"}),
-    "quantile": (QuantileSpace, {"grid_size"}),
-    "gaussian": (BuresWasserstein, {"dim"}),
-}
 
 _DEFAULT_TRIALS = 1000
 # the hugging profile sizes of a tail config that omits them: the library's
@@ -47,6 +37,7 @@ _PROFILE_DEFAULTS = inspect.signature(estimate_hugging_profile).parameters
 class ParsedConfig:
     payload: dict  # experiment-specific, validated values
     config: dict  # the JSON object as read, which the manifest echoes
+    master_seed: int = 0  # the run's seed, --seed over the config's, which the manifest records
 
 
 def _reject_constant(name: str):
@@ -79,15 +70,20 @@ def load_json(path) -> dict:
     return obj
 
 
-def parse_config(path, expected_experiment: str | None = None) -> ParsedConfig:
-    """Parse and validate a config file for one experiment."""
+def parse_config(path, expected_experiment: str | None = None,
+                 seed: int | None = None) -> ParsedConfig:
+    """Parse and validate a config file for one experiment; a ``seed`` given
+    (the CLI's --seed) takes the place of the config's ``master_seed``."""
+    # refused here, not by argparse, whose exit 2 would read as a failed hypothesis
+    if seed is not None and seed < 0:
+        raise ValidationError([f"--seed must be a nonnegative integer, got {seed}"])
     obj = load_json(path)
     violations: list[str] = []
     experiment = obj.get("experiment")
     if experiment is None:
         violations.append("missing required key 'experiment'")
-    elif experiment not in EXPERIMENTS:
-        violations.append(f"experiment {experiment!r} not one of {sorted(EXPERIMENTS)}")
+    elif not isinstance(experiment, str) or experiment not in _BUILDERS:
+        violations.append(f"experiment {experiment!r} not one of {sorted(_BUILDERS)}")
     elif expected_experiment and experiment != expected_experiment:
         violations.append(
             f"config declares experiment {experiment!r} but the "
@@ -95,11 +91,13 @@ def parse_config(path, expected_experiment: str | None = None) -> ParsedConfig:
         )
     if violations:
         raise ValidationError(violations)
-    builder = _BUILDERS[experiment]
-    payload = builder(obj, violations)
+    master_seed = _seed(obj, violations)  # checked even where a given seed replaces it
+    if seed is not None:
+        master_seed = seed
+    payload = _BUILDERS[experiment](obj, violations, master_seed)
     if violations:
         raise ValidationError(violations)
-    return ParsedConfig(payload, obj)
+    return ParsedConfig(payload, obj, master_seed)
 
 
 # -- field helpers ------------------------------------------------------------
@@ -173,31 +171,42 @@ def _solver(obj: dict, violations) -> SolverOptions:
     return SolverOptions(max_iters=max_iters, tol=tol)
 
 
-_FAMILY_FIELDS = {
-    "dim": _positive_int,
+# the JSON type of each constructor parameter of a family or space, by name
+_FIELDS = {
+    **dict.fromkeys(("dim", "grid_size"), _positive_int),
     **dict.fromkeys(("sd", "radius", "scale", "alpha", "beta"), _positive_float),
     **dict.fromkeys(("mean", "anchor"), _numbers),
     "base_cov": lambda *args: _numbers(*args, depth=2),
 }
 
 
-def _family(obj: dict, violations) -> Family | None:
-    section = obj.get("family")
-    if not isinstance(section, dict):
-        violations.append("'family' must be an object with a 'kind'")
+def _instance(obj: dict, ctx: str, kinds: dict, violations):
+    """The instance that the object ``obj[ctx]`` describes: its ``kind`` picks
+    the class from ``kinds``, and its other keys are that class's constructor
+    parameters, each of the JSON type ``_FIELDS`` gives it.  The constructor
+    checks the values' ranges and shapes; what it refuses is a violation."""
+    section = obj.get(ctx)
+    if not isinstance(section, dict) or "kind" not in section:
+        violations.append(f"{ctx!r} must be an object with a 'kind'")
         return None
-    # a key of the wrong JSON type is refused here, by name; the families'
-    # constructors check the values' ranges and shapes
+    params = dict(section)
+    kind = params.pop("kind")
+    # a JSON list or object as the kind is unhashable
+    if not isinstance(kind, str) or kind not in kinds:
+        violations.append(f"{ctx}: unknown kind {kind!r}")
+        return None
+    names = inspect.signature(kinds[kind]).parameters
     count = len(violations)
-    for key, field in _FAMILY_FIELDS.items():
-        if key in section:
-            field(section, key, None, "family", violations)
+    _check_keys(params, set(names), set(), ctx, violations)
+    for key, field in _FIELDS.items():
+        if key in params and key in names:
+            field(params, key, None, ctx, violations)
     if len(violations) > count:
         return None
     try:
-        return family_from_config(section)
-    except BadFamilyParams as exc:
-        violations.append(f"family: {exc}")
+        return kinds[kind](**params)
+    except (TypeError, ValueError, BadFamilyParams, NotPositiveDefinite) as exc:
+        violations.append(f"{ctx}: {exc}")
         return None
 
 
@@ -219,11 +228,10 @@ def _n_grid(obj: dict, violations, default=None):
     return tuple(grid)
 
 
-def _rate_config(obj: dict, violations, theorem: str) -> RateExperimentConfig | None:
-    family = _family(obj, violations)
+def _rate_config(obj: dict, violations, theorem: str, seed: int) -> RateExperimentConfig | None:
+    family = _instance(obj, "family", FAMILY_KINDS, violations)
     grid = _n_grid(obj, violations)
     trials = _positive_int(obj, "trials", _DEFAULT_TRIALS, "config", violations)
-    seed = _seed(obj, violations)
     solver = _solver(obj, violations)
     verify_draws = _positive_int(
         obj, "verify_draws", RateExperimentConfig.verify_draws, "config", violations
@@ -249,7 +257,7 @@ def _rate_config(obj: dict, violations, theorem: str) -> RateExperimentConfig | 
 # -- per-experiment builders ----------------------------------------------------
 
 
-def _build_rates(obj: dict, violations) -> dict:
+def _build_rates(obj: dict, violations, seed: int) -> dict:
     allowed = {
         "experiment", "family", "theorem", "n_grid", "trials", "master_seed",
         "solver", "verify_draws",
@@ -259,10 +267,10 @@ def _build_rates(obj: dict, violations) -> dict:
     if theorem not in _RATE_THEOREMS:
         violations.append(f"'theorem' must be one of {list(_RATE_THEOREMS)}")
         return {}
-    return {"config": _rate_config(obj, violations, theorem)}
+    return {"config": _rate_config(obj, violations, theorem, seed)}
 
 
-def _build_tail(obj: dict, violations) -> dict:
+def _build_tail(obj: dict, violations, seed: int) -> dict:
     allowed = {
         "experiment", "family", "n_grid", "trials", "master_seed", "solver",
         "delta", "varsigma2", "verify_draws", "profile_points", "profile_targets",
@@ -283,52 +291,30 @@ def _build_tail(obj: dict, violations) -> dict:
         "profile_targets": _positive_int(
             obj, "profile_targets", _PROFILE_DEFAULTS["n_targets"].default, "config", violations
         ),
-        "config": _rate_config(obj, violations, "tail"),
+        "config": _rate_config(obj, violations, "tail", seed),
     }
 
 
-def _build_hugging(obj: dict, violations) -> dict:
+def _build_hugging(obj: dict, violations, seed: int) -> dict:
     allowed = {
         "experiment", "family", "n_support", "n_cases", "master_seed", "solver",
     }
     _check_keys(obj, allowed, {"family"}, "config", violations)
-    family = _family(obj, violations)
-    return {
-        "family": family,
+    return {  # the arguments of sweeps.hugging_sweep
+        "family": _instance(obj, "family", FAMILY_KINDS, violations),
         "n_support": _positive_int(obj, "n_support", 30, "config", violations, minimum=2),
         "n_cases": _positive_int(obj, "n_cases", 200, "config", violations),
-        "master_seed": _seed(obj, violations),
+        "master_seed": seed,
         "solver": _solver(obj, violations),
     }
 
 
-def _space(obj: dict, violations):
-    section = obj.get("space")
-    if not isinstance(section, dict) or "kind" not in section:
-        violations.append("'space' must be an object with a 'kind'")
-        return None
-    kind = section["kind"]
-    if not isinstance(kind, str) or kind not in _SPACE_KINDS:
-        violations.append(f"space: unknown kind {kind!r}")
-        return None
-    cls, allowed = _SPACE_KINDS[kind]
-    _check_keys(section, allowed | {"kind"}, set(), "space", violations)
-    size_key = "grid_size" if kind == "quantile" else "dim"
-    size = _positive_int(section, size_key, 2 if size_key == "dim" else 256,
-                         "space", violations)
-    try:
-        return cls(size)
-    except ValueError as exc:
-        violations.append(f"space: {exc}")
-        return None
-
-
-def _build_curvature(obj: dict, violations) -> dict:
+def _build_curvature(obj: dict, violations, seed: int) -> dict:
     allowed = {
         "experiment", "space", "kappa", "quadruples", "triples", "grid", "master_seed",
     }
     _check_keys(obj, allowed, {"space", "kappa"}, "config", violations)
-    space = _space(obj, violations)
+    space = _instance(obj, "space", SPACE_KINDS, violations)
     if space is not None and space.tangent_dim < 2:
         # side rounding moves a degenerate triangle's angles by about sqrt(eps) > cli.PROBE_TOL
         violations.append(f"space: {space!r} has dimension {space.tangent_dim}, but the "
@@ -345,21 +331,19 @@ def _build_curvature(obj: dict, violations) -> dict:
     ):
         violations.append("'grid' must be a nonempty ascending list of numbers in (0, 1]")
         grid = [0.25, 0.5, 0.75, 1.0]
-    return {
+    return {  # the arguments of sweeps.curvature_sweep
         "space": space,
         "kappa": float(kappa),
         "quadruples": _positive_int(obj, "quadruples", 1000, "config", violations),
         "triples": _positive_int(obj, "triples", 50, "config", violations),
         "grid": [float(g) for g in grid],
-        "master_seed": _seed(obj, violations),
+        "master_seed": seed,
     }
 
 
-def _build_barycenter(obj: dict, violations) -> dict:
+def _build_barycenter(obj: dict, violations, seed: int) -> dict:
     allowed = {"experiment", "points", "weights", "solver"}
     _check_keys(obj, allowed, {"points"}, "config", violations)
-    from .spaces import point_from_payload
-
     raw_points = obj.get("points")
     points, space = [], None
     if not isinstance(raw_points, list) or not raw_points:
@@ -389,8 +373,14 @@ def _build_barycenter(obj: dict, violations) -> dict:
             violations.append("'weights' must be positive numbers, one per point")
             weights = None
         else:
-            weights = np.asarray(weights, float)
-            weights = weights / weights.sum()
+            # a sum beyond the double range, or a weight far below the others,
+            # normalizes to 0, which the distribution would refuse untyped
+            with np.errstate(over="ignore"):
+                weights = np.asarray(weights, float)
+                weights = weights / weights.sum()
+            if not np.all(weights > 0):
+                violations.append("'weights' must stay positive when divided by their sum")
+                weights = None
     return {
         "space": space,
         "points": points,
@@ -399,7 +389,7 @@ def _build_barycenter(obj: dict, violations) -> dict:
     }
 
 
-def _build_plot(obj: dict, violations) -> dict:
+def _build_plot(obj: dict, violations, seed: int) -> dict:
     allowed = {"experiment", "csv", "title"}
     _check_keys(obj, allowed, {"csv"}, "config", violations)
     csv = obj.get("csv")

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import abc
 import functools
-import inspect
 import math
 
 import numpy as np
 
-from .errors import BadFamilyParams, NotPositiveDefinite
+from .errors import BadFamilyParams
 from .linalg import positive_qr_q, sym
 from .spaces import (
     BuresWasserstein,
@@ -341,22 +340,3 @@ FAMILY_KINDS = {
     GaussianEnsemble.kind: GaussianEnsemble,
 }
 
-
-def family_from_config(obj: dict) -> Family:
-    """Build a family from its JSON description (strict keys)."""
-    obj = dict(obj)
-    kind = obj.pop("kind", None)
-    # a JSON list or object as the kind is unhashable
-    if not isinstance(kind, str) or kind not in FAMILY_KINDS:
-        raise BadFamilyParams(f"unknown family kind {kind!r}")
-    cls = FAMILY_KINDS[kind]
-    # the keys are the constructor's parameters
-    unknown = set(obj) - set(inspect.signature(cls).parameters)
-    if unknown:
-        raise BadFamilyParams(f"unknown family keys {sorted(unknown)}")
-    # wrong types, shapes or values (a dim below 1, an anchor off the space, a
-    # non-SPD base covariance) become config violations, not tracebacks
-    try:
-        return cls(**obj)
-    except (TypeError, ValueError, NotPositiveDefinite) as exc:
-        raise BadFamilyParams(str(exc)) from exc

@@ -157,6 +157,15 @@ def _stream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *path]))
 
 
+def blocks(total: int, floats: int):
+    """The (start, stop) bounds of ``total`` items of ``floats`` floats each,
+    in consecutive blocks of at most TRIAL_FLOAT_BUDGET floats (one item at
+    least): the block rule of every stacked pass."""
+    size = max(1, TRIAL_FLOAT_BUDGET // floats)
+    for start in range(0, total, size):
+        yield start, min(start + size, total)
+
+
 def population_barycenter(config: RateExperimentConfig):
     """The family anchor, after an empirical first-order verification pass.
 
@@ -169,10 +178,9 @@ def population_barycenter(config: RateExperimentConfig):
     family = config.family
     rng = _stream(config.master_seed, _VERIFY)
     count = config.verify_draws
-    step = max(1, TRIAL_FLOAT_BUDGET // family.space.point_floats)
     payload_sum, sq_sum = 0.0, 0.0
-    for start in range(0, count, step):
-        block_payload, block_sq = family.anchor_log_sums(rng, min(step, count - start))
+    for start, stop in blocks(count, family.space.point_floats):
+        block_payload, block_sq = family.anchor_log_sums(rng, stop - start)
         payload_sum, sq_sum = payload_sum + block_payload, sq_sum + block_sq
     mean_norm = family.space.tangent_norm(family.anchor, payload_sum / count)
     sigma2_hat = sq_sum / count
@@ -306,9 +314,8 @@ def _trial_table(config: RateExperimentConfig, b_star):
     sq = np.empty((len(config.n_grid), config.trials))
     redraws = 0
     for n_index, n in enumerate(config.n_grid):
-        chunk = max(1, TRIAL_FLOAT_BUDGET // (n * config.family.space.point_floats))
-        for start in range(0, config.trials, chunk):
-            trials = np.arange(start, min(start + chunk, config.trials))
+        for start, stop in blocks(config.trials, n * config.family.space.point_floats):
+            trials = np.arange(start, stop)
             sq[n_index, trials], redraw = _trial_chunk(config, b_star, n_index, trials)
             redraws += redraw
     if redraws / (sq.size + redraws) > MAX_DISCARD_RATE:
@@ -391,10 +398,9 @@ def estimate_hugging_profile(
     if not count:
         raise CoincidentPoints("every sampled target coincided with the anchor")
     logs = space.log_batch(anchor, xs)[0]
-    block = max(1, TRIAL_FLOAT_BUDGET // (n_points * space.point_floats))
     k_of_x = np.full(n_points, np.inf)
-    for start in range(0, count, block):
-        rows = hugging_values(space, anchor, targets[start:start + block], xs, logs)
+    for start, stop in blocks(count, n_points * space.point_floats):
+        rows = hugging_values(space, anchor, targets[start:stop], xs, logs)
         k_of_x = np.minimum(k_of_x, rows.min(axis=0))
     pk = float(k_of_x.mean())
     pk_stderr = float(k_of_x.std(ddof=1) / math.sqrt(n_points)) if n_points > 1 else 0.0

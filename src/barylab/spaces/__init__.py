@@ -6,6 +6,10 @@ from .euclidean import Euclidean
 from .gaussian import BuresWasserstein, GaussianPoint
 from .quantile import QuantileSpace
 
+# the space classes by the ``kind`` that names them in a config
+SPACE_KINDS = {cls.tag: cls for cls in (Euclidean, Sphere, Hyperboloid, QuantileSpace,
+                                         BuresWasserstein)}
+
 
 def point_from_payload(obj: dict):
     """Reconstruct (space, point) from a tagged JSON payload."""

@@ -55,7 +55,7 @@ class Space(abc.ABC):
     curv_lower: ClassVar[float] = 0.0
     curv_upper: ClassVar[float] = 0.0
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int = 2):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)

@@ -26,9 +26,9 @@ def _sweep(probe, total: int, floats: int, draw, accept, max_tries: float = math
     still needed, ``draw(k)``, and tests them in one ``accept`` call: the draws
     of a loop of attempts.  ``max_tries`` rejections in a row raise, and a
     failing block raises the error of its first failing configuration."""
-    size, streak, values = max(1, ratelab.TRIAL_FLOAT_BUDGET // floats), 0, []
-    for start in range(0, total, size):
-        kept, needed = [], min(size, total - start)
+    streak, values = 0, []
+    for start, stop in ratelab.blocks(total, floats):
+        kept, needed = [], stop - start
         while len(kept) < needed:
             drawn = draw(needed - len(kept))
             for config, good in zip(drawn, accept(drawn)):

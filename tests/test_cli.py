@@ -494,22 +494,43 @@ CURVATURE_CONFIG = {
     "triples": 2,
     "master_seed": 2,
 }
+BARYCENTER_CONFIG = {
+    "experiment": "barycenter",
+    "points": [{"space": "euclidean", "coords": [0.0]}, {"space": "euclidean", "coords": [4.0]}],
+}
+
+# the subcommands that take --seed, each with a small config of its own master_seed
+SEEDED_CONFIGS = {
+    "rates": RATES_CONFIG, "tail": dict(TAIL_CONFIG, trials=20),
+    "hugging": HUGGING_CONFIG, "curvature": CURVATURE_CONFIG,
+}
 
 
 class TestSeedFlag:
-    @pytest.mark.parametrize("command", ["rates", "tail", "hugging", "curvature"])
+    @pytest.mark.parametrize("command", sorted(SEEDED_CONFIGS))
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
         """A negative --seed exits 1 with a typed message, like a negative
         master_seed in the config, and writes nothing."""
-        base = {
-            "rates": RATES_CONFIG, "tail": TAIL_CONFIG,
-            "hugging": HUGGING_CONFIG, "curvature": CURVATURE_CONFIG,
-        }[command]
-        cfg = write_config(tmp_path, base)
+        cfg = write_config(tmp_path, SEEDED_CONFIGS[command])
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--out", out, "--seed", -1]) == 1
         assert "error[config]: --seed must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(SEEDED_CONFIGS))
+    def test_seed_flag_is_the_config_seed(self, tmp_path, command):
+        """--seed s writes the CSV bytes and the manifest seed of a config
+        whose master_seed is s."""
+        base = SEEDED_CONFIGS[command]
+        flagged = write_config(tmp_path, base, "flagged.json")
+        seeded = write_config(tmp_path, dict(base, master_seed=7), "seeded.json")
+        code = run([command, "--config", flagged, "--out", tmp_path / "flag", "--seed", 7])
+        assert run([command, "--config", seeded, "--out", tmp_path / "config"]) == code
+        for out in ("flag", "config"):
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            assert manifest["master_seed"] == 7
+        csv = OUTPUTS[command]
+        assert (tmp_path / "flag" / csv).read_bytes() == (tmp_path / "config" / csv).read_bytes()
 
 
 # every triangle of a one-dimensional space is degenerate, so its probes read noise
@@ -551,15 +572,26 @@ class TestConfigRefusals:
              f"error[config]: space: Sphere(dim=1) {ONE_DIM}"),
             ("curvature", dict(CURVATURE_CONFIG, space={"kind": "hyperbolic", "dim": 1}),
              f"error[config]: space: Hyperboloid(dim=1) {ONE_DIM}"),
+            # a space's keys are its constructor's parameters, each of its JSON type
+            ("curvature", dict(CURVATURE_CONFIG, space={"kind": "sphere", "grid_size": 3}),
+             "error[config]: space: unknown key 'grid_size'"),
+            ("curvature", dict(CURVATURE_CONFIG, space={"kind": "quantile", "grid_size": 2.5}),
+             "error[config]: space: 'grid_size' must be an integer >= 1"),
             ("barycenter", {"experiment": "barycenter", "points": []},
              "error[config]: 'points' must be a nonempty list of tagged point payloads"),
+            # the sum overflows, or the smaller weight underflows, when normalized
+            ("barycenter", dict(BARYCENTER_CONFIG, weights=[1e308, 1e308]),
+             "error[config]: 'weights' must stay positive when divided by their sum"),
+            ("barycenter", dict(BARYCENTER_CONFIG, weights=[1e-320, 1e10]),
+             "error[config]: 'weights' must stay positive when divided by their sum"),
             ("plot", {"experiment": "plot", "csv": "rates.csv", "title": 3},
              "error[config]: 'title' must be a string"),
         ],
         ids=["top-level-list", "missing-experiment", "unknown-experiment", "negative-master-seed",
              "solver-list", "solver-step", "family-string", "space-string", "kappa-string",
              "euclidean-dim1", "quantile-grid1", "sphere-dim1", "hyperbolic-dim1",
-             "empty-points", "title-number"],
+             "sphere-grid-size", "quantile-grid-float", "empty-points", "weights-overflow",
+             "weights-underflow", "title-number"],
     )
     def test_refused_before_any_work(self, tmp_path, capsys, command, obj, line):
         """Each refusal exits 1 with its one ``error[...]`` line and writes nothing."""
@@ -652,11 +684,11 @@ class TestOutputDirectory:
         "command, config, message",
         [
             ("rates", dict(RATES_CONFIG, family={"kind": [1]}),
-             "error[config]: family: unknown family kind [1]"),
+             "error[config]: family: unknown kind [1]"),
             ("curvature", dict(CURVATURE_CONFIG, space={"kind": [1]}),
              "error[config]: space: unknown kind [1]"),
             ("hugging", dict(HUGGING_CONFIG, family={"kind": {"a": 1}}),
-             "error[config]: family: unknown family kind {'a': 1}"),
+             "error[config]: family: unknown kind {'a': 1}"),
         ],
         ids=["rates-family-list", "curvature-space-list", "hugging-family-object"],
     )
@@ -727,10 +759,6 @@ RATES_ROWS = (
     HEADER_LINE + "euclidean,4,100,0.7,0.01,3,0.75,0.9,5\n"
     "euclidean,16,100,0.2,0.01,3,0.19,0.9,5\n"
 )
-BARYCENTER_CONFIG = {
-    "experiment": "barycenter",
-    "points": [{"space": "euclidean", "coords": [0.0]}, {"space": "euclidean", "coords": [4.0]}],
-}
 # (command, config or None, extra flags, manifest seed, results written, exit code)
 RUNS = {
     # seed 1 puts a ratio above 1 inside the slack, which --strict-bounds flags

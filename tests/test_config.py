@@ -9,6 +9,7 @@ from barylab.barycenter import SolverOptions
 from barylab.config import parse_config
 from barylab.errors import ParseError, ValidationError
 from barylab.families import FAMILY_KINDS
+from barylab.spaces import SPACE_KINDS
 from barylab.ratelab import (
     COUNT_CEILING,
     THEOREMS,
@@ -191,6 +192,33 @@ class TestParsing:
         assert violations[0].startswith(f"family: {key!r} must be ")
         assert "trials" in violations[1]
 
+    @pytest.mark.parametrize(
+        "family, lines",
+        [
+            ({"kind": "donut"}, ["family: unknown kind 'donut'"]),
+            ({"radius": 0.2}, ["'family' must be an object with a 'kind'"]),
+            ({"kind": "sphere_cap", "radius": 0.2, "spin": 3, "bend": 1},
+             ["family: unknown key 'bend'", "family: unknown key 'spin'"]),
+            # the shared Gaussian base adds no config key to either isotropic kind
+            ({"kind": "euclidean_gaussian", "scale": 0.5}, ["family: unknown key 'scale'"]),
+            ({"kind": "euclidean_gaussian", "anchor": [1.0, 0.0, 0.0]},
+             ["family: unknown key 'anchor'"]),
+            ({"kind": "hyperbolic_gaussian", "scale": 0.5, "sd": 1.0},
+             ["family: unknown key 'sd'"]),
+            ({"kind": "hyperbolic_gaussian", "scale": 0.5, "mean": [0.0, 0.0]},
+             ["family: unknown key 'mean'"]),
+        ],
+        ids=["unknown-kind", "no-kind", "unknown-keys", "euclidean-scale", "euclidean-anchor",
+             "hyperbolic-sd", "hyperbolic-mean"],
+    )
+    def test_family_kind_and_keys(self, tmp_path, family, lines):
+        """A family's kind names its class and its other keys are that class's
+        constructor parameters; each unknown key is one violation."""
+        obj = dict(MINIMAL_RATES, family=family)
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, obj), "rates")
+        assert err.value.violations == lines
+
     def test_experiment_subcommand_mismatch(self, tmp_path):
         with pytest.raises(ValidationError, match="subcommand"):
             parse_config(write(tmp_path, MINIMAL_RATES), "tail")
@@ -278,6 +306,12 @@ class TestOtherExperiments:
             "'grid' must be a nonempty ascending list of numbers in (0, 1]",
             "config: 'triples' must be an integer >= 1",
         ]
+
+    @pytest.mark.parametrize("kind", sorted(SPACE_KINDS))
+    def test_space_sizes_default_to_the_constructors(self, tmp_path, kind):
+        obj = {"experiment": "curvature", "space": {"kind": kind}, "kappa": 0.0}
+        space = parse_config(write(tmp_path, obj), "curvature").payload["space"]
+        assert repr(space) == repr(SPACE_KINDS[kind]())
 
     def test_curvature_unknown_space(self, tmp_path):
         obj = {"experiment": "curvature", "space": {"kind": "torus"}, "kappa": 0.0}

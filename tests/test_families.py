@@ -16,7 +16,6 @@ from barylab.families import (
     HyperbolicGaussian,
     SphereCap,
     _unit_rule,
-    family_from_config,
 )
 from barylab.ratelab import RateExperimentConfig, population_barycenter
 
@@ -455,27 +454,6 @@ class TestParams:
         with pytest.raises(BadFamilyParams):
             GaussianEnsemble(0.8, 0.9)
 
-    def test_family_from_config(self):
-        family = family_from_config({"kind": "sphere_cap", "radius": 0.2})
-        assert isinstance(family, SphereCap)
-        with pytest.raises(BadFamilyParams):
-            family_from_config({"kind": "donut"})
-        with pytest.raises(BadFamilyParams):
-            family_from_config({"kind": "sphere_cap", "radius": 0.2, "spin": 3})
-
-    @pytest.mark.parametrize("config, message", [
-        ({"kind": "euclidean_gaussian", "scale": 0.5}, "unknown family keys ['scale']"),
-        ({"kind": "euclidean_gaussian", "anchor": [1.0, 0.0, 0.0]}, "unknown family keys ['anchor']"),
-        ({"kind": "hyperbolic_gaussian", "scale": 0.5, "sd": 1.0}, "unknown family keys ['sd']"),
-        ({"kind": "hyperbolic_gaussian", "scale": 0.5, "mean": [0.0, 0.0]},
-         "unknown family keys ['mean']"),
-    ])
-    def test_isotropic_kinds_refuse_each_others_keys(self, config, message):
-        """The shared Gaussian base adds no config key to either kind."""
-        with pytest.raises(BadFamilyParams) as info:
-            family_from_config(config)
-        assert str(info.value) == message
-
     def test_isotropic_kinds_keep_their_keys_and_defaults(self):
         def defaults(cls):
             return {name: p.default for name, p in inspect.signature(cls).parameters.items()}
@@ -484,9 +462,9 @@ class TestParams:
         assert defaults(HyperbolicGaussian) == {"scale": inspect.Parameter.empty, "dim": 2,
                                                 "anchor": None}
         with pytest.raises(BadFamilyParams, match="^sd must be positive$"):
-            family_from_config({"kind": "euclidean_gaussian", "sd": 0.0})
+            EuclideanGaussian(sd=0.0)
         with pytest.raises(BadFamilyParams, match="^scale must be positive$"):
-            family_from_config({"kind": "hyperbolic_gaussian", "scale": -1.0})
+            HyperbolicGaussian(scale=-1.0)
 
     def test_mean_one_eigenvalue_mixture(self):
         family = GaussianEnsemble(0.8, 1.6, dim=3)

@@ -25,8 +25,8 @@ from barylab.families import (
     EuclideanGaussian,
     GaussianEnsemble,
     HyperbolicGaussian,
+    FAMILY_KINDS,
     SphereCap,
-    family_from_config,
 )
 from barylab.ratelab import (
     HuggingProfile,
@@ -305,7 +305,7 @@ class TestHypothesisGates:
             raise AssertionError("the anchor was verified")
 
         monkeypatch.setattr(ratelab, "population_barycenter", spy)
-        family = family_from_config(dict(PREMISE_FAMILIES[kind], kind=kind))
+        family = FAMILY_KINDS[kind](**PREMISE_FAMILIES[kind])
         config = bl.RateExperimentConfig(
             family=family, theorem=theorem, n_grid=(4,), trials=5, master_seed=1
         )

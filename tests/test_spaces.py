@@ -16,6 +16,7 @@ from barylab.errors import (
     OutOfDomain,
     SpaceMismatch,
 )
+from barylab.families import FAMILY_KINDS
 from barylab.spaces import componentwise_inf
 
 from conftest import gaussian, make_space, probe_point, separated_points
@@ -621,16 +622,17 @@ class TestStackedForm:
         of ``point_shape``."""
         space = any_space
         family = {
-            "euclidean": {"kind": "euclidean_gaussian", "dim": 3},
-            "sphere": {"kind": "sphere_cap", "radius": 0.3},
-            "hyperbolic": {"kind": "hyperbolic_gaussian", "scale": 0.5},
-            "gaussian": {"kind": "gaussian_ensemble", "alpha": 0.8, "beta": 1.6},
+            "euclidean": ("euclidean_gaussian", {"dim": 3}),
+            "sphere": ("sphere_cap", {"radius": 0.3}),
+            "hyperbolic": ("hyperbolic_gaussian", {"scale": 0.5}),
+            "gaussian": ("gaussian_ensemble", {"alpha": 0.8, "beta": 1.6}),
         }.get(space.tag)
         p = probe_point(space, rng)
         points = [space.random_point(rng), space.exp(p, space.log(p, probe_point(space, rng)))]
         points.append(bl.empirical_barycenter(space, [p, points[0], points[1]]).point)
         if family is not None:
-            points.append(bl.family_from_config(family).anchor)
+            kind, params = family
+            points.append(FAMILY_KINDS[kind](**params).anchor)
         for x in points:
             assert type(x) is np.ndarray and x.dtype == float
             assert x.shape == space.point_shape
