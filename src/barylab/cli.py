@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .barycenter import barycenter
-from .config import ParsedConfig, parse_config
+from .config import EXPERIMENTS, ParsedConfig, parse_config
 from .distributions import DiscreteDistribution
 from .errors import BarylabError, HypothesisViolated, OutputError, ValidationError
 from .ratelab import (
@@ -45,21 +45,20 @@ EXIT_BOUND = 3
 PROBE_TOL = 1e-9
 
 
-def _add_common(
-    parser: argparse.ArgumentParser,
-    config_required: bool = True,
-    seed: bool = False,
-    strict_bounds: bool = False,
-):
-    """The flags of one subcommand: --config, --out and --threads on every
-    one, --seed and --strict-bounds only where the subcommand reads them."""
+def _add_subcommand(
+    sub, command: str, help: str, config_required: bool = True, strict_bounds: bool = False
+) -> argparse.ArgumentParser:
+    """One subcommand's parser: --config, --out and --threads on every one,
+    --seed where its config has a master_seed, and --strict-bounds only where
+    the subcommand reads it."""
+    parser = sub.add_parser(command, help=help)
     parser.add_argument(
         "--config", required=config_required, help="path to the JSON experiment config"
     )
     parser.add_argument(
         "--out", default="barylab-out", help="output directory (created if missing)"
     )
-    if seed:
+    if "master_seed" in EXPERIMENTS[command]:
         parser.add_argument(
             "--seed", type=int, default=None, help="override the config master seed"
         )
@@ -75,6 +74,7 @@ def _add_common(
             action="store_true",
             help="exit 3 on any bound violation, without statistical slack",
         )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,20 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Barycenter geometry diagnostics and Monte Carlo rate experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rates", help="rate-vs-bound Monte Carlo experiment (CSV)")
-    _add_common(p, seed=True, strict_bounds=True)
-    p = sub.add_parser("tail", help="high-probability tail bound experiment (CSV)")
-    _add_common(p, seed=True, strict_bounds=True)
-    p = sub.add_parser("hugging", help="hugging diagnostic sweep (CSV)")
-    _add_common(p, seed=True)
-    p = sub.add_parser("curvature", help="comparison-geometry probe sweep (CSV)")
-    _add_common(p, seed=True)
-    p = sub.add_parser("barycenter", help="single barycenter solve (JSON)")
-    _add_common(p)
-    p = sub.add_parser("plot", help="render a rates CSV as an SVG log-log chart")
-    _add_common(p, config_required=False)
-    p.add_argument("--csv", default=None, help="rates CSV to plot (or set it in the config)")
+    _add_subcommand(sub, "rates", "rate-vs-bound Monte Carlo experiment (CSV)",
+                    strict_bounds=True)
+    _add_subcommand(sub, "tail", "high-probability tail bound experiment (CSV)",
+                    strict_bounds=True)
+    _add_subcommand(sub, "hugging", "hugging diagnostic sweep (CSV)")
+    _add_subcommand(sub, "curvature", "comparison-geometry probe sweep (CSV)")
+    _add_subcommand(sub, "barycenter", "single barycenter solve (JSON)")
+    plot = _add_subcommand(sub, "plot", "render a rates CSV as an SVG log-log chart",
+                           config_required=False)
+    plot.add_argument("--csv", default=None, help="rates CSV to plot (or set it in the config)")
     return parser
 
 
@@ -130,7 +126,7 @@ def _cmd_tail(args, payload: dict, out: Path):
     # a failed gate raises in run_tail_experiment, before any profile is drawn
     points, targets = payload["profile_points"], payload["profile_targets"]
     profile = estimate_hugging_profile(config, points, targets) if subg.passed else None
-    results = run_tail_experiment(config, payload["deltas"], payload["varsigma2"], profile, subg)
+    results = run_tail_experiment(config, payload["delta"], payload["varsigma2"], profile, subg)
     csv_path = out / "tail.csv"
     write_tail_csv(csv_path, config.family.space.tag, results, config.master_seed)
     extra = {

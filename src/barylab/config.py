@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,39 @@ from .spaces import SPACE_KINDS, point_from_payload
 # a tuple, not a set: a JSON list or object as 'theorem' is unhashable
 _RATE_THEOREMS = tuple(sorted(set(THEOREMS) - {"tail"}))
 
-_DEFAULT_TRIALS = 1000
+# the default that a signature gives a parameter without one
+REQUIRED = inspect.Parameter.empty
 # the hugging profile sizes of a tail config that omits them: the library's
 _PROFILE_DEFAULTS = inspect.signature(estimate_hugging_profile).parameters
+
+# each experiment's keys besides 'experiment', in reading order (the order of
+# their violations), each REQUIRED or its default
+EXPERIMENTS = {
+    "rates": {
+        "master_seed": 0, "theorem": REQUIRED, "family": REQUIRED, "n_grid": REQUIRED,
+        "trials": 1000, "solver": SolverOptions(),
+        "verify_draws": RateExperimentConfig.verify_draws,
+    },
+    "tail": {
+        "master_seed": 0, "delta": REQUIRED, "varsigma2": REQUIRED,
+        "profile_points": _PROFILE_DEFAULTS["n_points"].default,
+        "profile_targets": _PROFILE_DEFAULTS["n_targets"].default,
+        "family": REQUIRED, "n_grid": REQUIRED, "trials": 1000, "solver": SolverOptions(),
+        "verify_draws": RateExperimentConfig.verify_draws,
+    },
+    # the arguments of sweeps.hugging_sweep
+    "hugging": {
+        "master_seed": 0, "family": REQUIRED, "n_support": 30, "n_cases": 200,
+        "solver": SolverOptions(),
+    },
+    # the arguments of sweeps.curvature_sweep
+    "curvature": {
+        "master_seed": 0, "space": REQUIRED, "kappa": REQUIRED, "grid": (0.25, 0.5, 0.75, 1.0),
+        "quadruples": 1000, "triples": 50,
+    },
+    "barycenter": {"points": REQUIRED, "weights": None, "solver": SolverOptions()},
+    "plot": {"csv": REQUIRED, "title": ""},
+}
 
 
 @dataclass(frozen=True)
@@ -82,8 +113,8 @@ def parse_config(path, expected_experiment: str | None = None,
     experiment = obj.get("experiment")
     if experiment is None:
         violations.append("missing required key 'experiment'")
-    elif not isinstance(experiment, str) or experiment not in _BUILDERS:
-        violations.append(f"experiment {experiment!r} not one of {sorted(_BUILDERS)}")
+    elif not isinstance(experiment, str) or experiment not in EXPERIMENTS:
+        violations.append(f"experiment {experiment!r} not one of {sorted(EXPERIMENTS)}")
     elif expected_experiment and experiment != expected_experiment:
         violations.append(
             f"config declares experiment {experiment!r} but the "
@@ -91,16 +122,21 @@ def parse_config(path, expected_experiment: str | None = None,
         )
     if violations:
         raise ValidationError(violations)
-    master_seed = _seed(obj, violations)  # checked even where a given seed replaces it
-    if seed is not None:
-        master_seed = seed
-    payload = _BUILDERS[experiment](obj, violations, master_seed)
+    section = {key: value for key, value in obj.items() if key != "experiment"}
+    values = _read(section, "config", EXPERIMENTS[experiment], violations)
+    if seed is not None and "master_seed" in values:
+        values["master_seed"] = seed  # the config's own is still read and checked
+    master_seed = values.get("master_seed", 0)
+    if experiment in _CROSS_CHECKS:
+        values = _CROSS_CHECKS[experiment](values, violations)
     if violations:
         raise ValidationError(violations)
-    return ParsedConfig(payload, obj, master_seed)
+    return ParsedConfig(values, obj, master_seed)
 
 
-# -- field helpers ------------------------------------------------------------
+# -- readers ------------------------------------------------------------------
+# A reader takes a present key's value, the key and the name of the object
+# that holds it, and returns the value to use, or None with its violation.
 
 
 def _is_numeric(value, depth: int = 0) -> bool:
@@ -115,298 +151,224 @@ def _is_numeric(value, depth: int = 0) -> bool:
     return isinstance(value, list) and all(_is_numeric(item, depth - 1) for item in value)
 
 
-def _check_keys(obj: dict, allowed: set, required: set, ctx: str, violations: list):
-    for key in sorted(set(obj) - allowed):
-        violations.append(f"{ctx}: unknown key {key!r}")
-    for key in sorted(required - set(obj)):
-        violations.append(f"{ctx}: missing required key {key!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _positive_int(obj, key, default, ctx, violations, minimum=1):
+def _read(section: dict, ctx: str, keys: dict, violations) -> dict:
+    """The value of each of ``keys`` in the object ``section`` named ``ctx``:
+    a present key's from its ``_FIELDS`` reader, an absent key's default, and
+    None for an absent required key, whose one violation says it is missing.
+    Each unknown key is a violation too."""
+    required = {key for key, default in keys.items() if default is REQUIRED}
+    violations += [f"{ctx}: unknown key {key!r}" for key in sorted(set(section) - set(keys))]
+    violations += [
+        f"{ctx}: missing required key {key!r}" for key in sorted(required - set(section))
+    ]
+    return {
+        key: (_FIELDS[key](section[key], key, ctx, violations) if key in section
+              else None if key in required else default)
+        for key, default in keys.items()
+    }
+
+
+def _rule(message: str, ok, convert=None):
+    """The reader of a value that ``ok`` admits, returned through ``convert``
+    if one is given; any other value is the violation ``message``, in which
+    ``{key!r}`` and ``{ctx}`` name the key and its object."""
+
+    def read(value, key, ctx, violations):
+        if ok(value):
+            return value if convert is None else convert(value)
+        violations.append(message.format(key=key, ctx=ctx))
+        return None
+
+    return read
+
+
+def _positive_int(value, key, ctx, violations, minimum=1):
     """A count or size from ``minimum`` to COUNT_CEILING."""
-    value = obj.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    if not _is_int(value) or value < minimum:
         violations.append(f"{ctx}: {key!r} must be an integer >= {minimum}")
-        return default
-    if value > COUNT_CEILING:
+    elif value > COUNT_CEILING:
         violations.append(f"{ctx}: {key!r} must be at most {COUNT_CEILING}")
-        return default
-    return value
+    else:
+        return value
+    return None
 
 
-def _positive_float(obj, key, default, ctx, violations):
-    value = obj.get(key, default)
-    if not _is_numeric(value) or value <= 0:
-        violations.append(f"{ctx}: {key!r} must be a positive number")
-        return default
-    return float(value)
-
-
-def _numbers(obj, key, default, ctx, violations, depth=1):
-    """A list of numbers (``depth`` 1) or of lists of numbers (``depth`` 2)."""
-    value = obj.get(key, default)
-    if not _is_numeric(value, depth):
-        violations.append(f"{ctx}: {key!r} must be a list of {'lists of ' * (depth - 1)}numbers")
-        return default
-    return value
-
-
-def _seed(obj, violations) -> int:
-    value = obj.get("master_seed", 0)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        violations.append("'master_seed' must be a nonnegative integer")
-        return 0
-    return value
-
-
-def _solver(obj: dict, violations) -> SolverOptions:
-    defaults = SolverOptions()
-    section = obj.get("solver", {})
-    if not isinstance(section, dict):
-        violations.append("'solver' must be an object")
-        return defaults
-    _check_keys(section, {"max_iters", "tol"}, set(), "solver", violations)
-    max_iters = _positive_int(section, "max_iters", defaults.max_iters, "solver", violations)
-    tol = _positive_float(section, "tol", defaults.tol, "solver", violations)
-    return SolverOptions(max_iters=max_iters, tol=tol)
-
-
-# the JSON type of each constructor parameter of a family or space, by name
-_FIELDS = {
-    **dict.fromkeys(("dim", "grid_size"), _positive_int),
-    **dict.fromkeys(("sd", "radius", "scale", "alpha", "beta"), _positive_float),
-    **dict.fromkeys(("mean", "anchor"), _numbers),
-    "base_cov": lambda *args: _numbers(*args, depth=2),
-}
-
-
-def _instance(obj: dict, ctx: str, kinds: dict, violations):
-    """The instance that the object ``obj[ctx]`` describes: its ``kind`` picks
-    the class from ``kinds``, and its other keys are that class's constructor
-    parameters, each of the JSON type ``_FIELDS`` gives it.  The constructor
-    checks the values' ranges and shapes; what it refuses is a violation."""
-    section = obj.get(ctx)
-    if not isinstance(section, dict) or "kind" not in section:
-        violations.append(f"{ctx!r} must be an object with a 'kind'")
+def _points(value, key, ctx, violations):
+    """The space of the tagged point payloads ``value``, and one entry per
+    payload: its point, or None where the payload is refused."""
+    if not isinstance(value, list) or not value:
+        violations.append(f"{key!r} must be a nonempty list of tagged point payloads")
         return None
-    params = dict(section)
-    kind = params.pop("kind")
-    # a JSON list or object as the kind is unhashable
-    if not isinstance(kind, str) or kind not in kinds:
-        violations.append(f"{ctx}: unknown kind {kind!r}")
-        return None
-    names = inspect.signature(kinds[kind]).parameters
+    space, points = None, []
+    for i, payload in enumerate(value):
+        points.append(None)
+        try:
+            this_space, point = point_from_payload(payload)
+        except (KeyError, TypeError, ValueError, NotPositiveDefinite) as exc:
+            violations.append(f"points[{i}]: {exc}")
+            continue
+        if space is None:
+            space = this_space
+        elif repr(this_space) != repr(space):
+            violations.append(f"points[{i}]: space {this_space!r} differs from {space!r}")
+            continue
+        points[-1] = point
+    return space, points
+
+
+def _construct(cls, section: dict, ctx: str, violations):
+    """``cls`` built from the object ``section`` named ``ctx``, whose keys are
+    the constructor's parameters, required where it gives no default.  The
+    constructor checks the values' ranges and shapes; what it refuses is a
+    violation."""
     count = len(violations)
-    _check_keys(params, set(names), set(), ctx, violations)
-    for key, field in _FIELDS.items():
-        if key in params and key in names:
-            field(params, key, None, ctx, violations)
+    params = inspect.signature(cls).parameters
+    values = _read(section, ctx, {name: p.default for name, p in params.items()}, violations)
     if len(violations) > count:
         return None
     try:
-        return kinds[kind](**params)
+        return cls(**values)
     except (TypeError, ValueError, BadFamilyParams, NotPositiveDefinite) as exc:
         violations.append(f"{ctx}: {exc}")
         return None
 
 
-def _n_grid(obj: dict, violations, default=None):
-    grid = obj.get("n_grid", default)
-    if (
-        not isinstance(grid, list)
-        or not grid
-        or any(
-            not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= COUNT_CEILING
-            for n in grid
-        )
-        or grid != sorted(grid)
-    ):
-        violations.append(
-            f"'n_grid' must be an ascending list of integers from 2 to {COUNT_CEILING}"
-        )
-        return (2,)
-    return tuple(grid)
-
-
-def _rate_config(obj: dict, violations, theorem: str, seed: int) -> RateExperimentConfig | None:
-    family = _instance(obj, "family", FAMILY_KINDS, violations)
-    grid = _n_grid(obj, violations)
-    trials = _positive_int(obj, "trials", _DEFAULT_TRIALS, "config", violations)
-    solver = _solver(obj, violations)
-    verify_draws = _positive_int(
-        obj, "verify_draws", RateExperimentConfig.verify_draws, "config", violations
-    )
-    if family is not None:
-        try:
-            require_premise(theorem, family)
-        except HypothesisViolated as exc:
-            violations.append(str(exc))
-    if violations or family is None:
+def _solver(value, key, ctx, violations):
+    if not isinstance(value, dict):
+        violations.append(f"{key!r} must be an object")
         return None
-    return RateExperimentConfig(
-        family=family,
-        theorem=theorem,
-        n_grid=grid,
-        trials=trials,
-        master_seed=seed,
-        solver=solver,
-        verify_draws=verify_draws,
-    )
+    return _construct(SolverOptions, value, key, violations)
 
 
-# -- per-experiment builders ----------------------------------------------------
+def _instance(value, key, ctx, violations, kinds):
+    """The instance that the object ``value`` describes: its ``kind`` picks
+    the class from ``kinds``, and its other keys are that class's."""
+    if not isinstance(value, dict) or "kind" not in value:
+        violations.append(f"{key!r} must be an object with a 'kind'")
+        return None
+    params = dict(value)
+    kind = params.pop("kind")
+    # a JSON list or object as the kind is unhashable
+    if not isinstance(kind, str) or kind not in kinds:
+        violations.append(f"{key}: unknown kind {kind!r}")
+        return None
+    return _construct(kinds[kind], params, key, violations)
 
 
-def _build_rates(obj: dict, violations, seed: int) -> dict:
-    allowed = {
-        "experiment", "family", "theorem", "n_grid", "trials", "master_seed",
-        "solver", "verify_draws",
-    }
-    _check_keys(obj, allowed, {"family", "theorem", "n_grid"}, "config", violations)
-    theorem = obj.get("theorem")
-    if theorem not in _RATE_THEOREMS:
-        violations.append(f"'theorem' must be one of {list(_RATE_THEOREMS)}")
-        return {}
-    return {"config": _rate_config(obj, violations, theorem, seed)}
-
-
-def _build_tail(obj: dict, violations, seed: int) -> dict:
-    allowed = {
-        "experiment", "family", "n_grid", "trials", "master_seed", "solver",
-        "delta", "varsigma2", "verify_draws", "profile_points", "profile_targets",
-    }
-    _check_keys(obj, allowed, {"family", "n_grid", "delta", "varsigma2"}, "config", violations)
-    deltas = obj.get("delta")
-    if _is_numeric(deltas):
-        deltas = [deltas]
-    if not deltas or not _is_numeric(deltas, 1) or not all(0 < d < 1 for d in deltas):
-        violations.append("'delta' must be a number or list of numbers in (0, 1)")
-        deltas = [0.1]
-    return {  # evaluated in order, so the violations come in the order of the keys
-        "deltas": [float(d) for d in deltas],
-        "varsigma2": _positive_float(obj, "varsigma2", 1.0, "config", violations),
-        "profile_points": _positive_int(
-            obj, "profile_points", _PROFILE_DEFAULTS["n_points"].default, "config", violations
-        ),
-        "profile_targets": _positive_int(
-            obj, "profile_targets", _PROFILE_DEFAULTS["n_targets"].default, "config", violations
-        ),
-        "config": _rate_config(obj, violations, "tail", seed),
-    }
-
-
-def _build_hugging(obj: dict, violations, seed: int) -> dict:
-    allowed = {
-        "experiment", "family", "n_support", "n_cases", "master_seed", "solver",
-    }
-    _check_keys(obj, allowed, {"family"}, "config", violations)
-    return {  # the arguments of sweeps.hugging_sweep
-        "family": _instance(obj, "family", FAMILY_KINDS, violations),
-        "n_support": _positive_int(obj, "n_support", 30, "config", violations, minimum=2),
-        "n_cases": _positive_int(obj, "n_cases", 200, "config", violations),
-        "master_seed": seed,
-        "solver": _solver(obj, violations),
-    }
-
-
-def _build_curvature(obj: dict, violations, seed: int) -> dict:
-    allowed = {
-        "experiment", "space", "kappa", "quadruples", "triples", "grid", "master_seed",
-    }
-    _check_keys(obj, allowed, {"space", "kappa"}, "config", violations)
-    space = _instance(obj, "space", SPACE_KINDS, violations)
+def _space(value, key, ctx, violations):
+    space = _instance(value, key, ctx, violations, SPACE_KINDS)
     if space is not None and space.tangent_dim < 2:
         # side rounding moves a degenerate triangle's angles by about sqrt(eps) > cli.PROBE_TOL
-        violations.append(f"space: {space!r} has dimension {space.tangent_dim}, but the "
+        violations.append(f"{key}: {space!r} has dimension {space.tangent_dim}, but the "
                           "curvature probes need dimension >= 2: every triangle in one "
                           "dimension is degenerate")
-    kappa = obj.get("kappa", 0.0)
-    if not _is_numeric(kappa):
-        violations.append("'kappa' must be a number")
-        kappa = 0.0
-    grid = obj.get("grid", [0.25, 0.5, 0.75, 1.0])
-    if (
-        not grid or not _is_numeric(grid, 1)
-        or not all(0 < g <= 1 for g in grid) or grid != sorted(grid)
-    ):
-        violations.append("'grid' must be a nonempty ascending list of numbers in (0, 1]")
-        grid = [0.25, 0.5, 0.75, 1.0]
-    return {  # the arguments of sweeps.curvature_sweep
-        "space": space,
-        "kappa": float(kappa),
-        "quadruples": _positive_int(obj, "quadruples", 1000, "config", violations),
-        "triples": _positive_int(obj, "triples", 50, "config", violations),
-        "grid": [float(g) for g in grid],
-        "master_seed": seed,
-    }
+        return None
+    return space
 
 
-def _build_barycenter(obj: dict, violations, seed: int) -> dict:
-    allowed = {"experiment", "points", "weights", "solver"}
-    _check_keys(obj, allowed, {"points"}, "config", violations)
-    raw_points = obj.get("points")
-    points, space = [], None
-    if not isinstance(raw_points, list) or not raw_points:
-        violations.append("'points' must be a nonempty list of tagged point payloads")
-        raw_points = []
-    else:
-        for i, payload in enumerate(raw_points):
-            try:
-                this_space, point = point_from_payload(payload)
-            except (KeyError, TypeError, ValueError, NotPositiveDefinite) as exc:
-                violations.append(f"points[{i}]: {exc}")
-                continue
-            if space is None:
-                space = this_space
-            elif repr(this_space) != repr(space):
-                violations.append(
-                    f"points[{i}]: space {this_space!r} differs from {space!r}"
-                )
-                continue
-            points.append(point)
-    weights = obj.get("weights")
-    if weights is not None:
-        if (
-            not _is_numeric(weights, 1) or len(weights) != len(raw_points)
-            or not all(w > 0 for w in weights)
-        ):
-            violations.append("'weights' must be positive numbers, one per point")
-            weights = None
-        else:
-            # a sum beyond the double range, or a weight far below the others,
-            # normalizes to 0, which the distribution would refuse untyped
-            with np.errstate(over="ignore"):
-                weights = np.asarray(weights, float)
-                weights = weights / weights.sum()
-            if not np.all(weights > 0):
-                violations.append("'weights' must stay positive when divided by their sum")
-                weights = None
-    return {
-        "space": space,
-        "points": points,
-        "weights": weights,
-        "solver": _solver(obj, violations),
-    }
+# the reader of every key, of a config, a solver, a family or a space, by name;
+# a list's items are checked before the list is compared with its sorted copy
+_FIELDS = {
+    **dict.fromkeys(
+        ("trials", "verify_draws", "profile_points", "profile_targets", "n_cases",
+         "quadruples", "triples", "max_iters", "dim", "grid_size"),
+        _positive_int,
+    ),
+    "n_support": partial(_positive_int, minimum=2),
+    **dict.fromkeys(
+        ("varsigma2", "tol", "sd", "radius", "scale", "alpha", "beta"),
+        _rule("{ctx}: {key!r} must be a positive number", lambda x: _is_numeric(x) and x > 0,
+              float),
+    ),
+    **dict.fromkeys(
+        ("mean", "anchor"),
+        _rule("{ctx}: {key!r} must be a list of numbers", partial(_is_numeric, depth=1)),
+    ),
+    "base_cov": _rule("{ctx}: {key!r} must be a list of lists of numbers",
+                      partial(_is_numeric, depth=2)),
+    "master_seed": _rule("'master_seed' must be a nonnegative integer",
+                         lambda seed: _is_int(seed) and seed >= 0),
+    "theorem": _rule(f"'theorem' must be one of {list(_RATE_THEOREMS)}",
+                     lambda theorem: theorem in _RATE_THEOREMS),
+    "family": partial(_instance, kinds=FAMILY_KINDS),
+    "n_grid": _rule(
+        f"'n_grid' must be an ascending list of integers from 2 to {COUNT_CEILING}",
+        lambda grid: isinstance(grid, list) and bool(grid)
+        and all(_is_int(n) and 2 <= n <= COUNT_CEILING for n in grid) and grid == sorted(grid),
+        tuple,
+    ),
+    "solver": _solver,
+    "delta": _rule(
+        "'delta' must be a number or list of numbers in (0, 1)",
+        lambda delta: _is_numeric(delta) and 0 < delta < 1
+        or _is_numeric(delta, 1) and bool(delta) and all(0 < d < 1 for d in delta),
+        lambda delta: [float(d) for d in (delta if isinstance(delta, list) else [delta])],
+    ),
+    "space": _space,
+    "kappa": _rule("'kappa' must be a number", _is_numeric, float),
+    "grid": _rule(
+        "'grid' must be a nonempty ascending list of numbers in (0, 1]",
+        lambda grid: _is_numeric(grid, 1) and bool(grid)
+        and all(0 < g <= 1 for g in grid) and grid == sorted(grid),
+        lambda grid: tuple(float(g) for g in grid),
+    ),
+    "points": _points,
+    # null weights are the uniform ones; _barycenter_payload counts the others
+    "weights": _rule("'weights' must be positive numbers, one per point",
+                     lambda weights: weights is None
+                     or _is_numeric(weights, 1) and all(w > 0 for w in weights)),
+    "csv": _rule("'csv' must be a path string", lambda csv: isinstance(csv, str) and bool(csv)),
+    "title": _rule("'title' must be a string", lambda title: isinstance(title, str)),
+}
 
 
-def _build_plot(obj: dict, violations, seed: int) -> dict:
-    allowed = {"experiment", "csv", "title"}
-    _check_keys(obj, allowed, {"csv"}, "config", violations)
-    csv = obj.get("csv")
-    if not isinstance(csv, str) or not csv:
-        violations.append("'csv' must be a path string")
-    title = obj.get("title", "")
-    if not isinstance(title, str):
-        violations.append("'title' must be a string")
-        title = ""
-    return {"csv": csv, "title": title}
+# -- checks that span keys ------------------------------------------------------
 
 
-_BUILDERS = {
-    "rates": _build_rates,
-    "tail": _build_tail,
-    "hugging": _build_hugging,
-    "curvature": _build_curvature,
-    "barycenter": _build_barycenter,
-    "plot": _build_plot,
+def _rate_payload(values: dict, violations) -> dict:
+    """A rates or tail config's keys that RateExperimentConfig does not hold,
+    and ``config``, the RateExperimentConfig of the others, once the family
+    meets the theorem's premise."""
+    values.setdefault("theorem", "tail")
+    fields = {key: values.pop(key) for key in inspect.signature(RateExperimentConfig).parameters}
+    if fields["family"] is not None and fields["theorem"] is not None:
+        try:
+            require_premise(fields["theorem"], fields["family"])
+        except HypothesisViolated as exc:
+            violations.append(str(exc))
+    if not violations:
+        values["config"] = RateExperimentConfig(**fields)
+    return values
+
+
+def _barycenter_payload(values: dict, violations) -> dict:
+    """A barycenter config's space and points, and its weights counted
+    against the points given and divided by their sum."""
+    values["space"], values["points"] = values["points"] or (None, [])
+    weights = values["weights"]
+    if weights is None:
+        return values
+    if len(weights) != len(values["points"]):
+        violations.append("'weights' must be positive numbers, one per point")
+        return values
+    # a sum beyond the double range, or a weight far below the others,
+    # normalizes to 0, which the distribution would refuse untyped
+    with np.errstate(over="ignore"):
+        weights = np.asarray(weights, float)
+        values["weights"] = weights / weights.sum()
+    if not np.all(values["weights"] > 0):
+        violations.append("'weights' must stay positive when divided by their sum")
+    return values
+
+
+# the payload of each experiment whose keys are checked together, from the
+# values of its keys; any other experiment's payload is those values
+_CROSS_CHECKS = {
+    "rates": _rate_payload,
+    "tail": _rate_payload,
+    "barycenter": _barycenter_payload,
 }

@@ -14,16 +14,8 @@ SPACE_KINDS = {cls.tag: cls for cls in (Euclidean, Sphere, Hyperboloid, Quantile
 def point_from_payload(obj: dict):
     """Reconstruct (space, point) from a tagged JSON payload."""
     tag = obj.get("space")
-    if tag == Euclidean.tag:
-        space = Euclidean(len(obj["coords"]))
-    elif tag == Sphere.tag:
-        space = Sphere(len(obj["coords"]) - 1)
-    elif tag == Hyperboloid.tag:
-        space = Hyperboloid(len(obj["coords"]) - 1)
-    elif tag == QuantileSpace.tag:
-        space = QuantileSpace(len(obj["values"]))
-    elif tag == BuresWasserstein.tag:
-        space = BuresWasserstein(len(obj["mean"]))
-    else:
+    # a JSON list or object as the tag is unhashable
+    if not isinstance(tag, str) or tag not in SPACE_KINDS:
         raise ValueError(f"unknown space tag {tag!r}")
+    space = SPACE_KINDS[tag].payload_space(obj)
     return space, space.point_from_payload(obj)

@@ -78,6 +78,11 @@ class Space(abc.ABC):
     def random_point(self, rng: np.random.Generator):
         """A generic random point, for tests and probes."""
 
+    @classmethod
+    def payload_space(cls, obj: dict) -> Space:
+        """The space of this kind that the point payload ``obj`` lies in, sized by it."""
+        return cls(len(obj["coords"]))
+
     def point_payload(self, x) -> dict:
         """JSON-ready payload for ``x`` (space tag included): its coordinates."""
         return {"space": self.tag, "coords": [float(c) for c in x]}

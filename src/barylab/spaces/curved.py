@@ -44,6 +44,10 @@ class _ModelSpace(Space):
     def ambient(self) -> int:
         return self.dim + 1
 
+    @classmethod
+    def payload_space(cls, obj: dict) -> _ModelSpace:
+        return cls(len(obj["coords"]) - 1)
+
     def origin(self) -> np.ndarray:
         o = np.zeros(self.ambient)
         o[self._pole] = 1.0

@@ -66,6 +66,10 @@ class BuresWasserstein(Space):
         cov = sym((q * eig) @ q.T)
         return np.concatenate((0.5 * rng.standard_normal((1, self.dim)), cov))
 
+    @classmethod
+    def payload_space(cls, obj: dict) -> BuresWasserstein:
+        return cls(len(obj["mean"]))
+
     def point_payload(self, x) -> dict:
         return {
             "space": self.tag,

@@ -46,6 +46,10 @@ class QuantileSpace(Euclidean):
     def random_point(self, rng):
         return np.sort(rng.standard_normal(self.grid_size))
 
+    @classmethod
+    def payload_space(cls, obj: dict) -> QuantileSpace:
+        return cls(len(obj["values"]))
+
     def point_payload(self, x) -> dict:
         return {"space": self.tag, "values": [float(c) for c in x]}
 

@@ -533,6 +533,10 @@ class TestSeedFlag:
         assert (tmp_path / "flag" / csv).read_bytes() == (tmp_path / "config" / csv).read_bytes()
 
 
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
 # every triangle of a one-dimensional space is degenerate, so its probes read noise
 ONE_DIM = (
     "has dimension 1, but the curvature probes need dimension >= 2: "
@@ -586,12 +590,34 @@ class TestConfigRefusals:
              "error[config]: 'weights' must stay positive when divided by their sum"),
             ("plot", {"experiment": "plot", "csv": "rates.csv", "title": 3},
              "error[config]: 'title' must be a string"),
+            # a missing required key is its one line, and no reader runs on it
+            ("rates", without(RATES_CONFIG, "family"),
+             "error[config]: config: missing required key 'family'"),
+            ("tail", without(TAIL_CONFIG, "delta"),
+             "error[config]: config: missing required key 'delta'"),
+            ("hugging", without(HUGGING_CONFIG, "family"),
+             "error[config]: config: missing required key 'family'"),
+            ("curvature", without(CURVATURE_CONFIG, "space"),
+             "error[config]: config: missing required key 'space'"),
+            ("barycenter", without(BARYCENTER_CONFIG, "points"),
+             "error[config]: config: missing required key 'points'"),
+            ("plot", {"experiment": "plot"}, "error[config]: config: missing required key 'csv'"),
+            # a key that the experiment does not read is unknown, whatever its value
+            ("barycenter", dict(BARYCENTER_CONFIG, master_seed=-1),
+             "error[config]: config: unknown key 'master_seed'"),
+            ("plot", {"experiment": "plot", "csv": "rates.csv", "master_seed": -1},
+             "error[config]: config: unknown key 'master_seed'"),
+            # a family's constructor parameter without a default is a required key
+            ("hugging", dict(HUGGING_CONFIG, family={"kind": "sphere_cap"}),
+             "error[config]: family: missing required key 'radius'"),
         ],
         ids=["top-level-list", "missing-experiment", "unknown-experiment", "negative-master-seed",
              "solver-list", "solver-step", "family-string", "space-string", "kappa-string",
              "euclidean-dim1", "quantile-grid1", "sphere-dim1", "hyperbolic-dim1",
              "sphere-grid-size", "quantile-grid-float", "empty-points", "weights-overflow",
-             "weights-underflow", "title-number"],
+             "weights-underflow", "title-number", "rates-no-family", "tail-no-delta",
+             "hugging-no-family", "curvature-no-space", "barycenter-no-points", "plot-no-csv",
+             "barycenter-master-seed", "plot-master-seed", "sphere-cap-no-radius"],
     )
     def test_refused_before_any_work(self, tmp_path, capsys, command, obj, line):
         """Each refusal exits 1 with its one ``error[...]`` line and writes nothing."""

@@ -65,14 +65,66 @@ MISSING_PREMISE = {
 }
 
 
+SOLVER_DEFAULTS = SolverOptions(max_iters=10_000, tol=1e-10)
+# a minimal config of each experiment, and the values of the keys it omits,
+# as the README documents them
+DEFAULTS = {
+    "rates": (MINIMAL_RATES, {
+        "trials": 1000, "master_seed": 0, "solver": SOLVER_DEFAULTS, "verify_draws": 100_000,
+    }),
+    "tail": (MINIMAL_TAIL, {
+        "trials": 1000, "master_seed": 0, "solver": SOLVER_DEFAULTS, "verify_draws": 100_000,
+        "profile_points": 200, "profile_targets": 100,
+    }),
+    "hugging": ({"experiment": "hugging", "family": {"kind": "sphere_cap", "radius": 0.3}}, {
+        "n_support": 30, "n_cases": 200, "master_seed": 0, "solver": SOLVER_DEFAULTS,
+    }),
+    "curvature": ({"experiment": "curvature", "space": {"kind": "sphere"}, "kappa": 1.0}, {
+        "quadruples": 1000, "triples": 50, "grid": (0.25, 0.5, 0.75, 1.0), "master_seed": 0,
+    }),
+    "barycenter": ({"experiment": "barycenter",
+                    "points": [{"space": "euclidean", "coords": [0.0, 0.0]}]},
+                   {"weights": None, "solver": SOLVER_DEFAULTS}),
+    "plot": ({"experiment": "plot", "csv": "rates.csv"}, {"title": ""}),
+}
+PROFILE = inspect.signature(estimate_hugging_profile).parameters
+# the library's own defaults of a key, each of which a config omitting it must take
+LIBRARY_DEFAULTS = {
+    "solver": (SolverOptions(), RateExperimentConfig.solver),
+    "verify_draws": (RateExperimentConfig.verify_draws,),
+    "profile_points": (PROFILE["n_points"].default,),
+    "profile_targets": (PROFILE["n_targets"].default,),
+}
+
+
 class TestParsing:
-    def test_minimal_config_gets_defaults(self, tmp_path):
-        parsed = parse_config(write(tmp_path, MINIMAL_RATES), "rates")
-        config = parsed.payload["config"]
-        assert config.trials == 1000
-        assert config.solver.tol == 1e-10
-        assert config.solver.max_iters == 10_000
-        assert config.master_seed == 0
+    @pytest.mark.parametrize("experiment", sorted(DEFAULTS))
+    def test_minimal_config_gets_the_documented_defaults(self, tmp_path, experiment):
+        """Each omitted key takes its documented default, the library's own
+        where the library has one; the manifest's seed is the default 0."""
+        obj, defaults = DEFAULTS[experiment]
+        parsed = parse_config(write(tmp_path, obj), experiment)
+        values = dict(parsed.payload)
+        if "config" in values:  # rates and tail: the keys RateExperimentConfig holds
+            values.update(vars(values.pop("config")))
+        assert {key: values[key] for key in defaults} == defaults
+        for key in defaults.keys() & LIBRARY_DEFAULTS.keys():
+            assert all(values[key] == library for library in LIBRARY_DEFAULTS[key])
+        assert parsed.master_seed == 0
+
+    def test_bad_theorem_hides_no_other_violation(self, tmp_path):
+        """An unknown theorem is one violation among the config's others, each
+        reported in the order of the experiment's keys."""
+        family = dict(MINIMAL_RATES["family"], sd=-1)
+        obj = dict(MINIMAL_RATES, theorem="bogus", trials=0, n_grid=[1], family=family)
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, obj), "rates")
+        assert err.value.violations == [
+            "'theorem' must be one of ['master_extendible', 'negcurv', 'wasserstein']",
+            "family: 'sd' must be a positive number",
+            f"'n_grid' must be an ascending list of integers from 2 to {COUNT_CEILING}",
+            "config: 'trials' must be an integer >= 1",
+        ]
 
     def test_syntax_error_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -245,7 +297,7 @@ class TestTailConfig:
             "varsigma2": 3.0,
         }
         parsed = parse_config(write(tmp_path, obj), "tail")
-        assert parsed.payload["deltas"] == [0.1]
+        assert parsed.payload["delta"] == [0.1]
 
     def test_delta_range_checked(self, tmp_path):
         obj = {
@@ -258,28 +310,6 @@ class TestTailConfig:
         with pytest.raises(ValidationError, match="delta"):
             parse_config(write(tmp_path, obj), "tail")
 
-    def test_omitted_keys_take_the_library_defaults(self, tmp_path):
-        """A tail config without solver, verify or profile keys gets the
-        defaults of SolverOptions, RateExperimentConfig and
-        estimate_hugging_profile, the one source of each."""
-        obj = {
-            "experiment": "tail",
-            "family": {"kind": "sphere_cap", "dim": 2, "radius": 0.3},
-            "n_grid": [50],
-            "delta": 0.1,
-            "varsigma2": 3.0,
-        }
-        payload = parse_config(write(tmp_path, obj), "tail").payload
-        config = payload["config"]
-        library = RateExperimentConfig(
-            family=config.family, theorem="tail", n_grid=(50,), trials=1, master_seed=0
-        )
-        assert config.solver == SolverOptions() == library.solver
-        assert config.verify_draws == library.verify_draws
-        profile = inspect.signature(estimate_hugging_profile).parameters
-        assert payload["profile_points"] == profile["n_points"].default
-        assert payload["profile_targets"] == profile["n_targets"].default
-
 
 class TestOtherExperiments:
     def test_curvature_config(self, tmp_path):
@@ -290,7 +320,6 @@ class TestOtherExperiments:
         }
         payload = parse_config(write(tmp_path, obj), "curvature").payload
         assert payload["space"].tag == "sphere"
-        assert payload["quadruples"] == 1000
 
     def test_curvature_empty_grid_is_collected(self, tmp_path):
         obj = {
@@ -340,15 +369,6 @@ class TestOtherExperiments:
         }
         with pytest.raises(ValidationError):
             parse_config(write(tmp_path, obj), "barycenter")
-
-    def test_hugging_defaults(self, tmp_path):
-        obj = {
-            "experiment": "hugging",
-            "family": {"kind": "sphere_cap", "radius": 0.3},
-        }
-        payload = parse_config(write(tmp_path, obj), "hugging").payload
-        assert payload["n_support"] == 30
-        assert payload["n_cases"] == 200
 
     def test_plot_requires_csv(self, tmp_path):
         with pytest.raises(ValidationError, match="csv"):
