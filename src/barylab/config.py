@@ -60,7 +60,8 @@ EXPERIMENTS = {
         "quadruples": 1000, "triples": 50,
     },
     "barycenter": {"points": REQUIRED, "weights": None, "solver": SolverOptions()},
-    "plot": {"csv": REQUIRED, "title": ""},
+    # a plot's csv may come from --csv instead, which _cmd_plot prefers
+    "plot": {"csv": None, "title": ""},
 }
 
 
@@ -199,12 +200,16 @@ def _positive_int(value, key, ctx, violations, minimum=1):
 
 def _points(value, key, ctx, violations):
     """The space of the tagged point payloads ``value``, and one entry per
-    payload: its point, or None where the payload is refused."""
+    payload: its point, or None where the payload is refused.  Reading stops
+    at the first payload that is not an object, its one violation."""
     if not isinstance(value, list) or not value:
         violations.append(f"{key!r} must be a nonempty list of tagged point payloads")
         return None
     space, points = None, []
     for i, payload in enumerate(value):
+        if not isinstance(payload, dict):
+            violations.append(f"points[{i}]: a point payload must be an object, got {payload!r}")
+            return None
         points.append(None)
         try:
             this_space, point = point_from_payload(payload)

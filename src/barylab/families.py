@@ -24,7 +24,6 @@ from .spaces import (
     BuresWasserstein,
     Euclidean,
     Extendibility,
-    GaussianPoint,
     Hyperboloid,
     Space,
     Sphere,
@@ -252,7 +251,10 @@ class GaussianEnsemble(Family):
             raise BadFamilyParams("need 0 < alpha < 1 < beta")
         self.space = BuresWasserstein(dim)
         cov = np.eye(dim) if base_cov is None else np.asarray(base_cov, float)
-        self.anchor = GaussianPoint(np.zeros(dim), cov).row
+        if cov.shape != (dim, dim):
+            raise ValueError(f"base_cov of shape {cov.shape}, expected {(dim, dim)}")
+        self.anchor = np.concatenate((np.zeros((1, dim)), cov))
+        self.space.check_point(self.anchor)
         self.alpha = float(alpha)
         self.beta = float(beta)
         # weight of the [alpha, 1] segment that puts the eigenvalue mean at 1
@@ -269,10 +271,6 @@ class GaussianEnsemble(Family):
         eigs = self._draw_eigs(rng, (count, d))
         return eigs, positive_qr_q(rng.standard_normal((count, d, d)))
 
-    def draw_maps(self, rng, count) -> np.ndarray:
-        eigs, q = self._draw_spectra(rng, count)
-        return sym((q * eigs[:, None, :]) @ np.swapaxes(q, -1, -2))
-
     def tangents(self, rng, count):
         # the optimal map from C to M C M is the SPD M itself, so a draw's log
         # is [0; M - I] = [0; Q (E - I) Q^T], formed without subtracting I
@@ -284,7 +282,8 @@ class GaussianEnsemble(Family):
     def sample_batch(self, rng, count):
         # M C M directly: Bures exp would check each map's eigenvalues, which
         # the eigenvalue draws already bound
-        maps = self.draw_maps(rng, count)
+        eigs, q = self._draw_spectra(rng, count)
+        maps = sym((q * eigs[:, None, :]) @ np.swapaxes(q, -1, -2))
         batch = np.zeros((count,) + self.space.point_shape)
         batch[:, 1:] = sym(maps @ self.anchor[1:] @ maps)  # the means stay 0
         return batch

@@ -51,6 +51,8 @@ class Space(abc.ABC):
     """A geodesic metric space with closed-form distance, geodesics and log/exp."""
 
     tag: ClassVar[str]
+    # the point payload's key for its coordinates
+    payload_key: ClassVar[str] = "coords"
     # curvature interval [curv_lower, curv_upper] of the space
     curv_lower: ClassVar[float] = 0.0
     curv_upper: ClassVar[float] = 0.0
@@ -70,9 +72,13 @@ class Space(abc.ABC):
 
     # -- points ------------------------------------------------------------
 
-    @abc.abstractmethod
     def check_point(self, x) -> None:
-        """Raise ValueError if ``x`` is not a valid point of this space."""
+        """Raise ValueError unless ``x`` is a finite array of ``point_shape``;
+        a subclass calls this first, then checks its own constraint."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.point_shape or not np.all(np.isfinite(x)):
+            raise ValueError(f"not a finite point of shape {self.point_shape}: shape {x.shape}, "
+                             f"{np.count_nonzero(~np.isfinite(x))} non-finite entries")
 
     @abc.abstractmethod
     def random_point(self, rng: np.random.Generator):
@@ -81,15 +87,15 @@ class Space(abc.ABC):
     @classmethod
     def payload_space(cls, obj: dict) -> Space:
         """The space of this kind that the point payload ``obj`` lies in, sized by it."""
-        return cls(len(obj["coords"]))
+        return cls(len(obj[cls.payload_key]))
 
     def point_payload(self, x) -> dict:
         """JSON-ready payload for ``x`` (space tag included): its coordinates."""
-        return {"space": self.tag, "coords": [float(c) for c in x]}
+        return {"space": self.tag, self.payload_key: [float(c) for c in x]}
 
     def point_from_payload(self, obj: dict):
         """Parse and validate a point from its JSON payload."""
-        x = np.asarray(obj["coords"], dtype=float)
+        x = np.asarray(obj[self.payload_key], dtype=float)
         self.check_point(x)
         return x
 

@@ -46,7 +46,7 @@ class _ModelSpace(Space):
 
     @classmethod
     def payload_space(cls, obj: dict) -> _ModelSpace:
-        return cls(len(obj["coords"]) - 1)
+        return cls(len(obj[cls.payload_key]) - 1)
 
     def origin(self) -> np.ndarray:
         o = np.zeros(self.ambient)
@@ -125,6 +125,24 @@ class _ModelSpace(Space):
     def sqdist_batch(self, p, batch) -> np.ndarray:
         return self._tangent_theta(p, batch)[2] ** 2
 
+    def warm_start(self, batch, weights):
+        """The projected extrinsic mean where the weighted mean is off the
+        origin (kappa <mean, mean>_j above 1e-16), on the upper sheet when
+        kappa < 0, and on the sphere within pi/2 (the Karcher/Afsari
+        uniqueness radius) of every support point; elsewhere the base start,
+        taken in one stacked call.  For each problem of a stacked (T, n, D)
+        batch with (T, n) weights."""
+        mean = weighted_sum(weights, batch)
+        start = self._project(mean)
+        ok = self.kappa * self.tangent_inner(None, mean, mean) > 1e-16
+        if self.kappa < 0:
+            ok &= mean[..., self._pole] > 0
+        else:
+            ok &= np.all(self.sqdist_batch(start, batch) < (math.pi / 2) ** 2, axis=-1)
+        if not ok.all():
+            start[~ok] = super().warm_start(batch[~ok], weights[~ok])
+        return start
+
 
 class Sphere(_ModelSpace):
     """Unit sphere S^d embedded in R^(d+1), with angles stable on all of [0, pi]."""
@@ -136,9 +154,7 @@ class Sphere(_ModelSpace):
     _cos, _sin = np.cos, np.sin
 
     def check_point(self, x) -> None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ambient,):
-            raise ValueError(f"expected ambient dimension {self.ambient}, got {x.shape}")
+        super().check_point(x)
         if abs(np.linalg.norm(x) - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"not a unit vector: |x| = {np.linalg.norm(x)!r}")
 
@@ -162,21 +178,6 @@ class Sphere(_ModelSpace):
         half = np.where(short, math.inf, (math.pi / np.where(short, 1.0, length) - 1.0) / 2.0)
         return Extendibility(half, half)
 
-    def warm_start(self, batch, weights):
-        """The projected extrinsic mean, unless it is degenerate or a support
-        point lies pi/2 (the Karcher/Afsari uniqueness radius) or more away,
-        where the base start is taken in one stacked call; for each problem
-        of a stacked (T, n, D) batch with (T, n) weights."""
-        mean = weighted_sum(weights, batch)
-        norm = np.linalg.norm(mean, axis=-1, keepdims=True)
-        start = mean / np.where(norm > 1e-8, norm, 1.0)
-        ok = (norm[..., 0] > 1e-8) & np.all(
-            self.sqdist_batch(start, batch) < (math.pi / 2) ** 2, axis=-1
-        )
-        if not ok.all():
-            start[~ok] = super().warm_start(batch[~ok], weights[~ok])
-        return start
-
 
 class Hyperboloid(_ModelSpace):
     """Hyperbolic space H^d on the upper sheet {x : <x, x>_j = -1, x0 > 0}."""
@@ -188,9 +189,7 @@ class Hyperboloid(_ModelSpace):
     _cos, _sin = np.cosh, np.sinh
 
     def check_point(self, x) -> None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ambient,):
-            raise ValueError(f"expected ambient dimension {self.ambient}, got {x.shape}")
+        super().check_point(x)
         q = float(self.tangent_inner(None, x, x))
         if abs(q + 1.0) > MINKOWSKI_TOL * max(1.0, x[0] ** 2) or x[0] < 1.0 - MINKOWSKI_TOL:
             raise ValueError(f"not on the upper hyperboloid sheet: <x,x>_M = {q!r}")
@@ -202,15 +201,3 @@ class Hyperboloid(_ModelSpace):
 
     def _angle(self, p, batch, nv):
         return np.arcsinh(nv)
-
-    def warm_start(self, batch, weights):
-        """The projected extrinsic mean: the Minkowski-normalised weighted mean
-        (timelike with x0 > 0 for any sheet points, unless rounding breaks it,
-        where the base start is taken in one stacked call); for each problem
-        of a stacked (T, n, D) batch with (T, n) weights."""
-        mean = weighted_sum(weights, batch)
-        start = self._project(mean)
-        ok = (mean[..., 0] > 0) & (self.tangent_inner(None, mean, mean) < 0)
-        if not ok.all():
-            start[~ok] = super().warm_start(batch[~ok], weights[~ok])
-        return start

@@ -17,11 +17,6 @@ class Euclidean(Space):
     def ambient(self) -> int:
         return self.dim
 
-    def check_point(self, x) -> None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,) or not np.all(np.isfinite(x)):
-            raise ValueError(f"not a finite point of R^{self.dim}: {x!r}")
-
     def random_point(self, rng):
         return rng.standard_normal(self.dim)
 

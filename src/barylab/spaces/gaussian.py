@@ -30,8 +30,9 @@ from .base import Extendibility, Space
 
 @dataclass(frozen=True, eq=False)
 class GaussianPoint:
-    """A Gaussian N(mean, cov) with SPD covariance, validated: the constructor
-    of a point from outside input, whose ``row`` is the point itself."""
+    """A Gaussian N(mean, cov) with SPD covariance, validated by
+    ``BuresWasserstein.check_point``: the constructor of a point from outside
+    input, whose ``row`` is the point itself."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -42,7 +43,7 @@ class GaussianPoint:
         d = self.mean.shape[0]
         if self.mean.ndim != 1 or self.cov.shape != (d, d):
             raise ValueError(f"inconsistent shapes {self.mean.shape} / {self.cov.shape}")
-        spd_check(self.cov, "covariance")
+        BuresWasserstein(d).check_point(self.row)
 
     @property
     def row(self) -> np.ndarray:
@@ -56,8 +57,7 @@ class BuresWasserstein(Space):
     curv_upper = float("inf")
 
     def check_point(self, x) -> None:
-        if np.shape(x) != self.point_shape:
-            raise ValueError(f"expected a [mean; cov] row of shape {self.point_shape}")
+        super().check_point(x)
         spd_check(np.asarray(x, float)[1:], "covariance")
 
     def random_point(self, rng):
@@ -78,7 +78,7 @@ class BuresWasserstein(Space):
         }
 
     def point_from_payload(self, obj):
-        # GaussianPoint checks the shapes and the covariance; the dimension is left
+        # GaussianPoint checks the point; its dimension is left
         x = GaussianPoint(obj["mean"], obj["cov"]).row
         if x.shape != self.point_shape:
             raise ValueError(f"expected a [mean; cov] row of shape {self.point_shape}")

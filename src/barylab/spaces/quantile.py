@@ -22,6 +22,7 @@ SORT_SNAP_TOL = 1e-12
 
 class QuantileSpace(Euclidean):
     tag = "quantile"
+    payload_key = "values"
 
     def __init__(self, grid_size: int = 256):
         if grid_size < 1:
@@ -37,26 +38,12 @@ class QuantileSpace(Euclidean):
         return (np.arange(m) + 0.5) / m
 
     def check_point(self, x) -> None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.grid_size,):
-            raise ValueError(f"expected grid size {self.grid_size}, got {x.shape}")
+        super().check_point(x)
         if np.any(np.diff(x) < 0):
             raise ValueError("quantile grid must be nondecreasing")
 
     def random_point(self, rng):
         return np.sort(rng.standard_normal(self.grid_size))
-
-    @classmethod
-    def payload_space(cls, obj: dict) -> QuantileSpace:
-        return cls(len(obj["values"]))
-
-    def point_payload(self, x) -> dict:
-        return {"space": self.tag, "values": [float(c) for c in x]}
-
-    def point_from_payload(self, obj):
-        x = np.asarray(obj["values"], dtype=float)
-        self.check_point(x)
-        return x
 
     def extendibility_batch(self, p, batch) -> Extendibility:
         """Extension range limited by monotonicity of the extended grid."""

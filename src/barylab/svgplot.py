@@ -10,6 +10,8 @@ from .errors import PlotError
 WIDTH, HEIGHT = 640, 480
 MARGIN = 60
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+# the slope of the dashed guide: the sigma^2/n rate on log-log axes
+GUIDE_SLOPE = -1.0
 
 
 def _log_range(values):
@@ -22,11 +24,11 @@ def _log_range(values):
     return lo, hi
 
 
-def render_loglog_svg(series, title: str = "", guide_slope: float = -1.0) -> str:
+def render_loglog_svg(series, title: str = "") -> str:
     """Render (label, xs, ys) series on shared log-log axes.
 
-    A dashed guide line with the requested slope is anchored at the first
-    point of the first series.
+    A dashed guide line of slope GUIDE_SLOPE is anchored at the first point
+    of the first series.
     """
     if not series:
         raise ValueError("no series to plot")
@@ -85,10 +87,10 @@ def render_loglog_svg(series, title: str = "", guide_slope: float = -1.0) -> str
     _, xs0, ys0 = series[0]
     gx0, gy0 = xs0[0], ys0[0]
     gx1 = 10.0**x_hi
-    gy1 = gy0 * (gx1 / gx0) ** guide_slope
-    if guide_slope != 0 and not (10.0**y_lo <= gy1 <= 10.0**y_hi):
+    gy1 = gy0 * (gx1 / gx0) ** GUIDE_SLOPE
+    if not 10.0**y_lo <= gy1 <= 10.0**y_hi:
         y_exit = 10.0**y_lo if gy1 < 10.0**y_lo else 10.0**y_hi
-        gx1 = gx0 * (y_exit / gy0) ** (1.0 / guide_slope)
+        gx1 = gx0 * (y_exit / gy0) ** (1.0 / GUIDE_SLOPE)
         gy1 = y_exit
     parts.append(
         f'<line x1="{sx(gx0):.2f}" y1="{sy(gy0):.2f}" x2="{sx(gx1):.2f}" '
@@ -96,7 +98,7 @@ def render_loglog_svg(series, title: str = "", guide_slope: float = -1.0) -> str
     )
     parts.append(
         f'<text x="{WIDTH - MARGIN:.1f}" y="{MARGIN - 8}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">guide slope {guide_slope:g}</text>'
+        f'font-family="sans-serif" font-size="11">guide slope {GUIDE_SLOPE:g}</text>'
     )
     for idx, (label, xs, ys) in enumerate(series):
         color = COLORS[idx % len(COLORS)]

@@ -730,13 +730,23 @@ class TestWarmStart:
         assert space.distance(res.point, reference.point) <= 1e-8
 
     @pytest.mark.parametrize(
-        "rows",
+        "tag, rows",
         [
-            [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]],  # zero extrinsic mean
-            [[1, 0, 0], [0, 1, 0], [-1, 0, 0]],  # support pi/2 from the mean
+            ("sphere", [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]),
+            ("sphere", [[1, 0, 0], [0, 1, 0], [-1, 0, 0]]),
+            # rows off the upper sheet: the means that rounding alone could
+            # leave of sheet points, there zero, spacelike and lower-sheet
+            ("hyperbolic", [[1, 0, 0], [-1, 0, 0]]),
+            ("hyperbolic", [[math.sqrt(2), 1, 0], [-math.sqrt(2), 1, 0]]),
+            ("hyperbolic", [[-1, 0, 0], [-math.sqrt(2), 1, 0]]),
         ],
+        ids=["sphere-zero-mean", "sphere-beyond-half-pi", "hyperbolic-zero-mean",
+             "hyperbolic-spacelike-mean", "hyperbolic-lower-sheet-mean"],
     )
-    def test_sphere_falls_back_to_support_default(self, monkeypatch, rows):
+    def test_model_space_falls_back_to_support_default(self, monkeypatch, tag, rows):
+        """Where the projected mean is degenerate, off the upper sheet or
+        pi/2 (the uniqueness radius) or more from a support point, the one
+        model-space warm start takes the base start in one stacked call."""
         calls = []
         default = Space.warm_start
 
@@ -745,13 +755,12 @@ class TestWarmStart:
             return default(self, batch, weights)
 
         monkeypatch.setattr(Space, "warm_start", spy)
-        space = bl.Sphere(2)
-        points = [np.array(r, dtype=float) for r in rows]
-        dist = bl.DiscreteDistribution(space, points)
-        start = best_support_init(dist)
-        assert calls == [(1, len(points))]  # one stacked call, of the one problem
-        space.check_point(start)
-        assert np.array_equal(start, best_support_point(dist))
+        space = bl.Sphere(2) if tag == "sphere" else bl.Hyperboloid(2)
+        batch = np.array([rows], dtype=float)
+        weights = np.full((1, len(rows)), 1.0 / len(rows))
+        start = space.warm_start(batch, weights)
+        assert calls == [(1, len(rows))]  # one stacked call, of the one problem
+        assert np.array_equal(start, default(space, batch, weights))
 
     def test_sphere_stack_falls_back_in_one_call(self, monkeypatch, rng):
         """On a stack where some problems fall back (a zero extrinsic mean, a

@@ -588,6 +588,9 @@ class TestConfigRefusals:
              "error[config]: 'weights' must stay positive when divided by their sum"),
             ("barycenter", dict(BARYCENTER_CONFIG, weights=[1e-320, 1e10]),
              "error[config]: 'weights' must stay positive when divided by their sum"),
+            # reading stops at the first payload that is not an object
+            ("barycenter", {"experiment": "barycenter", "points": [1, 2]},
+             "error[config]: points[0]: a point payload must be an object, got 1"),
             ("plot", {"experiment": "plot", "csv": "rates.csv", "title": 3},
              "error[config]: 'title' must be a string"),
             # a missing required key is its one line, and no reader runs on it
@@ -601,7 +604,6 @@ class TestConfigRefusals:
              "error[config]: config: missing required key 'space'"),
             ("barycenter", without(BARYCENTER_CONFIG, "points"),
              "error[config]: config: missing required key 'points'"),
-            ("plot", {"experiment": "plot"}, "error[config]: config: missing required key 'csv'"),
             # a key that the experiment does not read is unknown, whatever its value
             ("barycenter", dict(BARYCENTER_CONFIG, master_seed=-1),
              "error[config]: config: unknown key 'master_seed'"),
@@ -615,8 +617,8 @@ class TestConfigRefusals:
              "solver-list", "solver-step", "family-string", "space-string", "kappa-string",
              "euclidean-dim1", "quantile-grid1", "sphere-dim1", "hyperbolic-dim1",
              "sphere-grid-size", "quantile-grid-float", "empty-points", "weights-overflow",
-             "weights-underflow", "title-number", "rates-no-family", "tail-no-delta",
-             "hugging-no-family", "curvature-no-space", "barycenter-no-points", "plot-no-csv",
+             "weights-underflow", "points-not-objects", "title-number", "rates-no-family",
+             "tail-no-delta", "hugging-no-family", "curvature-no-space", "barycenter-no-points",
              "barycenter-master-seed", "plot-master-seed", "sphere-cap-no-radius"],
     )
     def test_refused_before_any_work(self, tmp_path, capsys, command, obj, line):
@@ -755,6 +757,21 @@ class TestPlot:
         )
         assert run(["plot", "--config", plot_cfg, "--out", out]) == 0
         assert "demo" in (out / "rates.svg").read_text()
+
+    def test_csv_flag_stands_in_for_the_config_key(self, tmp_path, capsys):
+        """A plot config without 'csv' plots the --csv file, and without
+        --csv either it exits 1 with plot's one error[config] line."""
+        csv_path = tmp_path / "rates.csv"
+        csv_path.write_text(RATES_ROWS, encoding="utf-8")
+        cfg = write_config(tmp_path, {"experiment": "plot", "title": "demo"})
+        out = tmp_path / "out"
+        assert run(["plot", "--config", cfg, "--csv", csv_path, "--out", out]) == 0
+        assert "demo" in (out / "rates.svg").read_text()
+        capsys.readouterr()
+        assert run(["plot", "--config", cfg, "--out", tmp_path / "refused"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error[config]: plot needs --csv or a config with a 'csv' key"
+        ]
 
     @pytest.mark.parametrize(
         "text, kind, message",

@@ -370,6 +370,7 @@ class TestOtherExperiments:
         with pytest.raises(ValidationError):
             parse_config(write(tmp_path, obj), "barycenter")
 
-    def test_plot_requires_csv(self, tmp_path):
-        with pytest.raises(ValidationError, match="csv"):
-            parse_config(write(tmp_path, {"experiment": "plot"}), "plot")
+    def test_plot_csv_may_come_from_the_flag(self, tmp_path):
+        """A plot config without 'csv' parses, for --csv to stand in."""
+        parsed = parse_config(write(tmp_path, {"experiment": "plot"}), "plot")
+        assert parsed.payload == {"csv": None, "title": ""}

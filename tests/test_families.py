@@ -80,7 +80,7 @@ class TestGuarantees:
     def test_ensemble_eigenvalue_guarantee(self):
         family = GaussianEnsemble(0.8, 1.6, dim=3)
         rng = np.random.default_rng(5)
-        maps = family.draw_maps(rng, 2000)
+        maps = np.eye(3) + family.tangents(rng, 2000)[:, 1:]  # the draws' maps I + L
         eig = np.linalg.eigvalsh(maps)
         assert eig.min() >= 0.8 - 1e-12
         assert eig.max() <= 1.6 + 1e-12
@@ -89,7 +89,7 @@ class TestGuarantees:
         """The library transport map recovers the constructed map exactly."""
         family = GaussianEnsemble(0.8, 1.6, dim=3)
         rng = np.random.default_rng(11)
-        maps = family.draw_maps(rng, 10)
+        maps = np.eye(3) + family.tangents(rng, 10)[:, 1:]
         for m in maps:
             target = gaussian(np.zeros(3), m @ family.anchor[1:] @ m)
             recovered = family.space.transport_map(family.anchor, target)
@@ -333,6 +333,27 @@ class TestSubgaussianMoment:
 
 
 class TestAnchors:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: EuclideanGaussian(dim=3, mean=[0.0, math.nan, 0.0]),
+            lambda: SphereCap(0.3, anchor=[0.0, math.inf, 1.0]),
+            lambda: HyperbolicGaussian(0.5, anchor=[math.nan, 0.0, 0.0]),
+            lambda: HyperbolicGaussian(0.5, anchor=[math.inf, 0.0, 0.0]),
+            lambda: GaussianEnsemble(0.8, 1.6, dim=2, base_cov=[[math.inf, 0.0], [0.0, 1.0]]),
+            lambda: GaussianEnsemble(0.8, 1.6, dim=2, base_cov=[[1.0, 0.0], [0.0, -math.inf]]),
+            lambda: GaussianEnsemble(0.8, 1.6, dim=2, base_cov=[[1.0, math.nan], [math.nan, 1.0]]),
+        ],
+        ids=["euclidean-nan", "cap-inf", "hyperbolic-nan", "hyperbolic-inf", "ensemble-inf",
+             "ensemble-minus-inf", "ensemble-nan"],
+    )
+    def test_non_finite_anchor_is_refused(self, make):
+        """A family refuses a non-finite anchor or base covariance with
+        ValueError from its space's check_point, before any kernel meets it
+        (a RuntimeWarning would fail the test)."""
+        with pytest.raises(ValueError, match="not a finite point"):
+            make()
+
     def test_anchor_passes_verification(self, family):
         config = small_config(family)
         anchor = population_barycenter(config)

@@ -17,7 +17,7 @@ from barylab.errors import (
     SpaceMismatch,
 )
 from barylab.families import FAMILY_KINDS
-from barylab.spaces import componentwise_inf
+from barylab.spaces import SPACE_KINDS, componentwise_inf
 
 from conftest import gaussian, make_space, probe_point, separated_points
 from oracles import gaussian_quantile_grid
@@ -320,6 +320,25 @@ class TestValidationAndSerialization:
             bl.BuresWasserstein(2).check_point(gaussian([0.0], [[1.0]]))
         with pytest.raises(NotPositiveDefinite):
             bl.point_from_payload({"space": "gaussian", "mean": [0.0], "cov": [[-1.0]]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "shape"])
+    @pytest.mark.parametrize("tag", sorted(SPACE_KINDS))
+    def test_every_space_refuses_a_non_finite_or_misshaped_point(self, tag, bad, rng):
+        """check_point and point_from_payload refuse, with ValueError, a point
+        with a NaN or an infinite first or last entry (a Gaussian's mean or
+        covariance), or with its last entry (a Gaussian's last row) dropped."""
+        space = make_space(tag)
+        x = probe_point(space, rng)
+        if bad == "shape":
+            points = [x[:-1]]
+        else:
+            points = [np.array(x), np.array(x)]
+            points[0].flat[0] = points[1].flat[-1] = bad
+        for point in points:
+            with pytest.raises(ValueError):
+                space.check_point(point)
+            with pytest.raises(ValueError):
+                space.point_from_payload(space.point_payload(point))
 
     def test_gaussian_payload_checks_its_covariance_once(self, monkeypatch):
         import barylab.spaces.gaussian as gaussian_module
