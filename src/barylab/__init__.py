@@ -63,7 +63,7 @@ from .spaces import (
 # no rates or tail run reads comparison geometry, so it loads on first access
 _COMPARISON = {
     "MonotonicityReport", "TriangleSides", "angle_monotonicity_probe", "comparison_angle",
-    "cone_distance", "model_diameter", "quadruple_defect", "s_kappa", "tangent_inner",
+    "cone_distance", "model_diameter", "quadruple_defect",
 }
 
 

@@ -245,10 +245,7 @@ def empirical_barycenter(
     or a stacked batch (``Family.sample_batch``): descent from the space's
     ``warm_start`` (the weighted mean on flat and Gaussian spaces, an O(n)
     projected extrinsic mean on the sphere and the hyperboloid)."""
-    dist = DiscreteDistribution(space, sample)
-    if len(dist) == 1:
-        return BarycenterResult(dist.points[0], 0.0, 0.0, 0, True)
-    return barycenter(dist, opts)
+    return barycenter(DiscreteDistribution(space, sample), opts)
 
 
 def barycenter(

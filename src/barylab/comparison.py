@@ -1,8 +1,7 @@
 """Curvature comparison primitives.
 
-Trigonometric comparison functions for the constant-curvature model planes,
-comparison angles, the quadruple and angle-monotonicity probes, and the
-tangent-cone metric built on each space's closed-form log map.
+Model-plane diameters, comparison angles, the quadruple and angle-monotonicity
+probes, and the tangent-cone metric built on each space's closed-form log map.
 """
 
 from __future__ import annotations
@@ -21,20 +20,6 @@ COS_REJECT_TOL = 1e-6
 def model_diameter(kappa: float) -> float:
     """Diameter of the model plane with curvature ``kappa`` (inf for kappa <= 0)."""
     return math.pi / math.sqrt(kappa) if kappa > 0 else math.inf
-
-
-def s_kappa(kappa: float, r):
-    """Generalized sine: sin(r sqrt(k))/sqrt(k), sinh for k < 0, r at k = 0."""
-    r = np.asarray(r, dtype=float)
-    if kappa > 0:
-        sq = math.sqrt(kappa)
-        out = np.sin(r * sq) / sq
-    elif kappa < 0:
-        sq = math.sqrt(-kappa)
-        out = np.sinh(r * sq) / sq
-    else:
-        out = r.copy()
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -65,7 +50,8 @@ class TriangleSides:
 
 
 def _s_over_r(kappa: float, r: np.ndarray) -> np.ndarray:
-    """s_kappa(r) / r, with its limit 1 at r = 0 (so 1 at kappa = 0), NaN where sinh overflows."""
+    """s(r) / r for the generalized sine s (sin(r sqrt(k)) / sqrt(k), sinh for
+    k < 0, r at k = 0), with its limit 1 at r = 0, NaN where sinh overflows."""
     t = r * math.sqrt(abs(kappa))
     safe = np.where(t == 0.0, 1.0, t)
     out = np.where(t == 0.0, 1.0, (np.sin if kappa > 0 else np.sinh)(safe) / safe)
@@ -76,7 +62,8 @@ def comparison_angle(kappa: float, sides: TriangleSides):
     """Angle at the p-vertex of the comparison triangle in the kappa-plane.
 
     Returns values in [0, pi], one per triangle of ``sides``: a float for
-    scalar sides, as ``s_kappa`` does.  One half-angle form serves every kappa:
+    scalar sides.  One half-angle form serves every kappa, with s the
+    generalized sine of ``_s_over_r``:
     sin^2(gamma/2) = s(u/2) s(v/2) / (s(a) s(b)), a = d_px, b = d_py,
     u = d_xy - a + b <= 2b and v = d_xy + a - b <= 2a.
     """
@@ -164,11 +151,6 @@ def angle_monotonicity_probe(space, p, x, y, kappa: float, grid) -> Monotonicity
     angles = comparison_angle(kappa, sides)
     rises = (np.max(np.diff(angles, axis=a), axis=(1, 2), initial=0.0) for a in (1, 2))
     return MonotonicityReport(grid, angles[pick], np.maximum(*rises)[pick])
-
-
-def tangent_inner(space, p, x, y) -> float:
-    """Cone inner product <log_p(x), log_p(y)>_p from the space's log map."""
-    return space.tangent_inner(p, space.log(p, x), space.log(p, y))
 
 
 def cone_distance(space, p, x, y):

@@ -213,7 +213,7 @@ def _points(value, key, ctx, violations):
         points.append(None)
         try:
             this_space, point = point_from_payload(payload)
-        except (KeyError, TypeError, ValueError, NotPositiveDefinite) as exc:
+        except (ValueError, NotPositiveDefinite) as exc:
             violations.append(f"points[{i}]: {exc}")
             continue
         if space is None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import SpaceMismatch
@@ -16,9 +14,8 @@ class DiscreteDistribution:
     """A probability measure with finite support on one model space.
 
     The support is given as a point sequence or an already stacked batch and
-    kept only as the stacked batch the solvers read; ``points`` is a per-point
-    view built on demand.  Weights must be positive and sum to 1 within
-    tolerance; ``None`` means uniform.
+    kept only as the stacked batch the solvers read.  Weights must be finite
+    and positive and sum to 1 within tolerance; ``None`` means uniform.
     """
 
     def __init__(self, space: Space, points, weights=None):
@@ -32,17 +29,14 @@ class DiscreteDistribution:
         weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError("one weight per support point required")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
+        # NaN fails ``> 0`` but passes ``<= 0`` and the sum check
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError(f"weights must be finite and positive, got {weights!r}")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
         self.space = space
         self.batch = batch
         self.weights = weights
-
-    @cached_property
-    def points(self) -> list:
-        return list(self.batch)
 
     def __len__(self) -> int:
         return len(self.weights)

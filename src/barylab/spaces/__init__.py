@@ -12,7 +12,11 @@ SPACE_KINDS = {cls.tag: cls for cls in (Euclidean, Sphere, Hyperboloid, Quantile
 
 
 def point_from_payload(obj: dict):
-    """Reconstruct (space, point) from a tagged JSON payload."""
+    """Reconstruct (space, point) from a tagged JSON payload; ValueError for
+    a payload that is not an object, or of an unknown tag, or that its
+    space's ``payload_array`` refuses."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a point payload must be an object, got {obj!r}")
     tag = obj.get("space")
     # a JSON list or object as the tag is unhashable
     if not isinstance(tag, str) or tag not in SPACE_KINDS:

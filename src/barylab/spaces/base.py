@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -85,9 +86,29 @@ class Space(abc.ABC):
         """A generic random point, for tests and probes."""
 
     @classmethod
+    def payload_array(cls, obj: dict, key: str, depth: int = 1) -> np.ndarray:
+        """``obj[key]`` as a float array; ValueError, naming the space tag and
+        ``key``, unless ``obj`` is an object whose ``key`` holds a nonempty
+        list of numbers nested ``depth`` lists deep, each list as long as its
+        neighbours."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a {cls.tag} point payload must be an object, got {obj!r}")
+        if key not in obj:
+            raise ValueError(f"a {cls.tag} point payload needs {key!r}")
+        # a ragged list stops at a lower depth, with the inner lists as entries
+        x = np.array(obj[key], dtype=object)
+        if x.ndim != depth or x.size == 0 or not all(
+            isinstance(c, numbers.Real) and not isinstance(c, bool) for c in x.flat
+        ):
+            what = "a list of " + "lists of " * (depth - 1) + "numbers"
+            raise ValueError(f"{key!r} of a {cls.tag} point payload must be {what}, "
+                             f"got {obj[key]!r}")
+        return x.astype(float)
+
+    @classmethod
     def payload_space(cls, obj: dict) -> Space:
         """The space of this kind that the point payload ``obj`` lies in, sized by it."""
-        return cls(len(obj[cls.payload_key]))
+        return cls(len(cls.payload_array(obj, cls.payload_key)))
 
     def point_payload(self, x) -> dict:
         """JSON-ready payload for ``x`` (space tag included): its coordinates."""
@@ -95,7 +116,7 @@ class Space(abc.ABC):
 
     def point_from_payload(self, obj: dict):
         """Parse and validate a point from its JSON payload."""
-        x = np.asarray(obj[self.payload_key], dtype=float)
+        x = self.payload_array(obj, self.payload_key)
         self.check_point(x)
         return x
 

@@ -46,7 +46,7 @@ class _ModelSpace(Space):
 
     @classmethod
     def payload_space(cls, obj: dict) -> _ModelSpace:
-        return cls(len(obj[cls.payload_key]) - 1)
+        return cls(len(cls.payload_array(obj, cls.payload_key)) - 1)
 
     def origin(self) -> np.ndarray:
         o = np.zeros(self.ambient)

@@ -40,10 +40,9 @@ class GaussianPoint:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-        d = self.mean.shape[0]
-        if self.mean.ndim != 1 or self.cov.shape != (d, d):
+        if self.mean.ndim != 1 or self.cov.shape != self.mean.shape * 2:
             raise ValueError(f"inconsistent shapes {self.mean.shape} / {self.cov.shape}")
-        BuresWasserstein(d).check_point(self.row)
+        BuresWasserstein(len(self.mean)).check_point(self.row)
 
     @property
     def row(self) -> np.ndarray:
@@ -68,7 +67,7 @@ class BuresWasserstein(Space):
 
     @classmethod
     def payload_space(cls, obj: dict) -> BuresWasserstein:
-        return cls(len(obj["mean"]))
+        return cls(len(cls.payload_array(obj, "mean")))
 
     def point_payload(self, x) -> dict:
         return {
@@ -79,7 +78,8 @@ class BuresWasserstein(Space):
 
     def point_from_payload(self, obj):
         # GaussianPoint checks the point; its dimension is left
-        x = GaussianPoint(obj["mean"], obj["cov"]).row
+        mean, cov = self.payload_array(obj, "mean"), self.payload_array(obj, "cov", 2)
+        x = GaussianPoint(mean, cov).row
         if x.shape != self.point_shape:
             raise ValueError(f"expected a [mean; cov] row of shape {self.point_shape}")
         return x

@@ -23,10 +23,10 @@ from barylab.errors import SpaceMismatch
 from barylab.families import GaussianEnsemble, HyperbolicGaussian, SphereCap
 from barylab.linalg import positive_qr_q, spd_sqrt_batch, sym, weighted_sum
 from barylab.ratelab import TRIAL_FLOAT_BUDGET
-from barylab.spaces import Space
+from barylab.spaces import SPACE_KINDS, Space
 from barylab.spaces.base import WARM_START_CANDIDATES
 
-from conftest import gaussian, probe_point, separated_points
+from conftest import gaussian, make_space, probe_point, separated_points
 from oracles import gaussian_quantile_grid, mean_log_sqnorm, minimality_spot_check
 
 
@@ -79,6 +79,27 @@ class TestDistribution:
         with pytest.raises(ValueError):
             bl.DiscreteDistribution(space, [], [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_refused(self, bad):
+        """A NaN weight passes ``w <= 0`` and the sum check alike, so it is
+        refused by name, as is an infinite one."""
+        with pytest.raises(ValueError, match="finite and positive"):
+            bl.DiscreteDistribution(bl.Euclidean(2), [[0.0, 0.0], [1.0, 1.0]], [bad, 0.5])
+
+    @pytest.mark.parametrize("tag", sorted(SPACE_KINDS))
+    def test_one_point_sample_is_a_batch_of_one(self, tag, rng):
+        """``empirical_barycenter`` of one point is ``barycenter`` of its
+        point mass, field for field, with no one-point branch of its own."""
+        space = make_space(tag)
+        p = probe_point(space, rng)
+        sample = bl.empirical_barycenter(space, [p])
+        dist = barycenter(bl.DiscreteDistribution(space, [p]))
+        assert np.array_equal(sample.point, dist.point)
+        assert (sample.objective, sample.grad_norm, sample.iters, sample.converged) == (
+            dist.objective, dist.grad_norm, dist.iters, dist.converged
+        )
+        assert sample.iters == 1 and sample.converged
+
     def test_space_mismatch(self):
         with pytest.raises(SpaceMismatch):
             bl.DiscreteDistribution(
@@ -120,11 +141,11 @@ class TestEuclidean:
         assert np.allclose(res.point, np.mean(pts, axis=0), atol=1e-14)
         assert res.grad_norm <= 1e-13
 
-    def test_single_point_short_circuit(self, rng):
+    def test_single_point(self, rng):
         space = bl.Euclidean(2)
         x = rng.standard_normal(2)
         res = bl.empirical_barycenter(space, [x])
-        assert res.converged and res.objective == 0.0
+        assert res.converged and res.iters == 1 and res.objective == 0.0
         assert np.array_equal(res.point, x)
 
     def test_empty_sample_rejected(self):
@@ -618,7 +639,7 @@ class TestBuresSandwich:
         its start and reaches the barycenter from it."""
         space = bl.BuresWasserstein(3)
         dist = random_distribution(space, rng, n=9)
-        res = bl.frechet_mean_descent(dist, dist.points[0])
+        res = bl.frechet_mean_descent(dist, dist.batch[0])
         assert res.converged
         assert space.distance(res.point, barycenter(dist).point) <= 2 * SolverOptions().tol
 
@@ -647,8 +668,8 @@ class TestTangentStructure:
         dist = random_distribution(space, rng, n=6)
         c = probe_point(space, rng)
         if space.tag == "sphere":
-            c = space.exp(dist.points[0], 0.3 * space.random_tangent(dist.points[0], rng))
-        b = dist.points[0]
+            c = space.exp(dist.batch[0], 0.3 * space.random_tangent(dist.batch[0], rng))
+        b = dist.batch[0]
         logs, _ = space.log_batch(b, dist.batch)
         log_c = space.log(b, c)
         lhs = sum(
@@ -664,10 +685,10 @@ class TestTangentStructure:
         space = any_space
         dist = random_distribution(space, rng, n=6)
         for _ in range(20):
-            b = dist.points[0] if rng.random() < 0.2 else probe_point(space, rng)
+            b = dist.batch[0] if rng.random() < 0.2 else probe_point(space, rng)
             if space.tag == "sphere":
                 b = space.exp(
-                    dist.points[0], 0.4 * space.random_tangent(dist.points[0], rng)
+                    dist.batch[0], 0.4 * space.random_tangent(dist.batch[0], rng)
                 )
             assert mean_log_sqnorm(space, dist, b) >= -1e-9
 
@@ -696,7 +717,7 @@ def best_support_point(dist):
     the default warm start sums it, so that exact ties break alike."""
     rows = dist.space.sqdist_batch(dist.batch, dist.batch)
     objectives = [(dist.weights[None] @ row[:, None])[0, 0] for row in rows]
-    return dist.points[int(np.argmin(objectives))]
+    return dist.batch[int(np.argmin(objectives))]
 
 
 class TestWarmStart:

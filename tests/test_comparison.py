@@ -1,4 +1,4 @@
-"""Comparison-geometry primitives: kappa trig, angles, probes, cone metric."""
+"""Comparison-geometry primitives: model diameter, angles, probes, cone metric."""
 
 import math
 
@@ -20,34 +20,13 @@ from conftest import TRUE_KAPPA, make_space, separated_points
 
 
 def c_kappa(kappa, r):
-    """Generalized cosine, the derivative of ``s_kappa``."""
+    """Generalized cosine: cos(r sqrt(k)), cosh for k < 0, 1 at k = 0."""
     if kappa > 0:
         return math.cos(r * math.sqrt(kappa))
     return math.cosh(r * math.sqrt(-kappa)) if kappa < 0 else 1.0
 
 
-class TestKappaTrig:
-    def test_s_kappa_examples(self):
-        assert bl.s_kappa(1.0, math.pi / 2) == pytest.approx(1.0, abs=1e-15)
-        assert bl.s_kappa(0.0, 2.5) == 2.5
-        assert bl.s_kappa(-1.0, 1.0) == pytest.approx(1.1752011936438014, abs=1e-12)
-
-    @given(
-        kappa=st.floats(min_value=-4.0, max_value=4.0),
-        r=st.floats(min_value=0.0, max_value=6.0),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_pythagorean_identity(self, kappa, r):
-        c = c_kappa(kappa, r)
-        s = bl.s_kappa(kappa, r)
-        scale = max(1.0, c * c, abs(kappa) * s * s)
-        assert abs(c * c + kappa * s * s - 1.0) <= 1e-12 * scale
-
-    def test_flat_limit_of_s_kappa(self):
-        for kappa in (1e-6, -1e-6):
-            for r in (0.3, 1.0, 2.5):
-                assert bl.s_kappa(kappa, r) == pytest.approx(r, abs=1e-4)
-
+class TestModelDiameter:
     def test_model_diameter(self):
         assert bl.model_diameter(1.0) == pytest.approx(math.pi)
         assert bl.model_diameter(4.0) == pytest.approx(math.pi / 2)
@@ -251,19 +230,22 @@ class TestMonotonicity:
 class TestConeMetric:
     def test_inner_at_base_is_zero(self, any_space, rng):
         p, x = separated_points(any_space, rng, 2)
-        assert bl.tangent_inner(any_space, p, p, x) == pytest.approx(0.0, abs=1e-12)
+        inner = any_space.tangent_inner(p, any_space.log(p, p), any_space.log(p, x))
+        assert inner == pytest.approx(0.0, abs=1e-12)
 
     def test_euclidean_orthogonal(self):
         space = bl.Euclidean(2)
         p = np.zeros(2)
-        assert bl.tangent_inner(space, p, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert space.tangent_inner(p, space.log(p, x), space.log(p, y)) == 0.0
 
     def test_sphere_axis_example(self):
         space = bl.Sphere(2)
         p = np.array([0.0, 0.0, 1.0])
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.0, 1.0, 0.0])
-        assert bl.tangent_inner(space, p, x, y) == pytest.approx(0.0, abs=1e-12)
+        inner = space.tangent_inner(p, space.log(p, x), space.log(p, y))
+        assert inner == pytest.approx(0.0, abs=1e-12)
         cone = bl.cone_distance(space, p, x, y)
         assert cone == pytest.approx(math.pi / math.sqrt(2.0), abs=1e-12)
         assert cone >= space.distance(x, y) - 1e-9
@@ -297,7 +279,7 @@ class TestConeMetric:
         space = bl.Sphere(2)
         p = np.array([0.0, 0.0, 1.0])
         with pytest.raises(CutLocus):
-            bl.tangent_inner(space, p, -p, np.array([1.0, 0.0, 0.0]))
+            space.tangent_inner(p, space.log(p, -p), space.log(p, np.array([1.0, 0.0, 0.0])))
 
 
 # The scalar compositions the batched probes replaced: one scalar distance or

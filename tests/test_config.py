@@ -370,6 +370,24 @@ class TestOtherExperiments:
         with pytest.raises(ValidationError):
             parse_config(write(tmp_path, obj), "barycenter")
 
+    @pytest.mark.parametrize("point,key", [
+        ({"space": "sphere"}, "coords"),
+        ({"space": "sphere", "coords": 5}, "coords"),
+        ({"space": "gaussian", "mean": 5, "cov": [[1.0]]}, "mean"),
+        ({"space": "gaussian", "mean": [0.0]}, "cov"),
+    ])
+    def test_barycenter_malformed_payload_is_one_violation(self, tmp_path, point, key):
+        """A payload missing its key, or with a key that is not a list of
+        numbers, is one violation that names the space and the key, not
+        Python's own KeyError or TypeError text."""
+        obj = {"experiment": "barycenter", "points": [point]}
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, obj), "barycenter")
+        [violation] = err.value.violations
+        assert violation.startswith("points[0]: ") and violation != f"points[0]: {key!r}"
+        assert f"{point['space']} point payload" in violation and repr(key) in violation
+        assert "has no len()" not in violation
+
     def test_plot_csv_may_come_from_the_flag(self, tmp_path):
         """A plot config without 'csv' parses, for --csv to stand in."""
         parsed = parse_config(write(tmp_path, {"experiment": "plot"}), "plot")

@@ -192,7 +192,7 @@ class TestVarianceEquality:
             if space.distance(b, res.point) <= 1e-6:
                 continue
             values = [
-                bl.hugging_value(space, res.point, b, x) for x in dist.points
+                bl.hugging_value(space, res.point, b, x) for x in dist.batch
             ]
             assert float(dist.weights @ np.asarray(values)) >= -1e-6
 

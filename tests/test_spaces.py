@@ -370,6 +370,41 @@ class TestValidationAndSerialization:
         assert np.array_equal(back, x)
         assert np.array_equal(any_space.point_from_payload(payload), x)
 
+    @pytest.mark.parametrize("tag", sorted(SPACE_KINDS))
+    def test_malformed_payload_refused_with_its_tag_and_key(self, tag, rng):
+        """A payload that is not an object, lacks one of its keys, or holds
+        under one something other than a list of numbers of the key's depth
+        (a Gaussian's cov is a list of lists) is refused with ValueError by
+        ``point_from_payload``, ``payload_space`` and the space's own
+        ``point_from_payload``; each message names the tag and the key."""
+        space = make_space(tag)
+        good = space.point_payload(probe_point(space, rng))
+        keys = [key for key in good if key != "space"]
+        bad = [(key, {k: v for k, v in good.items() if k != key}) for key in keys]
+        for key in keys:
+            value = good[key]
+            for wrong in (5, "1.0", None, [], [value], [str(c) for c in value],
+                          [True] * len(value), [value[0], value[1:]]):
+                bad.append((key, dict(good, **{key: wrong})))
+        for key, payload in bad:
+            refusals = [lambda: bl.point_from_payload(payload),
+                        lambda: space.point_from_payload(payload)]
+            if key == keys[0]:  # the key that sizes the space
+                refusals.append(lambda: type(space).payload_space(payload))
+            for refuse in refusals:
+                with pytest.raises(ValueError, match=f"{tag} point payload") as err:
+                    refuse()
+                assert repr(key) in str(err.value)
+        for payload in (5, [good], None):
+            with pytest.raises(ValueError, match="must be an object"):
+                bl.point_from_payload(payload)
+            with pytest.raises(ValueError, match=f"a {tag} point payload must be an object"):
+                type(space).payload_space(payload)
+
+    def test_gaussian_point_refuses_a_scalar_mean(self):
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            bl.GaussianPoint(0.0, [[1.0]])
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             bl.point_from_payload({"space": "torus", "coords": [0.0]})
