@@ -34,7 +34,6 @@ from .hugging import (
     extendibility_kmin,
     hugging_value,
     hugging_values,
-    support_extendibility,
     variance_equality_residual,
     wasserstein_kmin,
 )

@@ -9,7 +9,6 @@ violated by the data, 1 any other error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .reporting import (
     utc_now,
     write_curvature_csv,
     write_hugging_csv,
+    write_json,
     write_manifest,
     write_rates_csv,
     write_tail_csv,
@@ -178,9 +178,7 @@ def _cmd_barycenter(args, payload: dict, out: Path):
         "iters": result.iters,
         "converged": bool(result.converged),
     }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(json_path, doc)
     print(f"grad_norm={fmt(result.grad_norm)} converged={result.converged}")
     return [json_path], None
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .distributions import DiscreteDistribution
 from .errors import BadBounds, BadLambda, CoincidentPoints
-from .spaces import Extendibility, componentwise_inf
 
 COINCIDENT_TOL = 1e-12
 
@@ -99,12 +98,6 @@ def extendibility_kmin(lambda_in: float, lambda_out: float) -> float:
     out_term = 1.0 if math.isinf(lambda_out) else lambda_out / (1.0 + lambda_out)
     in_term = 0.0 if math.isinf(lambda_in) else 1.0 / lambda_in
     return out_term - in_term
-
-
-def support_extendibility(space, dist: DiscreteDistribution, b_star) -> Extendibility:
-    """Componentwise infimum of the maximal extendibility of the geodesics
-    from ``b_star`` to each support point."""
-    return componentwise_inf(space.extendibility_batch(b_star, dist.batch))
 
 
 def wasserstein_kmin(alpha: float, beta: float) -> float:

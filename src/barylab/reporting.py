@@ -121,16 +121,21 @@ def write_manifest(out_dir, config_echo: dict, master_seed, outputs, started_at,
         "python": platform.python_version(),
         "master_seed": master_seed,
         "started_at": started_at,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
+        "finished_at": utc_now(),
         "config": config_echo,
         "outputs": [str(p) for p in outputs],
     }
     if extra:
         manifest["results"] = extra
-    path = Path(out_dir) / "manifest.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+    return write_json(Path(out_dir) / "manifest.json", manifest)
+
+
+def write_json(path, doc) -> Path:
+    """Write ``doc`` as strict JSON, indented, keys sorted, with a trailing
+    newline; a NaN or infinity raises ValueError before the file is opened."""
+    path = Path(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                    encoding="utf-8")
     return path
 
 

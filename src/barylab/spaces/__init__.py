@@ -1,6 +1,6 @@
 """Concrete geodesic model spaces and shared space machinery."""
 
-from .base import Extendibility, Space, componentwise_inf
+from .base import Extendibility, Space
 from .curved import Hyperboloid, Sphere
 from .euclidean import Euclidean
 from .gaussian import BuresWasserstein, GaussianPoint

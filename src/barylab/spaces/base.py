@@ -41,13 +41,6 @@ class Extendibility:
     lambda_out: float
 
 
-def componentwise_inf(ext: Extendibility) -> Extendibility:
-    """Componentwise infimum of an array-valued extendibility."""
-    if np.size(ext.lambda_in) == 0:
-        raise ValueError("empty extendibility batch")
-    return Extendibility(float(np.min(ext.lambda_in)), float(np.min(ext.lambda_out)))
-
-
 class Space(abc.ABC):
     """A geodesic metric space with closed-form distance, geodesics and log/exp."""
 
@@ -133,9 +126,14 @@ class Space(abc.ABC):
         return self.exp(x, t * self.log(x, y))
 
     def max_extendibility(self, x, y) -> Extendibility:
-        """Largest factors keeping the extended path a minimizing geodesic:
-        ``extendibility_batch`` on a batch of one."""
-        return componentwise_inf(self.extendibility_batch(x, self.stack([y])))
+        """Largest factors keeping the extended path a minimizing geodesic from
+        ``x`` to the point ``y``, or to every point of the stacked batch ``y``:
+        the componentwise infimum of ``extendibility_batch``, as floats."""
+        one = np.ndim(y) <= len(self.point_shape)
+        ext = self.extendibility_batch(x, self.stack([y] if one else y))
+        if np.size(ext.lambda_in) == 0:
+            raise ValueError("empty extendibility batch")
+        return Extendibility(float(np.min(ext.lambda_in)), float(np.min(ext.lambda_out)))
 
     # -- tangent cone --------------------------------------------------------
 

@@ -46,7 +46,13 @@ class _ModelSpace(Space):
 
     @classmethod
     def payload_space(cls, obj: dict) -> _ModelSpace:
-        return cls(len(cls.payload_array(obj, cls.payload_key)) - 1)
+        """The space of ``dim`` one less than the payload's coordinates, which
+        must be at least two."""
+        coords = cls.payload_array(obj, cls.payload_key)
+        if len(coords) < 2:
+            raise ValueError(f"{cls.payload_key!r} of a {cls.tag} point payload must be a list "
+                             f"of at least 2 numbers, got {obj[cls.payload_key]!r}")
+        return cls(len(coords) - 1)
 
     def origin(self) -> np.ndarray:
         o = np.zeros(self.ambient)
@@ -191,7 +197,10 @@ class Hyperboloid(_ModelSpace):
     def check_point(self, x) -> None:
         super().check_point(x)
         q = float(self.tangent_inner(None, x, x))
-        if abs(q + 1.0) > MINKOWSKI_TOL * max(1.0, x[0] ** 2) or x[0] < 1.0 - MINKOWSKI_TOL:
+        # q is NaN or infinite once a square overflows: refused before x[0] is
+        # squared, so with no warning; written so that a NaN fails the test
+        if not (math.isfinite(q) and abs(q + 1.0) <= MINKOWSKI_TOL * max(1.0, x[0] ** 2)
+                and x[0] >= 1.0 - MINKOWSKI_TOL):
             raise ValueError(f"not on the upper hyperboloid sheet: <x,x>_M = {q!r}")
 
     def random_point(self, rng):

@@ -14,7 +14,7 @@ from .distributions import DiscreteDistribution
 from .errors import BarylabError, DiscardRateExceeded
 from .families import Family
 from .hugging import COINCIDENT_TOL, HuggingReport, extendibility_kmin, hugging_value
-from .hugging import support_extendibility, variance_equality_residual
+from .hugging import variance_equality_residual
 from .spaces import Space
 
 MIN_SEPARATION = 0.05
@@ -64,7 +64,7 @@ def hugging_sweep(
     if not result.converged:
         raise DiscardRateExceeded("hugging sweep barycenter did not converge")
     b_star = result.point
-    ext = support_extendibility(space, dist, b_star)
+    ext = space.max_extendibility(b_star, dist.batch)
     k_min = extendibility_kmin(ext.lambda_in, ext.lambda_out)
     # every case's residual shares the support's log maps and d^2 at b_star
     logs = space.log_batch(b_star, dist.batch)[0]

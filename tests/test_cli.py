@@ -1,6 +1,8 @@
 """End-to-end CLI runs: artifacts, manifests, exit codes, determinism."""
 
+import dataclasses
 import json
+import math
 import os
 import platform
 import re
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from barylab import cli, ratelab
+from barylab import cli, ratelab, reporting
 from barylab.cli import main
 from barylab.reporting import RATES_HEADER, write_manifest
 
@@ -81,6 +83,12 @@ class TestRates:
         path = write_manifest(tmp_path, {}, 5, [], "start")
         manifest = json.loads(path.read_text())
         assert manifest["platform"].startswith(platform.system())
+
+    def test_manifest_finishes_at_utc_now(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(reporting, "utc_now", lambda: "finish")
+        path = write_manifest(tmp_path, {}, 5, [], "start")
+        manifest = json.loads(path.read_text())
+        assert (manifest["started_at"], manifest["finished_at"]) == ("start", "finish")
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, RATES_CONFIG)
@@ -234,6 +242,20 @@ class TestBarycenter:
         doc = json.loads((out / "barycenter.json").read_text())
         assert doc["point"] == {"space": "euclidean", "coords": [3.0]}
         assert doc["objective"] == 3.0
+
+    def test_barycenter_json_is_written_as_the_manifest_is(self, tmp_path, monkeypatch):
+        """barycenter.json is indented, key-sorted strict JSON with a trailing
+        newline; a NaN objective raises, and no file is written."""
+        cfg = write_config(tmp_path, BARYCENTER_CONFIG)
+        assert run(["barycenter", "--config", cfg, "--out", tmp_path / "a"]) == 0
+        text = (tmp_path / "a" / "barycenter.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        solve = cli.barycenter
+        monkeypatch.setattr(cli, "barycenter", lambda dist, solver: dataclasses.replace(
+            solve(dist, solver), objective=math.nan))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            run(["barycenter", "--config", cfg, "--out", tmp_path / "b"])
+        assert not (tmp_path / "b" / "barycenter.json").exists()
 
     def test_every_bad_point_is_a_config_violation(self, tmp_path, capsys):
         """A non-SPD covariance is reported with the config's other faults,
@@ -591,6 +613,19 @@ class TestConfigRefusals:
             # reading stops at the first payload that is not an object
             ("barycenter", {"experiment": "barycenter", "points": [1, 2]},
              "error[config]: points[0]: a point payload must be an object, got 1"),
+            # one coordinate sizes no sphere or hyperboloid of dim >= 1
+            ("barycenter", {"experiment": "barycenter",
+                            "points": [{"space": "sphere", "coords": [1.0]}]},
+             "error[config]: points[0]: 'coords' of a sphere point payload must be a list "
+             "of at least 2 numbers, got [1.0]"),
+            ("barycenter", {"experiment": "barycenter",
+                            "points": [{"space": "hyperbolic", "coords": [1.0]}]},
+             "error[config]: points[0]: 'coords' of a hyperbolic point payload must be a list "
+             "of at least 2 numbers, got [1.0]"),
+            # squares that overflow make the Minkowski form NaN
+            ("barycenter", {"experiment": "barycenter",
+                            "points": [{"space": "hyperbolic", "coords": [1e200, 1e200, 0.0]}]},
+             "error[config]: points[0]: not on the upper hyperboloid sheet: <x,x>_M = nan"),
             ("plot", {"experiment": "plot", "csv": "rates.csv", "title": 3},
              "error[config]: 'title' must be a string"),
             # a missing required key is its one line, and no reader runs on it
@@ -617,7 +652,8 @@ class TestConfigRefusals:
              "solver-list", "solver-step", "family-string", "space-string", "kappa-string",
              "euclidean-dim1", "quantile-grid1", "sphere-dim1", "hyperbolic-dim1",
              "sphere-grid-size", "quantile-grid-float", "empty-points", "weights-overflow",
-             "weights-underflow", "points-not-objects", "title-number", "rates-no-family",
+             "weights-underflow", "points-not-objects", "sphere-one-coord",
+             "hyperbolic-one-coord", "hyperbolic-overflow", "title-number", "rates-no-family",
              "tail-no-delta", "hugging-no-family", "curvature-no-space", "barycenter-no-points",
              "barycenter-master-seed", "plot-master-seed", "sphere-cap-no-radius"],
     )

@@ -212,14 +212,14 @@ class TestExtendibilityBounds:
     def test_support_extendibility_euclidean(self, rng):
         space = bl.Euclidean(2)
         dist = random_distribution(space, rng, n=5)
-        ext = bl.support_extendibility(space, dist, probe_point(space, rng))
+        ext = space.max_extendibility(probe_point(space, rng), dist.batch)
         assert math.isinf(ext.lambda_in) and math.isinf(ext.lambda_out)
 
     def test_support_extendibility_sphere_cap(self, rng):
         family = SphereCap(0.3)
         space = family.space
         dist = bl.DiscreteDistribution(space, family.sample(rng, 40))
-        ext = bl.support_extendibility(space, dist, family.anchor)
+        ext = space.max_extendibility(family.anchor, dist.batch)
         floor = (math.pi / 0.3 - 1.0) / 2.0
         assert ext.lambda_in >= floor - 1e-9
         assert ext.lambda_out >= floor - 1e-9
@@ -231,7 +231,7 @@ class TestExtendibilityBounds:
         family = GaussianEnsemble(0.8, 1.6, dim=3)
         space = family.space
         dist = bl.DiscreteDistribution(space, family.sample(rng, 40))
-        ext = bl.support_extendibility(space, dist, family.anchor)
+        ext = space.max_extendibility(family.anchor, dist.batch)
         assert ext.lambda_in >= 1.0 / (1.6 - 1.0) - 1e-9
         assert ext.lambda_out >= 0.8 / (1.0 - 0.8) - 1e-9
         pop = family.support_extendibility()
@@ -244,7 +244,7 @@ class TestExtendibilityBounds:
         dist = bl.DiscreteDistribution(
             family.space, family.sample(rng, 60)
         )
-        emp = bl.support_extendibility(family.space, dist, family.anchor)
+        emp = family.space.max_extendibility(family.anchor, dist.batch)
         assert emp.lambda_in >= pop.lambda_in - 1e-9
         assert emp.lambda_out >= pop.lambda_out - 1e-9
 

@@ -17,7 +17,7 @@ from barylab.errors import (
     SpaceMismatch,
 )
 from barylab.families import FAMILY_KINDS
-from barylab.spaces import SPACE_KINDS, componentwise_inf
+from barylab.spaces import SPACE_KINDS
 
 from conftest import gaussian, make_space, probe_point, separated_points
 from oracles import gaussian_quantile_grid
@@ -297,11 +297,19 @@ class TestExtendibilityBatch:
                 ref = reference_extendibility(space, p, x)
                 assert (ext.lambda_in[i], ext.lambda_out[i]) == (ref.lambda_in, ref.lambda_out)
 
-    def test_componentwise_inf_is_the_minimum_of_each_factor(self):
-        ext = bl.Extendibility(np.array([2.0, 1.0, 1.0]), np.array([3.0, 5.0, 3.0]))
-        assert componentwise_inf(ext) == bl.Extendibility(1.0, 3.0)
-        with pytest.raises(ValueError):
-            componentwise_inf(bl.Extendibility(np.empty(0), np.empty(0)))
+    @pytest.mark.parametrize("tag", sorted(SPACE_KINDS))
+    def test_max_extendibility_of_a_stack_is_the_minimum_over_its_points(self, tag, rng):
+        space = make_space(tag)
+        p = probe_point(space, rng)
+        ys = space.stack([p] + [probe_point(space, rng) for _ in range(8)])
+        each = [space.max_extendibility(p, y) for y in ys]
+        ext = space.max_extendibility(p, ys)
+        assert ext == bl.Extendibility(min(e.lambda_in for e in each),
+                                       min(e.lambda_out for e in each))
+        assert type(ext.lambda_in) is float and type(ext.lambda_out) is float
+        assert space.max_extendibility(p, ys[1]) == space.max_extendibility(p, ys[1:2])
+        with pytest.raises(ValueError, match="empty extendibility batch"):
+            space.max_extendibility(p, ys[:0])
 
 
 class TestValidationAndSerialization:
@@ -320,6 +328,17 @@ class TestValidationAndSerialization:
             bl.BuresWasserstein(2).check_point(gaussian([0.0], [[1.0]]))
         with pytest.raises(NotPositiveDefinite):
             bl.point_from_payload({"space": "gaussian", "mean": [0.0], "cov": [[-1.0]]})
+
+    @pytest.mark.parametrize("coords", [[1e200, 1e200, 0.0], [1e200, 0.0, 0.0], [1e200, 1e10, 0.0]],
+                             ids=["nan", "minus-inf", "minus-inf-off-axis"])
+    def test_hyperboloid_refuses_a_point_whose_minkowski_form_overflows(self, coords):
+        """Finite coordinates whose squares overflow make <x, x>_M NaN or
+        infinite: the point is refused with ValueError, and no warning (which
+        fails the suite) is raised on the way."""
+        with pytest.raises(ValueError, match="not on the upper hyperboloid sheet"):
+            bl.Hyperboloid(2).check_point(np.array(coords))
+        with pytest.raises(ValueError, match="not on the upper hyperboloid sheet"):
+            bl.point_from_payload({"space": "hyperbolic", "coords": coords})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "shape"])
     @pytest.mark.parametrize("tag", sorted(SPACE_KINDS))
@@ -400,6 +419,13 @@ class TestValidationAndSerialization:
                 bl.point_from_payload(payload)
             with pytest.raises(ValueError, match=f"a {tag} point payload must be an object"):
                 type(space).payload_space(payload)
+        if tag in ("sphere", "hyperbolic"):  # one coordinate sizes no space of dim >= 1
+            one = dict(good, coords=[1.0])
+            for refuse in (lambda: bl.point_from_payload(one),
+                           lambda: type(space).payload_space(one)):
+                with pytest.raises(ValueError, match=f"'coords' of a {tag} point payload") as err:
+                    refuse()
+                assert "dim must be" not in str(err.value)
 
     def test_gaussian_point_refuses_a_scalar_mean(self):
         with pytest.raises(ValueError, match="inconsistent shapes"):
