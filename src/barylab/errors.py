@@ -78,7 +78,8 @@ class PlotError(BarylabError):
 
 
 class OutputError(BarylabError):
-    """The output directory cannot be created."""
+    """An output cannot be written: its directory cannot be created, or a value
+    has no strict JSON form."""
 
 
 class ConfigError(BarylabError):

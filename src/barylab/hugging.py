@@ -66,21 +66,18 @@ def hugging_value(space, b_star, b, x):
     return hugging_values(space, b_star, b[:, None], x[:, None])[:, 0, 0][pick]
 
 
-def variance_equality_residual(space, dist: DiscreteDistribution, b_star, b,
-                               logs=None, sqdist_star=None):
+def variance_equality_residual(space, dist: DiscreteDistribution, b_star, b):
     """Absolute defect of the variance identity at a numerical barycenter.
 
     |d^2(b, b*) . sum_i w_i k_i  -  sum_i w_i (d^2(x_i, b) - d^2(x_i, b*))|,
     which vanishes when ``b_star`` is an exact barycenter of ``dist``: one
-    residual for one target ``b``, (Q,) for a (Q,) stack of targets.  A sweep
-    over many targets passes the support's log payloads at ``b_star`` and its
-    squared distances to ``b_star``, taken once, as ``logs`` and ``sqdist_star``.
+    residual for one target ``b``, (Q,) for a (Q,) stack of targets.
     """
     (bs,), pick = space.configs(b)
     # d^2(b, x_i), then d^2(b, b*) in the last column
     sq = space.sqdist_batch(bs, np.concatenate((dist.batch, space.stack([b_star]))))
-    k_values = hugging_values(space, b_star, bs, dist.batch, logs, sq[:, :-1])  # rejects b = b_star
-    sqdist_star = space.sqdist_batch(b_star, dist.batch) if sqdist_star is None else sqdist_star
+    k_values = hugging_values(space, b_star, bs, dist.batch, sqdist_b=sq[:, :-1])  # rejects b = b_star
+    sqdist_star = space.sqdist_batch(b_star, dist.batch)
     lhs = sq[:, -1] * (k_values[:, None] @ dist.weights)[:, 0]
     return np.abs(lhs - ((sq[:, :-1] - sqdist_star)[:, None] @ dist.weights)[:, 0])[pick]
 

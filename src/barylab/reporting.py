@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import ParseError
+from .errors import OutputError, ParseError
 from .ratelab import RateCurve, TailExperimentResult
 
 RATES_HEADER = ["space", "n", "trials", "mean_sq_dist", "stderr", "sigma2", "bound", "ratio", "seed"]
@@ -132,10 +132,13 @@ def write_manifest(out_dir, config_echo: dict, master_seed, outputs, started_at,
 
 def write_json(path, doc) -> Path:
     """Write ``doc`` as strict JSON, indented, keys sorted, with a trailing
-    newline; a NaN or infinity raises ValueError before the file is opened."""
+    newline; a NaN or infinity raises `OutputError` before the file is opened."""
     path = Path(path)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 

@@ -66,9 +66,6 @@ def hugging_sweep(
     b_star = result.point
     ext = space.max_extendibility(b_star, dist.batch)
     k_min = extendibility_kmin(ext.lambda_in, ext.lambda_out)
-    # every case's residual shares the support's log maps and d^2 at b_star
-    logs = space.log_batch(b_star, dist.batch)[0]
-    sqdist_star = space.sqdist_batch(b_star, dist.batch)
 
     def draw(count):  # (b, x) cases: a family draw, then a support point
         return [np.stack((family.sample_batch(rng, 1)[0], dist.batch[rng.integers(n_support)]))
@@ -79,7 +76,7 @@ def hugging_sweep(
 
     def probe(b, x):
         k_values = hugging_value(space, b_star, b, x)
-        residuals = variance_equality_residual(space, dist, b_star, b, logs, sqdist_star)
+        residuals = variance_equality_residual(space, dist, b_star, b)
         return np.stack((k_values, residuals), -1)
 
     # a case's residual takes (n_support,) payloads

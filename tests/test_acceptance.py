@@ -213,16 +213,11 @@ def test_criterion_05_variance_equality(solved_instances):
     for tag, items in solved_instances.items():
         space = make_space(tag)
         for dist, result in items:
-            # the support's log maps and d^2 at b*, taken once for its 100 targets
-            logs = space.log_batch(result.point, dist.batch)[0]
-            sqdist_star = space.sqdist_batch(result.point, dist.batch)
             # the targets are drawn first, then evaluated in one stacked call
             bs = space.stack([offset_point(space, result.point, rng) for _ in range(100)])
             d = np.sqrt(space.sqdist_batch(bs, space.stack([result.point]))[:, 0])
             bs, d = bs[d > 1e-8], d[d > 1e-8]
-            residuals = bl.variance_equality_residual(
-                space, dist, result.point, bs, logs, sqdist_star
-            )
+            residuals = bl.variance_equality_residual(space, dist, result.point, bs)
             allowed = np.maximum(1e-8, 10.0 * SOLVER_TOL * d)
             worst_excess = max(worst_excess, float(np.max(residuals - allowed, initial=-math.inf)))
             cases += len(d)

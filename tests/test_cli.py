@@ -243,9 +243,10 @@ class TestBarycenter:
         assert doc["point"] == {"space": "euclidean", "coords": [3.0]}
         assert doc["objective"] == 3.0
 
-    def test_barycenter_json_is_written_as_the_manifest_is(self, tmp_path, monkeypatch):
+    def test_barycenter_json_is_written_as_the_manifest_is(self, tmp_path, monkeypatch, capsys):
         """barycenter.json is indented, key-sorted strict JSON with a trailing
-        newline; a NaN objective raises, and no file is written."""
+        newline; a NaN objective exits 1 with one error[OutputError] line that
+        names the file, and neither barycenter.json nor the manifest is written."""
         cfg = write_config(tmp_path, BARYCENTER_CONFIG)
         assert run(["barycenter", "--config", cfg, "--out", tmp_path / "a"]) == 0
         text = (tmp_path / "a" / "barycenter.json").read_text()
@@ -253,9 +254,13 @@ class TestBarycenter:
         solve = cli.barycenter
         monkeypatch.setattr(cli, "barycenter", lambda dist, solver: dataclasses.replace(
             solve(dist, solver), objective=math.nan))
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            run(["barycenter", "--config", cfg, "--out", tmp_path / "b"])
-        assert not (tmp_path / "b" / "barycenter.json").exists()
+        capsys.readouterr()
+        assert run(["barycenter", "--config", cfg, "--out", tmp_path / "b"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        path = tmp_path / "b" / "barycenter.json"
+        assert lines[0].startswith(f"error[OutputError]: cannot write {path}: ")
+        assert list((tmp_path / "b").iterdir()) == []
 
     def test_every_bad_point_is_a_config_violation(self, tmp_path, capsys):
         """A non-SPD covariance is reported with the config's other faults,

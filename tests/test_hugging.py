@@ -107,28 +107,29 @@ class TestVarianceEquality:
             bl.variance_equality_residual(any_space, dist, x, x)
 
     def test_residual_weights_the_sqdist_of_b_to_b_star_itself(self, any_space, rng, monkeypatch):
-        """With every k_i at 1 and sqdist_star at the support's d^2(b, x_i), the
-        residual is d^2(b, b*) exactly as sqdist_batch returned it: no root is
-        taken and squared back."""
+        """With every k_i at 1 and the support's d^2 to b* read as its d^2(b, x_i),
+        the residual is d^2(b, b*) exactly as sqdist_batch returned it: no root
+        is taken and squared back."""
         space = any_space
         monkeypatch.setattr(
-            bl.hugging, "hugging_values", lambda s, b_star, bs, xs, *rest: np.ones((len(bs), len(xs)))
+            bl.hugging, "hugging_values", lambda s, b_star, bs, xs, **_: np.ones((len(bs), len(xs)))
         )
         returned = []
 
         def spy(a, b, _method=space.sqdist_batch):
-            returned.append(_method(a, b))
+            # the first call gives d^2(b, x), then d^2(b, b*); the second, d^2(b*, x),
+            # returns the first call's d^2(b, x)
+            returned.append(_method(a, b) if not returned else returned[0][0, :-1])
             return returned[-1]
 
+        cases = [separated_points(space, rng, 3) for _ in range(20)]
         monkeypatch.setattr(space, "sqdist_batch", spy)
-        for _ in range(20):
-            b_star, b, x = separated_points(space, rng, 3)
+        for b_star, b, x in cases:
             dist = bl.DiscreteDistribution(space, [x])
             returned.clear()
-            bl.variance_equality_residual(space, dist, b_star, b)
-            sq = returned[0]  # d^2(b, x), then d^2(b, b*)
-            residual = bl.variance_equality_residual(space, dist, b_star, b, sqdist_star=sq[:, 0])
-            assert residual == sq[0, -1]
+            residual = bl.variance_equality_residual(space, dist, b_star, b)
+            assert len(returned) == 2
+            assert residual == returned[0][0, -1]
 
     def test_residual_small_at_converged_barycenters(self, any_space, rng):
         space = any_space
@@ -150,11 +151,10 @@ class TestVarianceEquality:
                 residual = bl.variance_equality_residual(space, dist, res.point, b)
                 assert residual <= max(1e-8, 10.0 * tol * d)
 
-    def test_sweep_takes_the_support_maps_once(self, monkeypatch):
-        """hugging_sweep takes the support's log maps at b_star and its squared
-        distances to b_star once, and d^2(b, support) once for each block of
-        cases: the calls over the support grow with the blocks, not with
-        n_cases."""
+    def test_sweep_takes_the_support_maps_once_per_block(self, monkeypatch):
+        """hugging_sweep takes the support's log maps at b_star, its squared
+        distances to b_star and d^2(b, support) once for each block of cases:
+        the calls over the support grow with the blocks, not with n_cases."""
         family = GaussianEnsemble(0.8, 1.6, dim=3)
         n_support = 50
         calls = collections.Counter()
@@ -175,7 +175,7 @@ class TestVarianceEquality:
             blocks = -(-n_cases // per_block)
             assert blocks < n_cases
             # the solver's final objective makes one further sqdist_batch call
-            assert calls == {"log_batch": 1, "sqdist_batch": 2 + blocks}
+            assert calls == {"log_batch": blocks, "sqdist_batch": 1 + 2 * blocks}
 
     def test_mean_hugging_nonnegative_at_barycenter(self, any_space, rng):
         """The weighted hugging average stays nonnegative at the optimum."""

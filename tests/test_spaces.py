@@ -605,6 +605,34 @@ class TestBroadcastContract:
             assert np.array_equal(ext[:, k], one_ext)
         assert np.all(payloads[0, 0] == 0.0) and sq[0, 0] == 0.0
 
+    @pytest.mark.parametrize("shape", [(1, 7), (3, 33), (40, 16), (5, 200)])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("make", [bl.Sphere, bl.Hyperboloid])
+    def test_curved_kernel_rows_equal_their_own_calls(self, make, dim, shape):
+        """On a (T, n) stack, at ambient dimension 3 to 5, each entry (t, i) of
+        tangent_inner, log_batch, sqdist_batch and exp is the call of base t
+        and point i alone, bit for bit, wherever the entry sits in the stack,
+        so chunking a sweep or a trial table cannot move a result (a BLAS
+        product such as (u * v) @ j rounds by position at ambient >= 4)."""
+        space = make(dim)
+        rng = np.random.default_rng([dim, *shape])
+        bases = space.stack([space.random_point(rng) for _ in range(shape[0])])
+        batch = np.stack([
+            space.stack([p] + [space.random_point(rng) for _ in range(shape[1] - 1)]) for p in bases
+        ])
+        payloads, theta = space.log_batch(bases, batch)
+        sq = space.sqdist_batch(bases, batch)
+        others = np.roll(payloads, 1, axis=1)  # tangent at the same base
+        inner = space.tangent_inner(bases[:, None], payloads, others)
+        moved = space.exp(bases[:, None], 0.5 * payloads)
+        for t, i in np.ndindex(shape):
+            p, x, u = bases[t], batch[t, i : i + 1], payloads[t, i]
+            one_payloads, one_theta = space.log_batch(p, x)
+            assert np.array_equal(payloads[t, i], one_payloads[0]) and theta[t, i] == one_theta[0]
+            assert sq[t, i] == space.sqdist_batch(p, x)[0]
+            assert inner[t, i] == space.tangent_inner(p, u, others[t, i])
+            assert np.array_equal(moved[t, i], space.exp(p, 0.5 * u))
+
 
 class TestTangentMachinery:
     def test_exp_of_a_stack_is_exp_row_by_row(self, any_space, rng):
