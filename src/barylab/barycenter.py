@@ -80,13 +80,6 @@ def variance(dist: DiscreteDistribution, b) -> float:
     return float(dist.weights @ sq)
 
 
-def _tangent_mean(space: Space, p, batch, weights):
-    try:
-        return space.tangent_mean(p, batch, weights)
-    except CutLocus as exc:
-        raise CutLocusDuringIteration(str(exc)) from exc
-
-
 def _step_sizes(space: Space, weights, mags) -> np.ndarray:
     """One over the objective's curvature bound on spaces with curvature
     bounded below by kappa < 0, else 1.
@@ -105,13 +98,14 @@ def _step_sizes(space: Space, weights, mags) -> np.ndarray:
     return 1.0 / weighted_sum(weights, h)
 
 
-def _descent_state(space: Space, base, batch, weights, rows):
+def _descent_state(space: Space, base, batch, weights):
     """The tangent mean, the objective and the ``_step_sizes`` bound of each
-    problem at ``base``, whose support and weights are the rows ``rows`` of
-    ``batch`` and ``weights``, gathered only when they are not all of them."""
-    if len(rows) < len(batch):
-        batch, weights = batch[rows], weights[rows]
-    grad, objective, mags = _tangent_mean(space, base, batch, weights)
+    problem at ``base`` over its support ``batch`` and ``weights``; a cut
+    locus met there is a ``CutLocusDuringIteration``."""
+    try:
+        grad, objective, mags = space.tangent_mean(base, batch, weights)
+    except CutLocus as exc:
+        raise CutLocusDuringIteration(str(exc)) from exc
     return grad, objective, _step_sizes(space, weights, mags)
 
 
@@ -130,29 +124,43 @@ def descent_batch(
     candidate objective increases, and a non-improving iteration ends that
     problem with ``converged=False`` unless the tolerance was already met.
 
-    Each problem carries only its iterate, tangent mean, objective and step
-    bound, which ``_descent_state`` reduces from the log maps (on Gaussians,
-    the sandwiches and their roots) of the whole stack at once, so a step's
-    temporaries grow with the stack; ``_trial_table`` passes one chunk of
-    ``ratelab.TRIAL_FLOAT_BUDGET`` floats of support.  Once some problem has
-    left the stack, a step gathers the rows still descending (at most that
-    chunk), and a step every problem accepts is taken whole.
+    Each problem carries only its support, iterate, tangent mean, objective
+    and step bound, which ``_descent_state`` reduces from the log maps (on
+    Gaussians, the sandwiches and their roots) of the whole stack at once, so
+    a step's temporaries grow with the stack; ``_trial_table`` passes one chunk of
+    ``ratelab.TRIAL_FLOAT_BUDGET`` floats of support.  A problem that has
+    ended leaves the stack, support included, as the next iteration opens,
+    and a halving step takes the rows still pending, so the support (at most
+    that chunk) is copied only when a problem has ended or a step halves; a
+    step every problem accepts is taken whole.
     """
     points = np.array(init, dtype=float)
     count = len(points)
     grad_norm = np.full(count, math.inf)
     iters = np.full(count, opts.max_iters)
     converged = np.zeros(count, dtype=bool)
-    # the problems still descending: their rows of the stack, in the order of
-    # the rows of b, grad, objective and bound
+    # the problems still descending: their rows of the caller's stack, in the
+    # order of the rows of b, grad, objective, bound, batch and weights
     live = np.arange(count)
     b = points.copy()
-    grad, objective, bound = _descent_state(space, b, batch, weights, live)
+    grad, objective, bound = _descent_state(space, b, batch, weights)
+    stalled = np.zeros(count, dtype=bool)
     for iteration in range(1, opts.max_iters + 1):
         grad_norm[live] = norm = space.tangent_norm(b, grad)
         done = norm <= opts.tol
+        ended = done | stalled
+        if ended.any():
+            points[live[ended]] = b[ended]
+            iters[live[done]], iters[live[stalled]] = iteration, iteration - 1
+            converged[live[done]] = True
+            keep = ~ended
+            live, b, grad, objective, bound, batch, weights = (
+                a[keep] for a in (live, b, grad, objective, bound, batch, weights)
+            )
+            if not len(live):
+                break
         step = bound.copy()
-        pending = np.flatnonzero(~done)
+        pending = np.arange(len(live))
         for _ in range(MAX_HALVINGS + 1):
             if not len(pending):
                 break
@@ -160,7 +168,7 @@ def descent_batch(
             scale = step[rows].reshape((-1,) + (1,) * (grad.ndim - 1))
             candidate = space.exp(b[rows], scale * grad[rows])
             cand_grad, cand_objective, cand_bound = _descent_state(
-                space, candidate, batch, weights, live[rows]
+                space, candidate, batch[rows], weights[rows]
             )
             old = objective[rows]
             ok = cand_objective <= old + OBJECTIVE_NOISE * (1.0 + old)
@@ -172,17 +180,8 @@ def descent_batch(
                 objective[took], bound[took] = cand_objective[ok], cand_bound[ok]
             pending = pending[~ok]
             step[pending] *= 0.5
-        ended = done.copy()
-        ended[pending] = True  # no step accepted: the problem stalls
-        if not ended.any():
-            continue
-        points[live[ended]] = b[ended]
-        iters[live[ended]] = iteration
-        converged[live[done]] = True
-        keep = ~ended
-        live, b, grad, objective, bound = (a[keep] for a in (live, b, grad, objective, bound))
-        if not len(live):
-            break
+        stalled = np.zeros(len(live), dtype=bool)
+        stalled[pending] = True  # no step accepted: it ends on this iteration
     points[live] = b
     return BatchResult(points, grad_norm, iters, converged)
 

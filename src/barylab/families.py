@@ -322,13 +322,12 @@ class GaussianEnsemble(Family):
         return self.alpha, self.beta  # the eigenvalue range of every draw's map
 
     def support_extendibility(self) -> Extendibility:
-        # extreme admissible map realizes the support infimum exactly
-        d = self.space.dim
-        eigs = np.ones(d)
-        eigs[0] = self.beta
-        eigs[-1] = self.alpha
-        extreme = np.zeros(self.space.point_shape)
-        extreme[1:] = sym(np.diag(eigs) @ self.anchor[1:] @ np.diag(eigs))
+        # the two extreme admissible maps, eigenvalue beta and eigenvalue
+        # alpha (the others 1), realize the support infimum exactly
+        maps = np.ones((2, self.space.dim))
+        maps[:, 0] = self.beta, self.alpha
+        extreme = np.zeros((2,) + self.space.point_shape)
+        extreme[:, 1:] = sym(maps[:, :, None] * self.anchor[1:] * maps[:, None, :])
         return self.space.max_extendibility(self.anchor, extreme)
 
 

@@ -33,7 +33,8 @@ BASIS_GRAM_TOL = 1e-5
 class _ModelSpace(Space):
     """The quadric <x, x>_j = 1/kappa.  A subclass sets ``kappa``, ``cut``
     (the distance to the cut locus), ``_pole`` (the axis where j holds
-    kappa, whose unit vector is the default anchor) and ``_cos``/``_sin``."""
+    kappa, whose unit vector is the default anchor), ``_cos``/``_sin`` and
+    ``_land``, which puts ``exp``'s point, off the quadric by rounding, on it."""
 
     def __init__(self, dim: int = 2):
         super().__init__(dim)  # intrinsic dimension; ambient is dim + 1
@@ -74,7 +75,7 @@ class _ModelSpace(Space):
             raise OutOfDomain(f"tangent magnitude {np.max(m):.12g} >= pi")
         tip = m < 1e-300
         u = payload / np.where(tip, 1.0, m)
-        return np.where(tip, p, self._project(self._cos(m) * p + self._sin(m) * u))
+        return np.where(tip, p, self._land(self._cos(m) * p + self._sin(m) * u))
 
     def tangent_inner(self, p, u_payload, v_payload):
         return np.einsum("...i,i,...i->...", u_payload, self._j, v_payload)
@@ -158,6 +159,7 @@ class Sphere(_ModelSpace):
     cut = math.pi
     _pole = -1
     _cos, _sin = np.cos, np.sin
+    _land = _ModelSpace._project  # radially
 
     def check_point(self, x) -> None:
         super().check_point(x)
@@ -207,6 +209,12 @@ class Hyperboloid(_ModelSpace):
         v = np.zeros(self.ambient)
         v[1:] = rng.standard_normal(self.dim)
         return self.exp(self.origin(), v)
+
+    def _land(self, x: np.ndarray) -> np.ndarray:
+        """x, in place, with x0 = sqrt(1 + |x_spatial|^2): exact far from the
+        origin, where the radial rescale's Minkowski norm cancels by eps x0^2."""
+        x[..., 0] = np.sqrt(1.0 + np.einsum("...i,...i->...", x[..., 1:], x[..., 1:]))
+        return x
 
     def _angle(self, p, batch, nv):
         return np.arcsinh(nv)

@@ -87,13 +87,17 @@ class BuresWasserstein(Space):
     # -- metric ----------------------------------------------------------------
 
     def transport_map(self, p, x) -> np.ndarray:
-        """Linear part A of the optimal map from p to x (SPD)."""
-        return np.eye(self.dim) + self._map_gaps(p, x[None, 1:])[0]
+        """Linear part A (SPD) of the optimal map from p to the point ``x``, or
+        the stack of them to each point of a stacked batch ``x``."""
+        maps = np.eye(self.dim) + self._map_gaps(p, np.asarray(x, float)[..., 1:, :])
+        return maps[..., 0, :, :] if np.ndim(x) == len(self.point_shape) else maps
 
-    def transport_map_bounds(self, p, x) -> tuple[float, float]:
-        """Extreme eigenvalues of ``transport_map(p, x)``: its potential's convexity, smoothness."""
+    def transport_map_bounds(self, p, x):
+        """Extreme eigenvalues of ``transport_map(p, x)``, its potential's
+        convexity and smoothness: floats for a point ``x``, arrays for a stack."""
         eig = np.linalg.eigvalsh(self.transport_map(p, x))
-        return float(eig[0]), float(eig[-1])
+        lo, hi = eig[..., 0], eig[..., -1]
+        return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
     def _map_gaps(self, p, covs: np.ndarray) -> np.ndarray:
         """L_i = A_i - I for the optimal linear maps A_i from p to covs_i, with
@@ -121,8 +125,7 @@ class BuresWasserstein(Space):
         t < 1/(1 - a_min) and inward while t > -1/(a_max - 1); both suprema
         are open because the map degenerates exactly at the endpoint.
         """
-        eig = np.linalg.eigvalsh(np.eye(self.dim) + self._map_gaps(p, batch[..., 1:, :]))
-        a_min, a_max = eig[..., 0], eig[..., -1]
+        a_min, a_max = self.transport_map_bounds(p, batch)
         shrinks, grows = a_min < 1.0 - 1e-15, a_max > 1.0 + 1e-15  # else unbounded
         lam_out = np.where(shrinks, a_min / np.where(shrinks, 1.0 - a_min, 1.0), math.inf)
         lam_in = np.where(grows, 1.0 / np.where(grows, a_max - 1.0, 1.0), math.inf)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import types
 
@@ -328,8 +329,9 @@ class TestStackedDescentRows:
         """Steps that overshoot and halve (the space's step scaled to near
         2), problems that stall (an objective that must fall by 1e-7 to
         count) and problems that end on different iterations, so that later
-        steps gather the rows still descending, leave every row of a stacked
-        descent equal, bit for bit, to its problem solved alone."""
+        steps take a stack compacted to the problems still descending, leave
+        every row of a stacked descent equal, bit for bit, to its problem
+        solved alone."""
         space = bl.Sphere(2) if tag == "sphere" else bl.Hyperboloid(2)
         batch, weights = self.wide_problems(space, np.random.default_rng(4), 12, 6, spread)
         init = space.warm_start(batch, weights)
@@ -354,10 +356,71 @@ class TestStackedDescentRows:
             assert single.iters[0] == stacked.iters[i]
             assert single.converged[0] == stacked.converged[i]
 
+    @pytest.mark.parametrize(
+        "tag, spread, scale",
+        [("sphere", 1.4, 2.05), ("hyperbolic", 3.0, 2.2)],
+        ids=["sphere-halving", "hyperbolic-halving"],
+    )
+    def test_tangent_mean_takes_the_live_rows_copied_only_when_they_change(
+        self, tag, spread, scale, monkeypatch
+    ):
+        """Each tangent mean of a stacked descent takes the support of the
+        problems still live (of those still pending, on a halving), and a
+        support array not seen before appears only on a halving, on an
+        iteration where a problem ends, or on the one after, which takes the
+        compacted stack: an iteration every live problem accepts at once
+        copies no support, even after the first problem has ended."""
+        space = bl.Sphere(2) if tag == "sphere" else bl.Hyperboloid(2)
+        batch, weights = self.wide_problems(space, np.random.default_rng(4), 12, 6, spread)
+        init = space.warm_start(batch, weights)
+        step_sizes = bary._step_sizes
+        monkeypatch.setattr(bary, "_step_sizes", lambda *args: scale * step_sizes(*args))
+        problem_of = {row.tobytes(): i for i, row in enumerate(batch)}
+        iterations = [[]]  # the supports of the start's state, then of each iteration
+
+        def tangent_norm(p, v):
+            if sys._getframe(1).f_code is descent_batch.__code__:
+                iterations.append([])  # descent opens an iteration with it
+            return type(space).tangent_norm(space, p, v)
+
+        def tangent_mean(p, support, w):
+            iterations[-1].append(support)  # held, so no two supports share an id
+            return type(space).tangent_mean(space, p, support, w)
+
+        monkeypatch.setattr(space, "tangent_norm", tangent_norm)
+        monkeypatch.setattr(space, "tangent_mean", tangent_mean)
+        solved = descent_batch(space, batch, weights, init, SolverOptions(max_iters=200))
+        assert solved.converged.any() and len(set(solved.iters)) > 1
+        assert len(iterations) == solved.iters.max() + 1
+
+        def root(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return id(a)
+
+        seen, quiet = {root(iterations[0][0])}, 0
+        for k in range(1, len(iterations)):
+            changed = bool({k - 1, k} & set(solved.iters))
+            live = [i for i, end in enumerate(solved.iters)
+                    if end > k or (end == k and not solved.converged[i])]
+            for j, support in enumerate(iterations[k]):
+                rows = [problem_of[row.tobytes()] for row in support]
+                if j == 0:
+                    assert rows == live
+                else:  # a halving takes rows of the previous try, in order
+                    assert rows == sorted(rows) and set(rows) <= set(live)
+                if root(support) not in seen:
+                    assert j > 0 or changed, f"iteration {k} copied the support"
+                    seen.add(root(support))
+                elif j == 0 and not changed and k > solved.iters.min():
+                    quiet += 1
+                live = rows
+        assert quiet  # some iteration after the first end was checked
+
 
 class TestStackedSolveMemory:
     # a stacked solve over one chunk of TRIAL_FLOAT_BUDGET floats of support
-    # (128 KiB) peaks at 269-516 KiB on the sphere and the hyperboloid and
+    # (128 KiB) peaks at 269-525 KiB on the sphere and the hyperboloid and
     # at 403-600 KiB on 3 x 3 Gaussians
     PEAK_BYTES = 768 * 1024
 

@@ -263,8 +263,12 @@ class TestHuggingLowerBounds:
             b = space.exp(family.anchor, v)
             assert bl.hugging_value(space, family.anchor, b, x) >= k_min - 1e-7
 
-    def test_gaussian_instance_and_route_consistency(self, rng):
-        family = GaussianEnsemble(0.8, 1.6, dim=3)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gaussian_instance_and_route_consistency(self, dim, rng):
+        """The extendibility and Wasserstein routes give one constant,
+        1 - beta + alpha, in every dimension (at dim 1 too, where beta and
+        alpha cannot share one map), and no sampled hugging value is below it."""
+        family = GaussianEnsemble(0.8, 1.6, dim=dim)
         space = family.space
         ext = family.support_extendibility()
         k_ext = bl.extendibility_kmin(ext.lambda_in, ext.lambda_out)
@@ -300,6 +304,19 @@ class TestWassersteinPotentials:
         alpha, beta = bl.BuresWasserstein(2).transport_map_bounds(a, b)
         assert alpha == pytest.approx(0.9, abs=1e-12)
         assert beta == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_a_stack_gives_each_point_its_bounds(self, dim, rng):
+        """On a stacked batch the bounds are arrays whose entries are the
+        floats of each point alone, bit for bit."""
+        space = bl.BuresWasserstein(dim)
+        p = probe_point(space, rng)
+        xs = space.stack([probe_point(space, rng) for _ in range(6)])
+        lo, hi = space.transport_map_bounds(p, xs)
+        assert lo.shape == hi.shape == (6,)
+        for x, a, b in zip(xs, lo, hi):
+            one = space.transport_map_bounds(p, x)
+            assert one == (a, b) and all(type(v) is float for v in one)
 
     def test_wasserstein_kmin(self):
         assert bl.wasserstein_kmin(1.0, 1.0) == 1.0

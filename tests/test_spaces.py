@@ -132,6 +132,19 @@ class TestLogExp:
             worst = max(worst, space.distance(back, x))
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hyperboloid_round_trip_far_from_the_origin(self, dim, rng):
+        """exp at the origin lands on the sheet by the spatial lift, so log
+        recovers tangents up to |v| = 100 to 1e-13 relative, where a radial
+        rescale loses eps x0^2 and, from |v| near 20, every digit."""
+        space = bl.Hyperboloid(dim)
+        o = space.origin()
+        for r in (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 100.0):
+            v = space.random_tangent(o, rng)
+            v *= r / space.tangent_norm(o, v)
+            back = space.log_batch(o, space.exp(o, v)[None])[0][0]
+            assert np.linalg.norm(back - v) <= 1e-13 * r
+
     def test_sphere_log_example(self):
         space = bl.Sphere(2)
         p = np.array([0.0, 0.0, 1.0])
